@@ -67,3 +67,31 @@ def test_fails_without_program_sources():
         shutil.rmtree(bare, ignore_errors=True)
     assert proc.returncode != 0
     assert proc.stdout == ""
+
+
+def test_tracer_wraps_every_binding_and_restores_it():
+    sys.path[:0] = [str(ROOT / "src"), str(HERE)]
+    try:
+        import relikit.cli  # noqa: F401  (loads every module the tracer patches)
+        from relikit import calibration, evaluate, metrics
+        from tracer import Tracer
+
+        bindings = [
+            (evaluate, "apply_calibrator"), (evaluate, "confidence_map"),
+            (metrics, "confidence_map"), (calibration, "kmeans"),
+            (calibration, "load_features"), (calibration, "subsample_indices"),
+            (evaluate, "subsample_indices"), (calibration, "validate_labels"),
+            (evaluate, "validate_labels"),
+        ]
+        originals = [getattr(module, name) for module, name in bindings]
+        tracer = Tracer()
+        tracer.install()
+        try:
+            wrapped = [getattr(module, name) for module, name in bindings]
+        finally:
+            tracer.uninstall()
+        for original, wrapper in zip(originals, wrapped):
+            assert wrapper is not original and wrapper.__wrapped__ is original
+        assert [getattr(module, name) for module, name in bindings] == originals
+    finally:
+        del sys.path[:2]
