@@ -14,11 +14,13 @@ distribution without ever changing the argmax.
 * learned scaling  -- a small network predicts a per-pixel temperature
   from per-pixel features (:func:`fit_lts`).
 
-The NLL objective in T is minimized by a coarse grid in ln T (plus T = 1,
-which the grid does not contain) followed by golden-section refinement of
-the best bracket. All fitting draws pixels through the same seeded
-subsampling streams as evaluation, so a given seed sees one pixel set per
-image everywhere.
+The mean NLL is convex in the inverse temperature beta = 1/T, so a
+temperature is fitted by a safeguarded Newton search for the root of
+dNLL/dbeta: one pass over the pixels yields the NLL with its exact first
+and second derivatives, and a fit that wants to leave [t_min, t_max] is
+pinned to exactly that bound. All fitting draws pixels through the same
+seeded subsampling streams as evaluation, so a given seed sees one pixel
+set per image everywhere.
 """
 
 from __future__ import annotations
@@ -46,12 +48,9 @@ from .tensors import (
 
 T_MIN = 0.05
 T_MAX = 20.0
-GRID_POINTS = 32
 LN_T_TOL = 1e-4
 DEFAULT_PIXELS_PER_IMAGE = 20_000
 DEFAULT_CLUSTERS = 16
-
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 class ClusterVariant(str, Enum):
@@ -138,13 +137,41 @@ def scaled_nll(logits: np.ndarray, labels: np.ndarray, temperature: float) -> fl
     return float((lse - z[np.arange(z.shape[0]), labels]).mean())
 
 
+def _nll_derivatives(z: np.ndarray, mean_zy: float, beta: float) -> tuple[float, float, float]:
+    """Mean NLL of softmax(beta * z) and its first two derivatives in beta.
+
+    ``z`` holds row-shifted logits (each row's maximum is 0, so every
+    exp(beta * z) lies in (0, 1] and each row sum is at least 1) and
+    ``mean_zy`` the mean shifted logit of the labels. One exp pass serves
+    all three values: the derivatives are the mean over rows of
+    E_p[z] - z_y and of Var_p[z].
+    """
+    ones = np.ones(z.shape[1])
+    e = np.multiply(z, beta)
+    np.exp(e, out=e)
+    total = e @ ones
+    e *= z
+    mean_z = (e @ ones) / total
+    e *= z
+    var_z = (e @ ones) / total - mean_z * mean_z
+    nll = float(np.log(total).mean()) - beta * mean_zy
+    return nll, float(mean_z.mean()) - mean_zy, float(np.maximum(var_z, 0.0).mean())
+
+
 def fit_temperature(logits: np.ndarray, labels: np.ndarray,
                     t_min: float = T_MIN, t_max: float = T_MAX) -> float:
     """Minimize mean NLL over T in [t_min, t_max].
 
-    Evaluates a 32-point grid in ln T plus T = 1, then refines the bracket
-    around the best grid point by golden section to within 1e-4 in ln T.
-    The best temperature seen anywhere is returned.
+    The NLL is convex in beta = 1/T, so its minimizer is the root of
+    dNLL/dbeta on [1/t_max, 1/t_min]. The search starts at T = 1 (clipped
+    to the range) and checks the bound downhill of it once: if the slope
+    keeps its sign there, that bound is the minimizer and exactly t_min or
+    t_max is returned. Otherwise Newton steps shrink the sign bracket,
+    with a geometric-mean bisection whenever a step leaves the bracket or
+    fails to halve the slope, until the bracket is within LN_T_TOL in
+    ln T or a Newton step moves ln T by at most LN_T_TOL (its error is
+    then of the order of that step squared). The best temperature
+    evaluated is returned.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -157,36 +184,41 @@ def fit_temperature(logits: np.ndarray, labels: np.ndarray,
     if not 0 < t_min < t_max:
         raise CalibrationError(f"need 0 < t_min < t_max, got [{t_min}, {t_max}]")
 
+    z = logits - logits.max(axis=1, keepdims=True)
+    mean_zy = float(z[np.arange(z.shape[0]), labels].mean())
+    lo, hi = 1.0 / t_max, 1.0 / t_min
+    temperature_of = {lo: t_max, hi: t_min}
     seen: dict[float, float] = {}
 
-    def objective(x: float) -> float:
-        if x not in seen:
-            seen[x] = scaled_nll(logits, labels, float(np.exp(x)))
-        return seen[x]
+    def evaluate(beta: float) -> tuple[float, float]:
+        nll, slope, curvature = _nll_derivatives(z, mean_zy, beta)
+        if not np.all(np.isfinite([nll, slope, curvature])):
+            raise NumericalError("temperature search produced a non-finite NLL")
+        seen[beta] = nll
+        return slope, curvature
 
-    grid = np.linspace(np.log(t_min), np.log(t_max), GRID_POINTS)
-    values = [objective(float(x)) for x in grid]
-    if np.log(t_min) <= 0.0 <= np.log(t_max):
-        objective(0.0)
-    best = int(np.argmin(values))
-    a = float(grid[max(best - 1, 0)])
-    b = float(grid[min(best + 1, GRID_POINTS - 1)])
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > LN_T_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = objective(d)
-    best_x = min(seen, key=seen.get)
-    if not np.isfinite(seen[best_x]):
-        raise NumericalError("temperature search produced a non-finite NLL")
-    return float(np.exp(best_x))
+    beta = min(max(1.0, lo), hi)
+    slope, curvature = evaluate(beta)
+    if slope != 0.0:
+        downhill = hi if slope < 0.0 else lo
+        if beta == downhill or np.sign(evaluate(downhill)[0]) != -np.sign(slope):
+            return temperature_of[downhill]
+        a, b = (beta, hi) if slope < 0.0 else (lo, beta)
+        newton = True
+        while np.log(b / a) > LN_T_TOL:
+            step = beta - slope / curvature if curvature > 0.0 else a
+            newton = newton and a < step < b
+            if not newton:
+                step = float(np.sqrt(a * b))
+            last, previous = beta, slope
+            beta = float(step)
+            slope, curvature = evaluate(beta)
+            if slope == 0.0 or (newton and abs(np.log(beta / last)) <= LN_T_TOL):
+                break
+            a, b = (beta, b) if slope < 0.0 else (a, beta)
+            newton = abs(slope) <= 0.5 * abs(previous)
+    best = min(seen, key=seen.get)
+    return temperature_of.get(best, 1.0 / best)
 
 
 def apply_temperature(logits: LogitTensor, temperature) -> ProbTensor:
@@ -530,12 +562,20 @@ def load_calibrator(path) -> Calibrator:
                 raise CalibrationError(f"{path}: temperature/centroid count mismatch")
             if not np.all(np.isfinite(temperatures)) or temperatures.min() <= 0:
                 raise CalibrationError(f"{path}: non-positive cluster temperature")
+            fallback = float(payload["fallback_temperature"])
+            if not np.isfinite(fallback) or fallback <= 0:
+                raise CalibrationError(f"{path}: non-positive fallback temperature")
+            classes = int(payload["classes"])
+            if variant is ClusterVariant.PER_CLASS and temperatures.shape[1] != classes:
+                raise CalibrationError(
+                    f"{path}: {temperatures.shape[1]} temperatures per cluster, artifact says {classes} classes"
+                )
             return ClusterTemperatureModel(
                 variant=variant,
                 centroids=centroids,
                 temperatures=temperatures,
-                fallback_temperature=float(payload["fallback_temperature"]),
-                classes=int(payload["classes"]),
+                fallback_temperature=fallback,
+                classes=classes,
             )
         if method == "lts":
             w1 = np.asarray(payload["w1"], dtype=np.float64)
@@ -557,6 +597,6 @@ def load_calibrator(path) -> Calibrator:
             if w1.shape != (regressor.hidden_width, regressor.input_dim):
                 raise CalibrationError(f"{path}: regressor weight shapes disagree with metadata")
             return regressor
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CalibrationError(f"{path}: malformed calibrator artifact ({exc})") from exc
     raise CalibrationError(f"{path}: unknown calibrator method {method!r}")

@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from enum import Enum
 from pathlib import Path
 
 from . import evaluate as ev
@@ -92,15 +93,24 @@ def _require(options: dict, key: str):
     return options[key]
 
 
+def _convert(name: str, value, kind):
+    """Cast one option value with ``kind``; a value it rejects is a usage error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        if isinstance(kind, type) and issubclass(kind, Enum):
+            expected = "one of " + ", ".join(member.value for member in kind)
+        else:
+            expected = "an integer" if kind is int else "a number"
+        raise UsageError(f"{name.replace('_', '-')} must be {expected}, got {value!r}") from exc
+
+
 def _resolve_workers(value) -> int:
     if value is None:
         value = os.environ.get(WORKERS_ENV)
     if value is None:
         return 1
-    try:
-        workers = int(value)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"workers must be an integer, got {value!r}") from exc
+    workers = _convert("workers", value, int)
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
     return workers
@@ -108,7 +118,7 @@ def _resolve_workers(value) -> int:
 
 def _pixels(value) -> int | None:
     # 0 means "use every pixel"
-    count = int(value)
+    count = _convert("pixels_per_image", value, int)
     if count < 0:
         raise UsageError(f"pixels-per-image must be >= 0, got {count}")
     return None if count == 0 else count
@@ -196,16 +206,15 @@ def _parse_domain_weights(value) -> dict[str, float] | None:
     if value is None:
         return None
     if isinstance(value, dict):
-        return {str(tag): float(w) for tag, w in value.items()}
+        return {str(tag): _convert(f"domain weight {tag}", w, float) for tag, w in value.items()}
+    if not isinstance(value, list):
+        raise UsageError(f"domain weights must be a list of tag=number or an object, got {value!r}")
     weights = {}
     for item in value:
-        tag, sep, w = item.partition("=")
+        tag, sep, w = str(item).partition("=")
         if not sep or not tag:
             raise UsageError(f"domain weight must look like tag=number, got {item!r}")
-        try:
-            weights[tag] = float(w)
-        except ValueError as exc:
-            raise UsageError(f"domain weight must look like tag=number, got {item!r}") from exc
+        weights[tag] = _convert(f"domain weight {tag}", w, float)
     return weights
 
 
@@ -214,7 +223,7 @@ def cmd_fit(args) -> int:
     manifest = load_manifest(_require(options, "manifest"))
     out = Path(_require(options, "out"))
     method = options["method"]
-    seed = int(options["seed"])
+    seed = _convert("seed", options["seed"], int)
     split = options["split"]
     pixels = _pixels(options["pixels_per_image"])
     if method == "ts":
@@ -222,7 +231,8 @@ def cmd_fit(args) -> int:
         print(f"temperature: {calibrator.temperature:.6f}")
     elif method in ("cluster_ts", "class_cluster_ts"):
         variant = ClusterVariant.PER_IMAGE if method == "cluster_ts" else ClusterVariant.PER_CLASS
-        calibrator = fit_cluster_ts(manifest, k=int(options["k"]), variant=variant,
+        k = _convert("k", options["k"], int)
+        calibrator = fit_cluster_ts(manifest, k=k, variant=variant,
                                     split=split, pixels_per_image=pixels, seed=seed)
         print(f"clusters: {calibrator.clusters}  fallback temperature: "
               f"{calibrator.fallback_temperature:.6f}")
@@ -234,14 +244,15 @@ def cmd_fit(args) -> int:
                 print(f"cluster {j}: T per class: {row}")
     elif method == "lts":
         hyper = LtsHyper(
-            hidden_width=int(options["hidden_width"]),
-            t_floor=float(options["t_floor"]),
-            learning_rate=float(options["learning_rate"]),
-            epochs=int(options["epochs"]),
-            batch_pixels=int(options["batch_pixels"]),
+            hidden_width=_convert("hidden_width", options["hidden_width"], int),
+            t_floor=_convert("t_floor", options["t_floor"], float),
+            learning_rate=_convert("learning_rate", options["learning_rate"], float),
+            epochs=_convert("epochs", options["epochs"], int),
+            batch_pixels=_convert("batch_pixels", options["batch_pixels"], int),
             domain_weights=_parse_domain_weights(options["domain_weights"]),
         )
-        calibrator, curve = fit_lts(manifest, feature_mode=FeatureMode(options["feature_mode"]),
+        feature_mode = _convert("feature_mode", options["feature_mode"], FeatureMode)
+        calibrator, curve = fit_lts(manifest, feature_mode=feature_mode,
                                     hyper=hyper, split=split, pixels_per_image=pixels, seed=seed)
         print(f"regressor: mode={calibrator.feature_mode.value} input_dim={calibrator.input_dim} "
               f"hidden={calibrator.hidden_width}")
@@ -275,10 +286,10 @@ def cmd_eval(args) -> int:
         metrics = tuple(metrics)
     config = ev.EvalConfig(
         split=options["split"],
-        score=ConfidenceScore(options["score"]),
-        bins=int(options["bins"]),
+        score=_convert("score", options["score"], ConfidenceScore),
+        bins=_convert("bins", options["bins"], int),
         pixels_per_image=_pixels(options["pixels_per_image"]),
-        seed=int(options["seed"]),
+        seed=_convert("seed", options["seed"], int),
         id_domain=options["id_domain"],
         metrics=metrics if metrics is not None else ev.ALL_METRICS,
         workers=_resolve_workers(options["workers"]),

@@ -227,6 +227,9 @@ def auroc(positive, negative) -> float:
     if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(neg))):
         raise MetricError("auroc scores must be finite")
     merged = np.sort(np.concatenate([pos, neg]), kind="mergesort")
+    # sorted queries make searchsorted cache-friendly; the rank sum is a sum of
+    # half-integers below 2**53, so the order of summation cannot change it
+    pos = np.sort(pos)
     lo = np.searchsorted(merged, pos, side="left")
     hi = np.searchsorted(merged, pos, side="right")
     ranks = (lo + hi + 1) * 0.5

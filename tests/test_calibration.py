@@ -1,10 +1,14 @@
 """Temperature fitting, application, cluster and learned variants."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from relikit import calibration
 from relikit.calibration import (
     DEFAULT_PIXELS_PER_IMAGE,
     LN_T_TOL,
@@ -48,6 +52,27 @@ def _calibrated_sample(rng, n, classes, temperature=1.0, concentration=1.0):
     labels = (rng.random(n)[:, None] > np.cumsum(p, axis=1)).sum(axis=1)
     logits = temperature * np.log(p)
     return logits, labels.astype(np.int64)
+
+
+@st.composite
+def _fit_problems(draw):
+    """Random logits labelled all right (the fit pins at T_MIN), all wrong
+    (it pins at T_MAX) or by sampling softmax(logits / tau)."""
+    n = draw(st.integers(1, 60))
+    classes = draw(st.integers(2, 6))
+    scale = draw(st.floats(0.01, 50.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = rng.normal(scale=scale, size=(n, classes))
+    labelling = draw(st.sampled_from(["right", "wrong", "sampled"]))
+    if labelling == "right":
+        return logits, logits.argmax(axis=1)
+    if labelling == "wrong":
+        return logits, logits.argmin(axis=1)
+    tau = draw(st.floats(0.1, 10.0))
+    p = np.exp((logits - logits.max(axis=1, keepdims=True)) / tau)
+    cdf = np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
+    labels = np.minimum((rng.random(n)[:, None] > cdf).sum(axis=1), classes - 1)
+    return logits, labels
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +157,38 @@ class TestFitTemperature:
         logits, labels = _calibrated_sample(rng, 5000, 3, temperature=4.0)
         fitted = fit_temperature(logits, labels, t_min=0.5, t_max=2.0)
         assert fitted == pytest.approx(2.0, rel=1e-6)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_fit_problems())
+    def test_never_worse_than_dense_grid(self, problem):
+        logits, labels = problem
+        fitted = fit_temperature(logits, labels)
+        grid = np.exp(np.linspace(np.log(T_MIN), np.log(T_MAX), 2001))
+        nlls = [scaled_nll(logits, labels, t) for t in grid]
+        assert T_MIN <= fitted <= T_MAX
+        assert scaled_nll(logits, labels, fitted) <= min(nlls) + 1e-9
+        best = int(np.argmin(nlls))
+        if best in (0, len(grid) - 1):
+            bound = T_MIN if best == 0 else T_MAX
+            inward = bound * np.exp(1e-6 if best == 0 else -1e-6)
+            # NLL rising inward from the bound means the bound is the minimizer
+            if scaled_nll(logits, labels, inward) > scaled_nll(logits, labels, bound):
+                assert fitted == bound
+
+    def test_few_passes_per_fit(self, monkeypatch):
+        # the solver must stay a handful of NLL passes, not a grid search
+        passes = []
+        real = calibration._nll_derivatives
+        monkeypatch.setattr(calibration, "_nll_derivatives",
+                            lambda *args: passes.append(1) or real(*args))
+        rng = np.random.default_rng(71)
+        problems = [_calibrated_sample(rng, 3000, 4, temperature=float(rng.uniform(0.3, 5.0)))
+                    for _ in range(5)]
+        problems += [(np.array([[6.0, 0.0]]), np.array([0])), (np.array([[6.0, 0.0]]), np.array([1]))]
+        for logits, labels in problems:
+            passes.clear()
+            fit_temperature(logits, labels)
+            assert 1 <= len(passes) <= 10
 
     def test_input_validation(self):
         with pytest.raises(CalibrationError):
@@ -485,6 +542,29 @@ class TestSaveLoadRoundTrip:
                 path.write_text(content, encoding="utf-8")
             with pytest.raises(CalibrationError):
                 load_calibrator(path)
+
+    def _cluster_payload(self, **overrides):
+        payload = {
+            "method": "class_cluster_ts", "centroids": [[0.0], [1.0]],
+            "temperatures": [[1.0, 2.0], [1.5, 0.5]], "fallback_temperature": 1.2, "classes": 2,
+        }
+        payload.update(overrides)
+        return json.dumps(payload)
+
+    def test_load_rejects_bad_fallback_temperature(self, tmp_path):
+        path = tmp_path / "cc.json"
+        path.write_text(self._cluster_payload(), encoding="utf-8")
+        assert load_calibrator(path).fallback_temperature == 1.2
+        for bad in (-1.0, 0.0, float("nan"), float("inf")):
+            path.write_text(self._cluster_payload(fallback_temperature=bad), encoding="utf-8")
+            with pytest.raises(CalibrationError, match="fallback temperature"):
+                load_calibrator(path)
+
+    def test_load_rejects_class_count_mismatch(self, tmp_path):
+        path = tmp_path / "cc.json"
+        path.write_text(self._cluster_payload(classes=3), encoding="utf-8")
+        with pytest.raises(CalibrationError, match="3 classes"):
+            load_calibrator(path)
 
     def test_default_pixels_constant(self):
         assert DEFAULT_PIXELS_PER_IMAGE == 20_000

@@ -153,6 +153,29 @@ class TestConfigFile:
         code, _, err = _run(capsys, ["eval", "--config", str(config)])
         assert code == 1 and "JSON object" in err
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("eval", "bins", "abc"),
+        ("fit", "k", "three"),
+        ("fit", "learning_rate", [0.1]),
+    ])
+    def test_bad_config_value_is_usage_error(self, bench, capsys, tmp_path, command, key, value):
+        config = tmp_path / "bad.json"
+        options = {"manifest": str(bench), key: value}
+        if command == "fit":
+            options.update(out=str(tmp_path / "c.json"),
+                           method="lts" if key == "learning_rate" else "cluster_ts")
+        config.write_text(json.dumps(options))
+        code, _, err = _run(capsys, [command, "--config", str(config)])
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert f"{key.replace('_', '-')} must be" in err and repr(value) in err
+
+    def test_bad_config_choice_is_usage_error(self, bench, capsys, tmp_path):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"manifest": str(bench), "score": "loudest"}))
+        code, _, err = _run(capsys, ["eval", "--config", str(config)])
+        assert code == 1 and "score must be one of max_prob, neg_entropy" in err
+
 
 class TestEval:
     def test_stdout_json_by_default(self, bench, capsys):
@@ -187,6 +210,16 @@ class TestEval:
             assert code == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_bad_calibrator_artifact_is_data_error(self, bench, capsys, tmp_path):
+        artifact = tmp_path / "cluster.json"
+        artifact.write_text(json.dumps({
+            "method": "cluster_ts", "centroids": [[0.0]], "temperatures": [1.0],
+            "fallback_temperature": -1.0, "classes": 5,
+        }))
+        code, _, err = _run(capsys, ["eval", "--manifest", str(bench),
+                                     "--calibrator", str(artifact)])
+        assert code == 2 and "fallback temperature" in err
 
     def test_workers_env_variable(self, bench, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("RELIKIT_WORKERS", "3")
