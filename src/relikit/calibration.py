@@ -374,7 +374,13 @@ def fit_cluster_ts(manifest: DatasetManifest, *, k: int = DEFAULT_CLUSTERS,
 
 def assign_cluster(model: ClusterTemperatureModel, feature: np.ndarray) -> int:
     """Nearest centroid by Euclidean distance; ties go to the lowest index."""
-    return int(assign_points(model.centroids, np.asarray(feature, dtype=np.float64))[0])
+    feature = np.asarray(feature, dtype=np.float64)
+    width = model.centroids.shape[1]
+    if feature.shape != (width,):
+        raise CalibrationError(
+            f"feature vector has shape {feature.shape}, cluster centroids have {width} dimensions"
+        )
+    return int(assign_points(model.centroids, feature)[0])
 
 
 def apply_cluster_ts(model: ClusterTemperatureModel, feature: np.ndarray,
@@ -594,8 +600,16 @@ def load_calibrator(path) -> Calibrator:
                 feature_scale=np.asarray(payload["feature_scale"], dtype=np.float64),
                 params=params,
             )
-            if w1.shape != (regressor.hidden_width, regressor.input_dim):
-                raise CalibrationError(f"{path}: regressor weight shapes disagree with metadata")
+            hidden, dim = regressor.hidden_width, regressor.input_dim
+            shapes = {"w1": (w1.shape, (hidden, dim)), "b1": (params.b1.shape, (hidden,)),
+                      "w2": (params.w2.shape, (hidden,)),
+                      "feature_mean": (regressor.feature_mean.shape, (dim,)),
+                      "feature_scale": (regressor.feature_scale.shape, (dim,))}
+            for name, (shape, expected) in shapes.items():
+                if shape != expected:
+                    raise CalibrationError(
+                        f"{path}: regressor {name} has shape {shape}, metadata implies {expected}"
+                    )
             return regressor
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CalibrationError(f"{path}: malformed calibrator artifact ({exc})") from exc

@@ -309,8 +309,7 @@ def cmd_eval(args) -> int:
         print(f"wrote {options['csv_out']}")
         wrote_file = True
     if options["bins_out"] is not None:
-        tables = ev.bin_tables(manifest, calibrator, config)
-        text = json.dumps(tables, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        text = json.dumps(result.bins, indent=2, sort_keys=True, allow_nan=False) + "\n"
         Path(options["bins_out"]).write_text(text, encoding="utf-8")
         print(f"wrote {options['bins_out']}")
         wrote_file = True
@@ -342,7 +341,7 @@ def cmd_synth(args) -> int:
     if args.config is not None:
         if args.shift is not None:
             raise UsageError("--shift shapes the built-in benchmark; it cannot override a config file")
-        config = syn.config_from_json(Path(args.config).read_text(encoding="utf-8"))
+        config = syn.config_from_json(_load_config_file(args.config))
         if args.seed is not None:
             config = replace(config, seed=int(args.seed))
     else:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,10 @@ class RecordSet:
     Parallel arrays: ``confidence`` float64, ``predicted`` and ``actual``
     int64 class indices, ``image_id`` a string per record. Ignored pixels
     are never present.
+
+    :attr:`order` is the stable ascending sort of ``confidence``, computed
+    on first use and shared by every rank-based metric that reads the set,
+    so one set is sorted at most once.
     """
 
     confidence: np.ndarray
@@ -92,6 +97,11 @@ class RecordSet:
     @property
     def correct(self) -> np.ndarray:
         return self.predicted == self.actual
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Record indices by ascending confidence; ties keep record order."""
+        return np.argsort(self.confidence, kind="mergesort")
 
     def subset(self, mask: np.ndarray) -> "RecordSet":
         return RecordSet(self.confidence[mask], self.predicted[mask], self.actual[mask], self.image_id[mask])

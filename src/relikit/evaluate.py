@@ -11,6 +11,13 @@ Images are processed independently (optionally by a thread pool) and
 reduced in sorted image-id order, so the report bytes do not depend on
 the worker count. Calibration metrics use the same per-image subsampling
 streams as fitting: a seed identifies one pixel set per image everywhere.
+
+Every per-domain quantity is computed once. The equal-width reliability
+bins behind ``ece`` are kept on the report (``bins``, not serialized) for
+``eval --bins-out``, so the bin tables need no second pass. Under the
+``max_prob`` score one record set serves calibration and PRR alike, and
+ADA-ECE, KS and PRR share that set's single stable sort
+(:attr:`~relikit.confidence.RecordSet.order`).
 """
 
 from __future__ import annotations
@@ -126,6 +133,21 @@ def _summarize_image(manifest: DatasetManifest, entry: ManifestEntry,
     )
 
 
+def _nullable(values: np.ndarray) -> list:
+    """Floats for JSON, with NaN (an empty bin or an absent class) as None."""
+    return [None if np.isnan(x) else float(x) for x in values]
+
+
+def _bin_table(partition: met.BinPartition) -> dict:
+    return {
+        "lower": _nullable(partition.lower),
+        "upper": _nullable(partition.upper),
+        "count": partition.count.tolist(),
+        "mean_confidence": _nullable(partition.mean_confidence),
+        "accuracy": _nullable(partition.accuracy),
+    }
+
+
 def _record_set(summaries: list[_ImageSummary], rank: bool) -> RecordSet:
     parts = []
     for s in summaries:
@@ -162,6 +184,7 @@ def evaluate_manifest(manifest: DatasetManifest, calibrator: Calibrator | None =
 
     wanted = set(config.metrics)
     domains = {}
+    bins = {}
     for tag in sorted(by_domain):
         group = by_domain[tag]
         cal_records = _record_set(group, rank=False)
@@ -177,15 +200,18 @@ def evaluate_manifest(manifest: DatasetManifest, calibrator: Calibrator | None =
                 pooled += s.confusion
             result = met.iou_from_confusion(pooled)
             stats["miou"] = result.miou
-            stats["per_class_iou"] = [None if np.isnan(x) else float(x) for x in result.per_class]
+            stats["per_class_iou"] = _nullable(result.per_class)
+        partition = met.bin_partition(cal_records, config.bins)
+        bins[tag] = _bin_table(partition)
         if "ece" in wanted:
-            stats["ece"] = met.ece(cal_records, config.bins, met.BinStrategy.EQUAL_WIDTH)
+            stats["ece"] = partition.expected_calibration_error()
         if "ada_ece" in wanted:
             stats["ada_ece"] = met.ada_ece(cal_records, config.bins)
         if "ks_error" in wanted:
             stats["ks_error"] = met.ks_error(cal_records)
         if "prr" in wanted:
-            rank_records = _record_set(group, rank=True)
+            rank_records = (cal_records if config.score is ConfidenceScore.MAX_PROB
+                            else _record_set(group, rank=True))
             stats["prr"] = met.prr(rank_records)
         domains[tag] = stats
 
@@ -227,27 +253,5 @@ def evaluate_manifest(manifest: DatasetManifest, calibrator: Calibrator | None =
         "metrics": sorted(wanted),
     }
     return ReliabilityReport(meta=meta, domains=domains,
-                             ood_auroc=ood_auroc, pixel_ood_auroc=pixel_ood)
+                             ood_auroc=ood_auroc, pixel_ood_auroc=pixel_ood, bins=bins)
 
-
-def bin_tables(manifest: DatasetManifest, calibrator: Calibrator | None,
-               config: EvalConfig) -> dict[str, dict]:
-    """Per-domain reliability-bin tables (equal-width, max-probability)."""
-    entries = manifest.select(split=config.split)
-    if not entries:
-        raise ManifestError(f"manifest has no entries in split {config.split!r}")
-    by_domain: dict[str, list[_ImageSummary]] = {}
-    for entry in entries:
-        summary = _summarize_image(manifest, entry, calibrator, config)
-        by_domain.setdefault(summary.domain, []).append(summary)
-    tables = {}
-    for tag in sorted(by_domain):
-        partition = met.bin_partition(_record_set(by_domain[tag], rank=False), config.bins)
-        tables[tag] = {
-            "lower": [None if np.isnan(x) else float(x) for x in partition.lower],
-            "upper": [None if np.isnan(x) else float(x) for x in partition.upper],
-            "count": partition.count.tolist(),
-            "mean_confidence": [None if np.isnan(x) else float(x) for x in partition.mean_confidence],
-            "accuracy": [None if np.isnan(x) else float(x) for x in partition.accuracy],
-        }
-    return tables

@@ -106,7 +106,9 @@ def bin_partition(records: RecordSet, bins: int = DEFAULT_BINS,
         lower = np.arange(bins) / bins
         upper = np.arange(1, bins + 1) / bins
     else:
-        order = np.argsort(conf, kind="mergesort")
+        # min-max normalization can merge distinct scores into ties, which
+        # changes the stable order, so only untouched scores share the set's
+        order = records.order if conf is records.confidence else np.argsort(conf, kind="mergesort")
         sizes = np.full(bins, n // bins, dtype=np.int64)
         sizes[: n % bins] += 1
         stops = np.cumsum(sizes)
@@ -158,7 +160,7 @@ def ks_error(records: RecordSet) -> float:
     n = len(records)
     if n == 0:
         raise MetricError("cannot compute KS error of an empty record set")
-    order = np.argsort(records.confidence, kind="mergesort")
+    order = records.order
     cum_conf = np.cumsum(records.confidence[order])
     cum_correct = np.cumsum(records.correct[order].astype(np.float64))
     return float(np.abs(cum_conf - cum_correct).max() / n)
@@ -247,7 +249,7 @@ def rejection_curve(records: RecordSet) -> np.ndarray:
     n = len(records)
     if n == 0:
         raise MetricError("cannot build a rejection curve from an empty record set")
-    order = np.argsort(records.confidence, kind="mergesort")
+    order = records.order
     rejected = np.concatenate([[0.0], np.cumsum((~records.correct[order]).astype(np.float64))])
     total = float((~records.correct).sum())
     return (total - rejected) / n
@@ -274,7 +276,7 @@ def prr(records: RecordSet) -> float:
     total_errors = int(n - records.correct.sum())
     if total_errors == 0 or total_errors == n:
         raise MetricError("prr is undefined for all-correct or all-incorrect records")
-    order = np.argsort(records.confidence, kind="mergesort")
+    order = records.order
     rejected = np.concatenate([[0], np.cumsum((~records.correct[order]).astype(np.int64))])
     # model[k] = n * (errors remaining after rejecting k least-confident)
     model = total_errors - rejected

@@ -25,10 +25,19 @@ DOMAIN_METRIC_ORDER = (
 
 @dataclass(frozen=True)
 class ReliabilityReport:
+    """One evaluation's results.
+
+    ``bins`` holds each domain's equal-width reliability-bin table (bin
+    edges, counts, mean confidence and accuracy) from the same pass as the
+    metrics. It is what ``eval --bins-out`` writes; the JSON and CSV
+    reports do not carry it, and it takes no part in equality.
+    """
+
     meta: dict
     domains: dict[str, dict]
     ood_auroc: dict[str, float] = field(default_factory=dict)
     pixel_ood_auroc: dict[str, float] = field(default_factory=dict)
+    bins: dict[str, dict] = field(default_factory=dict, compare=False, repr=False)
 
 
 def to_json_bytes(report: ReliabilityReport) -> bytes:

@@ -301,11 +301,22 @@ def config_to_json(config: SynthConfig) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def config_from_json(text: str) -> SynthConfig:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"benchmark config is not valid JSON ({exc})") from exc
+def _optional_int(value) -> int | None:
+    return None if value is None else int(value)
+
+
+def config_from_json(source: str | dict) -> SynthConfig:
+    """Build a config from JSON text or an already-parsed JSON object.
+
+    Unknown keys and values that do not cast to their field's type are
+    usage errors.
+    """
+    payload = source
+    if isinstance(source, str):
+        try:
+            payload = json.loads(source)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"benchmark config is not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise UsageError("benchmark config must be a JSON object")
     defaults = SynthConfig()
@@ -317,40 +328,43 @@ def config_from_json(text: str) -> SynthConfig:
     unknown = payload.keys() - known
     if unknown:
         raise UsageError(f"unknown benchmark config keys: {sorted(unknown)}")
-    domains = []
-    for i, raw in enumerate(payload.get("domains", [])):
-        if not isinstance(raw, dict) or "tag" not in raw:
-            raise UsageError(f"domain {i}: must be an object with a tag")
-        domain_known = {"tag", "true_temperature", "logit_noise", "feature_offset",
-                        "calibration_images", "test_images"}
-        domain_unknown = raw.keys() - domain_known
-        if domain_unknown:
-            raise UsageError(f"domain {i}: unknown keys {sorted(domain_unknown)}")
-        domains.append(DomainSpec(
-            tag=raw["tag"],
-            true_temperature=float(raw.get("true_temperature", 1.0)),
-            logit_noise=float(raw.get("logit_noise", 0.0)),
-            feature_offset=tuple(float(x) for x in raw.get("feature_offset", (0.0, 0.0))),
-            calibration_images=raw.get("calibration_images"),
-            test_images=raw.get("test_images"),
-        ))
-    config = SynthConfig(
-        classes=int(payload.get("classes", defaults.classes)),
-        height=int(payload.get("height", defaults.height)),
-        width=int(payload.get("width", defaults.width)),
-        domains=tuple(domains) if domains else defaults.domains,
-        concentration=float(payload.get("concentration", defaults.concentration)),
-        smoothing_radius=int(payload.get("smoothing_radius", defaults.smoothing_radius)),
-        sharpness=float(payload.get("sharpness", defaults.sharpness)),
-        seed=int(payload.get("seed", defaults.seed)),
-        feature_jitter=float(payload.get("feature_jitter", defaults.feature_jitter)),
-        calibration_images=int(payload.get("calibration_images", defaults.calibration_images)),
-        test_images=int(payload.get("test_images", defaults.test_images)),
-        ignore_value=int(payload.get("ignore_value", defaults.ignore_value)),
-        holdout_classes=tuple(int(c) for c in payload.get("holdout_classes", ())),
-        holdout_logit_damp=float(payload.get("holdout_logit_damp", defaults.holdout_logit_damp)),
-        channel_noise=float(payload.get("channel_noise", defaults.channel_noise)),
-        evidence_floor=float(payload.get("evidence_floor", defaults.evidence_floor)),
-    )
+    try:
+        domains = []
+        for i, raw in enumerate(payload.get("domains", [])):
+            if not isinstance(raw, dict) or "tag" not in raw:
+                raise UsageError(f"domain {i}: must be an object with a tag")
+            domain_known = {"tag", "true_temperature", "logit_noise", "feature_offset",
+                            "calibration_images", "test_images"}
+            domain_unknown = raw.keys() - domain_known
+            if domain_unknown:
+                raise UsageError(f"domain {i}: unknown keys {sorted(domain_unknown)}")
+            domains.append(DomainSpec(
+                tag=raw["tag"],
+                true_temperature=float(raw.get("true_temperature", 1.0)),
+                logit_noise=float(raw.get("logit_noise", 0.0)),
+                feature_offset=tuple(float(x) for x in raw.get("feature_offset", (0.0, 0.0))),
+                calibration_images=_optional_int(raw.get("calibration_images")),
+                test_images=_optional_int(raw.get("test_images")),
+            ))
+        config = SynthConfig(
+            classes=int(payload.get("classes", defaults.classes)),
+            height=int(payload.get("height", defaults.height)),
+            width=int(payload.get("width", defaults.width)),
+            domains=tuple(domains) if domains else defaults.domains,
+            concentration=float(payload.get("concentration", defaults.concentration)),
+            smoothing_radius=int(payload.get("smoothing_radius", defaults.smoothing_radius)),
+            sharpness=float(payload.get("sharpness", defaults.sharpness)),
+            seed=int(payload.get("seed", defaults.seed)),
+            feature_jitter=float(payload.get("feature_jitter", defaults.feature_jitter)),
+            calibration_images=int(payload.get("calibration_images", defaults.calibration_images)),
+            test_images=int(payload.get("test_images", defaults.test_images)),
+            ignore_value=int(payload.get("ignore_value", defaults.ignore_value)),
+            holdout_classes=tuple(int(c) for c in payload.get("holdout_classes", ())),
+            holdout_logit_damp=float(payload.get("holdout_logit_damp", defaults.holdout_logit_damp)),
+            channel_noise=float(payload.get("channel_noise", defaults.channel_noise)),
+            evidence_floor=float(payload.get("evidence_floor", defaults.evidence_floor)),
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"benchmark config has a malformed value ({exc})") from exc
     validate_config(config)
     return config

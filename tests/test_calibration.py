@@ -409,6 +409,18 @@ class TestApplyClusterTs:
                 predicted=np.full((logits.height, logits.width), 99, dtype=np.int64),
             )
 
+    def test_feature_width_mismatch_raises(self, ladder_manifest, model):
+        entry = ladder_manifest.select(split="test")[0]
+        logits = read_logits(ladder_manifest.resolve(entry.logits))
+        wide = dataclasses.replace(model, centroids=np.pad(model.centroids, ((0, 0), (0, 1))))
+        from relikit.tensor_io import read_feature
+
+        feature = read_feature(ladder_manifest.resolve(entry.feature))
+        with pytest.raises(CalibrationError, match="centroids have"):
+            apply_cluster_ts(wide, feature, logits)
+        with pytest.raises(CalibrationError, match="centroids have"):
+            assign_cluster(model, np.append(feature, 0.0))
+
 
 class TestFitLts:
     def test_single_domain_converges_to_global_temperature(self, mono_manifest):
@@ -536,6 +548,14 @@ class TestSaveLoadRoundTrip:
             "bad_cluster.json": '{"method": "cluster_ts", "centroids": [[0.0]], "temperatures": [[1.0]], "fallback_temperature": 1.0, "classes": 2}',
             "bad_lts.json": '{"method": "lts", "feature_mode": "logits", "input_dim": 3, "hidden_width": 2, "t_floor": 0.05, "feature_mean": [0,0,0], "feature_scale": [1,1,1], "w1": [[0,0]], "b1": [0,0], "w2": [0,0], "b2": 0.0}',
         }
+        lts = {"method": "lts", "feature_mode": "logits", "input_dim": 3, "hidden_width": 2,
+               "t_floor": 0.05, "feature_mean": [0, 0, 0], "feature_scale": [1, 1, 1],
+               "w1": [[0, 0, 0], [0, 0, 0]], "b1": [0, 0], "w2": [0, 0], "b2": 0.0}
+        path = tmp_path / "good_lts.json"
+        path.write_text(json.dumps(lts), encoding="utf-8")
+        assert load_calibrator(path).hidden_width == 2
+        for key in ("b1", "w2", "feature_mean", "feature_scale"):
+            cases[f"short_{key}.json"] = json.dumps({**lts, key: lts[key][:-1]})
         for name, content in cases.items():
             path = tmp_path / name
             if content is not None:

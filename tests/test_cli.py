@@ -13,6 +13,7 @@ from relikit.calibration import (
 )
 from relikit.cli import main
 from relikit.errors import NumericalError
+from relikit.manifest import load_manifest
 from relikit.synth import DomainSpec, SynthConfig, config_to_json, generate_benchmark
 
 
@@ -221,6 +222,46 @@ class TestEval:
                                      "--calibrator", str(artifact)])
         assert code == 2 and "fallback temperature" in err
 
+    def test_cluster_centroid_width_mismatch_is_data_error(self, bench, capsys, tmp_path):
+        artifact = tmp_path / "cluster.json"
+        assert _run(capsys, ["fit", "--manifest", str(bench), "--out", str(artifact),
+                             "--method", "cluster_ts", "--k", "2"])[0] == 0
+        payload = json.loads(artifact.read_text())
+        payload["centroids"] = [row + [0.0] for row in payload["centroids"]]
+        artifact.write_text(json.dumps(payload))
+        code, _, err = _run(capsys, ["eval", "--manifest", str(bench),
+                                     "--calibrator", str(artifact)])
+        assert code == 2
+        assert err.count("\n") == 1 and "centroids have" in err
+
+    def test_bins_out_reads_each_test_file_once(self, bench, capsys, tmp_path, monkeypatch):
+        from relikit import tensor_io
+
+        reads = []
+        original = tensor_io.read_logits
+
+        def counting(path):
+            reads.append(str(path))
+            return original(path)
+
+        monkeypatch.setattr(tensor_io, "read_logits", counting)
+        code, _, _ = _run(capsys, ["eval", "--manifest", str(bench),
+                                   "--out", str(tmp_path / "r.json"),
+                                   "--bins-out", str(tmp_path / "bins.json")])
+        assert code == 0
+        test_entries = load_manifest(bench).select(split="test")
+        assert len(reads) == len(set(reads)) == len(test_entries)
+
+    def test_bins_out_does_not_depend_on_workers(self, bench, capsys, tmp_path):
+        outs = []
+        for workers in (1, 2):
+            path = tmp_path / f"bins{workers}.json"
+            code, _, _ = _run(capsys, ["eval", "--manifest", str(bench), "--seed", "9",
+                                       "--workers", str(workers), "--bins-out", str(path)])
+            assert code == 0
+            outs.append(path.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_workers_env_variable(self, bench, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("RELIKIT_WORKERS", "3")
         out = tmp_path / "env.json"
@@ -275,6 +316,28 @@ class TestSynth:
         code, _, err = _run(capsys, ["synth", "--config", str(config),
                                      "--shift", "2.0", "--out", str(tmp_path / "x")])
         assert code == 1 and "--shift" in err
+
+    def test_missing_config_file_is_usage_error(self, capsys, tmp_path):
+        code, _, err = _run(capsys, ["synth", "--config", str(tmp_path / "absent.json"),
+                                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert err.count("\n") == 1 and "cannot read config file" in err
+
+    @pytest.mark.parametrize("payload", [
+        {"seed": "x"},
+        {"height": None},
+        {"sharpness": [1.0]},
+        {"classes": 1e400},
+        {"domains": [{"tag": "a", "test_images": "many"}]},
+    ])
+    def test_bad_config_value_is_usage_error(self, capsys, tmp_path, payload):
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps(payload))
+        code, _, err = _run(capsys, ["synth", "--config", str(config),
+                                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert err.count("\n") == 1 and "malformed value" in err
+        assert not (tmp_path / "x").exists()
 
     def test_missing_out(self, capsys):
         code, _, err = _run(capsys, ["synth"])

@@ -8,7 +8,7 @@ import pytest
 from relikit.calibration import GlobalTemperature
 from relikit.confidence import ConfidenceScore
 from relikit.errors import ManifestError, UsageError
-from relikit.evaluate import ALL_METRICS, EvalConfig, bin_tables, evaluate_manifest
+from relikit.evaluate import ALL_METRICS, EvalConfig, evaluate_manifest
 from relikit.report import to_csv_bytes, to_json_bytes
 
 
@@ -144,8 +144,8 @@ class TestEvaluateManifest:
 class TestBinTables:
     def test_structure_and_counts(self, ladder_manifest):
         config = EvalConfig(seed=3, bins=10)
-        tables = bin_tables(ladder_manifest, None, config)
         report = evaluate_manifest(ladder_manifest, None, config)
+        tables = report.bins
         assert sorted(tables) == ["id", "mild", "strong"]
         for tag, table in tables.items():
             for key in ("lower", "upper", "count", "mean_confidence", "accuracy"):
@@ -156,4 +156,26 @@ class TestBinTables:
 
     def test_empty_split_rejected(self, ladder_manifest):
         with pytest.raises(ManifestError):
-            bin_tables(ladder_manifest, None, EvalConfig(split="nope"))
+            evaluate_manifest(ladder_manifest, None, EvalConfig(split="nope")).bins
+
+    def test_ece_recomputed_from_table_matches_report(self, ladder_manifest):
+        report = evaluate_manifest(ladder_manifest, None, EvalConfig(seed=3))
+        for tag, table in report.bins.items():
+            n = sum(table["count"])
+            ece = 0.0
+            for count, conf, acc in zip(table["count"], table["mean_confidence"], table["accuracy"]):
+                if count:
+                    ece += count / n * abs(acc - conf)
+            assert ece == pytest.approx(report.domains[tag]["ece"], rel=1e-12, abs=1e-15)
+
+    def test_tables_do_not_depend_on_metrics_or_workers(self, ladder_manifest):
+        full = evaluate_manifest(ladder_manifest, None, EvalConfig(seed=3))
+        narrow = evaluate_manifest(ladder_manifest, None,
+                                   EvalConfig(seed=3, metrics=("miou",), workers=2))
+        assert narrow.bins == full.bins
+
+    def test_tables_are_not_serialized(self, ladder_manifest):
+        report = evaluate_manifest(ladder_manifest, None, EvalConfig(seed=3))
+        assert report.bins
+        assert b"lower" not in to_json_bytes(report)
+        assert dataclasses.replace(report, bins={}) == report
