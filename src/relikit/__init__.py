@@ -63,7 +63,6 @@ from .metrics import (
 from .report import ReliabilityReport, from_json_bytes, to_csv_bytes, to_json_bytes
 from .rng import derive_stream, subsample_indices
 from .synth import DomainSpec, Scene, SynthConfig, default_ladder, generate_benchmark, generate_scene
-from .tensor_io import read_tensor
-from .tensors import ImageFeature, ImageTensor, LabelMap, LogitTensor, ProbTensor
+from .tensors import ImageTensor, LabelMap, LogitTensor, ProbTensor
 
 __version__ = "0.1.0"

@@ -18,15 +18,18 @@ The mean NLL is convex in the inverse temperature beta = 1/T, so a
 temperature is fitted by a safeguarded Newton search for the root of
 dNLL/dbeta: one pass over the pixels yields the NLL with its exact first
 and second derivatives, and a fit that wants to leave [t_min, t_max] is
-pinned to exactly that bound. All fitting draws pixels through the same
-seeded subsampling streams as evaluation, so a given seed sees one pixel
-set per image everywhere.
+pinned to exactly that bound.
+
+Fitting and evaluation load every manifest entry through
+:func:`load_entry`, the one place where an entry is read, checked and its
+pixels drawn, so a given seed sees one pixel set per image everywhere.
+:func:`needs_image` decides whether a calibrator reads the image tensor.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -247,6 +250,64 @@ def apply_temperature(logits: LogitTensor, temperature) -> ProbTensor:
 
 
 @dataclass(frozen=True)
+class LoadedEntry:
+    """One entry's checked tensors and its drawn pixels.
+
+    ``valid`` lists the flat indices of the non-ignored pixels and ``rows``
+    those drawn from them; a tensor that was not asked for is None.
+    """
+
+    logits: LogitTensor
+    labels: LabelMap
+    valid: np.ndarray
+    rows: np.ndarray
+    image: ImageTensor | None = None
+    feature: np.ndarray | None = None
+    ood_mask: np.ndarray | None = None  # (H, W) bool
+
+    def drawn(self, per_pixel: np.ndarray) -> np.ndarray:
+        """The drawn pixels of an (H, W) or (H, W, C) array, in pixel order."""
+        return per_pixel.reshape(-1, *per_pixel.shape[2:])[self.rows]
+
+
+def load_entry(manifest: DatasetManifest, entry: ManifestEntry, *,
+               pixels_per_image: int | None, seed: int,
+               image: bool = False, feature: bool = False, mask: bool = False) -> LoadedEntry:
+    """Read and check one entry's logits and labels and draw its pixels, for fit and eval.
+
+    The draw uses the ``(seed, image_id)`` stream of record extraction, so
+    fitting and evaluation see identical pixels. The image and the feature
+    are read only when asked for, and the entry must then list them; the
+    OOD mask is read when asked for and listed.
+    """
+    logits = tensor_io.read_logits(manifest.resolve(entry.logits))
+    labels = tensor_io.read_labels(manifest.resolve(entry.labels))
+    check_same_shape(logits, labels, f"{entry.image_id}: logits vs labels")
+    if logits.classes != manifest.classes:
+        raise ManifestError(
+            f"{entry.image_id}: logits carry {logits.classes} classes, manifest says {manifest.classes}"
+        )
+    validate_labels(labels, manifest.classes, manifest.ignore_value)
+    valid = np.flatnonzero(labels.data.reshape(-1) != manifest.ignore_value)
+    rows = valid[subsample_indices(valid.size, pixels_per_image, seed, f"pixels:{entry.image_id}")]
+    image_tensor = feature_vector = ood_mask = None
+    if image:
+        if entry.image is None:
+            raise CalibrationError(f"{entry.image_id}: entry has no image tensor")
+        image_tensor = tensor_io.read_image(manifest.resolve(entry.image))
+        check_same_shape(logits, image_tensor, f"{entry.image_id}: logits vs image")
+    if feature:
+        if entry.feature is None:
+            raise CalibrationError(f"{entry.image_id}: entry has no feature vector")
+        feature_vector = tensor_io.read_feature(manifest.resolve(entry.feature))
+    if mask and entry.ood_mask is not None:
+        ood_mask = tensor_io.read_mask(manifest.resolve(entry.ood_mask))
+        if ood_mask.shape != (logits.height, logits.width):
+            raise ManifestError(f"{entry.image_id}: ood mask shape {ood_mask.shape} does not match image")
+    return LoadedEntry(logits, labels, valid, rows, image_tensor, feature_vector, ood_mask)
+
+
+@dataclass(frozen=True)
 class PixelBatch:
     """Subsampled calibration pixels of one image."""
 
@@ -261,42 +322,21 @@ class PixelBatch:
 def gather_pixel_batches(manifest: DatasetManifest, entries: list[ManifestEntry], *,
                          pixels_per_image: int | None, seed: int,
                          need_image: bool = False) -> list[PixelBatch]:
-    """Load and subsample the non-ignored pixels of each entry.
-
-    The per-image subsample uses the same ``(seed, image_id)`` stream as
-    record extraction, so fitting and evaluation see identical pixels.
-    """
+    """The drawn pixels of each entry (see :func:`load_entry`), as float64 rows."""
     if not entries:
         raise CalibrationError("no manifest entries to gather pixels from")
     batches = []
     for entry in entries:
-        logits = tensor_io.read_logits(manifest.resolve(entry.logits))
-        labels = tensor_io.read_labels(manifest.resolve(entry.labels))
-        check_same_shape(logits, labels, f"{entry.image_id}: logits vs labels")
-        if logits.classes != manifest.classes:
-            raise ManifestError(
-                f"{entry.image_id}: logits carry {logits.classes} classes, manifest says {manifest.classes}"
-            )
-        validate_labels(labels, manifest.classes, manifest.ignore_value)
-        flat_labels = labels.data.reshape(-1)
-        valid = np.flatnonzero(flat_labels != manifest.ignore_value)
-        keep = subsample_indices(valid.shape[0], pixels_per_image, seed, f"pixels:{entry.image_id}")
-        rows = valid[keep]
-        z = logits.data.reshape(-1, logits.classes)[rows].astype(np.float64)
-        channels = None
-        if need_image:
-            if entry.image is None:
-                raise CalibrationError(f"{entry.image_id}: entry has no image tensor")
-            image = tensor_io.read_image(manifest.resolve(entry.image))
-            check_same_shape(logits, image, f"{entry.image_id}: logits vs image")
-            channels = image.data.reshape(-1, image.channels)[rows].astype(np.float64)
+        loaded = load_entry(manifest, entry, pixels_per_image=pixels_per_image, seed=seed,
+                            image=need_image)
+        z = loaded.drawn(loaded.logits.data).astype(np.float64)
         batches.append(PixelBatch(
             image_id=entry.image_id,
             domain=entry.domain,
             logits=z,
-            labels=flat_labels[rows].astype(np.int64),
+            labels=loaded.drawn(loaded.labels.data).astype(np.int64),
             predicted=z.argmax(axis=1).astype(np.int64),
-            channels=channels,
+            channels=None if loaded.image is None else loaded.drawn(loaded.image.data).astype(np.float64),
         ))
     return batches
 
@@ -402,12 +442,15 @@ def apply_cluster_ts(model: ClusterTemperatureModel, feature: np.ndarray,
     return apply_temperature(logits, TemperatureMap(tmap))
 
 
-def _batch_features(batch: PixelBatch, mode: FeatureMode) -> np.ndarray:
+def _lts_input(mode: FeatureMode, logits: np.ndarray, channels: np.ndarray | None) -> np.ndarray:
+    """The regressor's per-pixel input rows, float64: (n, K) logits, (n, C) channels or both."""
     if mode is FeatureMode.LOGITS:
-        return batch.logits
-    if mode is FeatureMode.IMAGE:
-        return batch.channels
-    return np.concatenate([batch.logits, batch.channels], axis=1)
+        rows = logits
+    elif mode is FeatureMode.IMAGE:
+        rows = channels
+    else:
+        rows = np.concatenate([logits, channels], axis=1)
+    return np.asarray(rows, dtype=np.float64)
 
 
 def fit_lts(manifest: DatasetManifest, *, feature_mode: FeatureMode = FeatureMode.BOTH,
@@ -425,11 +468,11 @@ def fit_lts(manifest: DatasetManifest, *, feature_mode: FeatureMode = FeatureMod
     entries = manifest.select(split=split)
     if not entries:
         raise CalibrationError(f"manifest has no entries in split {split!r}")
-    need_image = feature_mode in (FeatureMode.IMAGE, FeatureMode.BOTH)
     batches = gather_pixel_batches(
-        manifest, entries, pixels_per_image=pixels_per_image, seed=seed, need_image=need_image
+        manifest, entries, pixels_per_image=pixels_per_image, seed=seed,
+        need_image=needs_image(feature_mode),
     )
-    features = np.concatenate([_batch_features(b, feature_mode) for b in batches])
+    features = np.concatenate([_lts_input(feature_mode, b.logits, b.channels) for b in batches])
     logits, labels = _stack_batches(batches)
     weights = None
     if hyper.domain_weights is not None:
@@ -470,16 +513,13 @@ def fit_lts(manifest: DatasetManifest, *, feature_mode: FeatureMode = FeatureMod
 def predict_temperature_map(regressor: TemperatureRegressor, logits: LogitTensor,
                             image: ImageTensor | None = None) -> TemperatureMap:
     """Per-pixel temperatures for one image."""
-    mode = regressor.feature_mode
-    parts = []
-    if mode in (FeatureMode.LOGITS, FeatureMode.BOTH):
-        parts.append(logits.data.reshape(-1, logits.classes).astype(np.float64))
-    if mode in (FeatureMode.IMAGE, FeatureMode.BOTH):
+    channels = None
+    if needs_image(regressor):
         if image is None:
-            raise CalibrationError(f"feature mode {mode.value} needs the image tensor")
+            raise CalibrationError(f"feature mode {regressor.feature_mode.value} needs the image tensor")
         check_same_shape(logits, image, "logits vs image")
-        parts.append(image.data.reshape(-1, image.channels).astype(np.float64))
-    features = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        channels = image.data.reshape(-1, image.channels)
+    features = _lts_input(regressor.feature_mode, logits.data.reshape(-1, logits.classes), channels)
     if features.shape[1] != regressor.input_dim:
         raise CalibrationError(
             f"feature dimension {features.shape[1]} does not match the regressor's {regressor.input_dim}"
@@ -488,6 +528,13 @@ def predict_temperature_map(regressor: TemperatureRegressor, logits: LogitTensor
     raw = mlp.raw_output(regressor.params, standardized)
     t = mlp.softplus(raw) + regressor.t_floor
     return TemperatureMap(t.reshape(logits.height, logits.width))
+
+
+def needs_image(calibrator: Calibrator | FeatureMode | None) -> bool:
+    """Whether a calibrator, or fitting an LTS in a feature mode, reads the image channels."""
+    if isinstance(calibrator, TemperatureRegressor):
+        calibrator = calibrator.feature_mode
+    return calibrator is FeatureMode.IMAGE or calibrator is FeatureMode.BOTH
 
 
 def apply_calibrator(calibrator: Calibrator | None, logits: LogitTensor,

@@ -52,6 +52,8 @@ from .manifest import load_manifest
 from .tensors import validate_labels
 
 WORKERS_ENV = "RELIKIT_WORKERS"
+# fit/eval options that hold a path or a tag; argparse gives strings, a config file may not
+_TEXT_OPTIONS = ("manifest", "out", "calibrator", "csv_out", "bins_out", "id_domain", "split")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,6 +86,10 @@ def _resolve_options(args, defaults: dict) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             options[key] = value
+    for key in _TEXT_OPTIONS:
+        value = options.get(key)
+        if value is not None and not isinstance(value, str):
+            raise UsageError(f"{key.replace('_', '-')} must be a string, got {value!r}")
     return options
 
 
@@ -276,14 +282,19 @@ def _percent(value: float) -> str:
     return f"{100.0 * value:.2f}%"
 
 
+def _metrics(value) -> tuple[str, ...]:
+    if value is None:
+        return ev.ALL_METRICS
+    if isinstance(value, str):
+        return tuple(m.strip() for m in value.split(",") if m.strip())
+    if isinstance(value, list) and all(isinstance(m, str) for m in value):
+        return tuple(value)
+    raise UsageError(f"metrics must be a comma-separated string or a list of strings, got {value!r}")
+
+
 def cmd_eval(args) -> int:
     options = _resolve_options(args, _EVAL_DEFAULTS)
     manifest = load_manifest(_require(options, "manifest"))
-    metrics = options["metrics"]
-    if isinstance(metrics, str):
-        metrics = tuple(m.strip() for m in metrics.split(",") if m.strip())
-    elif isinstance(metrics, list):
-        metrics = tuple(metrics)
     config = ev.EvalConfig(
         split=options["split"],
         score=_convert("score", options["score"], ConfidenceScore),
@@ -291,7 +302,7 @@ def cmd_eval(args) -> int:
         pixels_per_image=_pixels(options["pixels_per_image"]),
         seed=_convert("seed", options["seed"], int),
         id_domain=options["id_domain"],
-        metrics=metrics if metrics is not None else ev.ALL_METRICS,
+        metrics=_metrics(options["metrics"]),
         workers=_resolve_workers(options["workers"]),
     )
     calibrator = None

@@ -1,9 +1,8 @@
 """Softmax, confidence scores, and flat prediction records.
 
 Every reliability metric in this package consumes the same substrate: a
-flat set of (confidence, predicted class, actual class, image id) records
-extracted from per-pixel distributions. Two confidence scores are
-supported:
+flat set of (confidence, predicted class, actual class) records extracted
+from per-pixel distributions. Two confidence scores are supported:
 
 * ``max_prob``    -- the probability of the predicted class, in [0, 1];
 * ``neg_entropy`` -- sum_k p_k ln p_k, in [-ln K, 0], higher = more confident.
@@ -63,8 +62,7 @@ class RecordSet:
     """Flat per-pixel prediction records, the input to every metric.
 
     Parallel arrays: ``confidence`` float64, ``predicted`` and ``actual``
-    int64 class indices, ``image_id`` a string per record. Ignored pixels
-    are never present.
+    int64 class indices. Ignored pixels are never present.
 
     :attr:`order` is the stable ascending sort of ``confidence``, computed
     on first use and shared by every rank-based metric that reads the set,
@@ -74,14 +72,12 @@ class RecordSet:
     confidence: np.ndarray
     predicted: np.ndarray
     actual: np.ndarray
-    image_id: np.ndarray
 
     def __post_init__(self):
         conf = np.asarray(self.confidence, dtype=np.float64)
         pred = np.asarray(self.predicted, dtype=np.int64)
         act = np.asarray(self.actual, dtype=np.int64)
-        ids = np.asarray(self.image_id)
-        lengths = {conf.shape, pred.shape, act.shape, ids.shape}
+        lengths = {conf.shape, pred.shape, act.shape}
         if len(lengths) != 1 or conf.ndim != 1:
             raise InvalidTensorError("records: parallel arrays must share one 1-D shape")
         if not np.all(np.isfinite(conf)):
@@ -89,7 +85,6 @@ class RecordSet:
         object.__setattr__(self, "confidence", conf)
         object.__setattr__(self, "predicted", pred)
         object.__setattr__(self, "actual", act)
-        object.__setattr__(self, "image_id", ids)
 
     def __len__(self) -> int:
         return self.confidence.shape[0]
@@ -103,9 +98,6 @@ class RecordSet:
         """Record indices by ascending confidence; ties keep record order."""
         return np.argsort(self.confidence, kind="mergesort")
 
-    def subset(self, mask: np.ndarray) -> "RecordSet":
-        return RecordSet(self.confidence[mask], self.predicted[mask], self.actual[mask], self.image_id[mask])
-
     @staticmethod
     def concat(parts: list["RecordSet"]) -> "RecordSet":
         if not parts:
@@ -114,12 +106,7 @@ class RecordSet:
             np.concatenate([p.confidence for p in parts]),
             np.concatenate([p.predicted for p in parts]),
             np.concatenate([p.actual for p in parts]),
-            np.concatenate([p.image_id for p in parts]),
         )
-
-    @staticmethod
-    def empty() -> "RecordSet":
-        return RecordSet(np.empty(0), np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, object))
 
 
 def extract_records(
@@ -150,11 +137,8 @@ def extract_records(
             raise MetricError("pixels_per_image requires a seed")
         keep = subsample_indices(valid.shape[0], pixels_per_image, seed, f"pixels:{image_id}")
         valid = valid[keep]
-    ids = np.empty(valid.shape[0], dtype=object)
-    ids[:] = image_id
     return RecordSet(
         conf.reshape(-1)[valid],
         predicted.reshape(-1)[valid],
         flat_labels[valid].astype(np.int64),
-        ids,
     )

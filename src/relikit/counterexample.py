@@ -48,15 +48,13 @@ class Counterexample:
     bin_confidence: np.ndarray  # (bins,) shared baseline confidence per bin
 
 
-def _records(tag: str, confidences: list[float], corrects: list[int], per_bin: int) -> RecordSet:
+def _records(confidences: list[float], corrects: list[int], per_bin: int) -> RecordSet:
     conf = np.repeat(np.asarray(confidences, dtype=np.float64), per_bin)
     predicted = np.zeros(conf.shape[0], dtype=np.int64)
     actual = np.ones(conf.shape[0], dtype=np.int64)
     for i, k in enumerate(corrects):
         actual[i * per_bin : i * per_bin + k] = 0
-    ids = np.empty(conf.shape[0], dtype=object)
-    ids[:] = tag
-    return RecordSet(conf, predicted, actual, ids)
+    return RecordSet(conf, predicted, actual)
 
 
 def build_counterexample(spec: CounterexampleSpec = CounterexampleSpec()) -> Counterexample:
@@ -126,10 +124,10 @@ def build_counterexample(spec: CounterexampleSpec = CounterexampleSpec()) -> Cou
 
     return Counterexample(
         spec=spec,
-        baseline_b=_records("b", list(bin_conf), correct_b, c),
-        baseline_b_prime=_records("b_prime", list(bin_conf), correct_bp, c),
-        groupwise_b=_records("b", group_conf_b, correct_b, c),
-        groupwise_b_prime=_records("b_prime", group_conf_bp, correct_bp, c),
+        baseline_b=_records(list(bin_conf), correct_b, c),
+        baseline_b_prime=_records(list(bin_conf), correct_bp, c),
+        groupwise_b=_records(group_conf_b, correct_b, c),
+        groupwise_b_prime=_records(group_conf_bp, correct_bp, c),
         bin_confidence=bin_conf,
     )
 

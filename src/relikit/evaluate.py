@@ -9,8 +9,12 @@ and pixel-level AUROC against the in-domain reference).
 
 Images are processed independently (optionally by a thread pool) and
 reduced in sorted image-id order, so the report bytes do not depend on
-the worker count. Calibration metrics use the same per-image subsampling
-streams as fitting: a seed identifies one pixel set per image everywhere.
+the worker count. Each image is loaded through
+:func:`~relikit.calibration.load_entry`, as in fitting, so a seed
+identifies one pixel set per image everywhere. Besides the logits and
+labels it reads only what is used: the image for an LTS calibrator that
+takes image channels, the feature vector for a cluster calibrator, and
+the OOD mask when ``pixel_ood_auroc`` is requested.
 
 Every per-domain quantity is computed once. The equal-width reliability
 bins behind ``ece`` are kept on the report (``bins``, not serialized) for
@@ -24,17 +28,18 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import metrics as met
-from . import tensor_io
-from .calibration import Calibrator, apply_calibrator
+from .calibration import Calibrator, ClusterTemperatureModel, apply_calibrator, load_entry, needs_image
 from .confidence import ConfidenceScore, RecordSet, confidence_map
 from .errors import ManifestError, MetricError, UsageError
 from .manifest import DatasetManifest, ManifestEntry
-from .rng import subsample_indices
-from .tensors import check_same_shape, validate_labels
+# Unused here since load_entry draws the pixels; the benchmark tracer's smoke test looks these bindings up.
+from .rng import subsample_indices  # noqa: F401
+from .tensors import validate_labels  # noqa: F401
 
 ALL_METRICS = ("miou", "ece", "ada_ece", "ks_error", "prr", "ood_auroc", "pixel_ood_auroc")
 
@@ -63,7 +68,6 @@ class EvalConfig:
 
 @dataclass
 class _ImageSummary:
-    image_id: str
     domain: str
     confidence_cal: np.ndarray   # subsampled max-probability confidences
     confidence_rank: np.ndarray  # subsampled configured-score confidences
@@ -77,57 +81,35 @@ class _ImageSummary:
 
 def _summarize_image(manifest: DatasetManifest, entry: ManifestEntry,
                      calibrator: Calibrator | None, config: EvalConfig) -> _ImageSummary:
-    logits = tensor_io.read_logits(manifest.resolve(entry.logits))
-    labels = tensor_io.read_labels(manifest.resolve(entry.labels))
-    check_same_shape(logits, labels, f"{entry.image_id}: logits vs labels")
-    if logits.classes != manifest.classes:
-        raise ManifestError(
-            f"{entry.image_id}: logits carry {logits.classes} classes, manifest says {manifest.classes}"
-        )
-    validate_labels(labels, manifest.classes, manifest.ignore_value)
-    feature = None
-    if entry.feature is not None:
-        feature = tensor_io.read_feature(manifest.resolve(entry.feature))
-    image = None
-    if entry.image is not None:
-        image = tensor_io.read_image(manifest.resolve(entry.image))
-        check_same_shape(logits, image, f"{entry.image_id}: logits vs image")
-    probs = apply_calibrator(calibrator, logits, feature=feature, image=image)
+    loaded = load_entry(manifest, entry, pixels_per_image=config.pixels_per_image, seed=config.seed,
+                        image=needs_image(calibrator),
+                        feature=isinstance(calibrator, ClusterTemperatureModel),
+                        mask="pixel_ood_auroc" in config.metrics)
+    if loaded.valid.size == 0:
+        raise MetricError(f"{entry.image_id}: image has no non-ignored pixels")
+    probs = apply_calibrator(calibrator, loaded.logits, feature=loaded.feature, image=loaded.image)
 
     conf_cal, predicted = confidence_map(probs, ConfidenceScore.MAX_PROB)
     if config.score is ConfidenceScore.MAX_PROB:
         conf_rank = conf_cal
     else:
         conf_rank, _ = confidence_map(probs, config.score)
-
-    flat_labels = labels.data.reshape(-1)
-    valid = np.flatnonzero(flat_labels != manifest.ignore_value)
-    if valid.size == 0:
-        raise MetricError(f"{entry.image_id}: image has no non-ignored pixels")
-    keep = valid[subsample_indices(valid.size, config.pixels_per_image, config.seed,
-                                   f"pixels:{entry.image_id}")]
-
-    confusion = met.confusion_matrix(predicted, labels, manifest.classes, manifest.ignore_value)
+    flat_rank = conf_rank.reshape(-1)
 
     known_conf = unknown_conf = None
-    if entry.ood_mask is not None:
-        mask = tensor_io.read_mask(manifest.resolve(entry.ood_mask))
-        if mask.shape != (logits.height, logits.width):
-            raise ManifestError(f"{entry.image_id}: ood mask shape {mask.shape} does not match image")
-        flat_mask = mask.reshape(-1)
-        flat_rank = conf_rank.reshape(-1)
+    if loaded.ood_mask is not None:
+        flat_mask = loaded.ood_mask.reshape(-1)
         known_conf = flat_rank[~flat_mask]
         unknown_conf = flat_rank[flat_mask]
 
     return _ImageSummary(
-        image_id=entry.image_id,
         domain=entry.domain,
-        confidence_cal=conf_cal.reshape(-1)[keep],
-        confidence_rank=conf_rank.reshape(-1)[keep],
-        predicted=predicted.reshape(-1)[keep],
-        actual=flat_labels[keep].astype(np.int64),
-        confusion=confusion,
-        mean_confidence=float(conf_rank.reshape(-1)[valid].mean()),
+        confidence_cal=loaded.drawn(conf_cal),
+        confidence_rank=loaded.drawn(conf_rank),
+        predicted=loaded.drawn(predicted),
+        actual=loaded.drawn(loaded.labels.data).astype(np.int64),
+        confusion=met.confusion_matrix(predicted, loaded.labels, manifest.classes, manifest.ignore_value),
+        mean_confidence=float(flat_rank[loaded.valid].mean()),
         known_conf=known_conf,
         unknown_conf=unknown_conf,
     )
@@ -149,13 +131,11 @@ def _bin_table(partition: met.BinPartition) -> dict:
 
 
 def _record_set(summaries: list[_ImageSummary], rank: bool) -> RecordSet:
-    parts = []
-    for s in summaries:
-        ids = np.empty(s.predicted.shape[0], dtype=object)
-        ids[:] = s.image_id
-        conf = s.confidence_rank if rank else s.confidence_cal
-        parts.append(RecordSet(conf, s.predicted, s.actual, ids))
-    return RecordSet.concat(parts)
+    return RecordSet(
+        np.concatenate([s.confidence_rank if rank else s.confidence_cal for s in summaries]),
+        np.concatenate([s.predicted for s in summaries]),
+        np.concatenate([s.actual for s in summaries]),
+    )
 
 
 def evaluate_manifest(manifest: DatasetManifest, calibrator: Calibrator | None = None,
@@ -166,17 +146,12 @@ def evaluate_manifest(manifest: DatasetManifest, calibrator: Calibrator | None =
     entries = manifest.select(split=config.split)
     if not entries:
         raise ManifestError(f"manifest has no entries in split {config.split!r}")
+    summarize = partial(_summarize_image, manifest, calibrator=calibrator, config=config)
     if config.workers == 1:
-        summaries = [_summarize_image(manifest, e, calibrator, config) for e in entries]
+        summaries = [summarize(e) for e in entries]
     else:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(_summarize_image, manifest, e, calibrator, config)
-                       for e in entries]
-            results = {}
-            for future in futures:
-                summary = future.result()
-                results[summary.image_id] = summary
-        summaries = [results[e.image_id] for e in entries]
+            summaries = list(pool.map(summarize, entries))
 
     by_domain: dict[str, list[_ImageSummary]] = {}
     for summary in summaries:  # entries are sorted by image_id, so groups are too

@@ -155,25 +155,6 @@ def _write_raw(path, arr: np.ndarray, dtype: str, layout: str, classes: int) -> 
     Path(path).write_bytes(blob)
 
 
-def read_tensor(path) -> LogitTensor | LabelMap | np.ndarray:
-    """Read any tensor file, mapping the header onto the natural type.
-
-    f32 HWC becomes a :class:`LogitTensor`, u16 HW a :class:`LabelMap`, and
-    f32 HW is returned as the raw 2-D float array (features are one row of
-    such a file). Use the role-specific readers when the manifest slot is
-    known; they validate the role's extra constraints.
-    """
-    header, arr = _read_raw(path)
-    try:
-        if header.dtype == "f32" and header.layout == "HWC":
-            return LogitTensor(arr)
-        if header.dtype == "u16" and header.layout == "HW":
-            return LabelMap(arr)
-        return arr.astype(np.float32)
-    except InvalidTensorError as exc:
-        raise _fail(path, str(exc)) from exc
-
-
 def read_logits(path) -> LogitTensor:
     header, arr = _read_raw(path)
     if header.dtype != "f32" or header.layout != "HWC":

@@ -10,7 +10,6 @@ invariants once, at construction, so downstream code can rely on them:
   checked against a class count and ignore sentinel via :func:`validate_labels`
   because the map itself does not know either.
 * :class:`ImageTensor`  -- per-pixel input channels, (H, W, C) float32, C >= 1, finite.
-* :class:`ImageFeature` -- one per-image descriptor vector, 1-D float32, finite.
 """
 
 from __future__ import annotations
@@ -154,22 +153,6 @@ class ImageTensor:
     @property
     def channels(self) -> int:
         return self.data.shape[2]
-
-
-@dataclass(frozen=True)
-class ImageFeature:
-    """One per-image descriptor used to group images into clusters."""
-
-    image_id: str
-    vector: np.ndarray
-
-    def __post_init__(self):
-        vec = _as_array(self.vector, np.float32, "feature")
-        if vec.ndim != 1 or vec.shape[0] < 1:
-            raise InvalidTensorError(f"feature: expected a non-empty 1-D vector, got shape {vec.shape}")
-        if not np.all(np.isfinite(vec)):
-            raise InvalidTensorError("feature: non-finite values")
-        object.__setattr__(self, "vector", vec)
 
 
 def validate_labels(labels: LabelMap, classes: int, ignore_value: int) -> None:

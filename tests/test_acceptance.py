@@ -52,9 +52,7 @@ def _records(conf, correct) -> RecordSet:
     correct = np.asarray(correct, dtype=bool)
     predicted = np.zeros(conf.shape[0], dtype=np.int64)
     actual = np.where(correct, 0, 1)
-    ids = np.empty(conf.shape[0], dtype=object)
-    ids[:] = "acceptance"
-    return RecordSet(conf, predicted, actual, ids)
+    return RecordSet(conf, predicted, actual)
 
 
 # ---------------------------------------------------------------- oracles

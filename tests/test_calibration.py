@@ -31,6 +31,8 @@ from relikit.calibration import (
     fit_temperature,
     gather_pixel_batches,
     load_calibrator,
+    load_entry,
+    needs_image,
     predict_temperature_map,
     save_calibrator,
     scaled_nll,
@@ -312,6 +314,30 @@ class TestGatherPixelBatches:
     def test_no_entries_raises(self, ladder_manifest):
         with pytest.raises(CalibrationError):
             gather_pixel_batches(ladder_manifest, [], pixels_per_image=10, seed=0)
+
+
+class TestLoadEntry:
+    def test_optional_tensors_read_only_when_asked(self, holdout_manifest):
+        entry = holdout_manifest.select(split="test")[0]
+        bare = load_entry(holdout_manifest, entry, pixels_per_image=50, seed=1)
+        assert bare.image is None and bare.feature is None and bare.ood_mask is None
+        full = load_entry(holdout_manifest, entry, pixels_per_image=50, seed=1,
+                          image=True, feature=True, mask=True)
+        assert full.image.data.shape[:2] == full.ood_mask.shape == bare.labels.data.shape
+        assert full.feature.ndim == 1
+        np.testing.assert_array_equal(full.rows, bare.rows)
+        assert bare.rows.shape == (50,) and np.all(np.isin(bare.rows, bare.valid))
+
+    def test_missing_feature_raises_when_asked(self, ladder_manifest):
+        entry = dataclasses.replace(ladder_manifest.select(split="test")[0], feature=None)
+        load_entry(ladder_manifest, entry, pixels_per_image=10, seed=0)
+        with pytest.raises(CalibrationError):
+            load_entry(ladder_manifest, entry, pixels_per_image=10, seed=0, feature=True)
+
+    def test_needs_image(self):
+        assert not needs_image(None) and not needs_image(GlobalTemperature(1.0))
+        assert needs_image(FeatureMode.IMAGE) and needs_image(FeatureMode.BOTH)
+        assert not needs_image(FeatureMode.LOGITS)
 
 
 def _single_domain(manifest, domain):

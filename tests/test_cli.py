@@ -158,13 +158,26 @@ class TestConfigFile:
         ("eval", "bins", "abc"),
         ("fit", "k", "three"),
         ("fit", "learning_rate", [0.1]),
+        ("eval", "metrics", 5),
+        ("eval", "metrics", ["ece", 3]),
+        ("eval", "manifest", 5),
+        ("eval", "calibrator", 5),
+        ("eval", "out", 5),
+        ("eval", "csv_out", 7),
+        ("eval", "bins_out", 7),
+        ("eval", "id_domain", ["x"]),
+        ("eval", "split", 5),
+        ("fit", "manifest", 5),
+        ("fit", "out", 5),
+        ("fit", "split", 5),
     ])
     def test_bad_config_value_is_usage_error(self, bench, capsys, tmp_path, command, key, value):
         config = tmp_path / "bad.json"
-        options = {"manifest": str(bench), key: value}
+        options = {"manifest": str(bench)}
         if command == "fit":
             options.update(out=str(tmp_path / "c.json"),
                            method="lts" if key == "learning_rate" else "cluster_ts")
+        options[key] = value
         config.write_text(json.dumps(options))
         code, _, err = _run(capsys, [command, "--config", str(config)])
         assert code == 1
@@ -251,6 +264,52 @@ class TestEval:
         assert code == 0
         test_entries = load_manifest(bench).select(split="test")
         assert len(reads) == len(set(reads)) == len(test_entries)
+
+    @pytest.mark.parametrize("fit_args, optional", [
+        (["--method", "ts"], []),
+        (["--method", "cluster_ts", "--k", "2"], ["read_feature"]),
+        (["--method", "lts", "--feature-mode", "both", "--epochs", "1"], ["read_image"]),
+        (["--method", "lts", "--feature-mode", "logits", "--epochs", "1"], []),
+    ], ids=["ts", "cluster_ts", "lts-both", "lts-logits"])
+    def test_eval_reads_only_what_the_calibrator_uses(self, bench, capsys, tmp_path, monkeypatch,
+                                                       fit_args, optional):
+        from relikit import tensor_io
+
+        artifact = tmp_path / "calibrator.json"
+        assert _run(capsys, ["fit", "--manifest", str(bench), "--out", str(artifact), *fit_args])[0] == 0
+        reads = []
+        for name in ("read_logits", "read_labels", "read_image", "read_feature", "read_mask"):
+            def counting(path, _name=name, _original=getattr(tensor_io, name)):
+                reads.append((_name, str(path)))
+                return _original(path)
+            monkeypatch.setattr(tensor_io, name, counting)
+        code, _, _ = _run(capsys, ["eval", "--manifest", str(bench), "--calibrator", str(artifact),
+                                   "--out", str(tmp_path / "r.json")])
+        assert code == 0
+        test_entries = len(load_manifest(bench).select(split="test"))
+        wanted = ["read_labels", "read_logits", *optional]
+        assert sorted({name for name, _ in reads}) == sorted(wanted)
+        assert len(reads) == len(set(reads)) == len(wanted) * test_entries
+
+    def test_unused_broken_image_does_not_stop_eval(self, capsys, tmp_path):
+        config = SynthConfig(domains=(DomainSpec("id", 1.0, 0.0, (0.0,)),),
+                             height=12, width=12, calibration_images=2, test_images=2, seed=4)
+        manifest = generate_benchmark(config, tmp_path / "bench")
+        artifacts = {}
+        for method, extra in (("ts", []), ("lts", ["--feature-mode", "image", "--epochs", "1"])):
+            artifacts[method] = tmp_path / f"{method}.json"
+            assert _run(capsys, ["fit", "--manifest", str(manifest), "--out", str(artifacts[method]),
+                                 "--method", method, *extra])[0] == 0
+        image = load_manifest(manifest).select(split="test")[0].image
+        target = manifest.parent / image
+        target.write_bytes(target.read_bytes()[:-4])
+        assert _run(capsys, ["eval", "--manifest", str(manifest), "--calibrator", str(artifacts["ts"]),
+                             "--out", str(tmp_path / "ts-report.json")])[0] == 0
+        code, _, err = _run(capsys, ["eval", "--manifest", str(manifest),
+                                     "--calibrator", str(artifacts["lts"])])
+        assert code == 2 and err.count("\n") == 1 and image in err
+        code, out, _ = _run(capsys, ["validate", str(manifest)])
+        assert code == 2 and f"FAIL {image} [format]" in out
 
     def test_bins_out_does_not_depend_on_workers(self, bench, capsys, tmp_path):
         outs = []

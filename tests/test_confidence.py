@@ -93,20 +93,15 @@ class TestConfidenceMap:
 class TestRecordSet:
     def _records(self, n=5):
         rng = np.random.default_rng(13)
-        ids = np.empty(n, dtype=object)
-        ids[:] = "img"
-        return RecordSet(rng.random(n), rng.integers(0, 3, n), rng.integers(0, 3, n), ids)
+        return RecordSet(rng.random(n), rng.integers(0, 3, n), rng.integers(0, 3, n))
 
     def test_correct_mask(self):
-        ids = np.array(["a", "b", "c"], dtype=object)
-        rs = RecordSet(np.array([0.5, 0.6, 0.7]), np.array([0, 1, 2]), np.array([0, 2, 2]), ids)
+        rs = RecordSet(np.array([0.5, 0.6, 0.7]), np.array([0, 1, 2]), np.array([0, 2, 2]))
         np.testing.assert_array_equal(rs.correct, [True, False, True])
 
-    def test_subset_and_len(self):
-        rs = self._records(6)
-        sub = rs.subset(np.array([True, False, True, False, False, True]))
-        assert len(sub) == 3
-        assert len(rs) == 6
+    def test_len(self):
+        assert len(self._records(3)) == 3
+        assert len(self._records(6)) == 6
 
     def test_concat_preserves_order(self):
         a, b = self._records(3), self._records(4)
@@ -120,18 +115,16 @@ class TestRecordSet:
             RecordSet.concat([])
 
     def test_empty(self):
-        rs = RecordSet.empty()
+        rs = RecordSet(np.empty(0), np.empty(0, np.int64), np.empty(0, np.int64))
         assert len(rs) == 0
 
     def test_length_mismatch_raises(self):
         with pytest.raises(InvalidTensorError):
-            RecordSet(np.zeros(3), np.zeros(2, np.int64), np.zeros(3, np.int64), np.zeros(3, object))
+            RecordSet(np.zeros(3), np.zeros(2, np.int64), np.zeros(3, np.int64))
 
     def test_non_finite_confidence_raises(self):
-        ids = np.empty(2, dtype=object)
-        ids[:] = "x"
         with pytest.raises(InvalidTensorError):
-            RecordSet(np.array([0.5, np.nan]), np.zeros(2, np.int64), np.zeros(2, np.int64), ids)
+            RecordSet(np.array([0.5, np.nan]), np.zeros(2, np.int64), np.zeros(2, np.int64))
 
 
 class TestExtractRecords:
@@ -150,7 +143,6 @@ class TestExtractRecords:
         np.testing.assert_array_equal(rs.confidence, conf.reshape(-1))
         np.testing.assert_array_equal(rs.predicted, pred.reshape(-1))
         np.testing.assert_array_equal(rs.actual, labels.data.reshape(-1).astype(np.int64))
-        assert set(rs.image_id) == {"img-0"}
 
     def test_ignored_pixels_dropped(self):
         probs, labels = self._probs_labels()

@@ -135,6 +135,17 @@ class TestEvaluateManifest:
         for value in report.pixel_ood_auroc.values():
             assert 0.0 <= value <= 1.0
 
+    def test_masks_read_only_for_pixel_ood(self, holdout_manifest, monkeypatch):
+        from relikit import tensor_io
+
+        masks = []
+        original = tensor_io.read_mask
+        monkeypatch.setattr(tensor_io, "read_mask", lambda path: masks.append(path) or original(path))
+        evaluate_manifest(holdout_manifest, None, EvalConfig(metrics=("ece", "prr", "ood_auroc")))
+        assert masks == []
+        evaluate_manifest(holdout_manifest, None, EvalConfig(metrics=("pixel_ood_auroc",)))
+        assert len(masks) == len(holdout_manifest.select(split="test"))
+
     def test_ood_auroc_separates_strong_shift(self, ladder_report):
         # sharpened logits make shifted domains overconfident, so in-domain
         # images rank below them: far from the 0.5 chance level, direction down

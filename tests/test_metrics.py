@@ -36,11 +36,9 @@ from relikit.tensors import LabelMap, ProbTensor
 def _rs(conf, correct):
     conf = np.asarray(conf, dtype=np.float64)
     correct = np.asarray(correct, dtype=bool)
-    ids = np.empty(conf.shape[0], dtype=object)
-    ids[:] = "t"
     predicted = np.zeros(conf.shape[0], dtype=np.int64)
     actual = np.where(correct, 0, 1)
-    return RecordSet(conf, predicted, actual, ids)
+    return RecordSet(conf, predicted, actual)
 
 
 def _normalize(conf):
@@ -226,7 +224,7 @@ class TestBinPartition:
 
     def test_rejects_empty_records(self):
         with pytest.raises(MetricError):
-            bin_partition(RecordSet.empty(), bins=4)
+            bin_partition(_rs([], []), bins=4)
 
     def test_rejects_non_positive_bins(self):
         with pytest.raises(MetricError):
@@ -301,7 +299,7 @@ class TestKsError:
 
     def test_empty_raises(self):
         with pytest.raises(MetricError):
-            ks_error(RecordSet.empty())
+            ks_error(_rs([], []))
 
 
 class TestAuroc:

@@ -14,7 +14,6 @@ from relikit.tensor_io import (
     read_labels,
     read_logits,
     read_mask,
-    read_tensor,
     write_feature,
     write_image,
     write_labels,
@@ -192,18 +191,6 @@ class TestRoundTrips:
 
 
 class TestRoleReaders:
-    def test_read_tensor_dispatch(self, tmp_path):
-        rng = np.random.default_rng(6)
-        logits_path = tmp_path / "logits.bin"
-        labels_path = tmp_path / "labels.bin"
-        feature_path = tmp_path / "feature.bin"
-        write_logits(logits_path, LogitTensor(rng.normal(size=(2, 2, 3)).astype(np.float32)))
-        write_labels(labels_path, LabelMap(np.zeros((2, 2), dtype=np.uint16)), classes=3)
-        write_feature(feature_path, np.ones(4, dtype=np.float32))
-        assert isinstance(read_tensor(logits_path), LogitTensor)
-        assert isinstance(read_tensor(labels_path), LabelMap)
-        assert isinstance(read_tensor(feature_path), np.ndarray)
-
     def test_logits_reader_rejects_label_file(self, tmp_path):
         path = tmp_path / "labels.bin"
         write_labels(path, LabelMap(np.zeros((2, 2), dtype=np.uint16)), classes=3)

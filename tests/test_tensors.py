@@ -5,7 +5,6 @@ import pytest
 
 from relikit.errors import InvalidTensorError
 from relikit.tensors import (
-    ImageFeature,
     ImageTensor,
     LabelMap,
     LogitTensor,
@@ -112,21 +111,6 @@ class TestImageTensor:
         arr[0, 0, 2] = -np.inf
         with pytest.raises(InvalidTensorError):
             ImageTensor(arr)
-
-
-class TestImageFeature:
-    def test_round_trip(self):
-        f = ImageFeature("img-0", np.array([1.0, 2.0], dtype=np.float32))
-        assert f.image_id == "img-0"
-        assert f.vector.shape == (2,)
-
-    def test_rejects_matrix(self):
-        with pytest.raises(InvalidTensorError):
-            ImageFeature("img-0", np.zeros((2, 2), dtype=np.float32))
-
-    def test_rejects_empty(self):
-        with pytest.raises(InvalidTensorError):
-            ImageFeature("img-0", np.zeros((0,), dtype=np.float32))
 
 
 class TestValidateLabels:
