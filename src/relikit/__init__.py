@@ -28,7 +28,7 @@ from .calibration import (
     predict_temperature_map,
     save_calibrator,
 )
-from .confidence import ConfidenceScore, RecordSet, confidence_map, extract_records, softmax
+from .confidence import ConfidenceScore, RecordSet, confidence_map, extract_records
 from .counterexample import Counterexample, CounterexampleSpec, build_counterexample, evaluate_counterexample
 from .errors import (
     CalibrationError,
@@ -54,9 +54,6 @@ from .metrics import (
     ece,
     iou_from_confusion,
     ks_error,
-    miou,
-    ood_image_auroc,
-    pixel_ood_auroc,
     prr,
     rejection_curve,
 )

@@ -128,6 +128,17 @@ class LtsHyper:
     batch_pixels: int = 2048
     domain_weights: dict[str, float] | None = None
 
+    def __post_init__(self):
+        for name in ("hidden_width", "epochs", "batch_pixels"):
+            if getattr(self, name) < 1:
+                raise UsageError(f"{name.replace('_', '-')} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 < self.t_floor < 1.0:
+            raise UsageError(f"t-floor must be in (0, 1), got {self.t_floor}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise UsageError(f"learning-rate must be positive and finite, got {self.learning_rate}")
+        if not np.all(np.isfinite(list((self.domain_weights or {}).values()))):
+            raise UsageError(f"domain weights must be finite, got {self.domain_weights}")
+
 
 Calibrator = GlobalTemperature | ClusterTemperatureModel | TemperatureRegressor
 
@@ -423,23 +434,18 @@ def assign_cluster(model: ClusterTemperatureModel, feature: np.ndarray) -> int:
     return int(assign_points(model.centroids, feature)[0])
 
 
-def apply_cluster_ts(model: ClusterTemperatureModel, feature: np.ndarray,
-                     logits: LogitTensor, predicted: np.ndarray | None = None) -> ProbTensor:
-    """Calibrate one image with its cluster's temperature(s)."""
+def apply_cluster_ts(model: ClusterTemperatureModel, feature: np.ndarray, logits: LogitTensor) -> ProbTensor:
+    """Calibrate one image with its cluster's temperature.
+
+    The ``per_class`` variant looks up each pixel's temperature by its
+    cluster and its argmax class.
+    """
     cluster = assign_cluster(model, feature)
     if model.variant is ClusterVariant.PER_IMAGE:
         return apply_temperature(logits, float(model.temperatures[cluster]))
-    if predicted is None:
-        predicted = logits.data.argmax(axis=2)
-    predicted = np.asarray(predicted, dtype=np.int64)
-    if predicted.shape != (logits.height, logits.width):
-        raise CalibrationError(
-            f"predicted-class map shape {predicted.shape} does not match image"
-        )
-    if predicted.min() < 0 or predicted.max() >= model.classes:
-        raise CalibrationError("predicted classes outside [0, classes)")
-    tmap = model.temperatures[cluster][predicted]
-    return apply_temperature(logits, TemperatureMap(tmap))
+    if logits.classes != model.classes:
+        raise CalibrationError(f"logits carry {logits.classes} classes, calibrator has {model.classes}")
+    return apply_temperature(logits, TemperatureMap(model.temperatures[cluster][logits.data.argmax(axis=2)]))
 
 
 def _lts_input(mode: FeatureMode, logits: np.ndarray, channels: np.ndarray | None) -> np.ndarray:
@@ -482,6 +488,8 @@ def fit_lts(manifest: DatasetManifest, *, feature_mode: FeatureMode = FeatureMod
         ])
         if weights.min() < 0:
             raise CalibrationError("domain weights must be non-negative")
+        if weights.sum() == 0:
+            raise CalibrationError("domain weights are zero on every calibration pixel")
     mean = features.mean(axis=0)
     scale = features.std(axis=0)
     scale[scale < 1e-12] = 1.0
@@ -647,6 +655,8 @@ def load_calibrator(path) -> Calibrator:
                 feature_scale=np.asarray(payload["feature_scale"], dtype=np.float64),
                 params=params,
             )
+            if not (np.isfinite(regressor.t_floor) and regressor.t_floor > 0):
+                raise CalibrationError(f"{path}: non-positive regressor t_floor")
             hidden, dim = regressor.hidden_width, regressor.input_dim
             shapes = {"w1": (w1.shape, (hidden, dim)), "b1": (params.b1.shape, (hidden,)),
                       "w2": (params.w2.shape, (hidden,)),

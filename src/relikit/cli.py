@@ -48,7 +48,7 @@ from .errors import (
     TensorFormatError,
     UsageError,
 )
-from .manifest import load_manifest
+from .manifest import SPLITS, load_manifest
 from .tensors import validate_labels
 
 WORKERS_ENV = "RELIKIT_WORKERS"
@@ -90,6 +90,8 @@ def _resolve_options(args, defaults: dict) -> dict:
         value = options.get(key)
         if value is not None and not isinstance(value, str):
             raise UsageError(f"{key.replace('_', '-')} must be a string, got {value!r}")
+    if options["split"] not in SPLITS:
+        raise UsageError(f"split must be one of {', '.join(SPLITS)}, got {options['split']!r}")
     return options
 
 
@@ -100,8 +102,13 @@ def _require(options: dict, key: str):
 
 
 def _convert(name: str, value, kind):
-    """Cast one option value with ``kind``; a value it rejects is a usage error."""
+    """Cast one option value with ``kind``; a value it rejects is a usage error.
+
+    A bool is no number and a float no integer, so ``true`` or ``2.7`` is not truncated.
+    """
     try:
+        if kind in (int, float) and (isinstance(value, bool) or kind is int and isinstance(value, float)):
+            raise TypeError(value)
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(kind, type) and issubclass(kind, Enum):
@@ -409,7 +416,7 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest")
     p.add_argument("--out", help="where to write the calibrator artifact")
     p.add_argument("--method", choices=["ts", "cluster_ts", "class_cluster_ts", "lts"])
-    p.add_argument("--split", choices=["calibration", "test"])
+    p.add_argument("--split", choices=SPLITS)
     p.add_argument("--seed", type=int)
     p.add_argument("--pixels-per-image", dest="pixels_per_image", type=int,
                    help="calibration pixels drawn per image; 0 uses every pixel")
@@ -428,7 +435,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", help="JSON file with any of the long options")
     p.add_argument("--manifest")
     p.add_argument("--calibrator", help="calibrator artifact written by fit")
-    p.add_argument("--split", choices=["calibration", "test"])
+    p.add_argument("--split", choices=SPLITS)
     p.add_argument("--score", choices=["max_prob", "neg_entropy"])
     p.add_argument("--bins", type=int)
     p.add_argument("--pixels-per-image", dest="pixels_per_image", type=int,

@@ -1,4 +1,4 @@
-"""Softmax, confidence scores, and flat prediction records.
+"""Confidence scores and flat prediction records.
 
 Every reliability metric in this package consumes the same substrate: a
 flat set of (confidence, predicted class, actual class) records extracted
@@ -21,21 +21,12 @@ import numpy as np
 
 from .errors import InvalidTensorError, MetricError
 from .rng import subsample_indices
-from .tensors import LabelMap, LogitTensor, ProbTensor, check_same_shape, validate_labels
+from .tensors import LabelMap, ProbTensor, check_same_shape, validate_labels
 
 
 class ConfidenceScore(str, Enum):
     MAX_PROB = "max_prob"
     NEG_ENTROPY = "neg_entropy"
-
-
-def softmax(logits: LogitTensor) -> ProbTensor:
-    """Per-pixel softmax, computed in float64 with max-subtraction."""
-    z = logits.data.astype(np.float64)
-    z -= z.max(axis=2, keepdims=True)
-    e = np.exp(z)
-    e /= e.sum(axis=2, keepdims=True)
-    return ProbTensor(e)
 
 
 def confidence_map(probs: ProbTensor, score: ConfidenceScore = ConfidenceScore.MAX_PROB):

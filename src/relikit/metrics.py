@@ -2,10 +2,12 @@
 
 Calibration metrics (:func:`ece`, :func:`ada_ece`, :func:`ks_error`) compare
 confidence against empirical accuracy. Rank metrics (:func:`prr`,
-:func:`auroc` and the OOD wrappers) depend on the ordering of confidences
-only, so they are invariant under strictly increasing transforms of the
-score. Segmentation quality is measured by :func:`miou` over a confusion
-matrix pooled across images.
+:func:`auroc`) depend on the ordering of confidences only, so they are
+invariant under strictly increasing transforms of the score. Segmentation
+quality is measured by :func:`iou_from_confusion` over a
+:func:`confusion_matrix` pooled across images. Image- and pixel-level OOD
+detection are :func:`auroc` over the confidences that
+:func:`~relikit.evaluate.evaluate_manifest` collects.
 
 All metric functions raise :class:`~relikit.errors.MetricError` when their
 preconditions fail (empty inputs, no evaluable classes, degenerate
@@ -19,9 +21,11 @@ from enum import Enum
 
 import numpy as np
 
-from .confidence import ConfidenceScore, RecordSet, confidence_map
+from .confidence import RecordSet
+# Not called here; the benchmark tracer's smoke test looks this binding up.
+from .confidence import confidence_map  # noqa: F401
 from .errors import MetricError
-from .tensors import LabelMap, ProbTensor
+from .tensors import LabelMap
 
 DEFAULT_BINS = 15
 
@@ -207,16 +211,6 @@ def iou_from_confusion(confusion: np.ndarray) -> MiouResult:
     return MiouResult(float(per_class[evaluable].mean()), per_class)
 
 
-def miou(predictions: list, labels: list[LabelMap], classes: int, ignore_value: int = 255) -> MiouResult:
-    """Mean IoU with the confusion matrix pooled across all images."""
-    if len(predictions) != len(labels) or not predictions:
-        raise MetricError("miou needs equal-length, non-empty prediction and label lists")
-    pooled = np.zeros((classes, classes), dtype=np.int64)
-    for pred, lab in zip(predictions, labels):
-        pooled += confusion_matrix(pred, lab, classes, ignore_value)
-    return iou_from_confusion(pooled)
-
-
 def auroc(positive, negative) -> float:
     """Probability a random positive outscores a random negative, ties at half credit.
 
@@ -239,6 +233,15 @@ def auroc(positive, negative) -> float:
     return float(u / (pos.size * neg.size))
 
 
+def _errors_remaining(records: RecordSet) -> np.ndarray:
+    """Errors left after rejecting the k least-confident records, k = 0..n, as int64.
+
+    Tied records are rejected in record order.
+    """
+    rejected = np.concatenate([[0], np.cumsum(~records.correct[records.order], dtype=np.int64)])
+    return rejected[-1] - rejected
+
+
 def rejection_curve(records: RecordSet) -> np.ndarray:
     """Errors remaining (as a fraction of n) after rejecting k least-confident records.
 
@@ -249,10 +252,7 @@ def rejection_curve(records: RecordSet) -> np.ndarray:
     n = len(records)
     if n == 0:
         raise MetricError("cannot build a rejection curve from an empty record set")
-    order = records.order
-    rejected = np.concatenate([[0.0], np.cumsum((~records.correct[order]).astype(np.float64))])
-    total = float((~records.correct).sum())
-    return (total - rejected) / n
+    return _errors_remaining(records) / n
 
 
 def prr(records: RecordSet) -> float:
@@ -273,69 +273,13 @@ def prr(records: RecordSet) -> float:
     n = len(records)
     if n < 2:
         raise MetricError("prr needs at least two records")
-    total_errors = int(n - records.correct.sum())
+    # model[k] = n * (errors remaining after rejecting k least-confident)
+    model = _errors_remaining(records)
+    total_errors = int(model[0])
     if total_errors == 0 or total_errors == n:
         raise MetricError("prr is undefined for all-correct or all-incorrect records")
-    order = records.order
-    rejected = np.concatenate([[0], np.cumsum((~records.correct[order]).astype(np.int64))])
-    # model[k] = n * (errors remaining after rejecting k least-confident)
-    model = total_errors - rejected
     oracle = np.maximum(0, total_errors - np.arange(n + 1, dtype=np.int64))
     model_area = int(model[0] + model[-1] + 2 * model[1:-1].sum())
     oracle_area = int(oracle[0] + oracle[-1] + 2 * oracle[1:-1].sum())
     random_area = total_errors * n  # 2 n^2 * (e/n)/2
     return float(100.0 * ((random_area - model_area) / (random_area - oracle_area)))
-
-
-def image_confidence(probs: ProbTensor, labels: LabelMap | None = None, *,
-                     score: ConfidenceScore = ConfidenceScore.MAX_PROB,
-                     ignore_value: int = 255) -> float:
-    """Mean per-pixel confidence of one image, over non-ignored pixels."""
-    conf, _ = confidence_map(probs, score)
-    if labels is None:
-        return float(conf.mean())
-    valid = labels.data != ignore_value
-    if not valid.any():
-        raise MetricError("image has no non-ignored pixels")
-    return float(conf[valid].mean())
-
-
-def ood_image_auroc(id_probs: list[ProbTensor], ood_probs: list[ProbTensor], *,
-                    score: ConfidenceScore = ConfidenceScore.MAX_PROB,
-                    id_labels: list[LabelMap] | None = None,
-                    ood_labels: list[LabelMap] | None = None,
-                    ignore_value: int = 255) -> float:
-    """Image-level OOD separation: in-domain images are the positive class.
-
-    Each image is reduced to its mean pixel confidence; the AUROC then
-    measures how reliably in-domain images are the more confident ones.
-    """
-    id_scores = [
-        image_confidence(p, id_labels[i] if id_labels else None, score=score, ignore_value=ignore_value)
-        for i, p in enumerate(id_probs)
-    ]
-    ood_scores = [
-        image_confidence(p, ood_labels[i] if ood_labels else None, score=score, ignore_value=ignore_value)
-        for i, p in enumerate(ood_probs)
-    ]
-    return auroc(id_scores, ood_scores)
-
-
-def pixel_ood_auroc(probs: list[ProbTensor], masks: list[np.ndarray], *,
-                    score: ConfidenceScore = ConfidenceScore.MAX_PROB) -> float:
-    """Pixel-level OOD separation, pooled across images.
-
-    ``masks`` flag unknown-class pixels with True. Known-class pixels are
-    the positive (more confident) class.
-    """
-    if len(probs) != len(masks) or not probs:
-        raise MetricError("pixel_ood_auroc needs equal-length, non-empty lists")
-    known, unknown = [], []
-    for p, mask in zip(probs, masks):
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (p.height, p.width):
-            raise MetricError(f"mask shape {mask.shape} does not match image {(p.height, p.width)}")
-        conf, _ = confidence_map(p, score)
-        known.append(conf[~mask])
-        unknown.append(conf[mask])
-    return auroc(np.concatenate(known), np.concatenate(unknown))

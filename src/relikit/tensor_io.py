@@ -66,16 +66,6 @@ def _fail(path, message: str) -> TensorFormatError:
     return TensorFormatError(f"{path}: {message}")
 
 
-def read_header(path) -> TensorHeader:
-    """Parse and validate the header of a tensor file, including payload size."""
-    path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:
-        raise _fail(path, f"cannot read file ({exc})") from exc
-    return _parse_header(blob, path)
-
-
 def _parse_header(blob: bytes, path) -> TensorHeader:
     if len(blob) < len(MAGIC) + 4:
         raise _fail(path, "file too short for magic and header length")

@@ -19,6 +19,7 @@ from relikit.calibration import (
     FeatureMode,
     LtsHyper,
     apply_calibrator,
+    apply_temperature,
     fit_cluster_ts,
     fit_global_ts,
     fit_lts,
@@ -29,7 +30,6 @@ from relikit.confidence import (
     RecordSet,
     confidence_map,
     extract_records,
-    softmax,
 )
 from relikit.counterexample import (
     CounterexampleSpec,
@@ -185,7 +185,7 @@ def test_criterion_03_subsampled_ece_tracks_full_image():
         concentration=0.25, smoothing_radius=1, sharpness=20.0,
     )
     scene = generate_scene(config, "warm", "warm-huge")
-    probs = softmax(scene.logits)
+    probs = apply_temperature(scene.logits, 1.0)
     full = met.ece(extract_records(probs, scene.labels, "warm-huge"))
     worst = 0.0
     for seed in range(10):
@@ -215,7 +215,7 @@ def test_criterion_04_calibration_preserves_predictions(ladder_manifest):
         labels = tensor_io.read_labels(ladder_manifest.resolve(entry.labels))
         feature = tensor_io.read_feature(ladder_manifest.resolve(entry.feature))
         image = tensor_io.read_image(ladder_manifest.resolve(entry.image))
-        _, base_pred = confidence_map(softmax(logits))
+        _, base_pred = confidence_map(apply_temperature(logits, 1.0))
         base_conf += met.confusion_matrix(base_pred, labels, classes)
         for name, calibrator in calibrators.items():
             probs = apply_calibrator(calibrator, logits, feature=feature, image=image)
@@ -408,7 +408,7 @@ def test_criterion_10_rank_metrics_invariant_under_monotone_transforms():
     # max probability, so both scores induce identical rank metrics
     logits = LogitTensor(rng.normal(scale=2.0, size=(20, 25, 2)))
     labels = LabelMap(rng.integers(0, 2, size=(20, 25)).astype(np.uint16))
-    probs = softmax(logits)
+    probs = apply_temperature(logits, 1.0)
     two_class = True
     by_score = {}
     for score in (ConfidenceScore.MAX_PROB, ConfidenceScore.NEG_ENTROPY):

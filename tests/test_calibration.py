@@ -37,8 +37,8 @@ from relikit.calibration import (
     save_calibrator,
     scaled_nll,
 )
-from relikit.confidence import ConfidenceScore, extract_records, softmax
-from relikit.errors import CalibrationError, ManifestError
+from relikit.confidence import ConfidenceScore, extract_records
+from relikit.errors import CalibrationError, ManifestError, UsageError
 from relikit.manifest import load_manifest
 from relikit.synth import DomainSpec, SynthConfig, generate_benchmark
 from relikit.tensor_io import read_logits
@@ -210,7 +210,9 @@ class TestApplyTemperature:
 
     def test_identity_equals_softmax(self):
         logits = self._logits()
-        np.testing.assert_array_equal(apply_temperature(logits, 1.0).data, softmax(logits).data)
+        z = logits.data.astype(np.float64)
+        e = np.exp(z - z.max(axis=2, keepdims=True))
+        np.testing.assert_array_equal(apply_temperature(logits, 1.0).data, e / e.sum(axis=2, keepdims=True))
 
     def test_global_temperature_wrapper_matches_scalar(self):
         logits = self._logits()
@@ -220,7 +222,7 @@ class TestApplyTemperature:
 
     def test_argmax_preserved_for_any_temperature(self):
         logits = self._logits()
-        base = softmax(logits).data.argmax(axis=2)
+        base = apply_temperature(logits, 1.0).data.argmax(axis=2)
         rng = np.random.default_rng(76)
         for t in [0.05, 0.3, 1.0, 7.5, 20.0]:
             np.testing.assert_array_equal(apply_temperature(logits, t).data.argmax(axis=2), base)
@@ -278,7 +280,7 @@ class TestGatherPixelBatches:
 
         labels = read_labels(ladder_manifest.resolve(entry.labels))
         records = extract_records(
-            softmax(logits), labels, entry.image_id,
+            apply_temperature(logits, 1.0), labels, entry.image_id,
             score=ConfidenceScore.MAX_PROB,
             ignore_value=ladder_manifest.ignore_value,
             pixels_per_image=500, seed=11,
@@ -427,13 +429,12 @@ class TestApplyClusterTs:
         from relikit.tensor_io import read_feature
 
         feature = read_feature(ladder_manifest.resolve(entry.feature))
-        with pytest.raises(CalibrationError):
-            apply_cluster_ts(model, feature, logits, predicted=np.zeros((2, 2), dtype=np.int64))
-        with pytest.raises(CalibrationError):
-            apply_cluster_ts(
-                model, feature, logits,
-                predicted=np.full((logits.height, logits.width), 99, dtype=np.int64),
-            )
+        # the argmax map indexes the temperature rows, so its classes must be the model's:
+        # an extra class would index past the end, a missing one would be silently unused
+        extra = np.concatenate([logits.data, np.full((logits.height, logits.width, 1), 99, np.float32)], axis=2)
+        for data in (extra, logits.data[:, :, :-1]):
+            with pytest.raises(CalibrationError, match="classes"):
+                apply_cluster_ts(model, feature, LogitTensor(data))
 
     def test_feature_width_mismatch_raises(self, ladder_manifest, model):
         entry = ladder_manifest.select(split="test")[0]
@@ -492,6 +493,20 @@ class TestFitLts:
         with pytest.raises(CalibrationError):
             fit_lts(stripped, feature_mode=FeatureMode.IMAGE, hyper=LtsHyper(epochs=1), seed=1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("hidden_width", 0), ("epochs", -1), ("batch_pixels", 0), ("t_floor", 1.0), ("t_floor", -0.5),
+        ("learning_rate", 0.0), ("learning_rate", float("nan")), ("domain_weights", {"id": float("inf")}),
+    ])
+    def test_hyper_rejects_values_training_cannot_use(self, field, value):
+        with pytest.raises(UsageError, match=field.replace("_", "[-_ ]")):
+            LtsHyper(**{field: value})
+
+    def test_zero_weight_on_every_pixel_raises(self, mono_manifest):
+        weights = {domain: 0.0 for domain in mono_manifest.domains()}
+        with pytest.raises(CalibrationError, match="zero on every calibration pixel"):
+            fit_lts(mono_manifest, feature_mode=FeatureMode.LOGITS,
+                    hyper=LtsHyper(epochs=1, domain_weights=weights), seed=1)
+
     def test_loss_curve_improves(self, mono_manifest):
         _, curve = fit_lts(mono_manifest, feature_mode=FeatureMode.IMAGE, hyper=LtsHyper(epochs=15), seed=2)
         assert curve[-1] < curve[0]
@@ -516,7 +531,7 @@ class TestApplyCalibrator:
     def test_none_is_raw_softmax(self, ladder_manifest):
         entry = ladder_manifest.select(split="test")[0]
         logits = read_logits(ladder_manifest.resolve(entry.logits))
-        np.testing.assert_array_equal(apply_calibrator(None, logits).data, softmax(logits).data)
+        np.testing.assert_array_equal(apply_calibrator(None, logits).data, apply_temperature(logits, 1.0).data)
 
     def test_cluster_requires_feature(self, ladder_manifest):
         model = fit_cluster_ts(ladder_manifest, k=1, seed=0)
@@ -582,6 +597,8 @@ class TestSaveLoadRoundTrip:
         assert load_calibrator(path).hidden_width == 2
         for key in ("b1", "w2", "feature_mean", "feature_scale"):
             cases[f"short_{key}.json"] = json.dumps({**lts, key: lts[key][:-1]})
+        for bad in (0.0, -0.5, float("nan"), float("inf")):
+            cases[f"t_floor_{bad}.json"] = json.dumps({**lts, "t_floor": bad})
         for name, content in cases.items():
             path = tmp_path / name
             if content is not None:

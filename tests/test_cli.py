@@ -4,7 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from relikit import cli
 from relikit.calibration import (
     ClusterTemperatureModel,
     GlobalTemperature,
@@ -117,6 +120,10 @@ class TestFit:
         assert code == 1 and "tag=number" in err
 
 
+# Edge values for the config property test: every JSON type, and numbers around the usual bounds.
+_EDGE_VALUES = (-1, 0, 1.0, 1.5, True, "abc", None, [1], {"a": 1})
+
+
 class TestConfigFile:
     def test_flags_override_config_file(self, bench, capsys, tmp_path):
         config = tmp_path / "fit.json"
@@ -170,19 +177,55 @@ class TestConfigFile:
         ("fit", "manifest", 5),
         ("fit", "out", 5),
         ("fit", "split", 5),
+        ("eval", "bins", 2.7),
+        ("eval", "seed", True),
+        ("fit", "epochs", 1.5),
+        ("fit", "t_floor", True),
+        ("eval", "split", "train"),
+        ("fit", "split", "train"),
+        ("fit", "t_floor", 1.0),
+        ("fit", "t_floor", -0.5),
+        ("fit", "hidden_width", 0),
+        ("fit", "batch_pixels", 0),
+        ("fit", "epochs", -1),
     ])
     def test_bad_config_value_is_usage_error(self, bench, capsys, tmp_path, command, key, value):
         config = tmp_path / "bad.json"
         options = {"manifest": str(bench)}
         if command == "fit":
             options.update(out=str(tmp_path / "c.json"),
-                           method="lts" if key == "learning_rate" else "cluster_ts")
+                           method="cluster_ts" if key == "k" else "lts")
         options[key] = value
         config.write_text(json.dumps(options))
         code, _, err = _run(capsys, [command, "--config", str(config)])
         assert code == 1
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert f"{key.replace('_', '-')} must be" in err and repr(value) in err
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from([("fit", key) for key in sorted(cli._FIT_DEFAULTS)]
+                           + [("eval", key) for key in sorted(cli._EVAL_DEFAULTS)]),
+           st.sampled_from(_EDGE_VALUES))
+    @example(("fit", "t_floor"), 1.0)
+    @example(("fit", "domain_weights"), {"id": 0, "warm": 0})
+    def test_any_config_value_ends_in_an_exit_code(self, bench, capsys, tmp_path, monkeypatch,
+                                                    command_key, value):
+        command, key = command_key
+        monkeypatch.chdir(tmp_path)  # a path-valued draw such as "abc" writes here
+        if command == "fit":
+            # small enough that any draw trains in milliseconds
+            options = {"out": "c.json", "method": "cluster_ts" if key == "k" else "lts", "k": 2,
+                       "epochs": 1, "hidden_width": 2, "batch_pixels": 64, "pixels_per_image": 50}
+        else:
+            options = {"out": "r.json", "pixels_per_image": 50}
+        options["manifest"] = str(bench)
+        options[key] = value
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(options))
+        code, _, err = _run(capsys, [command, "--config", str(config)])
+        assert code in (0, 1, 2, 3)
+        assert err == "" or (err.startswith("error: ") and err.count("\n") == 1)
 
     def test_bad_config_choice_is_usage_error(self, bench, capsys, tmp_path):
         config = tmp_path / "bad.json"

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from relikit.calibration import apply_temperature
 from relikit.confidence import (
     ConfidenceScore,
     RecordSet,
     confidence_map,
     extract_records,
-    softmax,
 )
 from relikit.errors import InvalidTensorError, MetricError
 from relikit.rng import subsample_indices
@@ -19,14 +19,14 @@ class TestSoftmax:
     def test_two_class_closed_form(self):
         # softmax([1, 0]) = (e / (e + 1), 1 / (e + 1))
         logits = LogitTensor(np.array([[[1.0, 0.0]]], dtype=np.float32))
-        p = softmax(logits).data[0, 0]
+        p = apply_temperature(logits, 1.0).data[0, 0]
         e = np.exp(1.0)
         assert abs(p[0] - e / (e + 1.0)) < 1e-12
         assert abs(p[1] - 1.0 / (e + 1.0)) < 1e-12
 
     def test_equal_logits_are_uniform(self):
         logits = LogitTensor(np.full((2, 2, 4), 3.5, dtype=np.float32))
-        np.testing.assert_allclose(softmax(logits).data, 0.25, atol=1e-15)
+        np.testing.assert_allclose(apply_temperature(logits, 1.0).data, 0.25, atol=1e-15)
 
     def test_shift_invariance(self):
         # quarter-integer logits so the float32 shift is exact
@@ -34,12 +34,12 @@ class TestSoftmax:
         raw = (rng.integers(-32, 33, size=(3, 3, 5)) / 4.0).astype(np.float32)
         shifted = raw + np.float32(7.25)
         np.testing.assert_allclose(
-            softmax(LogitTensor(raw)).data, softmax(LogitTensor(shifted)).data, atol=1e-12
+            apply_temperature(LogitTensor(raw), 1.0).data, apply_temperature(LogitTensor(shifted), 1.0).data, atol=1e-12
         )
 
     def test_large_logits_do_not_overflow(self):
         logits = LogitTensor(np.array([[[500.0, -500.0]]], dtype=np.float32))
-        p = softmax(logits).data[0, 0]
+        p = apply_temperature(logits, 1.0).data[0, 0]
         assert p[0] == pytest.approx(1.0)
         assert np.isfinite(p).all()
 
@@ -48,7 +48,7 @@ class TestSoftmax:
         for _ in range(20):
             k = int(rng.integers(2, 9))
             logits = LogitTensor(rng.normal(scale=4.0, size=(4, 4, k)).astype(np.float32))
-            sums = softmax(logits).data.sum(axis=2)
+            sums = apply_temperature(logits, 1.0).data.sum(axis=2)
             np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
 

@@ -6,13 +6,16 @@ used both on frozen examples worked out by hand and in seeded randomized
 sweeps.
 """
 
+import dataclasses
 import math
+import shutil
 
 import numpy as np
 import pytest
 
 from relikit.confidence import ConfidenceScore, RecordSet
-from relikit.errors import MetricError
+from relikit.errors import ManifestError, MetricError
+from relikit.evaluate import EvalConfig, evaluate_manifest
 from relikit.metrics import (
     DEFAULT_BINS,
     BinStrategy,
@@ -21,16 +24,13 @@ from relikit.metrics import (
     confusion_matrix,
     ece,
     ada_ece,
-    image_confidence,
     iou_from_confusion,
     ks_error,
-    miou,
-    ood_image_auroc,
-    pixel_ood_auroc,
     prr,
     rejection_curve,
 )
-from relikit.tensors import LabelMap, ProbTensor
+from relikit.tensor_io import read_labels, read_logits, read_mask, write_labels, write_mask
+from relikit.tensors import LabelMap
 
 
 def _rs(conf, correct):
@@ -103,6 +103,14 @@ def oracle_auroc(positive, negative):
             elif a == b:
                 wins += 0.5
     return wins / (len(positive) * len(negative))
+
+
+def oracle_auroc_pairs(positive, negative):
+    """:func:`oracle_auroc`'s O(n m) pair count, vectorised for pooled pixels."""
+    pos = np.asarray(positive)[:, None]
+    neg = np.asarray(negative)[None, :]
+    wins = np.count_nonzero(pos > neg) + 0.5 * np.count_nonzero(pos == neg)
+    return wins / (pos.size * neg.size)
 
 
 def _oracle_area(ys):
@@ -421,6 +429,11 @@ class TestPrr:
             assert prr(_rs(5.0 * conf - 2.0, correct)) == base
 
 
+def miou(predictions, labels, classes):
+    """Pooled mIoU as evaluate_manifest computes it: one confusion matrix summed over images."""
+    return iou_from_confusion(sum(confusion_matrix(p, lab, classes) for p, lab in zip(predictions, labels)))
+
+
 class TestMiou:
     def test_hand_value(self):
         # class 0: tp 1, fp 1 -> 1/2; class 1: tp 0, fn 1 -> 0; mean 0.25
@@ -479,10 +492,6 @@ class TestMiou:
         with pytest.raises(MetricError):
             miou([np.zeros((2, 2), dtype=np.int64)], [labels], classes=2)
 
-    def test_length_mismatch_raises(self):
-        with pytest.raises(MetricError):
-            miou([], [], classes=2)
-
 
 class TestConfusionMatrix:
     def test_rows_are_actual_columns_predicted(self):
@@ -512,82 +521,115 @@ class TestConfusionMatrix:
             iou_from_confusion(np.zeros((3, 3), dtype=np.int64))
 
 
-def _prob_tensor(rng, shape=(4, 4), classes=3, peak=None):
-    raw = rng.random((*shape, classes))
-    if peak is not None:
-        raw[..., 0] += peak  # push mass onto class 0 to raise confidence
-    return ProbTensor(raw / raw.sum(axis=2, keepdims=True))
+SCORES = (ConfidenceScore.MAX_PROB, ConfidenceScore.NEG_ENTROPY)
+
+
+def _oracle_confidence(manifest, entry, score):
+    """Per-pixel confidence of one image under the raw softmax, straight from its logits."""
+    z = read_logits(manifest.resolve(entry.logits)).data.astype(np.float64)
+    p = np.exp(z - z.max(axis=2, keepdims=True))
+    p /= p.sum(axis=2, keepdims=True)
+    if score is ConfidenceScore.MAX_PROB:
+        return p.max(axis=2)
+    return np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0).sum(axis=2)
+
+
+def _oracle_images(manifest, score):
+    """Per domain, each test image's (mean over non-ignored pixels, known, unknown) confidences."""
+    images = {}
+    for entry in manifest.select(split="test"):
+        conf = _oracle_confidence(manifest, entry, score)
+        valid = read_labels(manifest.resolve(entry.labels)).data != manifest.ignore_value
+        mask = read_mask(manifest.resolve(entry.ood_mask))
+        mean = sum(conf[valid].tolist()) / int(valid.sum())
+        images.setdefault(entry.domain, []).append((mean, conf[~mask], conf[mask]))
+    return images
+
+
+def _copy_manifest(manifest, tmp_path):
+    """The same manifest over a private copy of its files, safe to damage."""
+    shutil.copytree(manifest.root, tmp_path / "copy")
+    return dataclasses.replace(manifest, root=tmp_path / "copy")
 
 
 class TestImageConfidence:
-    def test_mean_of_max_prob(self):
-        probs = ProbTensor(np.array([[[0.8, 0.2], [0.6, 0.4]]]))
-        assert image_confidence(probs) == pytest.approx(0.7)
+    """The per-image mean confidence behind ``ood_auroc``, on the path ``eval`` runs."""
 
-    def test_ignored_pixels_excluded(self):
-        probs = ProbTensor(np.array([[[0.8, 0.2], [0.6, 0.4]]]))
-        labels = LabelMap(np.array([[0, 255]], dtype=np.uint16))
-        assert image_confidence(probs, labels) == pytest.approx(0.8)
+    def test_mean_of_max_prob(self, holdout_manifest):
+        report = evaluate_manifest(holdout_manifest, None, EvalConfig(metrics=("ood_auroc",)))
+        for tag, images in _oracle_images(holdout_manifest, ConfidenceScore.MAX_PROB).items():
+            want = sum(mean for mean, _, _ in images) / len(images)
+            assert abs(report.domains[tag]["mean_confidence"] - want) < 1e-12
 
-    def test_all_ignored_raises(self):
-        probs = ProbTensor(np.array([[[0.8, 0.2]]]))
-        labels = LabelMap(np.array([[255]], dtype=np.uint16))
-        with pytest.raises(MetricError):
-            image_confidence(probs, labels)
+    def test_ignored_pixels_excluded(self, holdout_manifest):
+        for score in SCORES:
+            report = evaluate_manifest(holdout_manifest, None, EvalConfig(score=score))
+            for tag, images in _oracle_images(holdout_manifest, score).items():
+                want = sum(mean for mean, _, _ in images) / len(images)
+                every_pixel = np.mean([np.concatenate([k, u]).mean() for _, k, u in images])
+                assert abs(report.domains[tag]["mean_confidence"] - want) < 1e-12
+                assert abs(every_pixel - want) > 1e-3  # the held-out pixels are ignored
+
+    def test_all_ignored_raises(self, holdout_manifest, tmp_path):
+        manifest = _copy_manifest(holdout_manifest, tmp_path)
+        entry = manifest.select(split="test")[0]
+        labels = read_labels(manifest.resolve(entry.labels))
+        write_labels(manifest.resolve(entry.labels),
+                     LabelMap(np.full_like(labels.data, manifest.ignore_value)), manifest.classes)
+        with pytest.raises(MetricError, match="no non-ignored pixels"):
+            evaluate_manifest(manifest, None, EvalConfig(metrics=("ood_auroc",)))
 
 
 class TestOodAuroc:
-    def test_image_level_perfect_separation(self):
-        rng = np.random.default_rng(32)
-        id_probs = [_prob_tensor(rng, peak=8.0) for _ in range(3)]
-        ood_probs = [_prob_tensor(rng) for _ in range(3)]
-        assert ood_image_auroc(id_probs, ood_probs) == 1.0
+    """``ood_auroc`` and ``pixel_ood_auroc`` of the report against pair-counting oracles."""
 
-    def test_image_level_matches_pairwise_oracle(self):
-        rng = np.random.default_rng(33)
-        id_probs = [_prob_tensor(rng, peak=rng.random() * 2) for _ in range(4)]
-        ood_probs = [_prob_tensor(rng, peak=rng.random()) for _ in range(5)]
-        got = ood_image_auroc(id_probs, ood_probs)
-        want = oracle_auroc(
-            [image_confidence(p) for p in id_probs],
-            [image_confidence(p) for p in ood_probs],
-        )
-        assert abs(got - want) < 1e-12
+    def test_image_level_perfect_separation(self, holdout_manifest):
+        # the shifted domain is sharper (tau 2.5), so every one of its images is
+        # more confident than every in-domain one
+        report = evaluate_manifest(holdout_manifest, None, EvalConfig(metrics=("ood_auroc",)))
+        assert report.ood_auroc == {"strange": 0.0}
 
-    def test_pixel_level_pools_across_images(self):
-        rng = np.random.default_rng(34)
-        probs = [_prob_tensor(rng, peak=4.0) for _ in range(2)]
-        masks = [rng.random((4, 4)) < 0.3 for _ in range(2)]
-        if not any(m.any() for m in masks):
-            masks[0][0, 0] = True
-        got = pixel_ood_auroc(probs, masks)
-        known, unknown = [], []
-        for p, m in zip(probs, masks):
-            conf = p.data.max(axis=2)
-            known.extend(conf[~m].tolist())
-            unknown.extend(conf[m].tolist())
-        assert abs(got - oracle_auroc(known, unknown)) < 1e-12
+    def test_image_level_matches_pairwise_oracle(self, holdout_manifest):
+        for score in SCORES:
+            report = evaluate_manifest(holdout_manifest, None, EvalConfig(score=score))
+            images = _oracle_images(holdout_manifest, score)
+            want = oracle_auroc([m for m, _, _ in images["id"]], [m for m, _, _ in images["strange"]])
+            assert abs(report.ood_auroc["strange"] - want) < 1e-12
+            for tag, parts in images.items():  # the ranked means are the oracle's
+                assert abs(report.domains[tag]["mean_confidence"] - np.mean([m for m, _, _ in parts])) < 1e-12
 
-    def test_pixel_level_mask_shape_mismatch_raises(self):
-        rng = np.random.default_rng(35)
-        probs = [_prob_tensor(rng)]
-        with pytest.raises(MetricError):
-            pixel_ood_auroc(probs, [np.zeros((2, 2), dtype=bool)])
+    def test_pixel_level_pools_across_images(self, holdout_manifest):
+        for score in SCORES:
+            report = evaluate_manifest(holdout_manifest, None, EvalConfig(score=score))
+            images = _oracle_images(holdout_manifest, score)
+            assert set(report.pixel_ood_auroc) == set(images)
+            for tag, parts in images.items():
+                known = np.concatenate([k for _, k, _ in parts])
+                unknown = np.concatenate([u for _, _, u in parts])
+                assert abs(report.pixel_ood_auroc[tag] - oracle_auroc_pairs(known, unknown)) < 1e-12
 
-    def test_pixel_level_without_any_ood_pixels_raises(self):
-        rng = np.random.default_rng(36)
-        probs = [_prob_tensor(rng)]
-        with pytest.raises(MetricError):
-            pixel_ood_auroc(probs, [np.zeros((4, 4), dtype=bool)])
+    def test_pixel_level_mask_shape_mismatch_raises(self, holdout_manifest, tmp_path):
+        manifest = _copy_manifest(holdout_manifest, tmp_path)
+        entry = manifest.select(split="test")[0]
+        write_mask(manifest.resolve(entry.ood_mask), np.zeros((2, 2), dtype=bool))
+        with pytest.raises(ManifestError, match="ood mask shape"):
+            evaluate_manifest(manifest, None, EvalConfig(metrics=("pixel_ood_auroc",)))
 
-    def test_pixel_level_empty_lists_raise(self):
-        with pytest.raises(MetricError):
-            pixel_ood_auroc([], [])
+    def test_pixel_level_without_any_ood_pixels_is_omitted(self, holdout_manifest, tmp_path):
+        manifest = _copy_manifest(holdout_manifest, tmp_path)
+        for entry in manifest.select(split="test", domain="strange"):
+            shape = read_mask(manifest.resolve(entry.ood_mask)).shape
+            write_mask(manifest.resolve(entry.ood_mask), np.zeros(shape, dtype=bool))
+        report = evaluate_manifest(manifest, None, EvalConfig(metrics=("pixel_ood_auroc",)))
+        assert set(report.pixel_ood_auroc) == {"id"}
 
-    def test_neg_entropy_score_supported(self):
-        rng = np.random.default_rng(37)
-        probs = [_prob_tensor(rng, peak=6.0) for _ in range(2)]
-        masks = [np.zeros((4, 4), dtype=bool) for _ in range(2)]
-        masks[0][0, :] = True
-        value = pixel_ood_auroc(probs, masks, score=ConfidenceScore.NEG_ENTROPY)
-        assert 0.0 <= value <= 1.0
+    def test_neg_entropy_score_supported(self, holdout_manifest):
+        score = ConfidenceScore.NEG_ENTROPY
+        report = evaluate_manifest(holdout_manifest, None, EvalConfig(score=score))
+        assert report.meta["score"] == "neg_entropy"
+        images = _oracle_images(holdout_manifest, score)
+        known = np.concatenate([k for _, k, _ in images["strange"]])
+        unknown = np.concatenate([u for _, _, u in images["strange"]])
+        assert abs(report.pixel_ood_auroc["strange"] - oracle_auroc_pairs(known, unknown)) < 1e-12
+        want = oracle_auroc([m for m, _, _ in images["id"]], [m for m, _, _ in images["strange"]])
+        assert abs(report.ood_auroc["strange"] - want) < 1e-12

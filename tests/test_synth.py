@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from relikit.confidence import ConfidenceScore, extract_records, softmax
+from relikit.calibration import apply_temperature
+from relikit.confidence import ConfidenceScore, extract_records
 from relikit.errors import UsageError
 from relikit.metrics import ece
 from relikit.synth import (
@@ -99,7 +100,7 @@ class TestGenerateScene:
         # tau = 1, no noise: softmax(logits) == p up to float32 quantization
         config = _tiny_config()
         scene = generate_scene(config, "a", "a-cal-000")
-        recovered = softmax(scene.logits).data
+        recovered = apply_temperature(scene.logits, 1.0).data
         np.testing.assert_allclose(recovered, scene.true_probs, atol=1e-4)
 
     def test_sharper_domain_is_more_confident(self):
@@ -107,8 +108,8 @@ class TestGenerateScene:
         flat = generate_scene(config, "a", "same-id")
         sharp = generate_scene(config, "b", "same-id")
         assert (
-            softmax(sharp.logits).data.max(axis=2).mean()
-            > softmax(flat.logits).data.max(axis=2).mean()
+            apply_temperature(sharp.logits, 1.0).data.max(axis=2).mean()
+            > apply_temperature(flat.logits, 1.0).data.max(axis=2).mean()
         )
 
     def test_identity_domain_is_calibrated(self):
@@ -119,7 +120,7 @@ class TestGenerateScene:
         )
         scene = generate_scene(config, "id", "id-cal-000")
         records = extract_records(
-            softmax(scene.logits), scene.labels, "id-cal-000",
+            apply_temperature(scene.logits, 1.0), scene.labels, "id-cal-000",
             score=ConfidenceScore.MAX_PROB, ignore_value=config.ignore_value,
         )
         assert ece(records, bins=15) < 0.03
@@ -142,7 +143,7 @@ class TestGenerateScene:
         )
         assert not np.any(scene.labels.data[~scene.ood_mask] == 4)
         # damped logits mean lower confidence on masked pixels
-        conf = softmax(scene.logits).data.max(axis=2)
+        conf = apply_temperature(scene.logits, 1.0).data.max(axis=2)
         assert conf[scene.ood_mask].mean() < conf[~scene.ood_mask].mean()
 
     def test_unknown_domain_tag_raises(self):
@@ -208,7 +209,7 @@ class TestGenerateBenchmark:
             confs = []
             for entry in ladder_manifest.select(split="test", domain=domain):
                 logits = read_logits(ladder_manifest.resolve(entry.logits))
-                confs.append(softmax(logits).data.max(axis=2).mean())
+                confs.append(apply_temperature(logits, 1.0).data.max(axis=2).mean())
             means[domain] = np.mean(confs)
         assert means["id"] < means["mild"] < means["strong"]
 

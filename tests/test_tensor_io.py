@@ -9,7 +9,6 @@ from relikit.errors import InvalidTensorError, TensorFormatError
 from relikit.tensor_io import (
     MAGIC,
     read_feature,
-    read_header,
     read_image,
     read_labels,
     read_logits,
@@ -35,67 +34,67 @@ def _valid_header(**overrides) -> dict:
 
 
 class TestHeaderParsing:
+    """Every reader parses its header the same way; labels and logits stand for them all."""
+
     def test_parses_minimal_file(self, tmp_path):
         path = tmp_path / "t.bin"
         path.write_bytes(_blob(_valid_header(), b"\x00\x00\x01\x00"))
-        header = read_header(path)
-        assert header.dtype == "u16"
-        assert header.layout == "HW"
-        assert (header.height, header.width, header.classes) == (1, 2, 2)
-        assert header.value_count == 2
-        assert header.payload_bytes == 4
+        labels = read_labels(path)
+        assert labels.data.dtype == np.uint16
+        assert labels.data.tolist() == [[0, 1]]
 
     def test_hwc_value_count_includes_classes(self, tmp_path):
         path = tmp_path / "t.bin"
-        payload = bytes(4 * 2 * 3 * 4)
-        path.write_bytes(_blob(_valid_header(dtype="f32", layout="HWC", height=2, width=3, classes=4), payload))
-        header = read_header(path)
-        assert header.value_count == 24
-        assert header.payload_bytes == 96
+        header = _valid_header(dtype="f32", layout="HWC", height=2, width=3, classes=4)
+        path.write_bytes(_blob(header, bytes(4 * 2 * 3 * 4)))
+        assert read_logits(path).data.shape == (2, 3, 4)
+        path.write_bytes(_blob(header, bytes(4 * 2 * 3)))  # the HW value count is too short
+        with pytest.raises(TensorFormatError):
+            read_logits(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(TensorFormatError):
-            read_header(tmp_path / "absent.bin")
+            read_labels(tmp_path / "absent.bin")
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "t.bin"
         blob = _blob(_valid_header(), b"\x00\x00\x01\x00")
         path.write_bytes(b"NOTMAGIC" + blob[8:])
         with pytest.raises(TensorFormatError):
-            read_header(path)
+            read_labels(path)
 
     def test_too_short_for_magic(self, tmp_path):
         path = tmp_path / "t.bin"
         path.write_bytes(b"RELITN")
         with pytest.raises(TensorFormatError):
-            read_header(path)
+            read_labels(path)
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "t.bin"
         blob = _blob(_valid_header(), b"\x00\x00\x01\x00")
         path.write_bytes(blob[: len(MAGIC) + 4 + 5])
         with pytest.raises(TensorFormatError):
-            read_header(path)
+            read_labels(path)
 
     def test_oversized_header_length(self, tmp_path):
         path = tmp_path / "t.bin"
         path.write_bytes(MAGIC + ((1 << 20) + 1).to_bytes(4, "little") + b"{}")
         with pytest.raises(TensorFormatError):
-            read_header(path)
+            read_labels(path)
 
     def test_header_not_json(self, tmp_path):
         path = tmp_path / "t.bin"
         body = b"not json at all"
         path.write_bytes(MAGIC + len(body).to_bytes(4, "little") + body)
         with pytest.raises(TensorFormatError):
-            read_header(path)
+            read_labels(path)
 
     def test_header_not_object(self, tmp_path):
         path = tmp_path / "t.bin"
         body = b"[1, 2]"
         path.write_bytes(MAGIC + len(body).to_bytes(4, "little") + body)
         with pytest.raises(TensorFormatError):
-            read_header(path)
+            read_labels(path)
 
     def test_missing_key(self, tmp_path):
         path = tmp_path / "t.bin"
@@ -103,41 +102,41 @@ class TestHeaderParsing:
         del header["classes"]
         path.write_bytes(_blob(header, b"\x00\x00\x01\x00"))
         with pytest.raises(TensorFormatError):
-            read_header(path)
+            read_labels(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "t.bin"
         path.write_bytes(_blob(_valid_header(comment="hi"), b"\x00\x00\x01\x00"))
         with pytest.raises(TensorFormatError):
-            read_header(path)
+            read_labels(path)
 
     def test_unknown_dtype(self, tmp_path):
         path = tmp_path / "t.bin"
         path.write_bytes(_blob(_valid_header(dtype="f64"), b"\x00" * 16))
         with pytest.raises(TensorFormatError):
-            read_header(path)
+            read_labels(path)
 
     def test_unknown_layout(self, tmp_path):
         path = tmp_path / "t.bin"
         path.write_bytes(_blob(_valid_header(layout="CHW"), b"\x00\x00\x01\x00"))
         with pytest.raises(TensorFormatError):
-            read_header(path)
+            read_labels(path)
 
     @pytest.mark.parametrize("bad", [0, -3, 2.0, "2", True, None])
     def test_non_positive_or_non_int_dims(self, tmp_path, bad):
         path = tmp_path / "t.bin"
         path.write_bytes(_blob(_valid_header(width=bad), b"\x00\x00\x01\x00"))
         with pytest.raises(TensorFormatError):
-            read_header(path)
+            read_labels(path)
 
     def test_payload_size_must_match_exactly(self, tmp_path):
         path = tmp_path / "t.bin"
         path.write_bytes(_blob(_valid_header(), b"\x00\x00\x01"))
         with pytest.raises(TensorFormatError):
-            read_header(path)
+            read_labels(path)
         path.write_bytes(_blob(_valid_header(), b"\x00\x00\x01\x00\x00"))
         with pytest.raises(TensorFormatError):
-            read_header(path)
+            read_labels(path)
 
 
 class TestRoundTrips:
