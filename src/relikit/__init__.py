@@ -15,11 +15,10 @@ from .calibration import (
     FeatureMode,
     GlobalTemperature,
     LtsHyper,
-    TemperatureMap,
     TemperatureRegressor,
     apply_calibrator,
-    apply_cluster_ts,
     apply_temperature,
+    calibrator_temperature,
     fit_cluster_ts,
     fit_global_ts,
     fit_lts,
@@ -28,7 +27,7 @@ from .calibration import (
     predict_temperature_map,
     save_calibrator,
 )
-from .confidence import ConfidenceScore, RecordSet, confidence_map, extract_records
+from .confidence import ConfidenceScore, RecordSet, confidence_map
 from .counterexample import Counterexample, CounterexampleSpec, build_counterexample, evaluate_counterexample
 from .errors import (
     CalibrationError,
@@ -60,6 +59,6 @@ from .metrics import (
 from .report import ReliabilityReport, from_json_bytes, to_csv_bytes, to_json_bytes
 from .rng import derive_stream, subsample_indices
 from .synth import DomainSpec, Scene, SynthConfig, default_ladder, generate_benchmark, generate_scene
-from .tensors import ImageTensor, LabelMap, LogitTensor, ProbTensor
+from .tensors import ImageTensor, LabelMap, LogitTensor, ProbTensor, TemperatureMap
 
 __version__ = "0.1.0"

@@ -2,7 +2,11 @@
 
 Four calibrators share one idea: divide logits by a positive temperature
 before the softmax, which sharpens (T < 1) or softens (T > 1) the
-distribution without ever changing the argmax.
+distribution without ever changing the argmax. Every calibrator is
+therefore a temperature per image: :func:`calibrator_temperature` returns
+a positive scalar or a per-pixel :class:`TemperatureMap`, which
+:func:`~relikit.confidence.confidence_map` turns into confidences (eval)
+and :func:`apply_temperature` into probabilities (:func:`apply_calibrator`).
 
 * global scaling   -- one temperature for the whole dataset, fitted by
   minimizing mean NLL over calibration pixels (:func:`fit_global_ts`);
@@ -36,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mlp, tensor_io
+from .confidence import scaled_logits
 from .errors import CalibrationError, ManifestError, NumericalError, UsageError
 from .kmeans import assign_points, kmeans
 from .manifest import DatasetManifest, ManifestEntry, load_features
@@ -45,6 +50,7 @@ from .tensors import (
     LabelMap,
     LogitTensor,
     ProbTensor,
+    TemperatureMap,
     check_same_shape,
     validate_labels,
 )
@@ -70,21 +76,6 @@ class FeatureMode(str, Enum):
 @dataclass(frozen=True)
 class GlobalTemperature:
     temperature: float
-
-
-@dataclass(frozen=True)
-class TemperatureMap:
-    """Per-pixel temperatures, (H, W) float64, strictly positive."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2:
-            raise CalibrationError(f"temperature map must be 2-D, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)) or arr.min() <= 0.0:
-            raise CalibrationError("temperature map must be finite and strictly positive")
-        object.__setattr__(self, "values", arr)
 
 
 @dataclass(frozen=True)
@@ -235,25 +226,9 @@ def fit_temperature(logits: np.ndarray, labels: np.ndarray,
     return temperature_of.get(best, 1.0 / best)
 
 
-def apply_temperature(logits: LogitTensor, temperature) -> ProbTensor:
-    """softmax(logits / T) with T a positive scalar or per-pixel map."""
-    if isinstance(temperature, GlobalTemperature):
-        temperature = temperature.temperature
-    z = logits.data.astype(np.float64)
-    if isinstance(temperature, TemperatureMap):
-        tmap = temperature.values
-        if tmap.shape != (logits.height, logits.width):
-            raise CalibrationError(
-                f"temperature map shape {tmap.shape} does not match image {(logits.height, logits.width)}"
-            )
-        z = z / tmap[:, :, None]
-    elif isinstance(temperature, np.ndarray):
-        return apply_temperature(logits, TemperatureMap(temperature))
-    else:
-        t = float(temperature)
-        if not np.isfinite(t) or t <= 0.0:
-            raise CalibrationError(f"temperature must be positive and finite, got {t}")
-        z = z / t
+def apply_temperature(logits: LogitTensor, temperature: float | TemperatureMap) -> ProbTensor:
+    """softmax(logits / T) with T a positive scalar or a per-pixel :class:`TemperatureMap`."""
+    z = scaled_logits(logits, temperature)
     z -= z.max(axis=2, keepdims=True)
     e = np.exp(z)
     e /= e.sum(axis=2, keepdims=True)
@@ -434,20 +409,6 @@ def assign_cluster(model: ClusterTemperatureModel, feature: np.ndarray) -> int:
     return int(assign_points(model.centroids, feature)[0])
 
 
-def apply_cluster_ts(model: ClusterTemperatureModel, feature: np.ndarray, logits: LogitTensor) -> ProbTensor:
-    """Calibrate one image with its cluster's temperature.
-
-    The ``per_class`` variant looks up each pixel's temperature by its
-    cluster and its argmax class.
-    """
-    cluster = assign_cluster(model, feature)
-    if model.variant is ClusterVariant.PER_IMAGE:
-        return apply_temperature(logits, float(model.temperatures[cluster]))
-    if logits.classes != model.classes:
-        raise CalibrationError(f"logits carry {logits.classes} classes, calibrator has {model.classes}")
-    return apply_temperature(logits, TemperatureMap(model.temperatures[cluster][logits.data.argmax(axis=2)]))
-
-
 def _lts_input(mode: FeatureMode, logits: np.ndarray, channels: np.ndarray | None) -> np.ndarray:
     """The regressor's per-pixel input rows, float64: (n, K) logits, (n, C) channels or both."""
     if mode is FeatureMode.LOGITS:
@@ -545,21 +506,39 @@ def needs_image(calibrator: Calibrator | FeatureMode | None) -> bool:
     return calibrator is FeatureMode.IMAGE or calibrator is FeatureMode.BOTH
 
 
-def apply_calibrator(calibrator: Calibrator | None, logits: LogitTensor,
-                     feature: np.ndarray | None = None,
-                     image: ImageTensor | None = None) -> ProbTensor:
-    """Dispatch any calibrator (or None for the raw softmax) on one image."""
+def calibrator_temperature(calibrator: Calibrator | None, logits: LogitTensor,
+                           feature: np.ndarray | None = None,
+                           image: ImageTensor | None = None) -> float | TemperatureMap:
+    """The temperature any calibrator (or None, for T = 1) gives one image.
+
+    A global or ``per_image`` cluster calibrator gives a scalar: its T or
+    the T of the image's cluster. A ``per_class`` cluster calibrator gives
+    each pixel the T of its (cluster, raw-logit argmax) cell, and LTS its
+    predicted map.
+    """
     if calibrator is None:
-        return apply_temperature(logits, 1.0)
+        return 1.0
     if isinstance(calibrator, GlobalTemperature):
-        return apply_temperature(logits, calibrator)
+        return calibrator.temperature
     if isinstance(calibrator, ClusterTemperatureModel):
         if feature is None:
             raise CalibrationError("cluster calibration needs the image's feature vector")
-        return apply_cluster_ts(calibrator, feature, logits)
+        temperatures = calibrator.temperatures[assign_cluster(calibrator, feature)]
+        if calibrator.variant is ClusterVariant.PER_IMAGE:
+            return float(temperatures)
+        if logits.classes != calibrator.classes:
+            raise CalibrationError(f"logits carry {logits.classes} classes, calibrator has {calibrator.classes}")
+        return TemperatureMap(temperatures[logits.data.argmax(axis=2)])
     if isinstance(calibrator, TemperatureRegressor):
-        return apply_temperature(logits, predict_temperature_map(calibrator, logits, image))
+        return predict_temperature_map(calibrator, logits, image)
     raise UsageError(f"unknown calibrator type {type(calibrator).__name__}")
+
+
+def apply_calibrator(calibrator: Calibrator | None, logits: LogitTensor,
+                     feature: np.ndarray | None = None,
+                     image: ImageTensor | None = None) -> ProbTensor:
+    """softmax(logits / T) with T from :func:`calibrator_temperature`."""
+    return apply_temperature(logits, calibrator_temperature(calibrator, logits, feature, image))
 
 
 def save_calibrator(calibrator: Calibrator, path) -> Path:

@@ -19,7 +19,6 @@ import json
 import os
 import sys
 from dataclasses import replace
-from enum import Enum
 from pathlib import Path
 
 from . import evaluate as ev
@@ -47,6 +46,7 @@ from .errors import (
     RelikitError,
     TensorFormatError,
     UsageError,
+    convert_option,
 )
 from .manifest import SPLITS, load_manifest
 from .tensors import validate_labels
@@ -101,29 +101,12 @@ def _require(options: dict, key: str):
     return options[key]
 
 
-def _convert(name: str, value, kind):
-    """Cast one option value with ``kind``; a value it rejects is a usage error.
-
-    A bool is no number and a float no integer, so ``true`` or ``2.7`` is not truncated.
-    """
-    try:
-        if kind in (int, float) and (isinstance(value, bool) or kind is int and isinstance(value, float)):
-            raise TypeError(value)
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        if isinstance(kind, type) and issubclass(kind, Enum):
-            expected = "one of " + ", ".join(member.value for member in kind)
-        else:
-            expected = "an integer" if kind is int else "a number"
-        raise UsageError(f"{name.replace('_', '-')} must be {expected}, got {value!r}") from exc
-
-
 def _resolve_workers(value) -> int:
     if value is None:
         value = os.environ.get(WORKERS_ENV)
     if value is None:
         return 1
-    workers = _convert("workers", value, int)
+    workers = convert_option("workers", value, int)
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
     return workers
@@ -131,7 +114,7 @@ def _resolve_workers(value) -> int:
 
 def _pixels(value) -> int | None:
     # 0 means "use every pixel"
-    count = _convert("pixels_per_image", value, int)
+    count = convert_option("pixels_per_image", value, int)
     if count < 0:
         raise UsageError(f"pixels-per-image must be >= 0, got {count}")
     return None if count == 0 else count
@@ -219,7 +202,7 @@ def _parse_domain_weights(value) -> dict[str, float] | None:
     if value is None:
         return None
     if isinstance(value, dict):
-        return {str(tag): _convert(f"domain weight {tag}", w, float) for tag, w in value.items()}
+        return {str(tag): convert_option(f"domain weight {tag}", w, float) for tag, w in value.items()}
     if not isinstance(value, list):
         raise UsageError(f"domain weights must be a list of tag=number or an object, got {value!r}")
     weights = {}
@@ -227,7 +210,7 @@ def _parse_domain_weights(value) -> dict[str, float] | None:
         tag, sep, w = str(item).partition("=")
         if not sep or not tag:
             raise UsageError(f"domain weight must look like tag=number, got {item!r}")
-        weights[tag] = _convert(f"domain weight {tag}", w, float)
+        weights[tag] = convert_option(f"domain weight {tag}", w, float)
     return weights
 
 
@@ -236,7 +219,7 @@ def cmd_fit(args) -> int:
     manifest = load_manifest(_require(options, "manifest"))
     out = Path(_require(options, "out"))
     method = options["method"]
-    seed = _convert("seed", options["seed"], int)
+    seed = convert_option("seed", options["seed"], int)
     split = options["split"]
     pixels = _pixels(options["pixels_per_image"])
     if method == "ts":
@@ -244,7 +227,7 @@ def cmd_fit(args) -> int:
         print(f"temperature: {calibrator.temperature:.6f}")
     elif method in ("cluster_ts", "class_cluster_ts"):
         variant = ClusterVariant.PER_IMAGE if method == "cluster_ts" else ClusterVariant.PER_CLASS
-        k = _convert("k", options["k"], int)
+        k = convert_option("k", options["k"], int)
         calibrator = fit_cluster_ts(manifest, k=k, variant=variant,
                                     split=split, pixels_per_image=pixels, seed=seed)
         print(f"clusters: {calibrator.clusters}  fallback temperature: "
@@ -257,14 +240,14 @@ def cmd_fit(args) -> int:
                 print(f"cluster {j}: T per class: {row}")
     elif method == "lts":
         hyper = LtsHyper(
-            hidden_width=_convert("hidden_width", options["hidden_width"], int),
-            t_floor=_convert("t_floor", options["t_floor"], float),
-            learning_rate=_convert("learning_rate", options["learning_rate"], float),
-            epochs=_convert("epochs", options["epochs"], int),
-            batch_pixels=_convert("batch_pixels", options["batch_pixels"], int),
+            hidden_width=convert_option("hidden_width", options["hidden_width"], int),
+            t_floor=convert_option("t_floor", options["t_floor"], float),
+            learning_rate=convert_option("learning_rate", options["learning_rate"], float),
+            epochs=convert_option("epochs", options["epochs"], int),
+            batch_pixels=convert_option("batch_pixels", options["batch_pixels"], int),
             domain_weights=_parse_domain_weights(options["domain_weights"]),
         )
-        feature_mode = _convert("feature_mode", options["feature_mode"], FeatureMode)
+        feature_mode = convert_option("feature_mode", options["feature_mode"], FeatureMode)
         calibrator, curve = fit_lts(manifest, feature_mode=feature_mode,
                                     hyper=hyper, split=split, pixels_per_image=pixels, seed=seed)
         print(f"regressor: mode={calibrator.feature_mode.value} input_dim={calibrator.input_dim} "
@@ -304,10 +287,10 @@ def cmd_eval(args) -> int:
     manifest = load_manifest(_require(options, "manifest"))
     config = ev.EvalConfig(
         split=options["split"],
-        score=_convert("score", options["score"], ConfidenceScore),
-        bins=_convert("bins", options["bins"], int),
+        score=convert_option("score", options["score"], ConfidenceScore),
+        bins=convert_option("bins", options["bins"], int),
         pixels_per_image=_pixels(options["pixels_per_image"]),
-        seed=_convert("seed", options["seed"], int),
+        seed=convert_option("seed", options["seed"], int),
         id_domain=options["id_domain"],
         metrics=_metrics(options["metrics"]),
         workers=_resolve_workers(options["workers"]),

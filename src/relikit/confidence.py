@@ -1,14 +1,16 @@
 """Confidence scores and flat prediction records.
 
 Every reliability metric in this package consumes the same substrate: a
-flat set of (confidence, predicted class, actual class) records extracted
-from per-pixel distributions. Two confidence scores are supported:
+flat set of (confidence, predicted class, actual class) records taken
+from per-pixel logits scaled by a temperature. Two confidence scores are
+supported:
 
 * ``max_prob``    -- the probability of the predicted class, in [0, 1];
 * ``neg_entropy`` -- sum_k p_k ln p_k, in [-ln K, 0], higher = more confident.
 
-Predicted classes always come from the distribution argmax with ties
-broken toward the lowest class index, independent of the score used.
+The predicted class is always the argmax of the raw logits, ties broken
+toward the lowest class index, whatever the score and the temperature:
+one positive temperature per pixel never reorders a pixel's classes.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidTensorError, MetricError
-from .rng import subsample_indices
-from .tensors import LabelMap, ProbTensor, check_same_shape, validate_labels
+from .errors import CalibrationError, InvalidTensorError, MetricError
+from .tensors import LogitTensor, TemperatureMap
 
 
 class ConfidenceScore(str, Enum):
@@ -29,23 +30,44 @@ class ConfidenceScore(str, Enum):
     NEG_ENTROPY = "neg_entropy"
 
 
-def confidence_map(probs: ProbTensor, score: ConfidenceScore = ConfidenceScore.MAX_PROB):
-    """Reduce per-pixel distributions to (confidence, predicted class) maps.
+def scaled_logits(logits: LogitTensor, temperature: float | TemperatureMap) -> np.ndarray:
+    """float64 logits / T, for T a positive finite scalar or a map of the image's shape."""
+    z = logits.data.astype(np.float64)
+    if isinstance(temperature, TemperatureMap):
+        tmap = temperature.values
+        if tmap.shape != (logits.height, logits.width):
+            raise CalibrationError(
+                f"temperature map shape {tmap.shape} does not match image {(logits.height, logits.width)}"
+            )
+        return z / tmap[:, :, None]
+    t = float(temperature)
+    if not np.isfinite(t) or t <= 0.0:
+        raise CalibrationError(f"temperature must be positive and finite, got {t}")
+    return z / t
 
-    Returns a float64 (H, W) confidence array and an int64 (H, W) array of
-    predicted classes. For ``neg_entropy`` the convention 0 * ln 0 = 0 is
-    used, so one-hot distributions score exactly 0.
+
+def confidence_map(logits: LogitTensor, temperature: float | TemperatureMap = 1.0,
+                   score: ConfidenceScore = ConfidenceScore.MAX_PROB):
+    """Per-pixel (confidence, predicted class) of softmax(logits / T).
+
+    Returns a float64 (H, W) confidence array and the int64 (H, W) argmax
+    of the raw logits. With z the scaled logits minus their row maximum
+    and s = sum_k exp z_k, ``max_prob`` is 1 / s; ``neg_entropy`` is
+    sum_k p_k ln p_k over p = exp z / s, with 0 * ln 0 = 0, so one-hot
+    distributions score exactly 0. No probability tensor is kept.
     """
-    p = probs.data
-    predicted = p.argmax(axis=2).astype(np.int64)
     score = ConfidenceScore(score)
+    predicted = logits.data.argmax(axis=2).astype(np.int64)
+    z = scaled_logits(logits, temperature)
+    z -= np.take_along_axis(z, predicted[:, :, None], axis=2)
+    e = np.exp(z, out=z)
+    total = e.sum(axis=2, keepdims=True)
     if score is ConfidenceScore.MAX_PROB:
-        conf = p.max(axis=2)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-        conf = terms.sum(axis=2)
-    return conf, predicted
+        return 1.0 / total[:, :, 0], predicted
+    p = np.divide(e, total, out=e)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+    return terms.sum(axis=2), predicted
 
 
 @dataclass(frozen=True)
@@ -98,38 +120,3 @@ class RecordSet:
             np.concatenate([p.predicted for p in parts]),
             np.concatenate([p.actual for p in parts]),
         )
-
-
-def extract_records(
-    probs: ProbTensor,
-    labels: LabelMap,
-    image_id: str,
-    *,
-    score: ConfidenceScore = ConfidenceScore.MAX_PROB,
-    ignore_value: int = 255,
-    pixels_per_image: int | None = None,
-    seed: int | None = None,
-) -> RecordSet:
-    """Flatten one image into prediction records, optionally subsampled.
-
-    Ignored pixels are dropped first; when ``pixels_per_image`` is given,
-    that many of the remaining pixels are drawn without replacement from a
-    stream derived from ``(seed, image_id)``, so any pass over the same
-    image with the same seed sees the same pixels. Records keep ascending
-    pixel order.
-    """
-    check_same_shape(probs, labels, "probs vs labels")
-    validate_labels(labels, probs.classes, ignore_value)
-    conf, predicted = confidence_map(probs, score)
-    flat_labels = labels.data.reshape(-1)
-    valid = np.flatnonzero(flat_labels != ignore_value)
-    if pixels_per_image is not None:
-        if seed is None:
-            raise MetricError("pixels_per_image requires a seed")
-        keep = subsample_indices(valid.shape[0], pixels_per_image, seed, f"pixels:{image_id}")
-        valid = valid[keep]
-    return RecordSet(
-        conf.reshape(-1)[valid],
-        predicted.reshape(-1)[valid],
-        flat_labels[valid].astype(np.int64),
-    )

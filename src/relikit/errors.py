@@ -3,8 +3,11 @@
 Every error raised by this package derives from :class:`RelikitError` so
 callers can catch one type at the boundary. The subclasses map onto the
 CLI exit codes: usage problems exit 1, data problems exit 2, numerical
-failures exit 3.
+failures exit 3. :func:`convert_option` is the one strict cast of option
+and config values, so a value of the wrong type is always a usage error.
 """
+
+from enum import Enum
 
 
 class RelikitError(Exception):
@@ -37,3 +40,20 @@ class NumericalError(RelikitError):
 
 class UsageError(RelikitError):
     """Bad command-line arguments or configuration values."""
+
+
+def convert_option(name: str, value, kind):
+    """Cast one option or config value with ``kind``; a value it rejects is a usage error.
+
+    A bool is no number and a float no integer, so ``true`` or ``2.7`` is not truncated.
+    """
+    try:
+        if kind in (int, float) and (isinstance(value, bool) or kind is int and isinstance(value, float)):
+            raise TypeError(value)
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        if isinstance(kind, type) and issubclass(kind, Enum):
+            expected = "one of " + ", ".join(member.value for member in kind)
+        else:
+            expected = "an integer" if kind is int else "a number"
+        raise UsageError(f"{name.replace('_', '-')} must be {expected}, got {value!r}") from exc

@@ -14,7 +14,12 @@ the worker count. Each image is loaded through
 identifies one pixel set per image everywhere. Besides the logits and
 labels it reads only what is used: the image for an LTS calibrator that
 takes image channels, the feature vector for a cluster calibrator, and
-the OOD mask when ``pixel_ood_auroc`` is requested.
+the OOD mask when ``pixel_ood_auroc`` is requested. The calibrator
+gives the image one temperature, a scalar or a per-pixel map
+(:func:`~relikit.calibration.calibrator_temperature`), and
+:func:`~relikit.confidence.confidence_map` reduces the scaled logits
+straight to confidences, without a probability tensor; the predicted
+class is the raw-logit argmax.
 
 Every per-domain quantity is computed once. The equal-width reliability
 bins behind ``ece`` are kept on the report (``bins``, not serialized) for
@@ -33,11 +38,12 @@ from functools import partial
 import numpy as np
 
 from . import metrics as met
-from .calibration import Calibrator, ClusterTemperatureModel, apply_calibrator, load_entry, needs_image
+from .calibration import Calibrator, ClusterTemperatureModel, calibrator_temperature, load_entry, needs_image
 from .confidence import ConfidenceScore, RecordSet, confidence_map
 from .errors import ManifestError, MetricError, UsageError
 from .manifest import DatasetManifest, ManifestEntry
-# Unused here since load_entry draws the pixels; the benchmark tracer's smoke test looks these bindings up.
+# Unused here; the benchmark tracer's smoke test looks these bindings up.
+from .calibration import apply_calibrator  # noqa: F401
 from .rng import subsample_indices  # noqa: F401
 from .tensors import validate_labels  # noqa: F401
 
@@ -87,13 +93,13 @@ def _summarize_image(manifest: DatasetManifest, entry: ManifestEntry,
                         mask="pixel_ood_auroc" in config.metrics)
     if loaded.valid.size == 0:
         raise MetricError(f"{entry.image_id}: image has no non-ignored pixels")
-    probs = apply_calibrator(calibrator, loaded.logits, feature=loaded.feature, image=loaded.image)
+    temperature = calibrator_temperature(calibrator, loaded.logits, feature=loaded.feature, image=loaded.image)
 
-    conf_cal, predicted = confidence_map(probs, ConfidenceScore.MAX_PROB)
+    conf_cal, predicted = confidence_map(loaded.logits, temperature)
     if config.score is ConfidenceScore.MAX_PROB:
         conf_rank = conf_cal
     else:
-        conf_rank, _ = confidence_map(probs, config.score)
+        conf_rank, _ = confidence_map(loaded.logits, temperature, config.score)
     flat_rank = conf_rank.reshape(-1)
 
     known_conf = unknown_conf = None

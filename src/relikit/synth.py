@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor_io
-from .errors import UsageError
+from .errors import UsageError, convert_option
 from .manifest import DatasetManifest, ManifestEntry, save_manifest
 from .rng import derive_stream
 from .tensors import ImageTensor, LabelMap, LogitTensor
@@ -301,15 +301,13 @@ def config_to_json(config: SynthConfig) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _optional_int(value) -> int | None:
-    return None if value is None else int(value)
-
-
 def config_from_json(source: str | dict) -> SynthConfig:
     """Build a config from JSON text or an already-parsed JSON object.
 
     Unknown keys and values that do not cast to their field's type are
-    usage errors.
+    usage errors. Values are cast as ``fit`` and ``eval`` options are
+    (:func:`~relikit.errors.convert_option`): a bool is no number and a
+    float no integer.
     """
     payload = source
     if isinstance(source, str):
@@ -328,6 +326,10 @@ def config_from_json(source: str | dict) -> SynthConfig:
     unknown = payload.keys() - known
     if unknown:
         raise UsageError(f"unknown benchmark config keys: {sorted(unknown)}")
+
+    def cast(source: dict, key: str, kind, default):
+        return convert_option(key, source.get(key, default), kind)
+
     try:
         domains = []
         for i, raw in enumerate(payload.get("domains", [])):
@@ -338,33 +340,28 @@ def config_from_json(source: str | dict) -> SynthConfig:
             domain_unknown = raw.keys() - domain_known
             if domain_unknown:
                 raise UsageError(f"domain {i}: unknown keys {sorted(domain_unknown)}")
+            counts = {key: None if raw.get(key) is None else cast(raw, key, int, None)
+                      for key in ("calibration_images", "test_images")}
             domains.append(DomainSpec(
                 tag=raw["tag"],
-                true_temperature=float(raw.get("true_temperature", 1.0)),
-                logit_noise=float(raw.get("logit_noise", 0.0)),
-                feature_offset=tuple(float(x) for x in raw.get("feature_offset", (0.0, 0.0))),
-                calibration_images=_optional_int(raw.get("calibration_images")),
-                test_images=_optional_int(raw.get("test_images")),
+                true_temperature=cast(raw, "true_temperature", float, 1.0),
+                logit_noise=cast(raw, "logit_noise", float, 0.0),
+                feature_offset=tuple(convert_option("feature_offset", x, float)
+                                     for x in raw.get("feature_offset", (0.0, 0.0))),
+                **counts,
             ))
         config = SynthConfig(
-            classes=int(payload.get("classes", defaults.classes)),
-            height=int(payload.get("height", defaults.height)),
-            width=int(payload.get("width", defaults.width)),
             domains=tuple(domains) if domains else defaults.domains,
-            concentration=float(payload.get("concentration", defaults.concentration)),
-            smoothing_radius=int(payload.get("smoothing_radius", defaults.smoothing_radius)),
-            sharpness=float(payload.get("sharpness", defaults.sharpness)),
-            seed=int(payload.get("seed", defaults.seed)),
-            feature_jitter=float(payload.get("feature_jitter", defaults.feature_jitter)),
-            calibration_images=int(payload.get("calibration_images", defaults.calibration_images)),
-            test_images=int(payload.get("test_images", defaults.test_images)),
-            ignore_value=int(payload.get("ignore_value", defaults.ignore_value)),
-            holdout_classes=tuple(int(c) for c in payload.get("holdout_classes", ())),
-            holdout_logit_damp=float(payload.get("holdout_logit_damp", defaults.holdout_logit_damp)),
-            channel_noise=float(payload.get("channel_noise", defaults.channel_noise)),
-            evidence_floor=float(payload.get("evidence_floor", defaults.evidence_floor)),
+            holdout_classes=tuple(convert_option("holdout_classes", c, int)
+                                  for c in payload.get("holdout_classes", ())),
+            **{key: cast(payload, key, int, getattr(defaults, key)) for key in (
+                "classes", "height", "width", "smoothing_radius", "seed",
+                "calibration_images", "test_images", "ignore_value")},
+            **{key: cast(payload, key, float, getattr(defaults, key)) for key in (
+                "concentration", "sharpness", "feature_jitter", "holdout_logit_damp",
+                "channel_noise", "evidence_floor")},
         )
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, UsageError) as exc:
         raise UsageError(f"benchmark config has a malformed value ({exc})") from exc
     validate_config(config)
     return config

@@ -20,11 +20,16 @@ they are referenced from rather than by the file itself:
 
 Round-trips are bit-exact: writing a tensor and reading it back yields
 equal arrays, and re-writing a freshly read file reproduces its bytes.
+A reader parses the header first and checks the payload size against
+the file size, then reads the payload straight into the returned array,
+so a file is held in memory once.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,33 +57,36 @@ class TensorHeader:
     payload_offset: int
 
     @property
-    def value_count(self) -> int:
+    def shape(self) -> tuple[int, ...]:
         if self.layout == "HWC":
-            return self.height * self.width * self.classes
-        return self.height * self.width
+            return (self.height, self.width, self.classes)
+        return (self.height, self.width)
 
     @property
     def payload_bytes(self) -> int:
-        return self.value_count * _DTYPES[self.dtype].itemsize
+        return math.prod(self.shape) * _DTYPES[self.dtype].itemsize
 
 
 def _fail(path, message: str) -> TensorFormatError:
     return TensorFormatError(f"{path}: {message}")
 
 
-def _parse_header(blob: bytes, path) -> TensorHeader:
-    if len(blob) < len(MAGIC) + 4:
+def _parse_header(file, size: int, path) -> TensorHeader:
+    """Read and check the header of an open file of ``size`` bytes, leaving it at the payload."""
+    start = len(MAGIC) + 4
+    prefix = file.read(start)
+    if len(prefix) < start:
         raise _fail(path, "file too short for magic and header length")
-    if blob[: len(MAGIC)] != MAGIC:
-        raise _fail(path, f"bad magic {blob[:len(MAGIC)]!r}")
-    header_len = int.from_bytes(blob[len(MAGIC) : len(MAGIC) + 4], "little")
+    if prefix[: len(MAGIC)] != MAGIC:
+        raise _fail(path, f"bad magic {prefix[:len(MAGIC)]!r}")
+    header_len = int.from_bytes(prefix[len(MAGIC) :], "little")
     if header_len > MAX_HEADER_BYTES:
         raise _fail(path, f"header length {header_len} exceeds {MAX_HEADER_BYTES}")
-    start = len(MAGIC) + 4
-    if len(blob) < start + header_len:
+    body = file.read(header_len)
+    if len(body) < header_len:
         raise _fail(path, "file truncated inside header")
     try:
-        header = json.loads(blob[start : start + header_len].decode("utf-8"))
+        header = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise _fail(path, f"header is not valid UTF-8 JSON ({exc})") from exc
     if not isinstance(header, dict):
@@ -110,7 +118,7 @@ def _parse_header(blob: bytes, path) -> TensorHeader:
         classes=dims["classes"],
         payload_offset=start + header_len,
     )
-    actual = len(blob) - parsed.payload_offset
+    actual = size - parsed.payload_offset
     if actual != parsed.payload_bytes:
         raise _fail(path, f"payload is {actual} bytes, header implies {parsed.payload_bytes}")
     return parsed
@@ -119,16 +127,14 @@ def _parse_header(blob: bytes, path) -> TensorHeader:
 def _read_raw(path) -> tuple[TensorHeader, np.ndarray]:
     path = Path(path)
     try:
-        blob = path.read_bytes()
+        with path.open("rb") as file:
+            header = _parse_header(file, os.fstat(file.fileno()).st_size, path)
+            arr = np.empty(header.shape, dtype=_DTYPES[header.dtype])
+            if file.readinto(memoryview(arr).cast("B")) != header.payload_bytes:
+                raise _fail(path, "file truncated inside payload")
     except OSError as exc:
         raise _fail(path, f"cannot read file ({exc})") from exc
-    header = _parse_header(blob, path)
-    flat = np.frombuffer(blob, dtype=_DTYPES[header.dtype], offset=header.payload_offset)
-    if header.layout == "HWC":
-        arr = flat.reshape(header.height, header.width, header.classes)
-    else:
-        arr = flat.reshape(header.height, header.width)
-    return header, arr.copy()
+    return header, arr
 
 
 def _write_raw(path, arr: np.ndarray, dtype: str, layout: str, classes: int) -> None:

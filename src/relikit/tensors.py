@@ -10,6 +10,7 @@ invariants once, at construction, so downstream code can rely on them:
   checked against a class count and ignore sentinel via :func:`validate_labels`
   because the map itself does not know either.
 * :class:`ImageTensor`  -- per-pixel input channels, (H, W, C) float32, C >= 1, finite.
+* :class:`TemperatureMap` -- per-pixel temperatures, (H, W) float64, finite and > 0.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidTensorError
+from .errors import CalibrationError, InvalidTensorError
 
 PROB_SUM_TOL = 1e-6
 PROB_RANGE_TOL = 1e-9
@@ -153,6 +154,21 @@ class ImageTensor:
     @property
     def channels(self) -> int:
         return self.data.shape[2]
+
+
+@dataclass(frozen=True)
+class TemperatureMap:
+    """Per-pixel temperatures, (H, W) float64, strictly positive."""
+
+    values: np.ndarray
+
+    def __post_init__(self):
+        arr = np.asarray(self.values, dtype=np.float64)
+        if arr.ndim != 2:
+            raise CalibrationError(f"temperature map must be 2-D, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)) or arr.min() <= 0.0:
+            raise CalibrationError("temperature map must be finite and strictly positive")
+        object.__setattr__(self, "values", arr)
 
 
 def validate_labels(labels: LabelMap, classes: int, ignore_value: int) -> None:

@@ -20,17 +20,13 @@ from relikit.calibration import (
     LtsHyper,
     apply_calibrator,
     apply_temperature,
+    calibrator_temperature,
     fit_cluster_ts,
     fit_global_ts,
     fit_lts,
 )
 from relikit.cli import main
-from relikit.confidence import (
-    ConfidenceScore,
-    RecordSet,
-    confidence_map,
-    extract_records,
-)
+from relikit.confidence import ConfidenceScore, RecordSet, confidence_map
 from relikit.counterexample import (
     CounterexampleSpec,
     build_counterexample,
@@ -38,6 +34,7 @@ from relikit.counterexample import (
 )
 from relikit.manifest import load_manifest
 from relikit.mlp import init_params, loss_and_grads
+from relikit.rng import subsample_indices
 from relikit.synth import DomainSpec, SynthConfig, generate_benchmark, generate_scene
 from relikit.tensors import LabelMap, LogitTensor
 
@@ -53,6 +50,16 @@ def _records(conf, correct) -> RecordSet:
     predicted = np.zeros(conf.shape[0], dtype=np.int64)
     actual = np.where(correct, 0, 1)
     return RecordSet(conf, predicted, actual)
+
+
+def _image_records(maps, labels, image_id, *, pixels_per_image=None, seed=0, ignore_value=255):
+    """One image's records as eval takes them: the (confidence, predicted) maps of
+    confidence_map at the non-ignored pixels, drawn from the (seed, "pixels:<id>") stream."""
+    conf, predicted = maps
+    flat = labels.data.reshape(-1)
+    rows = np.flatnonzero(flat != ignore_value)
+    rows = rows[subsample_indices(rows.size, pixels_per_image, seed, f"pixels:{image_id}")]
+    return RecordSet(conf.reshape(-1)[rows], predicted.reshape(-1)[rows], flat[rows].astype(np.int64))
 
 
 # ---------------------------------------------------------------- oracles
@@ -185,12 +192,12 @@ def test_criterion_03_subsampled_ece_tracks_full_image():
         concentration=0.25, smoothing_radius=1, sharpness=20.0,
     )
     scene = generate_scene(config, "warm", "warm-huge")
-    probs = apply_temperature(scene.logits, 1.0)
-    full = met.ece(extract_records(probs, scene.labels, "warm-huge"))
+    maps = confidence_map(scene.logits)
+    full = met.ece(_image_records(maps, scene.labels, "warm-huge"))
     worst = 0.0
     for seed in range(10):
-        sub = met.ece(extract_records(probs, scene.labels, "warm-huge",
-                                      pixels_per_image=20_000, seed=seed))
+        sub = met.ece(_image_records(maps, scene.labels, "warm-huge",
+                                     pixels_per_image=20_000, seed=seed))
         worst = max(worst, abs(sub - full))
     _verdict(3, worst < 0.005,
              f"2,097,152-pixel image: full ece={full:.5f}, "
@@ -215,11 +222,12 @@ def test_criterion_04_calibration_preserves_predictions(ladder_manifest):
         labels = tensor_io.read_labels(ladder_manifest.resolve(entry.labels))
         feature = tensor_io.read_feature(ladder_manifest.resolve(entry.feature))
         image = tensor_io.read_image(ladder_manifest.resolve(entry.image))
-        _, base_pred = confidence_map(apply_temperature(logits, 1.0))
+        base_pred = apply_temperature(logits, 1.0).data.argmax(axis=2)
+        maps_equal &= bool(np.array_equal(confidence_map(logits)[1], base_pred))
         base_conf += met.confusion_matrix(base_pred, labels, classes)
         for name, calibrator in calibrators.items():
             probs = apply_calibrator(calibrator, logits, feature=feature, image=image)
-            _, pred = confidence_map(probs)
+            pred = probs.data.argmax(axis=2)
             maps_equal &= bool(np.array_equal(pred, base_pred))
             conf[name] += met.confusion_matrix(pred, labels, classes)
     base_miou = met.iou_from_confusion(base_conf).miou
@@ -263,8 +271,8 @@ def _union_test_ece(manifest, calibrator):
         labels = tensor_io.read_labels(manifest.resolve(entry.labels))
         feature = tensor_io.read_feature(manifest.resolve(entry.feature))
         image = tensor_io.read_image(manifest.resolve(entry.image))
-        probs = apply_calibrator(calibrator, logits, feature=feature, image=image)
-        parts.append(extract_records(probs, labels, entry.image_id))
+        maps = confidence_map(logits, calibrator_temperature(calibrator, logits, feature, image))
+        parts.append(_image_records(maps, labels, entry.image_id))
     return met.ece(RecordSet.concat(parts))
 
 
@@ -285,8 +293,8 @@ def _domain_test_ece(manifest, calibrator, domain):
         logits = tensor_io.read_logits(manifest.resolve(entry.logits))
         labels = tensor_io.read_labels(manifest.resolve(entry.labels))
         image = tensor_io.read_image(manifest.resolve(entry.image))
-        probs = apply_calibrator(calibrator, logits, image=image)
-        parts.append(extract_records(probs, labels, entry.image_id))
+        maps = confidence_map(logits, calibrator_temperature(calibrator, logits, image=image))
+        parts.append(_image_records(maps, labels, entry.image_id))
     return met.ece(RecordSet.concat(parts))
 
 
@@ -408,11 +416,10 @@ def test_criterion_10_rank_metrics_invariant_under_monotone_transforms():
     # max probability, so both scores induce identical rank metrics
     logits = LogitTensor(rng.normal(scale=2.0, size=(20, 25, 2)))
     labels = LabelMap(rng.integers(0, 2, size=(20, 25)).astype(np.uint16))
-    probs = apply_temperature(logits, 1.0)
     two_class = True
     by_score = {}
     for score in (ConfidenceScore.MAX_PROB, ConfidenceScore.NEG_ENTROPY):
-        records = extract_records(probs, labels, "k2", score=score)
+        records = _image_records(confidence_map(logits, 1.0, score), labels, "k2")
         by_score[score] = (met.prr(records),
                            met.auroc(records.confidence[records.correct],
                                      records.confidence[~records.correct]))

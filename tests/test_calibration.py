@@ -22,9 +22,9 @@ from relikit.calibration import (
     TemperatureMap,
     TemperatureRegressor,
     apply_calibrator,
-    apply_cluster_ts,
     apply_temperature,
     assign_cluster,
+    calibrator_temperature,
     fit_cluster_ts,
     fit_global_ts,
     fit_lts,
@@ -37,11 +37,12 @@ from relikit.calibration import (
     save_calibrator,
     scaled_nll,
 )
-from relikit.confidence import ConfidenceScore, extract_records
+from relikit.confidence import confidence_map
 from relikit.errors import CalibrationError, ManifestError, UsageError
 from relikit.manifest import load_manifest
+from relikit.rng import subsample_indices
 from relikit.synth import DomainSpec, SynthConfig, generate_benchmark
-from relikit.tensor_io import read_logits
+from relikit.tensor_io import read_feature, read_image, read_labels, read_logits
 from relikit.tensors import LogitTensor
 
 
@@ -214,12 +215,6 @@ class TestApplyTemperature:
         e = np.exp(z - z.max(axis=2, keepdims=True))
         np.testing.assert_array_equal(apply_temperature(logits, 1.0).data, e / e.sum(axis=2, keepdims=True))
 
-    def test_global_temperature_wrapper_matches_scalar(self):
-        logits = self._logits()
-        a = apply_temperature(logits, 3.0)
-        b = apply_temperature(logits, GlobalTemperature(3.0))
-        np.testing.assert_array_equal(a.data, b.data)
-
     def test_argmax_preserved_for_any_temperature(self):
         logits = self._logits()
         base = apply_temperature(logits, 1.0).data.argmax(axis=2)
@@ -241,13 +236,6 @@ class TestApplyTemperature:
                     full[i, j], apply_temperature(one, float(tmap[i, j])).data[0, 0], atol=1e-15
                 )
 
-    def test_plain_array_dispatches_to_map(self):
-        logits = self._logits(shape=(3, 3, 2))
-        tmap = np.full((3, 3), 2.0)
-        a = apply_temperature(logits, tmap)
-        b = apply_temperature(logits, TemperatureMap(tmap))
-        np.testing.assert_array_equal(a.data, b.data)
-
     def test_high_temperature_softens(self):
         logits = self._logits()
         sharp = apply_temperature(logits, 1.0).data.max(axis=2)
@@ -257,11 +245,11 @@ class TestApplyTemperature:
 
     def test_invalid_temperatures_raise(self):
         logits = self._logits()
-        for bad in [0.0, -1.0, np.nan, np.inf]:
-            with pytest.raises(CalibrationError):
-                apply_temperature(logits, bad)
-        with pytest.raises(CalibrationError):
-            apply_temperature(logits, TemperatureMap(np.full((2, 2), 1.0)))  # wrong shape
+        # eval's kernel shares these checks
+        for bad in [0.0, -1.0, np.nan, np.inf, TemperatureMap(np.full((2, 2), 1.0))]:  # last: wrong shape
+            for apply in (apply_temperature, confidence_map):
+                with pytest.raises(CalibrationError):
+                    apply(logits, bad)
         with pytest.raises(CalibrationError):
             TemperatureMap(np.zeros((5, 6)))  # non-positive entries
 
@@ -276,17 +264,12 @@ class TestGatherPixelBatches:
         batch = batches[0]
         assert batch.logits.shape == (500, ladder_manifest.classes)
         logits = read_logits(ladder_manifest.resolve(entry.logits))
-        from relikit.tensor_io import read_labels
-
-        labels = read_labels(ladder_manifest.resolve(entry.labels))
-        records = extract_records(
-            apply_temperature(logits, 1.0), labels, entry.image_id,
-            score=ConfidenceScore.MAX_PROB,
-            ignore_value=ladder_manifest.ignore_value,
-            pixels_per_image=500, seed=11,
-        )
-        np.testing.assert_array_equal(batch.labels, records.actual)
-        np.testing.assert_array_equal(batch.predicted, records.predicted)
+        labels = read_labels(ladder_manifest.resolve(entry.labels)).data.reshape(-1)
+        valid = np.flatnonzero(labels != ladder_manifest.ignore_value)
+        rows = valid[subsample_indices(valid.size, 500, 11, f"pixels:{entry.image_id}")]
+        _, predicted = confidence_map(logits)
+        np.testing.assert_array_equal(batch.labels, labels[rows])
+        np.testing.assert_array_equal(batch.predicted, predicted.reshape(-1)[rows])
 
     def test_all_pixels_when_unlimited(self, ladder_manifest):
         entry = ladder_manifest.select(split="calibration")[0]
@@ -397,54 +380,50 @@ def model(ladder_manifest):
 
 
 class TestApplyClusterTs:
+    """Cluster temperature scaling of one image, through apply_calibrator."""
+
     def test_per_image_matches_scalar_application(self, ladder_manifest, model):
         entry = ladder_manifest.select(split="test")[0]
         logits = read_logits(ladder_manifest.resolve(entry.logits))
-        from relikit.tensor_io import read_feature
-
         feature = read_feature(ladder_manifest.resolve(entry.feature))
         cluster = assign_cluster(model, feature)
+        assert calibrator_temperature(model, logits, feature) == float(model.temperatures[cluster])
         expected = apply_temperature(logits, float(model.temperatures[cluster]))
-        got = apply_cluster_ts(model, feature, logits)
+        got = apply_calibrator(model, logits, feature=feature)
         np.testing.assert_array_equal(got.data, expected.data)
 
     def test_per_class_uses_predicted_class_cells(self, ladder_manifest):
         model = fit_cluster_ts(ladder_manifest, k=2, variant=ClusterVariant.PER_CLASS, seed=6)
         entry = ladder_manifest.select(split="test")[0]
         logits = read_logits(ladder_manifest.resolve(entry.logits))
-        from relikit.tensor_io import read_feature
-
         feature = read_feature(ladder_manifest.resolve(entry.feature))
         cluster = assign_cluster(model, feature)
         predicted = logits.data.argmax(axis=2)
         tmap = model.temperatures[cluster][predicted]
+        np.testing.assert_array_equal(calibrator_temperature(model, logits, feature).values, tmap)
         expected = apply_temperature(logits, TemperatureMap(tmap))
-        got = apply_cluster_ts(model, feature, logits)
+        got = apply_calibrator(model, logits, feature=feature)
         np.testing.assert_array_equal(got.data, expected.data)
 
     def test_bad_predicted_map_raises(self, ladder_manifest):
         model = fit_cluster_ts(ladder_manifest, k=2, variant=ClusterVariant.PER_CLASS, seed=6)
         entry = ladder_manifest.select(split="test")[0]
         logits = read_logits(ladder_manifest.resolve(entry.logits))
-        from relikit.tensor_io import read_feature
-
         feature = read_feature(ladder_manifest.resolve(entry.feature))
         # the argmax map indexes the temperature rows, so its classes must be the model's:
         # an extra class would index past the end, a missing one would be silently unused
         extra = np.concatenate([logits.data, np.full((logits.height, logits.width, 1), 99, np.float32)], axis=2)
         for data in (extra, logits.data[:, :, :-1]):
             with pytest.raises(CalibrationError, match="classes"):
-                apply_cluster_ts(model, feature, LogitTensor(data))
+                apply_calibrator(model, LogitTensor(data), feature=feature)
 
     def test_feature_width_mismatch_raises(self, ladder_manifest, model):
         entry = ladder_manifest.select(split="test")[0]
         logits = read_logits(ladder_manifest.resolve(entry.logits))
         wide = dataclasses.replace(model, centroids=np.pad(model.centroids, ((0, 0), (0, 1))))
-        from relikit.tensor_io import read_feature
-
         feature = read_feature(ladder_manifest.resolve(entry.feature))
         with pytest.raises(CalibrationError, match="centroids have"):
-            apply_cluster_ts(wide, feature, logits)
+            apply_calibrator(wide, logits, feature=feature)
         with pytest.raises(CalibrationError, match="centroids have"):
             assign_cluster(model, np.append(feature, 0.0))
 
@@ -460,8 +439,6 @@ class TestFitLts:
         assert len(curve) == 60
         entry = mono_manifest.select(split="test")[0]
         logits = read_logits(mono_manifest.resolve(entry.logits))
-        from relikit.tensor_io import read_image
-
         image = read_image(mono_manifest.resolve(entry.image))
         tmap = predict_temperature_map(regressor, logits, image)
         assert abs(tmap.values.mean() - target) / target < 0.15
@@ -471,8 +448,6 @@ class TestFitLts:
         hyper = LtsHyper(epochs=1)
         entry = mono_manifest.select(split="calibration")[0]
         logits = read_logits(mono_manifest.resolve(entry.logits))
-        from relikit.tensor_io import read_image
-
         image = read_image(mono_manifest.resolve(entry.image))
         for mode, dim in [
             (FeatureMode.LOGITS, mono_manifest.classes),
@@ -532,6 +507,20 @@ class TestApplyCalibrator:
         entry = ladder_manifest.select(split="test")[0]
         logits = read_logits(ladder_manifest.resolve(entry.logits))
         np.testing.assert_array_equal(apply_calibrator(None, logits).data, apply_temperature(logits, 1.0).data)
+
+    def test_temperature_of_each_calibrator(self, mono_manifest):
+        entry = mono_manifest.select(split="test")[0]
+        logits = read_logits(mono_manifest.resolve(entry.logits))
+        image = read_image(mono_manifest.resolve(entry.image))
+        regressor, _ = fit_lts(mono_manifest, feature_mode=FeatureMode.BOTH, hyper=LtsHyper(epochs=1), seed=1)
+        assert calibrator_temperature(None, logits) == 1.0
+        assert calibrator_temperature(GlobalTemperature(2.5), logits) == 2.5
+        tmap = calibrator_temperature(regressor, logits, image=image)
+        np.testing.assert_array_equal(tmap.values, predict_temperature_map(regressor, logits, image).values)
+        np.testing.assert_array_equal(apply_calibrator(regressor, logits, image=image).data,
+                                      apply_temperature(logits, tmap).data)
+        with pytest.raises(UsageError):
+            calibrator_temperature("ts", logits)
 
     def test_cluster_requires_feature(self, ladder_manifest):
         model = fit_cluster_ts(ladder_manifest, k=1, seed=0)

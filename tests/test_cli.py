@@ -1,10 +1,11 @@
 """Command-line interface: subcommands, option layering, exit codes."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from relikit import cli
@@ -18,6 +19,7 @@ from relikit.cli import main
 from relikit.errors import NumericalError
 from relikit.manifest import load_manifest
 from relikit.synth import DomainSpec, SynthConfig, config_to_json, generate_benchmark
+from relikit.tensor_io import MAGIC
 
 
 @pytest.fixture(scope="module")
@@ -391,6 +393,87 @@ class TestEval:
         assert code == 1 and "unknown metrics" in err
 
 
+_PREFIX = len(MAGIC) + 4
+_ALL_DAMAGE = ("truncate", "flip", "retype", "header_length")
+
+
+@st.composite
+def _damage(draw, size: int, body_len: int, kinds=_ALL_DAMAGE):
+    """How to damage a tensor file of ``size`` bytes whose JSON header is ``body_len`` bytes."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "truncate":
+        return kind, draw(st.integers(0, size - 1))
+    if kind == "flip":
+        return kind, draw(st.integers(0, _PREFIX + body_len - 1)), draw(st.integers(1, 255))
+    if kind == "retype":
+        return kind, draw(st.sampled_from(["f32", "u16", "f64"])), draw(st.sampled_from(["HWC", "HW", "CHW"]))
+    return kind, draw(st.integers(body_len + 1, 2**32 - 1))
+
+
+def _damaged(blob: bytes, damage) -> bytes:
+    """The file truncated, a header byte flipped, a wrong but well-formed dtype or layout
+    (payload sized to match), or a header length past the header."""
+    kind, *args = damage
+    body_len = int.from_bytes(blob[len(MAGIC):_PREFIX], "little")
+    if kind == "truncate":
+        return blob[:args[0]]
+    if kind == "flip":
+        at, mask = args
+        # JSON whitespace turned into other whitespace leaves the header as it was
+        assume(not (blob[at] in b" \t\n\r" and blob[at] ^ mask in b" \t\n\r"))
+        return blob[:at] + bytes([blob[at] ^ mask]) + blob[at + 1:]
+    if kind == "retype":
+        header = json.loads(blob[_PREFIX:_PREFIX + body_len])
+        dtype, layout = args
+        assume((dtype, layout) != (header["dtype"], header["layout"]))
+        values = header["height"] * header["width"] * (header["classes"] if layout == "HWC" else 1)
+        body = json.dumps(dict(header, dtype=dtype, layout=layout)).encode()
+        payload = bytes(values * {"f32": 4, "u16": 2, "f64": 8}[dtype])
+        return MAGIC + len(body).to_bytes(4, "little") + body + payload
+    return MAGIC + args[0].to_bytes(4, "little") + blob[_PREFIX:]
+
+
+class TestTensorFileFuzz:
+    """A damaged tensor file ends `eval` with exit 2 and one `error:` line, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def victim(self, bench, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz") / "bench"
+        shutil.copytree(bench.parent, root)
+        manifest = load_manifest(root / "manifest.json")
+        entry = manifest.select(split="test")[0]
+        return root / "manifest.json", manifest.resolve(entry.logits), manifest.resolve(entry.labels)
+
+    def _eval_damaged(self, capsys, victim, path, damage):
+        original = path.read_bytes()
+        path.write_bytes(_damaged(original, damage))
+        try:
+            code, _, err = _run(capsys, ["eval", "--manifest", str(victim[0]), "--metrics", "ece",
+                                         "--out", str(victim[0].parent / "r.json")])
+        finally:
+            path.write_bytes(original)
+        assert code == 2, err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_damaged_logits_exit_2(self, capsys, victim, data):
+        blob = victim[1].read_bytes()
+        damage = data.draw(_damage(len(blob), int.from_bytes(blob[len(MAGIC):_PREFIX], "little")))
+        self._eval_damaged(capsys, victim, victim[1], damage)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_damaged_labels_exit_2(self, capsys, victim, data):
+        # no header byte is flipped: a label file's classes field sizes nothing, so a new value is valid
+        blob = victim[2].read_bytes()
+        damage = data.draw(_damage(len(blob), int.from_bytes(blob[len(MAGIC):_PREFIX], "little"),
+                                   ("truncate", "retype", "header_length")))
+        self._eval_damaged(capsys, victim, victim[2], damage)
+
+
 class TestSynth:
     def test_builtin_benchmark(self, capsys, tmp_path):
         code, out, _ = _run(capsys, ["synth", "--out", str(tmp_path / "b"), "--seed", "3"])
@@ -431,6 +514,10 @@ class TestSynth:
         {"sharpness": [1.0]},
         {"classes": 1e400},
         {"domains": [{"tag": "a", "test_images": "many"}]},
+        {"height": 16.9},
+        {"seed": True},
+        {"domains": [{"tag": "a", "test_images": 2.5}]},
+        {"holdout_classes": [True]},
     ])
     def test_bad_config_value_is_usage_error(self, capsys, tmp_path, payload):
         config = tmp_path / "synth.json"

@@ -1,18 +1,19 @@
-"""Softmax, confidence maps, and record extraction."""
+"""Softmax, the confidence kernel, and per-image record extraction."""
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from relikit.calibration import apply_temperature
-from relikit.confidence import (
-    ConfidenceScore,
-    RecordSet,
-    confidence_map,
-    extract_records,
-)
+from relikit.calibration import TemperatureMap, apply_temperature, load_entry
+from relikit.confidence import ConfidenceScore, RecordSet, confidence_map
 from relikit.errors import InvalidTensorError, MetricError
+from relikit.evaluate import EvalConfig, evaluate_manifest
 from relikit.rng import subsample_indices
-from relikit.tensors import LabelMap, LogitTensor, ProbTensor
+from relikit.tensor_io import read_labels, write_labels
+from relikit.tensors import LabelMap, LogitTensor
 
 
 class TestSoftmax:
@@ -52,42 +53,94 @@ class TestSoftmax:
             np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
 
+def _logits(rows) -> LogitTensor:
+    return LogitTensor(np.array(rows, dtype=np.float32))
+
+
+def _reduce_probabilities(probs, score):
+    """The reduction of a probability tensor that eval ran before the kernel."""
+    p = probs.data
+    if score is ConfidenceScore.MAX_PROB:
+        return p.max(axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+    return terms.sum(axis=2)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """Random f32 logits, some pixels fully tied, and a scalar T or a TemperatureMap."""
+    height, width = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    classes = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.01, 1.0, 8.0, 60.0]))
+    data = rng.normal(scale=scale, size=(height, width, classes)).astype(np.float32)
+    tied = rng.random((height, width)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    data[tied] = data[tied][:, :1]
+    kind = draw(st.sampled_from(["bound", "scalar", "map"]))
+    if kind == "bound":
+        temperature = draw(st.sampled_from([0.05, 1.0, 20.0]))
+    elif kind == "scalar":
+        temperature = draw(st.floats(0.05, 20.0))
+    else:
+        temperature = TemperatureMap(np.exp(rng.uniform(np.log(0.05), np.log(20.0), (height, width))))
+    return LogitTensor(data), temperature
+
+
 class TestConfidenceMap:
     def test_max_prob_values(self):
-        probs = ProbTensor(np.array([[[0.7, 0.2, 0.1], [0.2, 0.5, 0.3]]]))
-        conf, pred = confidence_map(probs, ConfidenceScore.MAX_PROB)
-        np.testing.assert_allclose(conf[0], [0.7, 0.5])
+        logits = _logits(np.log([[[0.7, 0.2, 0.1], [0.2, 0.5, 0.3]]]))
+        conf, pred = confidence_map(logits, 1.0, ConfidenceScore.MAX_PROB)
+        np.testing.assert_allclose(conf[0], [0.7, 0.5], rtol=1e-6)
         np.testing.assert_array_equal(pred[0], [0, 1])
 
     def test_neg_entropy_uniform_binary(self):
-        probs = ProbTensor(np.array([[[0.5, 0.5]]]))
-        conf, _ = confidence_map(probs, ConfidenceScore.NEG_ENTROPY)
+        conf, _ = confidence_map(_logits([[[0.5, 0.5]]]), 1.0, ConfidenceScore.NEG_ENTROPY)
         assert conf[0, 0] == pytest.approx(-np.log(2.0), abs=1e-15)
 
     def test_neg_entropy_one_hot_is_zero(self):
-        probs = ProbTensor(np.array([[[1.0, 0.0, 0.0]]]))
-        conf, pred = confidence_map(probs, ConfidenceScore.NEG_ENTROPY)
+        # exp(-1000) underflows to 0, so the distribution is exactly one-hot
+        conf, pred = confidence_map(_logits([[[0.0, -1000.0, -1000.0]]]), 1.0, ConfidenceScore.NEG_ENTROPY)
         assert conf[0, 0] == 0.0
         assert pred[0, 0] == 0
 
     def test_argmax_tie_breaks_to_lowest_index(self):
-        probs = ProbTensor(np.array([[[0.4, 0.4, 0.2]]]))
         for score in ConfidenceScore:
-            _, pred = confidence_map(probs, score)
+            _, pred = confidence_map(_logits([[[1.5, 1.5, 0.2]]]), 3.0, score)
             assert pred[0, 0] == 0
 
     def test_predictions_agree_across_scores(self):
         rng = np.random.default_rng(12)
-        raw = rng.random((6, 6, 5))
-        probs = ProbTensor(raw / raw.sum(axis=2, keepdims=True))
-        _, pred_mp = confidence_map(probs, ConfidenceScore.MAX_PROB)
-        _, pred_ne = confidence_map(probs, ConfidenceScore.NEG_ENTROPY)
+        logits = LogitTensor(rng.normal(size=(6, 6, 5)).astype(np.float32))
+        _, pred_mp = confidence_map(logits, 0.7, ConfidenceScore.MAX_PROB)
+        _, pred_ne = confidence_map(logits, 0.7, ConfidenceScore.NEG_ENTROPY)
         np.testing.assert_array_equal(pred_mp, pred_ne)
+        np.testing.assert_array_equal(pred_mp, logits.data.argmax(axis=2))
 
     def test_accepts_plain_string_score(self):
-        probs = ProbTensor(np.array([[[0.9, 0.1]]]))
-        conf, _ = confidence_map(probs, "max_prob")
+        conf, _ = confidence_map(_logits(np.log([[[0.9, 0.1]]])), 1.0, "max_prob")
         assert conf[0, 0] == pytest.approx(0.9)
+
+    def test_prediction_is_the_raw_logit_argmax(self):
+        # softmax rounds [0, 1e-30] to two equal probabilities, whose argmax is class 0
+        logits = _logits([[[0.0, 1e-30]]])
+        assert apply_temperature(logits, 1.0).data.argmax(axis=2)[0, 0] == 0
+        for score in ConfidenceScore:
+            _, pred = confidence_map(logits, 1.0, score)
+            assert pred[0, 0] == 1
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_kernel_cases(), st.sampled_from(list(ConfidenceScore)))
+    @example((_logits(np.full((2, 3, 4), 2.5)), 0.05), ConfidenceScore.MAX_PROB)
+    @example((_logits(np.full((2, 3, 4), 2.5)), 20.0), ConfidenceScore.NEG_ENTROPY)
+    @example((_logits([[[0.0, 1e-30]]]), 1.0), ConfidenceScore.NEG_ENTROPY)
+    def test_matches_reduced_probabilities_bit_for_bit(self, case, score):
+        logits, temperature = case
+        conf, pred = confidence_map(logits, temperature, score)
+        expected = _reduce_probabilities(apply_temperature(logits, temperature), score)
+        np.testing.assert_array_equal(conf, expected)
+        assert conf.dtype == np.float64 and pred.dtype == np.int64
+        np.testing.assert_array_equal(pred, logits.data.argmax(axis=2))
 
 
 class TestRecordSet:
@@ -128,73 +181,90 @@ class TestRecordSet:
 
 
 class TestExtractRecords:
-    def _probs_labels(self, seed=14, shape=(6, 7), classes=4):
-        rng = np.random.default_rng(seed)
-        raw = rng.random((*shape, classes))
-        probs = ProbTensor(raw / raw.sum(axis=2, keepdims=True))
-        labels = LabelMap(rng.integers(0, classes, size=shape).astype(np.uint16))
-        return probs, labels
+    """Per-image records as eval takes them: load_entry draws the pixels, confidence_map scores them."""
 
-    def test_full_extraction_matches_maps(self):
-        probs, labels = self._probs_labels()
-        rs = extract_records(probs, labels, "img-0")
-        conf, pred = confidence_map(probs, ConfidenceScore.MAX_PROB)
-        assert len(rs) == probs.height * probs.width
-        np.testing.assert_array_equal(rs.confidence, conf.reshape(-1))
-        np.testing.assert_array_equal(rs.predicted, pred.reshape(-1))
-        np.testing.assert_array_equal(rs.actual, labels.data.reshape(-1).astype(np.int64))
+    @staticmethod
+    def _entry(manifest, index=0):
+        return manifest.select(split="test")[index]
 
-    def test_ignored_pixels_dropped(self):
-        probs, labels = self._probs_labels()
-        data = labels.data.copy()
-        data[0, :3] = 255
-        rs = extract_records(probs, LabelMap(data), "img-0", ignore_value=255)
-        assert len(rs) == probs.height * probs.width - 3
-        assert not np.any(rs.actual == 255)
+    @staticmethod
+    def _eval_one(manifest, entry, **config):
+        report = evaluate_manifest(dataclasses.replace(manifest, entries=(entry,)), None,
+                                   EvalConfig(metrics=("ece",), **config))
+        return report.domains[entry.domain]
 
-    def test_subsample_is_deterministic_and_sorted(self):
-        probs, labels = self._probs_labels()
-        a = extract_records(probs, labels, "img-0", pixels_per_image=10, seed=3)
-        b = extract_records(probs, labels, "img-0", pixels_per_image=10, seed=3)
-        assert len(a) == 10
-        np.testing.assert_array_equal(a.confidence, b.confidence)
-        np.testing.assert_array_equal(a.actual, b.actual)
+    def test_full_extraction_matches_maps(self, holdout_manifest):
+        entry = self._entry(holdout_manifest)
+        loaded = load_entry(holdout_manifest, entry, pixels_per_image=None, seed=0)
+        np.testing.assert_array_equal(loaded.rows, loaded.valid)
+        conf, pred = confidence_map(loaded.logits)
+        labels = loaded.labels.data.reshape(-1)[loaded.valid]
+        np.testing.assert_array_equal(loaded.drawn(conf), conf.reshape(-1)[loaded.valid])
+        stats = self._eval_one(holdout_manifest, entry, pixels_per_image=None)
+        assert stats["n_records"] == loaded.valid.size
+        assert stats["accuracy"] == float((pred.reshape(-1)[loaded.valid] == labels).mean())
+        assert stats["mean_confidence"] == float(conf.reshape(-1)[loaded.valid].mean())
 
-    def test_subsample_stream_depends_on_image_id(self):
-        probs, labels = self._probs_labels()
-        a = extract_records(probs, labels, "img-0", pixels_per_image=10, seed=3)
-        b = extract_records(probs, labels, "img-1", pixels_per_image=10, seed=3)
-        assert not np.array_equal(a.confidence, b.confidence)
+    def test_ignored_pixels_dropped(self, holdout_manifest):
+        entry = next(e for e in holdout_manifest.select(split="test")
+                     if np.any(read_labels(holdout_manifest.resolve(e.labels)).data == 255))
+        loaded = load_entry(holdout_manifest, entry, pixels_per_image=None, seed=0)
+        flat = loaded.labels.data.reshape(-1)
+        np.testing.assert_array_equal(loaded.valid, np.flatnonzero(flat != 255))
+        assert loaded.valid.size < flat.size
+        assert not np.any(loaded.drawn(loaded.labels.data) == 255)
+        assert self._eval_one(holdout_manifest, entry, pixels_per_image=None)["n_records"] == loaded.valid.size
 
-    def test_subsample_matches_shared_stream(self):
+    def test_subsample_is_deterministic_and_sorted(self, holdout_manifest):
+        entry = self._entry(holdout_manifest)
+        a = load_entry(holdout_manifest, entry, pixels_per_image=10, seed=3)
+        b = load_entry(holdout_manifest, entry, pixels_per_image=10, seed=3)
+        assert a.rows.shape == (10,)
+        assert np.all(np.diff(a.rows) > 0)
+        np.testing.assert_array_equal(a.rows, b.rows)
+        assert self._eval_one(holdout_manifest, entry, pixels_per_image=10, seed=3)["n_records"] == 10
+
+    def test_subsample_stream_depends_on_image_id(self, holdout_manifest):
+        entry = self._entry(holdout_manifest)
+        renamed = dataclasses.replace(entry, image_id=entry.image_id + "-copy")
+        a = load_entry(holdout_manifest, entry, pixels_per_image=10, seed=3)
+        b = load_entry(holdout_manifest, renamed, pixels_per_image=10, seed=3)
+        assert not np.array_equal(a.rows, b.rows)
+
+    def test_subsample_matches_shared_stream(self, holdout_manifest):
         # the subsample must come from the (seed, "pixels:<id>") stream over
         # valid-pixel positions so other consumers can reproduce it
-        probs, labels = self._probs_labels()
-        rs = extract_records(probs, labels, "img-7", pixels_per_image=9, seed=5)
-        valid = np.flatnonzero(labels.data.reshape(-1) != 255)
-        keep = subsample_indices(valid.shape[0], 9, 5, "pixels:img-7")
-        conf, _ = confidence_map(probs, ConfidenceScore.MAX_PROB)
-        np.testing.assert_array_equal(rs.confidence, conf.reshape(-1)[valid[keep]])
+        entry = self._entry(holdout_manifest)
+        loaded = load_entry(holdout_manifest, entry, pixels_per_image=9, seed=5)
+        keep = subsample_indices(loaded.valid.size, 9, 5, f"pixels:{entry.image_id}")
+        np.testing.assert_array_equal(loaded.rows, loaded.valid[keep])
+        _, pred = confidence_map(loaded.logits)
+        hits = pred.reshape(-1)[loaded.rows] == loaded.labels.data.reshape(-1)[loaded.rows]
+        stats = self._eval_one(holdout_manifest, entry, pixels_per_image=9, seed=5)
+        assert stats["n_records"] == 9 and stats["accuracy"] == float(hits.mean())
 
-    def test_subsample_count_covering_all_pixels(self):
-        probs, labels = self._probs_labels(shape=(3, 3))
-        rs = extract_records(probs, labels, "img-0", pixels_per_image=100, seed=0)
-        assert len(rs) == 9
+    def test_subsample_count_covering_all_pixels(self, holdout_manifest):
+        entry = self._entry(holdout_manifest)
+        loaded = load_entry(holdout_manifest, entry, pixels_per_image=10**6, seed=0)
+        np.testing.assert_array_equal(loaded.rows, loaded.valid)
 
-    def test_subsample_without_seed_raises(self):
-        probs, labels = self._probs_labels()
-        with pytest.raises(MetricError):
-            extract_records(probs, labels, "img-0", pixels_per_image=10)
-
-    def test_shape_mismatch_raises(self):
-        probs, _ = self._probs_labels(shape=(4, 4))
-        _, labels = self._probs_labels(shape=(5, 5))
+    def test_shape_mismatch_raises(self, holdout_manifest, tmp_path):
+        path = tmp_path / "small.labels.bin"
+        write_labels(path, LabelMap(np.zeros((5, 5), np.uint16)), holdout_manifest.classes)
+        entry = dataclasses.replace(self._entry(holdout_manifest), labels=str(path))
         with pytest.raises(InvalidTensorError):
-            extract_records(probs, labels, "img-0")
-
-    def test_out_of_range_label_raises(self):
-        probs, labels = self._probs_labels(classes=4)
-        data = labels.data.copy()
-        data[0, 0] = 4
+            load_entry(holdout_manifest, entry, pixels_per_image=None, seed=0)
         with pytest.raises(InvalidTensorError):
-            extract_records(probs, LabelMap(data), "img-0")
+            self._eval_one(holdout_manifest, entry)
+
+    def test_out_of_range_label_raises(self, holdout_manifest, tmp_path):
+        entry = self._entry(holdout_manifest)
+        data = read_labels(holdout_manifest.resolve(entry.labels)).data.copy()
+        data[0, 0] = holdout_manifest.classes
+        path = tmp_path / "bad.labels.bin"
+        write_labels(path, LabelMap(data), holdout_manifest.classes)
+        entry = dataclasses.replace(entry, labels=str(path))
+        with pytest.raises(InvalidTensorError):
+            load_entry(holdout_manifest, entry, pixels_per_image=None, seed=0)
+        with pytest.raises(InvalidTensorError):
+            self._eval_one(holdout_manifest, entry)

@@ -9,7 +9,10 @@ from relikit.calibration import GlobalTemperature
 from relikit.confidence import ConfidenceScore
 from relikit.errors import ManifestError, UsageError
 from relikit.evaluate import ALL_METRICS, EvalConfig, evaluate_manifest
+from relikit.manifest import DatasetManifest, ManifestEntry
 from relikit.report import to_csv_bytes, to_json_bytes
+from relikit.tensor_io import write_labels, write_logits
+from relikit.tensors import LabelMap, LogitTensor
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +130,17 @@ class TestEvaluateManifest:
             assert ranked.domains[tag]["ece"] == base.domains[tag]["ece"]
             assert ranked.domains[tag]["ks_error"] == base.domains[tag]["ks_error"]
         assert ranked.meta["score"] == "neg_entropy"
+
+    def test_prediction_is_the_raw_logit_argmax(self, tmp_path):
+        # softmax rounds [0, 1e-30] to two equal probabilities, whose argmax is class 0;
+        # the confusion matrix must count the logit argmax, class 1, as eval's prediction
+        write_logits(tmp_path / "a.logits.bin", LogitTensor(np.array([[[0.0, 1e-30]]], np.float32)))
+        write_labels(tmp_path / "a.labels.bin", LabelMap(np.array([[1]], np.uint16)), 2)
+        entry = ManifestEntry("a", "test", "id", "a.logits.bin", "a.labels.bin")
+        manifest = DatasetManifest(classes=2, ignore_value=255, entries=(entry,), root=tmp_path)
+        for calibrator in (None, GlobalTemperature(20.0)):
+            stats = evaluate_manifest(manifest, calibrator, EvalConfig(metrics=("miou",))).domains["id"]
+            assert stats["per_class_iou"] == [None, 1.0] and stats["accuracy"] == 1.0
 
     def test_pixel_ood_requires_masks(self, ladder_report, holdout_manifest):
         assert ladder_report.pixel_ood_auroc == {}

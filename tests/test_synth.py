@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from relikit.calibration import apply_temperature
-from relikit.confidence import ConfidenceScore, extract_records
+from relikit.confidence import RecordSet, confidence_map
 from relikit.errors import UsageError
 from relikit.metrics import ece
 from relikit.synth import (
@@ -119,10 +119,9 @@ class TestGenerateScene:
             height=96, width=96, seed=5,
         )
         scene = generate_scene(config, "id", "id-cal-000")
-        records = extract_records(
-            apply_temperature(scene.logits, 1.0), scene.labels, "id-cal-000",
-            score=ConfidenceScore.MAX_PROB, ignore_value=config.ignore_value,
-        )
+        conf, predicted = confidence_map(scene.logits)
+        keep = scene.labels.data != config.ignore_value
+        records = RecordSet(conf[keep], predicted[keep], scene.labels.data[keep])
         assert ece(records, bins=15) < 0.03
 
     def test_feature_carries_domain_offset(self):
