@@ -410,14 +410,14 @@ def assign_cluster(model: ClusterTemperatureModel, feature: np.ndarray) -> int:
 
 
 def _lts_input(mode: FeatureMode, logits: np.ndarray, channels: np.ndarray | None) -> np.ndarray:
-    """The regressor's per-pixel input rows, float64: (n, K) logits, (n, C) channels or both."""
-    if mode is FeatureMode.LOGITS:
-        rows = logits
-    elif mode is FeatureMode.IMAGE:
-        rows = channels
-    else:
-        rows = np.concatenate([logits, channels], axis=1)
-    return np.asarray(rows, dtype=np.float64)
+    """The regressor's per-pixel input rows: (n, K) logits, (n, C) channels or both.
+
+    Always a new float64 array, never a view of the caller's, so it may be
+    standardized in place.
+    """
+    parts = {FeatureMode.LOGITS: [logits], FeatureMode.IMAGE: [channels],
+             FeatureMode.BOTH: [logits, channels]}[mode]
+    return np.concatenate(parts, axis=1, dtype=np.float64)
 
 
 def fit_lts(manifest: DatasetManifest, *, feature_mode: FeatureMode = FeatureMode.BOTH,
@@ -454,14 +454,15 @@ def fit_lts(manifest: DatasetManifest, *, feature_mode: FeatureMode = FeatureMod
     mean = features.mean(axis=0)
     scale = features.std(axis=0)
     scale[scale < 1e-12] = 1.0
-    standardized = (features - mean) / scale
+    features -= mean
+    features /= scale
     params = mlp.init_params(
         features.shape[1], hyper.hidden_width,
         derive_stream(seed, "lts-init"),
         mlp.softplus_inverse(1.0 - hyper.t_floor),
     )
     curve = mlp.sgd_train(
-        params, standardized, logits, labels, hyper.t_floor,
+        params, features, logits, labels, hyper.t_floor,
         hyper.learning_rate, hyper.epochs, hyper.batch_pixels,
         derive_stream(seed, "lts-batches"), weights,
     )
@@ -493,8 +494,9 @@ def predict_temperature_map(regressor: TemperatureRegressor, logits: LogitTensor
         raise CalibrationError(
             f"feature dimension {features.shape[1]} does not match the regressor's {regressor.input_dim}"
         )
-    standardized = (features - regressor.feature_mean) / regressor.feature_scale
-    raw = mlp.raw_output(regressor.params, standardized)
+    features -= regressor.feature_mean
+    features /= regressor.feature_scale
+    raw = mlp.raw_output(regressor.params, features)
     t = mlp.softplus(raw) + regressor.t_floor
     return TemperatureMap(t.reshape(logits.height, logits.width))
 

@@ -57,17 +57,25 @@ def confidence_map(logits: LogitTensor, temperature: float | TemperatureMap = 1.
     distributions score exactly 0. No probability tensor is kept.
     """
     score = ConfidenceScore(score)
+    max_prob, neg_entropy, predicted = _confidence_pass(
+        logits, temperature, entropy=score is ConfidenceScore.NEG_ENTROPY)
+    return (max_prob if neg_entropy is None else neg_entropy), predicted
+
+
+def _confidence_pass(logits: LogitTensor, temperature: float | TemperatureMap, *, entropy: bool):
+    """(max_prob, neg_entropy or None, predicted) from one exp pass, as :func:`confidence_map` defines them."""
     predicted = logits.data.argmax(axis=2).astype(np.int64)
     z = scaled_logits(logits, temperature)
     z -= np.take_along_axis(z, predicted[:, :, None], axis=2)
     e = np.exp(z, out=z)
     total = e.sum(axis=2, keepdims=True)
-    if score is ConfidenceScore.MAX_PROB:
-        return 1.0 / total[:, :, 0], predicted
+    max_prob = 1.0 / total[:, :, 0]
+    if not entropy:
+        return max_prob, None, predicted
     p = np.divide(e, total, out=e)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    return terms.sum(axis=2), predicted
+    return max_prob, terms.sum(axis=2), predicted
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,9 @@ gives the image one temperature, a scalar or a per-pixel map
 (:func:`~relikit.calibration.calibrator_temperature`), and
 :func:`~relikit.confidence.confidence_map` reduces the scaled logits
 straight to confidences, without a probability tensor; the predicted
-class is the raw-logit argmax.
+class is the raw-logit argmax. Under ``neg_entropy`` one exp pass gives
+both the max-probability confidence (for the calibration metrics) and the
+entropy score (for ranking).
 
 Every per-domain quantity is computed once. The equal-width reliability
 bins behind ``ece`` are kept on the report (``bins``, not serialized) for
@@ -39,7 +41,7 @@ import numpy as np
 
 from . import metrics as met
 from .calibration import Calibrator, ClusterTemperatureModel, calibrator_temperature, load_entry, needs_image
-from .confidence import ConfidenceScore, RecordSet, confidence_map
+from .confidence import ConfidenceScore, RecordSet, _confidence_pass, confidence_map
 from .errors import ManifestError, MetricError, UsageError
 from .manifest import DatasetManifest, ManifestEntry
 # Unused here; the benchmark tracer's smoke test looks these bindings up.
@@ -95,11 +97,11 @@ def _summarize_image(manifest: DatasetManifest, entry: ManifestEntry,
         raise MetricError(f"{entry.image_id}: image has no non-ignored pixels")
     temperature = calibrator_temperature(calibrator, loaded.logits, feature=loaded.feature, image=loaded.image)
 
-    conf_cal, predicted = confidence_map(loaded.logits, temperature)
     if config.score is ConfidenceScore.MAX_PROB:
+        conf_cal, predicted = confidence_map(loaded.logits, temperature)
         conf_rank = conf_cal
     else:
-        conf_rank, _ = confidence_map(loaded.logits, temperature, config.score)
+        conf_cal, conf_rank, predicted = _confidence_pass(loaded.logits, temperature, entropy=True)
     flat_rank = conf_rank.reshape(-1)
 
     known_conf = unknown_conf = None

@@ -8,6 +8,11 @@ predicted temperature; its gradient with respect to the temperature is
 ``(z_y - sum_k p_k z_k) / t^2``, back-propagated through softplus and the
 network by hand. :func:`loss_and_grads` is checked against central finite
 differences in the test suite.
+
+:func:`loss_and_grads` and the forward-only :func:`mean_nll` share one
+forward pass, so their losses agree bit for bit. :func:`sgd_train` takes
+gradients on minibatches only; each epoch's loss on the curve is a
+forward-only :func:`mean_nll` pass over all calibration pixels.
 """
 
 from __future__ import annotations
@@ -59,9 +64,62 @@ def init_params(input_dim: int, hidden: int, rng: np.random.Generator, raw_bias:
     )
 
 
+def _hidden(params: MlpParams, features: np.ndarray) -> np.ndarray:
+    hidden = features @ params.w1.T
+    hidden += params.b1
+    return np.tanh(hidden, out=hidden)
+
+
 def raw_output(params: MlpParams, features: np.ndarray) -> np.ndarray:
-    hidden = np.tanh(features @ params.w1.T + params.b1)
-    return hidden @ params.w2 + params.b2
+    return _hidden(params, features) @ params.w2 + params.b2
+
+
+@dataclass
+class _Forward:
+    """What the forward pass leaves for the backward pass."""
+
+    loss: float
+    hidden: np.ndarray  # (n, hidden) tanh activations
+    raw: np.ndarray     # (n,) network output
+    t: np.ndarray       # (n,) temperatures
+    expd: np.ndarray    # (n, K) exp of the shifted scaled logits
+    norm: np.ndarray    # (n,) row sums of expd
+    scale: np.ndarray   # (n,) normalized per-pixel loss weights
+
+
+def _forward(params: MlpParams, features: np.ndarray, logits: np.ndarray, labels: np.ndarray,
+             t_floor: float, weights: np.ndarray | None) -> _Forward:
+    n = features.shape[0]
+    hidden = _hidden(params, features)
+    raw = hidden @ params.w2 + params.b2
+    t = softplus(raw) + t_floor
+    scaled = logits / t[:, None]
+    shift = scaled.max(axis=1, keepdims=True)
+    expd = np.exp(scaled - shift)
+    norm = expd.sum(axis=1)
+    lse = shift[:, 0] + np.log(norm)
+    nll = lse - scaled[np.arange(n), labels]
+    if weights is None:
+        scale = np.full(n, 1.0 / n)
+    else:
+        weights = np.asarray(weights, dtype=np.float64)
+        total = weights.sum()
+        if total <= 0:
+            raise ValueError("weights must have positive sum")
+        scale = weights / total
+    loss = float((nll * scale).sum())
+    return _Forward(loss, hidden, raw, t, expd, norm, scale)
+
+
+def _as_float64(features, logits, labels):
+    return (np.asarray(features, dtype=np.float64), np.asarray(logits, dtype=np.float64),
+            np.asarray(labels, dtype=np.int64))
+
+
+def mean_nll(params: MlpParams, features: np.ndarray, logits: np.ndarray, labels: np.ndarray,
+             t_floor: float, weights: np.ndarray | None = None) -> float:
+    """The loss of :func:`loss_and_grads`, bit for bit, from the forward pass alone."""
+    return _forward(params, *_as_float64(features, logits, labels), t_floor, weights).loss
 
 
 def loss_and_grads(params: MlpParams, features: np.ndarray, logits: np.ndarray,
@@ -73,44 +131,28 @@ def loss_and_grads(params: MlpParams, features: np.ndarray, logits: np.ndarray,
     temperatures). ``weights`` defaults to uniform and is normalized to
     sum to one.
     """
-    features = np.asarray(features, dtype=np.float64)
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    n = features.shape[0]
-    rows = np.arange(n)
-    hidden = np.tanh(features @ params.w1.T + params.b1)
-    raw = hidden @ params.w2 + params.b2
-    t = softplus(raw) + t_floor
-    scaled = logits / t[:, None]
-    shift = scaled.max(axis=1, keepdims=True)
-    expd = np.exp(scaled - shift)
-    norm = expd.sum(axis=1)
-    lse = shift[:, 0] + np.log(norm)
-    nll = lse - scaled[rows, labels]
-    if weights is None:
-        scale = np.full(n, 1.0 / n)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        total = weights.sum()
-        if total <= 0:
-            raise ValueError("weights must have positive sum")
-        scale = weights / total
-    loss = float((nll * scale).sum())
-    probs = expd / norm[:, None]
-    dloss_dt = (logits[rows, labels] - (probs * logits).sum(axis=1)) / t**2
-    g_raw = dloss_dt * sigmoid(raw) * scale
+    features, logits, labels = _as_float64(features, logits, labels)
+    fwd = _forward(params, features, logits, labels, t_floor, weights)
+    probs = fwd.expd / fwd.norm[:, None]
+    rows = np.arange(features.shape[0])
+    dloss_dt = (logits[rows, labels] - (probs * logits).sum(axis=1)) / fwd.t**2
+    g_raw = dloss_dt * sigmoid(fwd.raw) * fwd.scale
     g_b2 = float(g_raw.sum())
-    g_w2 = hidden.T @ g_raw
-    g_hidden = np.outer(g_raw, params.w2) * (1.0 - hidden**2)
+    g_w2 = fwd.hidden.T @ g_raw
+    g_hidden = np.outer(g_raw, params.w2) * (1.0 - fwd.hidden**2)
     g_w1 = g_hidden.T @ features
     g_b1 = g_hidden.sum(axis=0)
-    return loss, MlpParams(g_w1, g_b1, g_w2, g_b2), t
+    return fwd.loss, MlpParams(g_w1, g_b1, g_w2, g_b2), fwd.t
 
 
 def sgd_train(params: MlpParams, features: np.ndarray, logits: np.ndarray, labels: np.ndarray,
               t_floor: float, learning_rate: float, epochs: int, batch_pixels: int,
               rng: np.random.Generator, weights: np.ndarray | None = None) -> list[float]:
-    """Mini-batch gradient descent in place; returns the per-epoch full-data loss."""
+    """Mini-batch gradient descent in place; returns the per-epoch full-data loss.
+
+    Each epoch takes ``ceil(n / batch_pixels)`` gradient steps, then records
+    :func:`mean_nll` over all ``n`` rows, a forward pass with no gradients.
+    """
     n = features.shape[0]
     batch_pixels = max(1, min(batch_pixels, n))
     curve = []
@@ -126,6 +168,5 @@ def sgd_train(params: MlpParams, features: np.ndarray, logits: np.ndarray, label
             params.b1 -= learning_rate * grads.b1
             params.w2 -= learning_rate * grads.w2
             params.b2 -= learning_rate * grads.b2
-        loss, _, _ = loss_and_grads(params, features, logits, labels, t_floor, weights)
-        curve.append(loss)
+        curve.append(mean_nll(params, features, logits, labels, t_floor, weights))
     return curve

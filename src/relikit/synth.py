@@ -342,6 +342,8 @@ def config_from_json(source: str | dict) -> SynthConfig:
                 raise UsageError(f"domain {i}: unknown keys {sorted(domain_unknown)}")
             counts = {key: None if raw.get(key) is None else cast(raw, key, int, None)
                       for key in ("calibration_images", "test_images")}
+            if not isinstance(raw["tag"], str) or not raw["tag"]:
+                raise UsageError(f"domain {i}: tag must be a non-empty string, got {raw['tag']!r}")
             domains.append(DomainSpec(
                 tag=raw["tag"],
                 true_temperature=cast(raw, "true_temperature", float, 1.0),

@@ -494,6 +494,28 @@ class TestFitLts:
         np.testing.assert_array_equal(runs[0][0].params.to_vector(), runs[1][0].params.to_vector())
         assert runs[0][1] == runs[1][1]
 
+    @pytest.mark.parametrize("mode", list(FeatureMode))
+    def test_predict_matches_standardize_then_network_formula(self, mono_manifest, mode):
+        regressor, _ = fit_lts(mono_manifest, feature_mode=mode, hyper=LtsHyper(epochs=1), seed=3)
+        entry = mono_manifest.select(split="test")[0]
+        logits = read_logits(mono_manifest.resolve(entry.logits))
+        image = read_image(mono_manifest.resolve(entry.image))
+        logits_before, image_before = logits.data.copy(), image.data.copy()
+        tmap = predict_temperature_map(regressor, logits, image)
+        # the caller's tensors are untouched by the in-place standardization
+        np.testing.assert_array_equal(logits.data, logits_before)
+        np.testing.assert_array_equal(image.data, image_before)
+        rows = {FeatureMode.LOGITS: [logits.data.reshape(-1, logits.classes)],
+                FeatureMode.IMAGE: [image.data.reshape(-1, image.channels)],
+                FeatureMode.BOTH: [logits.data.reshape(-1, logits.classes),
+                                   image.data.reshape(-1, image.channels)]}[mode]
+        features = np.asarray(np.concatenate(rows, axis=1), dtype=np.float64)
+        standardized = (features - regressor.feature_mean) / regressor.feature_scale
+        params = regressor.params
+        raw = np.tanh(standardized @ params.w1.T + params.b1) @ params.w2 + params.b2
+        expected = np.logaddexp(0.0, raw) + regressor.t_floor
+        np.testing.assert_array_equal(tmap.values, expected.reshape(logits.height, logits.width))
+
     def test_predict_validates_dimensions(self, mono_manifest):
         regressor, _ = fit_lts(mono_manifest, feature_mode=FeatureMode.BOTH, hyper=LtsHyper(epochs=1), seed=1)
         entry = mono_manifest.select(split="test")[0]

@@ -518,6 +518,10 @@ class TestSynth:
         {"seed": True},
         {"domains": [{"tag": "a", "test_images": 2.5}]},
         {"holdout_classes": [True]},
+        {"domains": [{"tag": 5}]},
+        {"domains": [{"tag": ""}]},
+        {"domains": [{"tag": None}]},
+        {"domains": [{"tag": ["a"]}]},
     ])
     def test_bad_config_value_is_usage_error(self, capsys, tmp_path, payload):
         config = tmp_path / "synth.json"

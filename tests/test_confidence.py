@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relikit.calibration import TemperatureMap, apply_temperature, load_entry
-from relikit.confidence import ConfidenceScore, RecordSet, confidence_map
+from relikit.confidence import ConfidenceScore, RecordSet, _confidence_pass, confidence_map
 from relikit.errors import InvalidTensorError, MetricError
 from relikit.evaluate import EvalConfig, evaluate_manifest
 from relikit.rng import subsample_indices
@@ -141,6 +141,25 @@ class TestConfidenceMap:
         np.testing.assert_array_equal(conf, expected)
         assert conf.dtype == np.float64 and pred.dtype == np.int64
         np.testing.assert_array_equal(pred, logits.data.argmax(axis=2))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_kernel_cases())
+    @example((_logits(np.full((2, 3, 4), 2.5)), 0.05))
+    @example((_logits(np.full((2, 3, 4), 2.5)), 20.0))
+    @example((_logits([[[0.0, 1e-30], [3.0, -900.0]]]), 0.05))
+    def test_one_pass_gives_both_scores_bit_for_bit(self, case):
+        # eval's neg_entropy path takes both scores from a single exp pass
+        logits, temperature = case
+        max_prob, neg_entropy, pred = _confidence_pass(logits, temperature, entropy=True)
+        expected_mp, pred_mp = confidence_map(logits, temperature, ConfidenceScore.MAX_PROB)
+        expected_ne, pred_ne = confidence_map(logits, temperature, ConfidenceScore.NEG_ENTROPY)
+        np.testing.assert_array_equal(max_prob, expected_mp)
+        np.testing.assert_array_equal(neg_entropy, expected_ne)
+        np.testing.assert_array_equal(pred, pred_mp)
+        np.testing.assert_array_equal(pred, pred_ne)
+        probs = apply_temperature(logits, temperature)
+        np.testing.assert_array_equal(max_prob, _reduce_probabilities(probs, ConfidenceScore.MAX_PROB))
+        np.testing.assert_array_equal(neg_entropy, _reduce_probabilities(probs, ConfidenceScore.NEG_ENTROPY))
 
 
 class TestRecordSet:

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from relikit import confidence
 from relikit.calibration import GlobalTemperature
 from relikit.confidence import ConfidenceScore
 from relikit.errors import ManifestError, UsageError
@@ -130,6 +131,14 @@ class TestEvaluateManifest:
             assert ranked.domains[tag]["ece"] == base.domains[tag]["ece"]
             assert ranked.domains[tag]["ks_error"] == base.domains[tag]["ks_error"]
         assert ranked.meta["score"] == "neg_entropy"
+
+    def test_neg_entropy_scales_each_image_once(self, ladder_manifest, monkeypatch):
+        # both scores come from one divide-and-exp pass over each image's logits
+        calls = []
+        real = confidence.scaled_logits
+        monkeypatch.setattr(confidence, "scaled_logits", lambda *args: calls.append(1) or real(*args))
+        evaluate_manifest(ladder_manifest, None, EvalConfig(seed=3, score=ConfidenceScore.NEG_ENTROPY))
+        assert len(calls) == len(ladder_manifest.select(split="test"))
 
     def test_prediction_is_the_raw_logit_argmax(self, tmp_path):
         # softmax rounds [0, 1e-30] to two equal probabilities, whose argmax is class 0;

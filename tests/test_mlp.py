@@ -1,12 +1,18 @@
 """Hand-written MLP gradients vs central finite differences, plus training."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from relikit import mlp
 from relikit.mlp import (
     MlpParams,
     init_params,
     loss_and_grads,
+    mean_nll,
     raw_output,
     sgd_train,
     sigmoid,
@@ -148,19 +154,99 @@ class TestLossAndGrads:
         assert loss == pytest.approx(direct / 25, rel=1e-12)
 
     def test_extreme_raw_outputs_stay_finite(self):
-        params = MlpParams(
-            w1=np.full((2, 1), 50.0), b1=np.zeros(2), w2=np.array([100.0, 100.0]), b2=0.0
-        )
-        features = np.array([[5.0], [-5.0]])
-        logits = np.array([[4.0, -4.0], [0.5, -0.5]])
-        labels = np.array([0, 1])
+        params, features, logits, labels = _extreme_problem()
         loss, grads, t = loss_and_grads(params, features, logits, labels, 0.05)
         assert np.isfinite(loss)
         assert np.all(np.isfinite(grads.to_vector()))
         assert np.all(np.isfinite(t))
 
 
+def _extreme_problem():
+    """Raw outputs of about +-200, where softplus saturates and t spans 0.05 .. 200."""
+    params = MlpParams(w1=np.full((2, 1), 50.0), b1=np.zeros(2), w2=np.array([100.0, 100.0]), b2=0.0)
+    return params, np.array([[5.0], [-5.0]]), np.array([[4.0, -4.0], [0.5, -0.5]]), np.array([0, 1])
+
+
+@st.composite
+def _loss_cases(draw):
+    """A random network and batch, with or without per-pixel weights."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, input_dim = draw(st.integers(1, 60)), draw(st.integers(1, 6))
+    classes, hidden = draw(st.integers(2, 6)), draw(st.integers(1, 6))
+    params = init_params(input_dim, hidden, rng, raw_bias=float(rng.normal()))
+    features = rng.normal(scale=draw(st.sampled_from([0.1, 1.0, 10.0])), size=(n, input_dim))
+    logits = rng.normal(scale=draw(st.sampled_from([0.5, 3.0, 30.0])), size=(n, classes))
+    labels = rng.integers(0, classes, size=n)
+    weights = rng.random(n) + 0.01 if draw(st.booleans()) else None
+    return params, features, logits, labels, weights
+
+
+class TestMeanNll:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_loss_cases(), st.sampled_from([0.05, 0.3]))
+    @example((*_extreme_problem(), None), 0.05)
+    @example((*_extreme_problem(), np.array([0.25, 3.0])), 0.05)
+    def test_equals_loss_and_grads_loss_bit_for_bit(self, case, t_floor):
+        params, features, logits, labels, weights = case
+        loss = mean_nll(params, features, logits, labels, t_floor, weights)
+        assert np.isfinite(loss)
+        assert loss == loss_and_grads(params, features, logits, labels, t_floor, weights)[0]
+
+    def test_non_positive_weight_sum_raises(self):
+        params, features, logits, labels = _problem(np.random.default_rng(62), n=5)
+        with pytest.raises(ValueError):
+            mean_nll(params, features, logits, labels, 0.05, np.zeros(5))
+
+
+def _train_problem(n=150, weighted=False):
+    rng = np.random.default_rng(63)
+    features = rng.normal(size=(n, 3))
+    logits = rng.normal(scale=2.0, size=(n, 4))
+    labels = rng.integers(0, 4, size=n)
+    weights = rng.random(n) + 0.1 if weighted else None
+    return features, logits, labels, weights
+
+
 class TestSgdTrain:
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_full_gradient_reference_loop(self, weighted):
+        # the reference records each epoch's loss from a full-data loss_and_grads pass
+        features, logits, labels, weights = _train_problem(weighted=weighted)
+        params = init_params(3, 5, np.random.default_rng(64), raw_bias=0.4)
+        reference = params.copy()
+        curve = sgd_train(params, features, logits, labels, 0.05, 0.1, 4, 32,
+                          np.random.default_rng(65), weights)
+        rng = np.random.default_rng(65)
+        expected = []
+        for _ in range(4):
+            order = rng.permutation(len(labels))
+            for start in range(0, len(labels), 32):
+                batch = order[start : start + 32]
+                _, grads, _ = loss_and_grads(reference, features[batch], logits[batch], labels[batch],
+                                             0.05, None if weights is None else weights[batch])
+                reference.w1 -= 0.1 * grads.w1
+                reference.b1 -= 0.1 * grads.b1
+                reference.w2 -= 0.1 * grads.w2
+                reference.b2 -= 0.1 * grads.b2
+            expected.append(loss_and_grads(reference, features, logits, labels, 0.05, weights)[0])
+        assert curve == expected
+        np.testing.assert_array_equal(params.to_vector(), reference.to_vector())
+
+    @pytest.mark.parametrize("n, epochs, batch_pixels", [(150, 4, 32), (150, 3, 150), (7, 2, 1000), (96, 5, 32)])
+    def test_gradients_only_on_minibatches(self, monkeypatch, n, epochs, batch_pixels):
+        # the per-epoch loss is forward-only: no full-data gradient pass
+        calls = []
+        real = mlp.loss_and_grads
+        monkeypatch.setattr(mlp, "loss_and_grads", lambda *args: calls.append(len(args[3])) or real(*args))
+        features, logits, labels, _ = _train_problem(n)
+        params = init_params(3, 5, np.random.default_rng(66), raw_bias=0.0)
+        curve = sgd_train(params, features, logits, labels, 0.05, 0.1, epochs, batch_pixels,
+                          np.random.default_rng(67))
+        assert len(curve) == epochs
+        assert len(calls) == epochs * math.ceil(n / min(batch_pixels, n))
+        assert sum(calls) == epochs * n
+
+
     def test_loss_decreases_on_learnable_problem(self):
         # logits are 3x too sharp wherever the feature is positive
         rng = np.random.default_rng(59)
