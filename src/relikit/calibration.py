@@ -28,6 +28,12 @@ Fitting and evaluation load every manifest entry through
 :func:`load_entry`, the one place where an entry is read, checked and its
 pixels drawn, so a given seed sees one pixel set per image everywhere.
 :func:`needs_image` decides whether a calibrator reads the image tensor.
+Every fit stacks its split's drawn pixels once, in entry order, into one
+:class:`CalibrationPixels` set (:func:`gather_pixel_batches`) that records
+each row's entry. Global scaling fits all rows; cluster scaling gives each
+row a cell id, groups the rows by one stable sort on it and fits each
+cell's contiguous slice; LTS takes its per-row domain weights from the
+entry index.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import numpy as np
 
 from . import mlp, tensor_io
 from .confidence import scaled_logits
-from .errors import CalibrationError, ManifestError, NumericalError, UsageError
+from .errors import CalibrationError, ManifestError, NumericalError, UsageError, convert_option
 from .kmeans import assign_points, kmeans
 from .manifest import DatasetManifest, ManifestEntry, load_features
 from .rng import derive_stream, subsample_indices
@@ -294,56 +300,55 @@ def load_entry(manifest: DatasetManifest, entry: ManifestEntry, *,
 
 
 @dataclass(frozen=True)
-class PixelBatch:
-    """Subsampled calibration pixels of one image."""
+class CalibrationPixels:
+    """The drawn pixels of a list of entries, stacked in entry order.
 
-    image_id: str
-    domain: str
-    logits: np.ndarray                 # (m, K) float64
-    labels: np.ndarray                 # (m,) int64
-    predicted: np.ndarray              # (m,) int64, argmax of raw logits
-    channels: np.ndarray | None = None  # (m, C) float64 per-pixel image channels
+    Row i was drawn from ``entries[entry[i]]``; each entry's rows are
+    contiguous and in pixel order.
+    """
+
+    logits: np.ndarray                  # (n, K) float64
+    labels: np.ndarray                  # (n,) int64
+    entry: np.ndarray                   # (n,) int64 index into the gathered entries
+    channels: np.ndarray | None = None  # (n, C) float64 per-pixel image channels
 
 
 def gather_pixel_batches(manifest: DatasetManifest, entries: list[ManifestEntry], *,
                          pixels_per_image: int | None, seed: int,
-                         need_image: bool = False) -> list[PixelBatch]:
-    """The drawn pixels of each entry (see :func:`load_entry`), as float64 rows."""
+                         need_image: bool = False) -> CalibrationPixels:
+    """The drawn pixels of each entry (see :func:`load_entry`), stacked as float64 rows."""
     if not entries:
         raise CalibrationError("no manifest entries to gather pixels from")
-    batches = []
+    logits, labels, channels = [], [], []
     for entry in entries:
         loaded = load_entry(manifest, entry, pixels_per_image=pixels_per_image, seed=seed,
                             image=need_image)
-        z = loaded.drawn(loaded.logits.data).astype(np.float64)
-        batches.append(PixelBatch(
-            image_id=entry.image_id,
-            domain=entry.domain,
-            logits=z,
-            labels=loaded.drawn(loaded.labels.data).astype(np.int64),
-            predicted=z.argmax(axis=1).astype(np.int64),
-            channels=None if loaded.image is None else loaded.drawn(loaded.image.data).astype(np.float64),
-        ))
-    return batches
-
-
-def _stack_batches(batches: list[PixelBatch]) -> tuple[np.ndarray, np.ndarray]:
-    return (
-        np.concatenate([b.logits for b in batches]),
-        np.concatenate([b.labels for b in batches]),
+        logits.append(loaded.drawn(loaded.logits.data))
+        labels.append(loaded.drawn(loaded.labels.data))
+        if need_image:
+            channels.append(loaded.drawn(loaded.image.data))
+    return CalibrationPixels(
+        logits=np.concatenate(logits, dtype=np.float64),
+        labels=np.concatenate(labels, dtype=np.int64),
+        entry=np.repeat(np.arange(len(entries)), [rows.size for rows in labels]),
+        channels=np.concatenate(channels, dtype=np.float64) if need_image else None,
     )
+
+
+def _split_entries(manifest: DatasetManifest, split: str) -> list[ManifestEntry]:
+    entries = manifest.select(split=split)
+    if not entries:
+        raise CalibrationError(f"manifest has no entries in split {split!r}")
+    return entries
 
 
 def fit_global_ts(manifest: DatasetManifest, *, split: str = "calibration",
                   pixels_per_image: int | None = DEFAULT_PIXELS_PER_IMAGE,
                   seed: int = 0) -> GlobalTemperature:
     """One temperature for the whole dataset, fitted on the given split."""
-    entries = manifest.select(split=split)
-    if not entries:
-        raise CalibrationError(f"manifest has no entries in split {split!r}")
-    batches = gather_pixel_batches(manifest, entries, pixels_per_image=pixels_per_image, seed=seed)
-    logits, labels = _stack_batches(batches)
-    return GlobalTemperature(fit_temperature(logits, labels))
+    pixels = gather_pixel_batches(manifest, _split_entries(manifest, split),
+                                  pixels_per_image=pixels_per_image, seed=seed)
+    return GlobalTemperature(fit_temperature(pixels.logits, pixels.labels))
 
 
 def fit_cluster_ts(manifest: DatasetManifest, *, k: int = DEFAULT_CLUSTERS,
@@ -354,41 +359,31 @@ def fit_cluster_ts(manifest: DatasetManifest, *, k: int = DEFAULT_CLUSTERS,
     """Cluster images by their feature vectors, then fit one T per cluster.
 
     The ``per_class`` variant fits one T per (cluster, predicted class)
-    cell. Cells with no calibration pixels inherit the global temperature,
-    so the model degrades gracefully; with k = 1 it coincides with global
-    scaling exactly.
+    cell. Both variants give each calibration pixel a cell id (its image's
+    cluster, or cluster * K + the argmax of its raw logits), group the
+    stacked pixels by one stable sort on that id and fit each non-empty
+    cell on its contiguous slice, whose rows stay in entry order. Cells
+    with no calibration pixels inherit the global temperature, so the
+    model degrades gracefully; with k = 1 it coincides with global scaling
+    exactly.
     """
     variant = ClusterVariant(variant)
-    entries = manifest.select(split=split)
-    if not entries:
-        raise CalibrationError(f"manifest has no entries in split {split!r}")
-    ids, features = load_features(manifest, entries)
+    entries = _split_entries(manifest, split)
+    _, features = load_features(manifest, entries)
     result = kmeans(features, k, seed)
-    batches = gather_pixel_batches(manifest, entries, pixels_per_image=pixels_per_image, seed=seed)
-    by_id = {batch.image_id: batch for batch in batches}
-    logits, labels = _stack_batches(batches)
-    fallback = fit_temperature(logits, labels)
-    members: list[list[PixelBatch]] = [[] for _ in range(k)]
-    for image_id, cluster in zip(ids, result.assignment):
-        members[cluster].append(by_id[image_id])
-    if variant is ClusterVariant.PER_IMAGE:
-        temperatures = np.full(k, fallback)
-        for j in range(k):
-            if members[j]:
-                z, y = _stack_batches(members[j])
-                if z.shape[0]:
-                    temperatures[j] = fit_temperature(z, y)
-    else:
-        temperatures = np.full((k, manifest.classes), fallback)
-        for j in range(k):
-            if not members[j]:
-                continue
-            z, y = _stack_batches(members[j])
-            predicted = np.concatenate([b.predicted for b in members[j]])
-            for c in range(manifest.classes):
-                rows = predicted == c
-                if rows.any():
-                    temperatures[j, c] = fit_temperature(z[rows], y[rows])
+    pixels = gather_pixel_batches(manifest, entries, pixels_per_image=pixels_per_image, seed=seed)
+    fallback = fit_temperature(pixels.logits, pixels.labels)
+    cell = result.assignment[pixels.entry]
+    shape = (k,)
+    if variant is ClusterVariant.PER_CLASS:
+        cell = cell * manifest.classes + pixels.logits.argmax(axis=1)
+        shape = (k, manifest.classes)
+    temperatures = np.full(shape, fallback)
+    order = np.argsort(cell, kind="stable")
+    bounds = np.searchsorted(cell, np.arange(temperatures.size + 1), sorter=order)
+    for c in np.flatnonzero(np.diff(bounds)):
+        rows = order[bounds[c]:bounds[c + 1]]
+        temperatures.flat[c] = fit_temperature(pixels.logits[rows], pixels.labels[rows])
     return ClusterTemperatureModel(
         variant=variant,
         centroids=result.centroids,
@@ -432,21 +427,16 @@ def fit_lts(manifest: DatasetManifest, *, feature_mode: FeatureMode = FeatureMod
     domains of different sizes.
     """
     feature_mode = FeatureMode(feature_mode)
-    entries = manifest.select(split=split)
-    if not entries:
-        raise CalibrationError(f"manifest has no entries in split {split!r}")
-    batches = gather_pixel_batches(
+    entries = _split_entries(manifest, split)
+    pixels = gather_pixel_batches(
         manifest, entries, pixels_per_image=pixels_per_image, seed=seed,
         need_image=needs_image(feature_mode),
     )
-    features = np.concatenate([_lts_input(feature_mode, b.logits, b.channels) for b in batches])
-    logits, labels = _stack_batches(batches)
+    features = _lts_input(feature_mode, pixels.logits, pixels.channels)
     weights = None
     if hyper.domain_weights is not None:
-        weights = np.concatenate([
-            np.full(b.labels.shape[0], float(hyper.domain_weights.get(b.domain, 1.0)))
-            for b in batches
-        ])
+        per_entry = [float(hyper.domain_weights.get(entry.domain, 1.0)) for entry in entries]
+        weights = np.array(per_entry)[pixels.entry]
         if weights.min() < 0:
             raise CalibrationError("domain weights must be non-negative")
         if weights.sum() == 0:
@@ -462,7 +452,7 @@ def fit_lts(manifest: DatasetManifest, *, feature_mode: FeatureMode = FeatureMod
         mlp.softplus_inverse(1.0 - hyper.t_floor),
     )
     curve = mlp.sgd_train(
-        params, features, logits, labels, hyper.t_floor,
+        params, features, pixels.logits, pixels.labels, hyper.t_floor,
         hyper.learning_rate, hyper.epochs, hyper.batch_pixels,
         derive_stream(seed, "lts-batches"), weights,
     )
@@ -589,7 +579,7 @@ def load_calibrator(path) -> Calibrator:
     method = payload["method"]
     try:
         if method == "ts":
-            t = float(payload["temperature"])
+            t = convert_option("temperature", payload["temperature"], float)
             if not np.isfinite(t) or t <= 0:
                 raise CalibrationError(f"{path}: non-positive temperature")
             return GlobalTemperature(t)
@@ -600,14 +590,16 @@ def load_calibrator(path) -> Calibrator:
             expected_ndim = 1 if variant is ClusterVariant.PER_IMAGE else 2
             if centroids.ndim != 2 or temperatures.ndim != expected_ndim:
                 raise CalibrationError(f"{path}: malformed cluster calibrator arrays")
+            if not np.all(np.isfinite(centroids)):
+                raise CalibrationError(f"{path}: non-finite cluster centroid")
             if temperatures.shape[0] != centroids.shape[0]:
                 raise CalibrationError(f"{path}: temperature/centroid count mismatch")
             if not np.all(np.isfinite(temperatures)) or temperatures.min() <= 0:
                 raise CalibrationError(f"{path}: non-positive cluster temperature")
-            fallback = float(payload["fallback_temperature"])
+            fallback = convert_option("fallback_temperature", payload["fallback_temperature"], float)
             if not np.isfinite(fallback) or fallback <= 0:
                 raise CalibrationError(f"{path}: non-positive fallback temperature")
-            classes = int(payload["classes"])
+            classes = convert_option("classes", payload["classes"], int)
             if variant is ClusterVariant.PER_CLASS and temperatures.shape[1] != classes:
                 raise CalibrationError(
                     f"{path}: {temperatures.shape[1]} temperatures per cluster, artifact says {classes} classes"
@@ -624,14 +616,14 @@ def load_calibrator(path) -> Calibrator:
             params = mlp.MlpParams(
                 w1=w1,
                 b1=np.asarray(payload["b1"], dtype=np.float64),
-                b2=float(payload["b2"]),
+                b2=convert_option("b2", payload["b2"], float),
                 w2=np.asarray(payload["w2"], dtype=np.float64),
             )
             regressor = TemperatureRegressor(
                 feature_mode=FeatureMode(payload["feature_mode"]),
-                input_dim=int(payload["input_dim"]),
-                hidden_width=int(payload["hidden_width"]),
-                t_floor=float(payload["t_floor"]),
+                input_dim=convert_option("input_dim", payload["input_dim"], int),
+                hidden_width=convert_option("hidden_width", payload["hidden_width"], int),
+                t_floor=convert_option("t_floor", payload["t_floor"], float),
                 feature_mean=np.asarray(payload["feature_mean"], dtype=np.float64),
                 feature_scale=np.asarray(payload["feature_scale"], dtype=np.float64),
                 params=params,
@@ -639,16 +631,21 @@ def load_calibrator(path) -> Calibrator:
             if not (np.isfinite(regressor.t_floor) and regressor.t_floor > 0):
                 raise CalibrationError(f"{path}: non-positive regressor t_floor")
             hidden, dim = regressor.hidden_width, regressor.input_dim
-            shapes = {"w1": (w1.shape, (hidden, dim)), "b1": (params.b1.shape, (hidden,)),
-                      "w2": (params.w2.shape, (hidden,)),
-                      "feature_mean": (regressor.feature_mean.shape, (dim,)),
-                      "feature_scale": (regressor.feature_scale.shape, (dim,))}
-            for name, (shape, expected) in shapes.items():
-                if shape != expected:
+            arrays = {"w1": (w1, (hidden, dim)), "b1": (params.b1, (hidden,)), "w2": (params.w2, (hidden,)),
+                      "feature_mean": (regressor.feature_mean, (dim,)),
+                      "feature_scale": (regressor.feature_scale, (dim,))}
+            for name, (array, expected) in arrays.items():
+                if array.shape != expected:
                     raise CalibrationError(
-                        f"{path}: regressor {name} has shape {shape}, metadata implies {expected}"
+                        f"{path}: regressor {name} has shape {array.shape}, metadata implies {expected}"
                     )
+                if not np.all(np.isfinite(array)):
+                    raise CalibrationError(f"{path}: non-finite value in regressor {name}")
+            if not np.isfinite(params.b2):
+                raise CalibrationError(f"{path}: non-finite value in regressor b2")
+            if np.any(regressor.feature_scale <= 0):
+                raise CalibrationError(f"{path}: non-positive value in regressor feature_scale")
             return regressor
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, UsageError) as exc:
         raise CalibrationError(f"{path}: malformed calibrator artifact ({exc})") from exc
     raise CalibrationError(f"{path}: unknown calibrator method {method!r}")

@@ -18,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import evaluate as ev
@@ -26,6 +26,8 @@ from . import report as rep
 from . import synth as syn
 from . import tensor_io
 from .calibration import (
+    DEFAULT_CLUSTERS,
+    DEFAULT_PIXELS_PER_IMAGE,
     ClusterVariant,
     FeatureMode,
     LtsHyper,
@@ -106,10 +108,7 @@ def _resolve_workers(value) -> int:
         value = os.environ.get(WORKERS_ENV)
     if value is None:
         return 1
-    workers = convert_option("workers", value, int)
-    if workers < 1:
-        raise UsageError(f"workers must be >= 1, got {workers}")
-    return workers
+    return convert_option("workers", value, int)
 
 
 def _pixels(value) -> int | None:
@@ -192,9 +191,8 @@ def cmd_validate(args) -> int:
 
 _FIT_DEFAULTS = dict(
     manifest=None, out=None, method="ts", split="calibration", seed=0,
-    pixels_per_image=20_000, k=16, feature_mode="both", hidden_width=16,
-    t_floor=0.05, learning_rate=0.05, epochs=50, batch_pixels=2048,
-    domain_weights=None,
+    pixels_per_image=DEFAULT_PIXELS_PER_IMAGE, k=DEFAULT_CLUSTERS, feature_mode="both",
+    **asdict(LtsHyper()),
 )
 
 
@@ -261,10 +259,11 @@ def cmd_fit(args) -> int:
     return 0
 
 
+_EVAL_CONFIG = ev.EvalConfig()
 _EVAL_DEFAULTS = dict(
-    manifest=None, calibrator=None, split="test", score="max_prob", bins=15,
-    pixels_per_image=20_000, seed=0, id_domain=None, metrics=None, workers=None,
-    out=None, csv_out=None, bins_out=None,
+    manifest=None, calibrator=None, split=_EVAL_CONFIG.split, score=_EVAL_CONFIG.score.value,
+    bins=_EVAL_CONFIG.bins, pixels_per_image=_EVAL_CONFIG.pixels_per_image, seed=_EVAL_CONFIG.seed,
+    id_domain=None, metrics=None, workers=None, out=None, csv_out=None, bins_out=None,
 )
 
 

@@ -40,7 +40,14 @@ from functools import partial
 import numpy as np
 
 from . import metrics as met
-from .calibration import Calibrator, ClusterTemperatureModel, calibrator_temperature, load_entry, needs_image
+from .calibration import (
+    DEFAULT_PIXELS_PER_IMAGE,
+    Calibrator,
+    ClusterTemperatureModel,
+    calibrator_temperature,
+    load_entry,
+    needs_image,
+)
 from .confidence import ConfidenceScore, RecordSet, _confidence_pass, confidence_map
 from .errors import ManifestError, MetricError, UsageError
 from .manifest import DatasetManifest, ManifestEntry
@@ -56,8 +63,8 @@ ALL_METRICS = ("miou", "ece", "ada_ece", "ks_error", "prr", "ood_auroc", "pixel_
 class EvalConfig:
     split: str = "test"
     score: ConfidenceScore = ConfidenceScore.MAX_PROB
-    bins: int = 15
-    pixels_per_image: int | None = 20_000
+    bins: int = met.DEFAULT_BINS
+    pixels_per_image: int | None = DEFAULT_PIXELS_PER_IMAGE
     seed: int = 0
     id_domain: str | None = None
     metrics: tuple[str, ...] = ALL_METRICS

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relikit import calibration
+from relikit import calibration, mlp
 from relikit.calibration import (
     DEFAULT_PIXELS_PER_IMAGE,
     LN_T_TOL,
@@ -39,8 +39,9 @@ from relikit.calibration import (
 )
 from relikit.confidence import confidence_map
 from relikit.errors import CalibrationError, ManifestError, UsageError
-from relikit.manifest import load_manifest
-from relikit.rng import subsample_indices
+from relikit.kmeans import kmeans
+from relikit.manifest import load_features, load_manifest
+from relikit.rng import derive_stream, subsample_indices
 from relikit.synth import DomainSpec, SynthConfig, generate_benchmark
 from relikit.tensor_io import read_feature, read_image, read_labels, read_logits
 from relikit.tensors import LogitTensor
@@ -256,34 +257,39 @@ class TestApplyTemperature:
 
 class TestGatherPixelBatches:
     def test_subsample_matches_record_extraction(self, ladder_manifest):
-        entry = ladder_manifest.select(split="calibration")[0]
-        batches = gather_pixel_batches(
-            ladder_manifest, [entry], pixels_per_image=500, seed=11
-        )
-        assert len(batches) == 1
-        batch = batches[0]
-        assert batch.logits.shape == (500, ladder_manifest.classes)
-        logits = read_logits(ladder_manifest.resolve(entry.logits))
-        labels = read_labels(ladder_manifest.resolve(entry.labels)).data.reshape(-1)
-        valid = np.flatnonzero(labels != ladder_manifest.ignore_value)
-        rows = valid[subsample_indices(valid.size, 500, 11, f"pixels:{entry.image_id}")]
-        _, predicted = confidence_map(logits)
-        np.testing.assert_array_equal(batch.labels, labels[rows])
-        np.testing.assert_array_equal(batch.predicted, predicted.reshape(-1)[rows])
+        entries = ladder_manifest.select(split="calibration")[:2]
+        pixels = gather_pixel_batches(ladder_manifest, entries, pixels_per_image=500, seed=11)
+        assert pixels.logits.shape == (1000, ladder_manifest.classes) and pixels.logits.dtype == np.float64
+        assert pixels.labels.dtype == np.int64 and pixels.channels is None
+        np.testing.assert_array_equal(pixels.entry, np.repeat([0, 1], 500))
+        for i, entry in enumerate(entries):
+            logits = read_logits(ladder_manifest.resolve(entry.logits)).data.reshape(-1, ladder_manifest.classes)
+            labels = read_labels(ladder_manifest.resolve(entry.labels)).data.reshape(-1)
+            valid = np.flatnonzero(labels != ladder_manifest.ignore_value)
+            rows = valid[subsample_indices(valid.size, 500, 11, f"pixels:{entry.image_id}")]
+            np.testing.assert_array_equal(pixels.labels[pixels.entry == i], labels[rows])
+            np.testing.assert_array_equal(pixels.logits[pixels.entry == i], logits[rows])
 
-    def test_all_pixels_when_unlimited(self, ladder_manifest):
+    def test_all_pixels_when_unlimited(self, ladder_manifest, holdout_manifest):
         entry = ladder_manifest.select(split="calibration")[0]
-        batch = gather_pixel_batches(ladder_manifest, [entry], pixels_per_image=None, seed=0)[0]
-        assert batch.logits.shape[0] == 48 * 48
-        assert batch.domain == entry.domain
+        pixels = gather_pixel_batches(ladder_manifest, [entry], pixels_per_image=None, seed=0)
+        assert pixels.logits.shape[0] == 48 * 48
+        # entries with different counts of non-ignored pixels: each row maps to its own entry
+        entries = holdout_manifest.select(split="test")
+        pixels = gather_pixel_batches(holdout_manifest, entries, pixels_per_image=None, seed=0)
+        counts = [load_entry(holdout_manifest, e, pixels_per_image=None, seed=0).valid.size for e in entries]
+        assert len(set(counts)) > 1
+        np.testing.assert_array_equal(pixels.entry, np.repeat(np.arange(len(entries)), counts))
 
     def test_image_channels_loaded_on_request(self, ladder_manifest):
-        entry = ladder_manifest.select(split="calibration")[0]
-        batch = gather_pixel_batches(
-            ladder_manifest, [entry], pixels_per_image=100, seed=0, need_image=True
-        )[0]
-        assert batch.channels is not None
-        assert batch.channels.shape[0] == 100
+        entries = ladder_manifest.select(split="calibration")[:2]
+        pixels = gather_pixel_batches(
+            ladder_manifest, entries, pixels_per_image=100, seed=0, need_image=True
+        )
+        assert pixels.channels.shape[0] == 200 and pixels.channels.dtype == np.float64
+        for i, entry in enumerate(entries):
+            loaded = load_entry(ladder_manifest, entry, pixels_per_image=100, seed=0, image=True)
+            np.testing.assert_array_equal(pixels.channels[pixels.entry == i], loaded.drawn(loaded.image.data))
 
     def test_missing_image_raises_when_needed(self, ladder_manifest):
         entry = dataclasses.replace(ladder_manifest.select(split="calibration")[0], image=None)
@@ -372,6 +378,35 @@ class TestFitClusterTs:
     def test_accepts_plain_string_variant(self, ladder_manifest):
         model = fit_cluster_ts(ladder_manifest, k=1, variant="per_class", seed=6)
         assert model.variant is ClusterVariant.PER_CLASS
+
+    # 300 pixels per image make each cell's fit depend on its row order; 2 leave cells empty
+    @pytest.mark.parametrize("variant, pixels", [
+        (ClusterVariant.PER_IMAGE, 300), (ClusterVariant.PER_CLASS, 300), (ClusterVariant.PER_CLASS, 2),
+    ])
+    def test_matches_per_cell_reference_loop(self, ladder_manifest, variant, pixels):
+        k, classes, seed = 3, ladder_manifest.classes, 6
+        model = fit_cluster_ts(ladder_manifest, k=k, variant=variant, pixels_per_image=pixels, seed=seed)
+        entries = ladder_manifest.select(split="calibration")
+        assignment = kmeans(load_features(ladder_manifest, entries)[1], k, seed).assignment
+        loaded = [load_entry(ladder_manifest, e, pixels_per_image=pixels, seed=seed) for e in entries]
+        z = [one.drawn(one.logits.data).astype(np.float64) for one in loaded]
+        y = [one.drawn(one.labels.data).astype(np.int64) for one in loaded]
+        fallback = fit_temperature(np.concatenate(z), np.concatenate(y))
+        per_class = variant is ClusterVariant.PER_CLASS
+        expected = np.full((k, classes) if per_class else (k,), fallback)
+        empty = 0
+        for cell in np.ndindex(expected.shape):
+            # the cell's rows, entry by entry, each entry's in pixel order
+            members = [i for i, cluster in enumerate(assignment) if cluster == cell[0]]
+            rows = [z[i].argmax(axis=1) == cell[1] if per_class else slice(None) for i in members]
+            cell_z = np.concatenate([z[i][r] for i, r in zip(members, rows)] or [np.empty((0, classes))])
+            if cell_z.shape[0] == 0:
+                empty += 1
+            else:
+                expected[cell] = fit_temperature(cell_z, np.concatenate([y[i][r] for i, r in zip(members, rows)]))
+        assert (empty > 0) == (pixels == 2)
+        assert model.fallback_temperature == fallback
+        np.testing.assert_array_equal(model.temperatures, expected)
 
 
 @pytest.fixture(scope="module")
@@ -482,6 +517,30 @@ class TestFitLts:
             fit_lts(mono_manifest, feature_mode=FeatureMode.LOGITS,
                     hyper=LtsHyper(epochs=1, domain_weights=weights), seed=1)
 
+    def test_domain_weights_follow_each_row_entry(self, ladder_manifest):
+        hyper = LtsHyper(epochs=2, batch_pixels=64, domain_weights={"id": 0.25, "strong": 3.0})
+        regressor, curve = fit_lts(ladder_manifest, feature_mode=FeatureMode.BOTH, hyper=hyper,
+                                   pixels_per_image=40, seed=5)
+        features, logits, labels, weights = [], [], [], []
+        for entry in ladder_manifest.select(split="calibration"):
+            one = load_entry(ladder_manifest, entry, pixels_per_image=40, seed=5, image=True)
+            z = one.drawn(one.logits.data).astype(np.float64)
+            features.append(np.concatenate([z, one.drawn(one.image.data)], axis=1, dtype=np.float64))
+            logits.append(z)
+            labels.append(one.drawn(one.labels.data).astype(np.int64))
+            weights.append(np.full(z.shape[0], hyper.domain_weights.get(entry.domain, 1.0)))
+        features = np.concatenate(features)
+        scale = features.std(axis=0)
+        scale[scale < 1e-12] = 1.0
+        features = (features - features.mean(axis=0)) / scale
+        params = mlp.init_params(features.shape[1], hyper.hidden_width, derive_stream(5, "lts-init"),
+                                 mlp.softplus_inverse(1.0 - hyper.t_floor))
+        expected = mlp.sgd_train(params, features, np.concatenate(logits), np.concatenate(labels),
+                                 hyper.t_floor, hyper.learning_rate, hyper.epochs, hyper.batch_pixels,
+                                 derive_stream(5, "lts-batches"), np.concatenate(weights))
+        assert curve == expected
+        np.testing.assert_array_equal(regressor.params.to_vector(), params.to_vector())
+
     def test_loss_curve_improves(self, mono_manifest):
         _, curve = fit_lts(mono_manifest, feature_mode=FeatureMode.IMAGE, hyper=LtsHyper(epochs=15), seed=2)
         assert curve[-1] < curve[0]
@@ -589,6 +648,10 @@ class TestSaveLoadRoundTrip:
             predict_temperature_map(regressor, logits).values,
         )
 
+    _LTS = {"method": "lts", "feature_mode": "logits", "input_dim": 3, "hidden_width": 2,
+            "t_floor": 0.05, "feature_mean": [0, 0, 0], "feature_scale": [1, 1, 1],
+            "w1": [[0, 0, 0], [0, 0, 0]], "b1": [0, 0], "w2": [0, 0], "b2": 0.0}
+
     def test_load_rejects_malformed_artifacts(self, tmp_path):
         cases = {
             "absent.json": None,
@@ -600,9 +663,7 @@ class TestSaveLoadRoundTrip:
             "bad_cluster.json": '{"method": "cluster_ts", "centroids": [[0.0]], "temperatures": [[1.0]], "fallback_temperature": 1.0, "classes": 2}',
             "bad_lts.json": '{"method": "lts", "feature_mode": "logits", "input_dim": 3, "hidden_width": 2, "t_floor": 0.05, "feature_mean": [0,0,0], "feature_scale": [1,1,1], "w1": [[0,0]], "b1": [0,0], "w2": [0,0], "b2": 0.0}',
         }
-        lts = {"method": "lts", "feature_mode": "logits", "input_dim": 3, "hidden_width": 2,
-               "t_floor": 0.05, "feature_mean": [0, 0, 0], "feature_scale": [1, 1, 1],
-               "w1": [[0, 0, 0], [0, 0, 0]], "b1": [0, 0], "w2": [0, 0], "b2": 0.0}
+        lts = self._LTS
         path = tmp_path / "good_lts.json"
         path.write_text(json.dumps(lts), encoding="utf-8")
         assert load_calibrator(path).hidden_width == 2
@@ -639,6 +700,37 @@ class TestSaveLoadRoundTrip:
         path.write_text(self._cluster_payload(classes=3), encoding="utf-8")
         with pytest.raises(CalibrationError, match="3 classes"):
             load_calibrator(path)
+
+    def _rejects(self, tmp_path, payload, match):
+        path = tmp_path / "artifact.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(CalibrationError, match=match):
+            load_calibrator(path)
+
+    def test_load_rejects_bool_and_fractional_scalars(self, tmp_path):
+        # a bool is no number and a float no integer: true would read as T = 1, 5.9 as 5 classes
+        cluster = json.loads(self._cluster_payload())
+        cases = [({"method": "ts", "temperature": True}, "temperature"),
+                 ({**cluster, "fallback_temperature": True}, "fallback_temperature")]
+        cases += [({**cluster, "classes": bad}, "classes") for bad in (True, 2.0, 5.9)]
+        cases += [({**self._LTS, key: True}, key) for key in ("input_dim", "hidden_width", "t_floor", "b2")]
+        cases += [({**self._LTS, key: 2.5}, key) for key in ("input_dim", "hidden_width")]
+        for payload, key in cases:
+            self._rejects(tmp_path, payload, f"malformed.*{key.replace('_', '-')} must be")
+
+    def test_load_rejects_non_finite_and_non_positive_values(self, tmp_path):
+        # Python's json parses NaN, and a NaN centroid would win every nearest-centroid argmin
+        cluster = json.loads(self._cluster_payload())
+        for bad in (float("nan"), float("inf")):
+            self._rejects(tmp_path, {**cluster, "centroids": [[0.0], [bad]]}, "non-finite cluster centroid")
+            self._rejects(tmp_path, {**self._LTS, "b2": bad}, "non-finite value in regressor b2")
+            for key in ("w1", "b1", "w2", "feature_mean", "feature_scale"):
+                array = np.asarray(self._LTS[key], dtype=np.float64)
+                array.flat[-1] = bad
+                self._rejects(tmp_path, {**self._LTS, key: array.tolist()}, f"non-finite value in regressor {key}")
+        for bad in (0.0, -1.0):
+            self._rejects(tmp_path, {**self._LTS, "feature_scale": [1, bad, 1]},
+                          "non-positive value in regressor feature_scale")
 
     def test_default_pixels_constant(self):
         assert DEFAULT_PIXELS_PER_IMAGE == 20_000

@@ -272,13 +272,16 @@ class TestEval:
 
     def test_bad_calibrator_artifact_is_data_error(self, bench, capsys, tmp_path):
         artifact = tmp_path / "cluster.json"
-        artifact.write_text(json.dumps({
-            "method": "cluster_ts", "centroids": [[0.0]], "temperatures": [1.0],
-            "fallback_temperature": -1.0, "classes": 5,
-        }))
-        code, _, err = _run(capsys, ["eval", "--manifest", str(bench),
-                                     "--calibrator", str(artifact)])
-        assert code == 2 and "fallback temperature" in err
+        cluster = {"method": "cluster_ts", "centroids": [[0.0], [1.0]], "temperatures": [1.0, 2.0],
+                   "fallback_temperature": 1.0, "classes": 5}
+        for payload, message in [({**cluster, "fallback_temperature": -1.0}, "fallback temperature"),
+                                 ({**cluster, "centroids": [[0.0], [float("nan")]]}, "non-finite cluster centroid"),
+                                 ({"method": "ts", "temperature": True}, "temperature must be a number")]:
+            artifact.write_text(json.dumps(payload))
+            code, _, err = _run(capsys, ["eval", "--manifest", str(bench),
+                                         "--calibrator", str(artifact)])
+            assert code == 2 and message in err
+            assert err.count("\n") == 1 and err.startswith("error: ")
 
     def test_cluster_centroid_width_mismatch_is_data_error(self, bench, capsys, tmp_path):
         artifact = tmp_path / "cluster.json"
@@ -375,6 +378,9 @@ class TestEval:
         monkeypatch.setenv("RELIKIT_WORKERS", "zero")
         code, _, err = _run(capsys, ["eval", "--manifest", str(bench)])
         assert code == 1 and "workers" in err
+        monkeypatch.setenv("RELIKIT_WORKERS", "0")
+        code, _, err = _run(capsys, ["eval", "--manifest", str(bench)])
+        assert code == 1 and err == "error: workers must be >= 1, got 0\n"
 
     def test_calibrator_artifact_round_trip(self, bench, capsys, tmp_path):
         artifact = tmp_path / "ts.json"
