@@ -424,10 +424,16 @@ def fit_lts(manifest: DatasetManifest, *, feature_mode: FeatureMode = FeatureMod
     Returns the regressor and the per-epoch training loss curve. The raw
     output bias starts at softplus^-1(1 - t_floor) so training begins near
     the identity temperature. Optional per-domain loss weights rebalance
-    domains of different sizes.
+    domains of different sizes; a domain without a weight counts 1, and a
+    weight whose tag names no domain of the split is a usage error.
     """
     feature_mode = FeatureMode(feature_mode)
     entries = _split_entries(manifest, split)
+    domains = sorted({entry.domain for entry in entries})
+    unknown = sorted(set(hyper.domain_weights or {}) - set(domains))
+    if unknown:
+        raise UsageError(f"domain weights name no domain of split {split!r}: "
+                         f"{', '.join(map(repr, unknown))} (its domains: {', '.join(domains)})")
     pixels = gather_pixel_batches(
         manifest, entries, pixels_per_image=pixels_per_image, seed=seed,
         need_image=needs_image(feature_mode),
@@ -628,8 +634,8 @@ def load_calibrator(path) -> Calibrator:
                 feature_scale=np.asarray(payload["feature_scale"], dtype=np.float64),
                 params=params,
             )
-            if not (np.isfinite(regressor.t_floor) and regressor.t_floor > 0):
-                raise CalibrationError(f"{path}: non-positive regressor t_floor")
+            if not 0.0 < regressor.t_floor < 1.0:
+                raise CalibrationError(f"{path}: regressor t_floor must be in (0, 1), got {regressor.t_floor}")
             hidden, dim = regressor.hidden_width, regressor.input_dim
             arrays = {"w1": (w1, (hidden, dim)), "b1": (params.b1, (hidden,)), "w2": (params.w2, (hidden,)),
                       "feature_mean": (regressor.feature_mean, (dim,)),

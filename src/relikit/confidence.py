@@ -78,6 +78,29 @@ def _confidence_pass(logits: LogitTensor, temperature: float | TemperatureMap, *
     return max_prob, terms.sum(axis=2), predicted
 
 
+def _stable_argsort(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")`` for a 1-D array without NaN, from unstable sorts.
+
+    NumPy's default sort is unstable but SIMD-accelerated; its stable sort
+    is a timsort, several times slower. The default argsort ranks the
+    values; each position then gets the id of its tie group (a run of
+    equal values, so -0.0 ties with 0.0), and the key ``group * n +
+    index`` is unique and orders ties by index. Sorting the keys, again
+    unstably, and taking ``key % n`` gives the stable order. The key fits
+    in int64 while n < 3e9.
+    """
+    n = values.shape[0]
+    order = np.argsort(values)
+    ranked = values[order]
+    key = np.empty(n, dtype=np.int64)
+    key[:1] = 0
+    np.cumsum(ranked[1:] != ranked[:-1], out=key[1:])
+    key *= n
+    key += order
+    key.sort()
+    return key % n
+
+
 @dataclass(frozen=True)
 class RecordSet:
     """Flat per-pixel prediction records, the input to every metric.
@@ -85,9 +108,10 @@ class RecordSet:
     Parallel arrays: ``confidence`` float64, ``predicted`` and ``actual``
     int64 class indices. Ignored pixels are never present.
 
-    :attr:`order` is the stable ascending sort of ``confidence``, computed
-    on first use and shared by every rank-based metric that reads the set,
-    so one set is sorted at most once.
+    :attr:`order` is the stable ascending order of ``confidence``
+    (:func:`_stable_argsort`), computed on first use and shared by every
+    rank-based metric that reads the set, so one set is ordered at most
+    once.
     """
 
     confidence: np.ndarray
@@ -116,8 +140,12 @@ class RecordSet:
 
     @cached_property
     def order(self) -> np.ndarray:
-        """Record indices by ascending confidence; ties keep record order."""
-        return np.argsort(self.confidence, kind="mergesort")
+        """Record indices by ascending confidence; ties keep record order.
+
+        Equal to ``np.argsort(confidence, kind="stable")``; see
+        :func:`_stable_argsort` for how the tie order is kept.
+        """
+        return _stable_argsort(self.confidence)
 
     @staticmethod
     def concat(parts: list["RecordSet"]) -> "RecordSet":

@@ -27,8 +27,9 @@ Every per-domain quantity is computed once. The equal-width reliability
 bins behind ``ece`` are kept on the report (``bins``, not serialized) for
 ``eval --bins-out``, so the bin tables need no second pass. Under the
 ``max_prob`` score one record set serves calibration and PRR alike, and
-ADA-ECE, KS and PRR share that set's single stable sort
-(:attr:`~relikit.confidence.RecordSet.order`).
+ADA-ECE, KS and PRR share that set's one stable order
+(:attr:`~relikit.confidence.RecordSet.order`), which is built from
+NumPy's unstable default sort; no metric runs a stable sort.
 """
 
 from __future__ import annotations

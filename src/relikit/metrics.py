@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .confidence import RecordSet
+from .confidence import RecordSet, _stable_argsort
 # Not called here; the benchmark tracer's smoke test looks this binding up.
 from .confidence import confidence_map  # noqa: F401
 from .errors import MetricError
@@ -90,9 +90,14 @@ def bin_partition(records: RecordSet, bins: int = DEFAULT_BINS,
 
     Equal-width bins split [0, 1] into ``bins`` fixed intervals; a record
     with confidence exactly 1 lands in the last bin. Equal-population bins
-    sort records by confidence (stable, so ties keep record order) and cut
-    the sorted sequence into ``bins`` runs whose sizes differ by at most
-    one, the first ``n mod bins`` runs taking the extra record.
+    order records by ascending confidence, ties in record order, and cut
+    the ordered sequence into ``bins`` runs whose sizes differ by at most
+    one, the first ``n mod bins`` runs taking the extra record. Confidences
+    already in [0, 1] use the set's cached :attr:`RecordSet.order`;
+    min-max-normalized ones are ordered afresh, since normalization can
+    merge distinct scores into ties. Either order is the stable argsort,
+    taken from NumPy's unstable default sort with a tie-group key
+    (:func:`~relikit.confidence._stable_argsort`).
     """
     n = len(records)
     if n == 0:
@@ -110,9 +115,7 @@ def bin_partition(records: RecordSet, bins: int = DEFAULT_BINS,
         lower = np.arange(bins) / bins
         upper = np.arange(1, bins + 1) / bins
     else:
-        # min-max normalization can merge distinct scores into ties, which
-        # changes the stable order, so only untouched scores share the set's
-        order = records.order if conf is records.confidence else np.argsort(conf, kind="mergesort")
+        order = records.order if conf is records.confidence else _stable_argsort(conf)
         sizes = np.full(bins, n // bins, dtype=np.int64)
         sizes[: n % bins] += 1
         stops = np.cumsum(sizes)
@@ -214,7 +217,13 @@ def iou_from_confusion(confusion: np.ndarray) -> MiouResult:
 def auroc(positive, negative) -> float:
     """Probability a random positive outscores a random negative, ties at half credit.
 
-    Computed from tie-averaged ranks (Mann-Whitney U), O(n log n).
+    This is the Mann-Whitney U over n_pos * n_neg, counted exactly in
+    O(n log n) from two unstable sorts, one per side: with both sides
+    sorted, ``searchsorted`` gives for each positive the negatives strictly
+    below it ("left") and at most equal to it ("right"). Their two int64
+    sums add up to 2U, since a negative below counts 1 and a tied one 1/2.
+    The count is exact, so the result does not depend on the order of
+    summation.
     """
     pos = np.asarray(positive, dtype=np.float64).reshape(-1)
     neg = np.asarray(negative, dtype=np.float64).reshape(-1)
@@ -222,15 +231,12 @@ def auroc(positive, negative) -> float:
         raise MetricError("auroc needs at least one score on each side")
     if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(neg))):
         raise MetricError("auroc scores must be finite")
-    merged = np.sort(np.concatenate([pos, neg]), kind="mergesort")
-    # sorted queries make searchsorted cache-friendly; the rank sum is a sum of
-    # half-integers below 2**53, so the order of summation cannot change it
+    # sorted queries make searchsorted cache-friendly
     pos = np.sort(pos)
-    lo = np.searchsorted(merged, pos, side="left")
-    hi = np.searchsorted(merged, pos, side="right")
-    ranks = (lo + hi + 1) * 0.5
-    u = ranks.sum() - pos.size * (pos.size + 1) * 0.5
-    return float(u / (pos.size * neg.size))
+    neg = np.sort(neg)
+    below = np.searchsorted(neg, pos, side="left").sum(dtype=np.int64)
+    atmost = np.searchsorted(neg, pos, side="right").sum(dtype=np.int64)
+    return float((below + atmost) * 0.5 / (pos.size * neg.size))
 
 
 def _errors_remaining(records: RecordSet) -> np.ndarray:

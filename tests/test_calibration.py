@@ -678,6 +678,18 @@ class TestSaveLoadRoundTrip:
             with pytest.raises(CalibrationError):
                 load_calibrator(path)
 
+    def test_load_rejects_t_floor_outside_unit_interval(self, mono_manifest, tmp_path):
+        regressor, _ = fit_lts(mono_manifest, feature_mode=FeatureMode.LOGITS, hyper=LtsHyper(epochs=1), seed=4)
+        path = save_calibrator(regressor, tmp_path / "lts.json")
+        loaded = load_calibrator(path)
+        assert loaded.t_floor == 0.05
+        assert save_calibrator(loaded, tmp_path / "again.json").read_bytes() == path.read_bytes()
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        for bad in (5.0, 1.0, 0.0):
+            path.write_text(json.dumps({**payload, "t_floor": bad}), encoding="utf-8")
+            with pytest.raises(CalibrationError, match=r"t_floor must be in \(0, 1\), got " + str(bad)):
+                load_calibrator(path)
+
     def _cluster_payload(self, **overrides):
         payload = {
             "method": "class_cluster_ts", "centroids": [[0.0], [1.0]],

@@ -110,6 +110,19 @@ class TestFit:
         assert isinstance(regressor, TemperatureRegressor)
         assert regressor.feature_mode.value == "image"
 
+    def test_domain_weight_for_no_calibration_domain_is_usage_error(self, ladder_manifest, capsys, tmp_path):
+        fit = ["fit", "--manifest", str(ladder_manifest.root / "manifest.json"), "--method", "lts",
+               "--epochs", "1", "--pixels-per-image", "200"]
+        typo = tmp_path / "typo.json"
+        code, _, err = _run(capsys, fit + ["--out", str(typo), "--domain-weight", "idd=0.5"])
+        assert code == 1 and err.count("\n") == 1 and err.startswith("error: ")
+        assert "'idd'" in err and "id, mild, strong" in err
+        assert not typo.exists()
+        out = tmp_path / "mild.json"
+        code, _, err = _run(capsys, fit + ["--out", str(out), "--domain-weight", "mild=0.5"])
+        assert code == 0 and err == ""
+        assert isinstance(load_calibrator(out), TemperatureRegressor)
+
     def test_missing_out_is_usage_error(self, bench, capsys):
         code, _, err = _run(capsys, ["fit", "--manifest", str(bench)])
         assert code == 1 and "--out" in err
@@ -274,9 +287,12 @@ class TestEval:
         artifact = tmp_path / "cluster.json"
         cluster = {"method": "cluster_ts", "centroids": [[0.0], [1.0]], "temperatures": [1.0, 2.0],
                    "fallback_temperature": 1.0, "classes": 5}
+        lts = {"method": "lts", "feature_mode": "logits", "input_dim": 5, "hidden_width": 1, "t_floor": 0.05,
+               "feature_mean": [0] * 5, "feature_scale": [1] * 5, "w1": [[0] * 5], "b1": [0], "w2": [0], "b2": 0.0}
         for payload, message in [({**cluster, "fallback_temperature": -1.0}, "fallback temperature"),
                                  ({**cluster, "centroids": [[0.0], [float("nan")]]}, "non-finite cluster centroid"),
-                                 ({"method": "ts", "temperature": True}, "temperature must be a number")]:
+                                 ({"method": "ts", "temperature": True}, "temperature must be a number"),
+                                 ({**lts, "t_floor": 5.0}, "t_floor must be in (0, 1)")]:
             artifact.write_text(json.dumps(payload))
             code, _, err = _run(capsys, ["eval", "--manifest", str(bench),
                                          "--calibrator", str(artifact)])

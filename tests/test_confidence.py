@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relikit.calibration import TemperatureMap, apply_temperature, load_entry
-from relikit.confidence import ConfidenceScore, RecordSet, _confidence_pass, confidence_map
+from relikit.confidence import ConfidenceScore, RecordSet, _confidence_pass, _stable_argsort, confidence_map
 from relikit.errors import InvalidTensorError, MetricError
 from relikit.evaluate import EvalConfig, evaluate_manifest
 from relikit.rng import subsample_indices
@@ -197,6 +197,39 @@ class TestRecordSet:
     def test_non_finite_confidence_raises(self):
         with pytest.raises(InvalidTensorError):
             RecordSet(np.array([0.5, np.nan]), np.zeros(2, np.int64), np.zeros(2, np.int64))
+
+    def test_order_is_the_stable_argsort(self):
+        conf = np.array([0.5, 0.25, 0.5, -0.0, 1.0, 0.0, 0.25, 0.5])
+        rs = RecordSet(conf, np.zeros(8, np.int64), np.zeros(8, np.int64))
+        np.testing.assert_array_equal(rs.order, [3, 5, 1, 6, 0, 2, 7, 4])
+
+
+@st.composite
+def _tied_values(draw, elements, specials, dtype):
+    """An array drawn from a pool of at most five values, so most entries tie."""
+    pool = draw(st.lists(st.one_of(st.sampled_from(specials), elements), min_size=1, max_size=5))
+    return np.array(draw(st.lists(st.sampled_from(pool), max_size=200)), dtype=dtype)
+
+
+class TestStableArgsort:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_tied_values(st.floats(allow_nan=False), (1.0, 0.0, -0.0), np.float64))
+    @example(np.array([], dtype=np.float64))
+    @example(np.array([1.0]))
+    @example(np.array([0.0, -0.0]))
+    @example(np.array([-0.0, 0.0]))
+    @example(np.array([1.0, 0.0]))
+    def test_float64_matches_numpy_stable_argsort(self, values):
+        np.testing.assert_array_equal(_stable_argsort(values), np.argsort(values, kind="stable"), strict=True)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_tied_values(st.integers(-2**63, 2**63 - 1), (1, 0, -1), np.int64))
+    @example(np.array([], dtype=np.int64))
+    @example(np.array([7], dtype=np.int64))
+    @example(np.array([3, 3], dtype=np.int64))
+    @example(np.array([3, -3], dtype=np.int64))
+    def test_int64_matches_numpy_stable_argsort(self, values):
+        np.testing.assert_array_equal(_stable_argsort(values), np.argsort(values, kind="stable"), strict=True)
 
 
 class TestExtractRecords:

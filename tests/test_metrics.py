@@ -322,16 +322,19 @@ class TestAuroc:
         assert auroc([0.5, 0.5], [0.5, 0.5, 0.5]) == 0.5
 
     def test_matches_pairwise_oracle(self):
+        # the U count is exact, so the ratio equals the oracle's to the last bit
         rng = np.random.default_rng(25)
-        for _ in range(60):
-            npos = int(rng.integers(1, 60))
-            nneg = int(rng.integers(1, 60))
+        for case in range(120):
+            big = int(rng.integers(2, 120))
+            small = int(rng.integers(1, big))
+            # the even cases have more positives, the odd ones more negatives
+            npos, nneg = (big, small) if case % 2 == 0 else (small, big)
             # quantize so ties actually occur
             pos = np.round(rng.random(npos), 1)
             neg = np.round(rng.random(nneg), 1)
             got = auroc(pos, neg)
             want = oracle_auroc(list(pos), list(neg))
-            assert abs(got - want) < 1e-12
+            assert got == want
 
     def test_empty_side_raises(self):
         with pytest.raises(MetricError):
