@@ -55,7 +55,6 @@ from .tensors import (
     ImageTensor,
     LabelMap,
     LogitTensor,
-    ProbTensor,
     TemperatureMap,
     check_same_shape,
     validate_labels,
@@ -133,8 +132,11 @@ class LtsHyper:
             raise UsageError(f"t-floor must be in (0, 1), got {self.t_floor}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise UsageError(f"learning-rate must be positive and finite, got {self.learning_rate}")
-        if not np.all(np.isfinite(list((self.domain_weights or {}).values()))):
+        weights = list((self.domain_weights or {}).values())
+        if not np.all(np.isfinite(weights)):
             raise UsageError(f"domain weights must be finite, got {self.domain_weights}")
+        if min(weights, default=0.0) < 0:
+            raise UsageError(f"domain weights must be non-negative, got {self.domain_weights}")
 
 
 Calibrator = GlobalTemperature | ClusterTemperatureModel | TemperatureRegressor
@@ -232,13 +234,16 @@ def fit_temperature(logits: np.ndarray, labels: np.ndarray,
     return temperature_of.get(best, 1.0 / best)
 
 
-def apply_temperature(logits: LogitTensor, temperature: float | TemperatureMap) -> ProbTensor:
-    """softmax(logits / T) with T a positive scalar or a per-pixel :class:`TemperatureMap`."""
+def apply_temperature(logits: LogitTensor, temperature: float | TemperatureMap) -> np.ndarray:
+    """softmax(logits / T) as an (H, W, K) float64 array.
+
+    T is a positive scalar or a per-pixel :class:`TemperatureMap`.
+    """
     z = scaled_logits(logits, temperature)
     z -= z.max(axis=2, keepdims=True)
     e = np.exp(z)
     e /= e.sum(axis=2, keepdims=True)
-    return ProbTensor(e)
+    return e
 
 
 @dataclass(frozen=True)
@@ -443,8 +448,6 @@ def fit_lts(manifest: DatasetManifest, *, feature_mode: FeatureMode = FeatureMod
     if hyper.domain_weights is not None:
         per_entry = [float(hyper.domain_weights.get(entry.domain, 1.0)) for entry in entries]
         weights = np.array(per_entry)[pixels.entry]
-        if weights.min() < 0:
-            raise CalibrationError("domain weights must be non-negative")
         if weights.sum() == 0:
             raise CalibrationError("domain weights are zero on every calibration pixel")
     mean = features.mean(axis=0)
@@ -534,7 +537,7 @@ def calibrator_temperature(calibrator: Calibrator | None, logits: LogitTensor,
 
 def apply_calibrator(calibrator: Calibrator | None, logits: LogitTensor,
                      feature: np.ndarray | None = None,
-                     image: ImageTensor | None = None) -> ProbTensor:
+                     image: ImageTensor | None = None) -> np.ndarray:
     """softmax(logits / T) with T from :func:`calibrator_temperature`."""
     return apply_temperature(logits, calibrator_temperature(calibrator, logits, feature, image))
 

@@ -18,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import evaluate as ev
@@ -40,10 +40,7 @@ from .calibration import (
 from .confidence import ConfidenceScore
 from .counterexample import CounterexampleSpec, build_counterexample, evaluate_counterexample
 from .errors import (
-    CalibrationError,
     InvalidTensorError,
-    ManifestError,
-    MetricError,
     NumericalError,
     RelikitError,
     TensorFormatError,
@@ -95,6 +92,11 @@ def _resolve_options(args, defaults: dict) -> dict:
     if options["split"] not in SPLITS:
         raise UsageError(f"split must be one of {', '.join(SPLITS)}, got {options['split']!r}")
     return options
+
+
+def _given(args, keys) -> dict:
+    """The flags among ``keys`` that were passed; the library supplies the others' defaults."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
 def _require(options: dict, key: str):
@@ -238,11 +240,8 @@ def cmd_fit(args) -> int:
                 print(f"cluster {j}: T per class: {row}")
     elif method == "lts":
         hyper = LtsHyper(
-            hidden_width=convert_option("hidden_width", options["hidden_width"], int),
-            t_floor=convert_option("t_floor", options["t_floor"], float),
-            learning_rate=convert_option("learning_rate", options["learning_rate"], float),
-            epochs=convert_option("epochs", options["epochs"], int),
-            batch_pixels=convert_option("batch_pixels", options["batch_pixels"], int),
+            **{key: convert_option(key, options[key], type(default))
+               for key, default in asdict(LtsHyper()).items() if default is not None},
             domain_weights=_parse_domain_weights(options["domain_weights"]),
         )
         feature_mode = convert_option("feature_mode", options["feature_mode"], FeatureMode)
@@ -343,12 +342,9 @@ def cmd_synth(args) -> int:
             raise UsageError("--shift shapes the built-in benchmark; it cannot override a config file")
         config = syn.config_from_json(_load_config_file(args.config))
         if args.seed is not None:
-            config = replace(config, seed=int(args.seed))
+            config = replace(config, seed=args.seed)
     else:
-        config = syn.default_ladder(
-            seed=int(args.seed) if args.seed is not None else 7,
-            shift=float(args.shift) if args.shift is not None else 1.0,
-        )
+        config = syn.default_ladder(**_given(args, ("seed", "shift")))
     if args.out is None:
         raise UsageError("missing required option --out")
     manifest_path = syn.generate_benchmark(config, args.out)
@@ -364,11 +360,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_theorem(args) -> int:
-    spec = CounterexampleSpec(
-        bins=args.bins if args.bins is not None else 3,
-        residual=args.residual if args.residual is not None else 0.2,
-        per_bin=args.per_bin if args.per_bin is not None else 100,
-    )
+    spec = CounterexampleSpec(**_given(args, [f.name for f in fields(CounterexampleSpec)]))
     ce = build_counterexample(spec)
     values = evaluate_counterexample(ce)
     print(f"bins={spec.bins} per_bin={spec.per_bin} residual={spec.residual:+.6f}")
@@ -455,18 +447,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except UsageError as exc:
+    except RelikitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (TensorFormatError, InvalidTensorError, ManifestError, MetricError, CalibrationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except RelikitError as exc:  # future error types without a dedicated code
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":

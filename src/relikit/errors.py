@@ -1,9 +1,10 @@
 """Exception hierarchy shared across the toolkit.
 
 Every error raised by this package derives from :class:`RelikitError` so
-callers can catch one type at the boundary. The subclasses map onto the
-CLI exit codes: usage problems exit 1, data problems exit 2, numerical
-failures exit 3. :func:`convert_option` is the one strict cast of option
+callers can catch one type at the boundary. Each class carries the CLI
+exit code of its errors as ``exit_code``: usage problems exit 1, data
+problems (every class without its own code) exit 2, numerical failures
+exit 3. :func:`convert_option` is the one strict cast of option
 and config values, so a value of the wrong type is always a usage error.
 """
 
@@ -12,6 +13,8 @@ from enum import Enum
 
 class RelikitError(Exception):
     """Base class for all toolkit errors."""
+
+    exit_code = 2
 
 
 class InvalidTensorError(RelikitError):
@@ -37,9 +40,13 @@ class CalibrationError(RelikitError):
 class NumericalError(RelikitError):
     """A numerical routine produced a non-finite result or left its bounds."""
 
+    exit_code = 3
+
 
 class UsageError(RelikitError):
     """Bad command-line arguments or configuration values."""
+
+    exit_code = 1
 
 
 def convert_option(name: str, value, kind):

@@ -21,20 +21,22 @@ A manifest is a JSON file that binds tensor files into a dataset:
       ]
     }
 
-``logits`` and ``labels`` are required per entry; ``feature`` (per-image
-descriptor for cluster calibration), ``image`` (per-pixel channels for the
-temperature regressor) and ``ood_mask`` (unknown-class pixels) are optional.
-Relative paths are resolved against the manifest's directory. ``split`` is
-``calibration`` or ``test``. ``ignore_value`` labels pixels excluded from
-every metric and fit; it must not collide with a class index. Entries are
-sorted by ``image_id`` at load so downstream results do not depend on the
-order they were listed in.
+An entry's keys are the fields of :class:`ManifestEntry`, and each value
+is a non-empty string. ``logits`` and ``labels`` are required per entry;
+``feature`` (per-image descriptor for cluster calibration), ``image``
+(per-pixel channels for the temperature regressor) and ``ood_mask``
+(unknown-class pixels) are optional, and :func:`save_manifest` writes only
+those an entry has. Relative paths are resolved against the manifest's
+directory. ``split`` is ``calibration`` or ``test``. ``ignore_value`` labels
+pixels excluded from every metric and fit; it must not collide with a class
+index. Entries are sorted by ``image_id`` at load so downstream results do
+not depend on the order they were listed in.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +45,7 @@ from . import tensor_io
 from .errors import ManifestError
 
 SPLITS = ("calibration", "test")
+_REQUIRED_FIELDS = ("image_id", "split", "domain", "logits", "labels")
 DEFAULT_IGNORE = 255
 
 
@@ -90,29 +93,17 @@ def _require(condition: bool, message: str):
 
 def _parse_entry(raw: dict, index: int) -> ManifestEntry:
     _require(isinstance(raw, dict), f"entry {index}: not a JSON object")
-    for key in ("image_id", "split", "domain", "logits", "labels"):
+    for key in _REQUIRED_FIELDS:
         _require(key in raw, f"entry {index}: missing required field {key!r}")
-        _require(isinstance(raw[key], str) and raw[key], f"entry {index}: field {key!r} must be a non-empty string")
-    known = {"image_id", "split", "domain", "logits", "labels", "feature", "image", "ood_mask"}
-    unknown = raw.keys() - known
+    names = [f.name for f in fields(ManifestEntry)]
+    unknown = raw.keys() - set(names)
     _require(not unknown, f"entry {index}: unknown fields {sorted(unknown)}")
-    for key in ("feature", "image", "ood_mask"):
+    for key in names:
         if key in raw:
-            _require(
-                isinstance(raw[key], str) and raw[key],
-                f"entry {index}: field {key!r} must be a non-empty string when present",
-            )
+            _require(isinstance(raw[key], str) and raw[key],
+                     f"entry {index}: field {key!r} must be a non-empty string")
     _require(raw["split"] in SPLITS, f"entry {index}: split must be one of {SPLITS}, got {raw['split']!r}")
-    return ManifestEntry(
-        image_id=raw["image_id"],
-        split=raw["split"],
-        domain=raw["domain"],
-        logits=raw["logits"],
-        labels=raw["labels"],
-        feature=raw.get("feature"),
-        image=raw.get("image"),
-        ood_mask=raw.get("ood_mask"),
-    )
+    return ManifestEntry(**raw)
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -164,23 +155,8 @@ def save_manifest(manifest: DatasetManifest, path) -> Path:
     payload = {
         "classes": manifest.classes,
         "ignore_value": manifest.ignore_value,
-        "entries": [
-            {
-                key: value
-                for key, value in (
-                    ("image_id", entry.image_id),
-                    ("split", entry.split),
-                    ("domain", entry.domain),
-                    ("logits", entry.logits),
-                    ("labels", entry.labels),
-                    ("feature", entry.feature),
-                    ("image", entry.image),
-                    ("ood_mask", entry.ood_mask),
-                )
-                if value is not None
-            }
-            for entry in manifest.entries
-        ],
+        "entries": [{key: value for key, value in asdict(entry).items() if value is not None}
+                    for entry in manifest.entries],
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path

@@ -18,12 +18,18 @@ their logits damped so the model is visibly less confident there.
 
 All randomness is drawn from one stream per (seed, image_id), so any
 image is reproducible in isolation.
+
+A benchmark config (``relikit synth --config``) is a JSON object whose keys
+are the fields of :class:`SynthConfig`; ``domains`` is a list of objects
+whose keys are the fields of :class:`DomainSpec`. :func:`config_to_json`
+writes every field and leaves out a domain's unset image counts;
+:func:`config_from_json` gives an absent key its field's default.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -266,46 +272,25 @@ def default_ladder(seed: int = 7, shift: float = 1.0) -> SynthConfig:
 
 
 def config_to_json(config: SynthConfig) -> str:
-    payload = {
-        "classes": config.classes,
-        "height": config.height,
-        "width": config.width,
-        "concentration": config.concentration,
-        "smoothing_radius": config.smoothing_radius,
-        "sharpness": config.sharpness,
-        "seed": config.seed,
-        "feature_jitter": config.feature_jitter,
-        "calibration_images": config.calibration_images,
-        "test_images": config.test_images,
-        "ignore_value": config.ignore_value,
-        "holdout_classes": list(config.holdout_classes),
-        "holdout_logit_damp": config.holdout_logit_damp,
-        "channel_noise": config.channel_noise,
-        "evidence_floor": config.evidence_floor,
-        "domains": [
-            {
-                key: value
-                for key, value in (
-                    ("tag", d.tag),
-                    ("true_temperature", d.true_temperature),
-                    ("logit_noise", d.logit_noise),
-                    ("feature_offset", list(d.feature_offset)),
-                    ("calibration_images", d.calibration_images),
-                    ("test_images", d.test_images),
-                )
-                if value is not None
-            }
-            for d in config.domains
-        ],
-    }
+    payload = asdict(config)
+    payload["domains"] = [{key: value for key, value in domain.items() if value is not None}
+                          for domain in payload["domains"]]
     return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _cast_scalars(cls, source: dict) -> dict:
+    """Each int or float field of ``cls`` from ``source``, cast strictly by its default's type."""
+    return {f.name: convert_option(f.name, source.get(f.name, f.default), type(f.default))
+            for f in fields(cls) if type(f.default) in (int, float)}
 
 
 def config_from_json(source: str | dict) -> SynthConfig:
     """Build a config from JSON text or an already-parsed JSON object.
 
-    Unknown keys and values that do not cast to their field's type are
-    usage errors. Values are cast as ``fit`` and ``eval`` options are
+    The keys are the fields of :class:`SynthConfig` and, per domain, of
+    :class:`DomainSpec`; an absent key takes the field's default. Unknown
+    keys and values that do not cast to their field's type are usage
+    errors. Values are cast as ``fit`` and ``eval`` options are
     (:func:`~relikit.errors.convert_option`): a bool is no number and a
     float no integer.
     """
@@ -317,51 +302,33 @@ def config_from_json(source: str | dict) -> SynthConfig:
             raise UsageError(f"benchmark config is not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise UsageError("benchmark config must be a JSON object")
-    defaults = SynthConfig()
-    known = {
-        "classes", "height", "width", "concentration", "smoothing_radius", "sharpness", "seed",
-        "feature_jitter", "calibration_images", "test_images", "ignore_value",
-        "holdout_classes", "holdout_logit_damp", "channel_noise", "evidence_floor", "domains",
-    }
-    unknown = payload.keys() - known
+    unknown = payload.keys() - {f.name for f in fields(SynthConfig)}
     if unknown:
         raise UsageError(f"unknown benchmark config keys: {sorted(unknown)}")
-
-    def cast(source: dict, key: str, kind, default):
-        return convert_option(key, source.get(key, default), kind)
-
     try:
         domains = []
         for i, raw in enumerate(payload.get("domains", [])):
             if not isinstance(raw, dict) or "tag" not in raw:
                 raise UsageError(f"domain {i}: must be an object with a tag")
-            domain_known = {"tag", "true_temperature", "logit_noise", "feature_offset",
-                            "calibration_images", "test_images"}
-            domain_unknown = raw.keys() - domain_known
+            domain_unknown = raw.keys() - {f.name for f in fields(DomainSpec)}
             if domain_unknown:
                 raise UsageError(f"domain {i}: unknown keys {sorted(domain_unknown)}")
-            counts = {key: None if raw.get(key) is None else cast(raw, key, int, None)
-                      for key in ("calibration_images", "test_images")}
+            counts = {f.name: None if raw.get(f.name) is None else convert_option(f.name, raw[f.name], int)
+                      for f in fields(DomainSpec) if f.default is None}
             if not isinstance(raw["tag"], str) or not raw["tag"]:
                 raise UsageError(f"domain {i}: tag must be a non-empty string, got {raw['tag']!r}")
             domains.append(DomainSpec(
                 tag=raw["tag"],
-                true_temperature=cast(raw, "true_temperature", float, 1.0),
-                logit_noise=cast(raw, "logit_noise", float, 0.0),
+                **_cast_scalars(DomainSpec, raw),
                 feature_offset=tuple(convert_option("feature_offset", x, float)
                                      for x in raw.get("feature_offset", (0.0, 0.0))),
                 **counts,
             ))
         config = SynthConfig(
-            domains=tuple(domains) if domains else defaults.domains,
+            domains=tuple(domains) if domains else SynthConfig.domains,
             holdout_classes=tuple(convert_option("holdout_classes", c, int)
                                   for c in payload.get("holdout_classes", ())),
-            **{key: cast(payload, key, int, getattr(defaults, key)) for key in (
-                "classes", "height", "width", "smoothing_radius", "seed",
-                "calibration_images", "test_images", "ignore_value")},
-            **{key: cast(payload, key, float, getattr(defaults, key)) for key in (
-                "concentration", "sharpness", "feature_jitter", "holdout_logit_damp",
-                "channel_noise", "evidence_floor")},
+            **_cast_scalars(SynthConfig, payload),
         )
     except (TypeError, ValueError, OverflowError, UsageError) as exc:
         raise UsageError(f"benchmark config has a malformed value ({exc})") from exc

@@ -4,8 +4,6 @@ Thin dataclass wrappers around numpy arrays that validate the structural
 invariants once, at construction, so downstream code can rely on them:
 
 * :class:`LogitTensor`  -- raw per-pixel class scores, (H, W, K) float32, K >= 2, finite.
-* :class:`ProbTensor`   -- per-pixel distributions, (H, W, K) float64, entries in
-  [0, 1] and rows summing to 1 within 1e-6.
 * :class:`LabelMap`     -- per-pixel class indices, (H, W) uint16. Values are
   checked against a class count and ignore sentinel via :func:`validate_labels`
   because the map itself does not know either.
@@ -20,9 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CalibrationError, InvalidTensorError
-
-PROB_SUM_TOL = 1e-6
-PROB_RANGE_TOL = 1e-9
 
 
 def _as_array(data, dtype, name: str) -> np.ndarray:
@@ -49,40 +44,6 @@ class LogitTensor:
             raise InvalidTensorError(f"logits: empty spatial extent {arr.shape[:2]}")
         if not np.all(np.isfinite(arr)):
             raise InvalidTensorError("logits: non-finite values")
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def classes(self) -> int:
-        return self.data.shape[2]
-
-
-@dataclass(frozen=True)
-class ProbTensor:
-    """Per-pixel class distributions, shape (height, width, classes)."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_array(self.data, np.float64, "probs")
-        if arr.ndim != 3:
-            raise InvalidTensorError(f"probs: expected 3 axes (H, W, K), got shape {arr.shape}")
-        if arr.shape[2] < 2:
-            raise InvalidTensorError(f"probs: need at least 2 classes, got {arr.shape[2]}")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidTensorError("probs: non-finite values")
-        if arr.min() < -PROB_RANGE_TOL or arr.max() > 1.0 + PROB_RANGE_TOL:
-            raise InvalidTensorError("probs: entries outside [0, 1]")
-        sums = arr.sum(axis=2)
-        if np.abs(sums - 1.0).max() > PROB_SUM_TOL:
-            raise InvalidTensorError("probs: per-pixel sums deviate from 1 beyond 1e-6")
         object.__setattr__(self, "data", arr)
 
     @property

@@ -222,12 +222,12 @@ def test_criterion_04_calibration_preserves_predictions(ladder_manifest):
         labels = tensor_io.read_labels(ladder_manifest.resolve(entry.labels))
         feature = tensor_io.read_feature(ladder_manifest.resolve(entry.feature))
         image = tensor_io.read_image(ladder_manifest.resolve(entry.image))
-        base_pred = apply_temperature(logits, 1.0).data.argmax(axis=2)
+        base_pred = apply_temperature(logits, 1.0).argmax(axis=2)
         maps_equal &= bool(np.array_equal(confidence_map(logits)[1], base_pred))
         base_conf += met.confusion_matrix(base_pred, labels, classes)
         for name, calibrator in calibrators.items():
             probs = apply_calibrator(calibrator, logits, feature=feature, image=image)
-            pred = probs.data.argmax(axis=2)
+            pred = probs.argmax(axis=2)
             maps_equal &= bool(np.array_equal(pred, base_pred))
             conf[name] += met.confusion_matrix(pred, labels, classes)
     base_miou = met.iou_from_confusion(base_conf).miou

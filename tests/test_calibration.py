@@ -214,33 +214,33 @@ class TestApplyTemperature:
         logits = self._logits()
         z = logits.data.astype(np.float64)
         e = np.exp(z - z.max(axis=2, keepdims=True))
-        np.testing.assert_array_equal(apply_temperature(logits, 1.0).data, e / e.sum(axis=2, keepdims=True))
+        np.testing.assert_array_equal(apply_temperature(logits, 1.0), e / e.sum(axis=2, keepdims=True))
 
     def test_argmax_preserved_for_any_temperature(self):
         logits = self._logits()
-        base = apply_temperature(logits, 1.0).data.argmax(axis=2)
+        base = apply_temperature(logits, 1.0).argmax(axis=2)
         rng = np.random.default_rng(76)
         for t in [0.05, 0.3, 1.0, 7.5, 20.0]:
-            np.testing.assert_array_equal(apply_temperature(logits, t).data.argmax(axis=2), base)
+            np.testing.assert_array_equal(apply_temperature(logits, t).argmax(axis=2), base)
         tmap = TemperatureMap(0.1 + 5.0 * rng.random((5, 6)))
-        np.testing.assert_array_equal(apply_temperature(logits, tmap).data.argmax(axis=2), base)
+        np.testing.assert_array_equal(apply_temperature(logits, tmap).argmax(axis=2), base)
 
     def test_temperature_map_matches_per_pixel_scalars(self):
         logits = self._logits(shape=(2, 3, 4))
         rng = np.random.default_rng(77)
         tmap = 0.2 + 3.0 * rng.random((2, 3))
-        full = apply_temperature(logits, TemperatureMap(tmap)).data
+        full = apply_temperature(logits, TemperatureMap(tmap))
         for i in range(2):
             for j in range(3):
                 one = LogitTensor(logits.data[i : i + 1, j : j + 1, :])
                 np.testing.assert_allclose(
-                    full[i, j], apply_temperature(one, float(tmap[i, j])).data[0, 0], atol=1e-15
+                    full[i, j], apply_temperature(one, float(tmap[i, j]))[0, 0], atol=1e-15
                 )
 
     def test_high_temperature_softens(self):
         logits = self._logits()
-        sharp = apply_temperature(logits, 1.0).data.max(axis=2)
-        soft = apply_temperature(logits, 10.0).data.max(axis=2)
+        sharp = apply_temperature(logits, 1.0).max(axis=2)
+        soft = apply_temperature(logits, 10.0).max(axis=2)
         assert np.all(soft <= sharp + 1e-12)
         assert soft.mean() < sharp.mean()
 
@@ -425,7 +425,7 @@ class TestApplyClusterTs:
         assert calibrator_temperature(model, logits, feature) == float(model.temperatures[cluster])
         expected = apply_temperature(logits, float(model.temperatures[cluster]))
         got = apply_calibrator(model, logits, feature=feature)
-        np.testing.assert_array_equal(got.data, expected.data)
+        np.testing.assert_array_equal(got, expected)
 
     def test_per_class_uses_predicted_class_cells(self, ladder_manifest):
         model = fit_cluster_ts(ladder_manifest, k=2, variant=ClusterVariant.PER_CLASS, seed=6)
@@ -438,7 +438,7 @@ class TestApplyClusterTs:
         np.testing.assert_array_equal(calibrator_temperature(model, logits, feature).values, tmap)
         expected = apply_temperature(logits, TemperatureMap(tmap))
         got = apply_calibrator(model, logits, feature=feature)
-        np.testing.assert_array_equal(got.data, expected.data)
+        np.testing.assert_array_equal(got, expected)
 
     def test_bad_predicted_map_raises(self, ladder_manifest):
         model = fit_cluster_ts(ladder_manifest, k=2, variant=ClusterVariant.PER_CLASS, seed=6)
@@ -506,6 +506,7 @@ class TestFitLts:
     @pytest.mark.parametrize("field, value", [
         ("hidden_width", 0), ("epochs", -1), ("batch_pixels", 0), ("t_floor", 1.0), ("t_floor", -0.5),
         ("learning_rate", 0.0), ("learning_rate", float("nan")), ("domain_weights", {"id": float("inf")}),
+        ("domain_weights", {"id": 1.0, "mild": -1.0}),
     ])
     def test_hyper_rejects_values_training_cannot_use(self, field, value):
         with pytest.raises(UsageError, match=field.replace("_", "[-_ ]")):
@@ -587,7 +588,7 @@ class TestApplyCalibrator:
     def test_none_is_raw_softmax(self, ladder_manifest):
         entry = ladder_manifest.select(split="test")[0]
         logits = read_logits(ladder_manifest.resolve(entry.logits))
-        np.testing.assert_array_equal(apply_calibrator(None, logits).data, apply_temperature(logits, 1.0).data)
+        np.testing.assert_array_equal(apply_calibrator(None, logits), apply_temperature(logits, 1.0))
 
     def test_temperature_of_each_calibrator(self, mono_manifest):
         entry = mono_manifest.select(split="test")[0]
@@ -598,8 +599,8 @@ class TestApplyCalibrator:
         assert calibrator_temperature(GlobalTemperature(2.5), logits) == 2.5
         tmap = calibrator_temperature(regressor, logits, image=image)
         np.testing.assert_array_equal(tmap.values, predict_temperature_map(regressor, logits, image).values)
-        np.testing.assert_array_equal(apply_calibrator(regressor, logits, image=image).data,
-                                      apply_temperature(logits, tmap).data)
+        np.testing.assert_array_equal(apply_calibrator(regressor, logits, image=image),
+                                      apply_temperature(logits, tmap))
         with pytest.raises(UsageError):
             calibrator_temperature("ts", logits)
 

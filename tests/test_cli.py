@@ -123,6 +123,19 @@ class TestFit:
         assert code == 0 and err == ""
         assert isinstance(load_calibrator(out), TemperatureRegressor)
 
+    def test_negative_domain_weight_is_rejected_before_any_read(self, bench, capsys, tmp_path, monkeypatch):
+        reads = []
+        read_logits = cli.tensor_io.read_logits
+        monkeypatch.setattr(cli.tensor_io, "read_logits", lambda path: reads.append(path) or read_logits(path))
+        out = tmp_path / "lts.json"
+        code, _, err = _run(capsys, [
+            "fit", "--manifest", str(bench), "--out", str(out), "--method", "lts",
+            "--domain-weight", "id=-1",
+        ])
+        assert code == 1 and err.count("\n") == 1 and err.startswith("error: ")
+        assert "non-negative" in err
+        assert not out.exists() and reads == []
+
     def test_missing_out_is_usage_error(self, bench, capsys):
         code, _, err = _run(capsys, ["fit", "--manifest", str(bench)])
         assert code == 1 and "--out" in err

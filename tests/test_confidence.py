@@ -20,14 +20,14 @@ class TestSoftmax:
     def test_two_class_closed_form(self):
         # softmax([1, 0]) = (e / (e + 1), 1 / (e + 1))
         logits = LogitTensor(np.array([[[1.0, 0.0]]], dtype=np.float32))
-        p = apply_temperature(logits, 1.0).data[0, 0]
+        p = apply_temperature(logits, 1.0)[0, 0]
         e = np.exp(1.0)
         assert abs(p[0] - e / (e + 1.0)) < 1e-12
         assert abs(p[1] - 1.0 / (e + 1.0)) < 1e-12
 
     def test_equal_logits_are_uniform(self):
         logits = LogitTensor(np.full((2, 2, 4), 3.5, dtype=np.float32))
-        np.testing.assert_allclose(apply_temperature(logits, 1.0).data, 0.25, atol=1e-15)
+        np.testing.assert_allclose(apply_temperature(logits, 1.0), 0.25, atol=1e-15)
 
     def test_shift_invariance(self):
         # quarter-integer logits so the float32 shift is exact
@@ -35,12 +35,12 @@ class TestSoftmax:
         raw = (rng.integers(-32, 33, size=(3, 3, 5)) / 4.0).astype(np.float32)
         shifted = raw + np.float32(7.25)
         np.testing.assert_allclose(
-            apply_temperature(LogitTensor(raw), 1.0).data, apply_temperature(LogitTensor(shifted), 1.0).data, atol=1e-12
+            apply_temperature(LogitTensor(raw), 1.0), apply_temperature(LogitTensor(shifted), 1.0), atol=1e-12
         )
 
     def test_large_logits_do_not_overflow(self):
         logits = LogitTensor(np.array([[[500.0, -500.0]]], dtype=np.float32))
-        p = apply_temperature(logits, 1.0).data[0, 0]
+        p = apply_temperature(logits, 1.0)[0, 0]
         assert p[0] == pytest.approx(1.0)
         assert np.isfinite(p).all()
 
@@ -49,7 +49,7 @@ class TestSoftmax:
         for _ in range(20):
             k = int(rng.integers(2, 9))
             logits = LogitTensor(rng.normal(scale=4.0, size=(4, 4, k)).astype(np.float32))
-            sums = apply_temperature(logits, 1.0).data.sum(axis=2)
+            sums = apply_temperature(logits, 1.0).sum(axis=2)
             np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
 
@@ -57,9 +57,8 @@ def _logits(rows) -> LogitTensor:
     return LogitTensor(np.array(rows, dtype=np.float32))
 
 
-def _reduce_probabilities(probs, score):
+def _reduce_probabilities(p, score):
     """The reduction of a probability tensor that eval ran before the kernel."""
-    p = probs.data
     if score is ConfidenceScore.MAX_PROB:
         return p.max(axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -124,7 +123,7 @@ class TestConfidenceMap:
     def test_prediction_is_the_raw_logit_argmax(self):
         # softmax rounds [0, 1e-30] to two equal probabilities, whose argmax is class 0
         logits = _logits([[[0.0, 1e-30]]])
-        assert apply_temperature(logits, 1.0).data.argmax(axis=2)[0, 0] == 0
+        assert apply_temperature(logits, 1.0).argmax(axis=2)[0, 0] == 0
         for score in ConfidenceScore:
             _, pred = confidence_map(logits, 1.0, score)
             assert pred[0, 0] == 1

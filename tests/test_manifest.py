@@ -4,9 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from relikit.errors import ManifestError
 from relikit.manifest import (
+    SPLITS,
     DatasetManifest,
     ManifestEntry,
     load_features,
@@ -164,6 +167,28 @@ class TestSaveManifest:
         raw = json.loads((tmp_path / "m.json").read_text())
         assert "feature" not in raw["entries"][0]
         assert "ood_mask" not in raw["entries"][0]
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_save_then_load_returns_the_entries(self, tmp_path, data):
+        files = ("a.bin", "sub/b.bin", "c d.bin")
+        for name in files:
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_bytes(b"")
+        text = st.text(min_size=1, max_size=6)
+        path = st.sampled_from(files)
+        ids = data.draw(st.lists(text, min_size=1, max_size=5, unique=True))
+        entries = tuple(sorted((
+            ManifestEntry(
+                image_id=image_id, split=data.draw(st.sampled_from(SPLITS)), domain=data.draw(text),
+                logits=data.draw(path), labels=data.draw(path),
+                # each optional slot is present or absent on its own
+                feature=data.draw(st.none() | path), image=data.draw(st.none() | path),
+                ood_mask=data.draw(st.none() | path),
+            ) for image_id in ids), key=lambda e: e.image_id))
+        manifest = DatasetManifest(classes=3, ignore_value=255, entries=entries, root=tmp_path)
+        assert load_manifest(save_manifest(manifest, tmp_path / "m.json")).entries == entries
 
 
 class TestLoadFeatures:

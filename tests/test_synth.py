@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relikit.calibration import apply_temperature
 from relikit.confidence import RecordSet, confidence_map
@@ -100,7 +102,7 @@ class TestGenerateScene:
         # tau = 1, no noise: softmax(logits) == p up to float32 quantization
         config = _tiny_config()
         scene = generate_scene(config, "a", "a-cal-000")
-        recovered = apply_temperature(scene.logits, 1.0).data
+        recovered = apply_temperature(scene.logits, 1.0)
         np.testing.assert_allclose(recovered, scene.true_probs, atol=1e-4)
 
     def test_sharper_domain_is_more_confident(self):
@@ -108,8 +110,8 @@ class TestGenerateScene:
         flat = generate_scene(config, "a", "same-id")
         sharp = generate_scene(config, "b", "same-id")
         assert (
-            apply_temperature(sharp.logits, 1.0).data.max(axis=2).mean()
-            > apply_temperature(flat.logits, 1.0).data.max(axis=2).mean()
+            apply_temperature(sharp.logits, 1.0).max(axis=2).mean()
+            > apply_temperature(flat.logits, 1.0).max(axis=2).mean()
         )
 
     def test_identity_domain_is_calibrated(self):
@@ -142,7 +144,7 @@ class TestGenerateScene:
         )
         assert not np.any(scene.labels.data[~scene.ood_mask] == 4)
         # damped logits mean lower confidence on masked pixels
-        conf = apply_temperature(scene.logits, 1.0).data.max(axis=2)
+        conf = apply_temperature(scene.logits, 1.0).max(axis=2)
         assert conf[scene.ood_mask].mean() < conf[~scene.ood_mask].mean()
 
     def test_unknown_domain_tag_raises(self):
@@ -208,7 +210,7 @@ class TestGenerateBenchmark:
             confs = []
             for entry in ladder_manifest.select(split="test", domain=domain):
                 logits = read_logits(ladder_manifest.resolve(entry.logits))
-                confs.append(apply_temperature(logits, 1.0).data.max(axis=2).mean())
+                confs.append(apply_temperature(logits, 1.0).max(axis=2).mean())
             means[domain] = np.mean(confs)
         assert means["id"] < means["mild"] < means["strong"]
 
@@ -241,6 +243,34 @@ class TestConfigJson:
             feature_jitter=0.25, calibration_images=3, test_images=2,
             ignore_value=100, holdout_classes=(1, 3), holdout_logit_damp=0.5,
             channel_noise=0.02, evidence_floor=-4.0,
+        )
+        assert config_from_json(config_to_json(config)) == config
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_round_trip_over_drawn_configs(self, data):
+        number = st.floats(allow_nan=False, allow_infinity=False)
+        positive = st.floats(min_value=1e-3, max_value=1e3)
+        count = st.integers(0, 50)
+        classes = data.draw(st.integers(2, 30))
+        dim = data.draw(st.integers(1, 4))
+        tags = data.draw(st.lists(st.text(min_size=1, max_size=5), min_size=1, max_size=3, unique=True))
+        domains = tuple(
+            DomainSpec(
+                tag, data.draw(positive), data.draw(st.floats(min_value=0.0, max_value=10.0)),
+                tuple(data.draw(st.lists(number, min_size=dim, max_size=dim))),
+                calibration_images=data.draw(st.none() | count), test_images=data.draw(st.none() | count),
+            ) for tag in tags)
+        config = SynthConfig(
+            classes=classes, height=data.draw(st.integers(1, 512)), width=data.draw(st.integers(1, 512)),
+            domains=domains, concentration=data.draw(positive),
+            smoothing_radius=data.draw(st.integers(0, 10)), sharpness=data.draw(positive),
+            seed=data.draw(st.integers(0, 2**63 - 1)), feature_jitter=data.draw(number),
+            calibration_images=data.draw(count), test_images=data.draw(count),
+            ignore_value=data.draw(st.integers(classes, 65535)),
+            holdout_classes=tuple(data.draw(st.lists(st.integers(0, classes - 1), max_size=classes - 1))),
+            holdout_logit_damp=data.draw(st.floats(min_value=1e-3, max_value=1.0)),
+            channel_noise=data.draw(number), evidence_floor=data.draw(number),
         )
         assert config_from_json(config_to_json(config)) == config
 

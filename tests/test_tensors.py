@@ -8,7 +8,6 @@ from relikit.tensors import (
     ImageTensor,
     LabelMap,
     LogitTensor,
-    ProbTensor,
     check_same_shape,
     validate_labels,
 )
@@ -49,32 +48,6 @@ class TestLogitTensor:
         arr[1, 1, 0] = np.inf
         with pytest.raises(InvalidTensorError):
             LogitTensor(arr)
-
-
-class TestProbTensor:
-    def test_accepts_normalized_rows(self):
-        rng = np.random.default_rng(1)
-        raw = rng.random((3, 5, 4))
-        probs = raw / raw.sum(axis=2, keepdims=True)
-        t = ProbTensor(probs)
-        assert t.data.dtype == np.float64
-        assert t.classes == 4
-
-    def test_rejects_rows_off_by_more_than_tolerance(self):
-        probs = np.full((2, 2, 2), 0.5)
-        probs[0, 0] = [0.5, 0.5 + 2e-6]
-        with pytest.raises(InvalidTensorError):
-            ProbTensor(probs)
-
-    def test_accepts_rows_within_tolerance(self):
-        probs = np.full((2, 2, 2), 0.5)
-        probs[0, 0] = [0.5, 0.5 + 5e-7]
-        ProbTensor(probs)
-
-    def test_rejects_negative_entries(self):
-        probs = np.array([[[1.2, -0.2]]])
-        with pytest.raises(InvalidTensorError):
-            ProbTensor(probs)
 
 
 class TestLabelMap:
