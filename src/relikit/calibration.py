@@ -426,11 +426,15 @@ def fit_lts(manifest: DatasetManifest, *, feature_mode: FeatureMode = FeatureMod
             seed: int = 0) -> tuple[TemperatureRegressor, list[float]]:
     """Train the per-pixel temperature network on a calibration split.
 
-    Returns the regressor and the per-epoch training loss curve. The raw
-    output bias starts at softplus^-1(1 - t_floor) so training begins near
-    the identity temperature. Optional per-domain loss weights rebalance
-    domains of different sizes; a domain without a weight counts 1, and a
-    weight whose tag names no domain of the split is a usage error.
+    Returns the regressor and the per-epoch training loss curve: each
+    epoch's value is the weighted running mean of its minibatch losses
+    (:func:`relikit.mlp.sgd_train`), not a separate pass over the split. The
+    raw output bias starts at softplus^-1(1 - t_floor) so training begins
+    near the identity temperature. Optional per-domain loss weights
+    rebalance domains of different sizes; a domain without a weight counts
+    1, and a weight whose tag names no domain of the split is a usage error.
+    Training has diverged, a numerical error, when the last curve value or
+    any trained parameter is not finite.
     """
     feature_mode = FeatureMode(feature_mode)
     entries = _split_entries(manifest, split)
@@ -465,7 +469,7 @@ def fit_lts(manifest: DatasetManifest, *, feature_mode: FeatureMode = FeatureMod
         hyper.learning_rate, hyper.epochs, hyper.batch_pixels,
         derive_stream(seed, "lts-batches"), weights,
     )
-    if curve and not np.isfinite(curve[-1]):
+    if (curve and not np.isfinite(curve[-1])) or not np.isfinite(params.to_vector()).all():
         raise NumericalError("temperature regressor training diverged")
     regressor = TemperatureRegressor(
         feature_mode=feature_mode,

@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, fields, replace
+from functools import partial
 from pathlib import Path
 
 from . import evaluate as ev
@@ -89,9 +90,19 @@ def _resolve_options(args, defaults: dict) -> dict:
         value = options.get(key)
         if value is not None and not isinstance(value, str):
             raise UsageError(f"{key.replace('_', '-')} must be a string, got {value!r}")
+        if value is not None and "\0" in value:
+            raise UsageError(f"{key.replace('_', '-')} must not contain a NUL character, got {value!r}")
     if options["split"] not in SPLITS:
         raise UsageError(f"split must be one of {', '.join(SPLITS)}, got {options['split']!r}")
     return options
+
+
+def _write_output(path, write):
+    """Return ``write(path)``; an OS refusal to write is a usage error naming the path."""
+    try:
+        return write(path)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path} ({exc})") from exc
 
 
 def _given(args, keys) -> dict:
@@ -253,7 +264,7 @@ def cmd_fit(args) -> int:
             print(f"training loss: {curve[0]:.6f} -> {curve[-1]:.6f} over {len(curve)} epochs")
     else:
         raise UsageError(f"unknown method {method!r}; choose ts, cluster_ts, class_cluster_ts or lts")
-    save_calibrator(calibrator, out)
+    _write_output(out, partial(save_calibrator, calibrator))
     print(f"wrote {out}")
     return 0
 
@@ -300,16 +311,16 @@ def cmd_eval(args) -> int:
     json_bytes = rep.to_json_bytes(result)
     wrote_file = False
     if options["out"] is not None:
-        Path(options["out"]).write_bytes(json_bytes)
+        _write_output(options["out"], lambda path: Path(path).write_bytes(json_bytes))
         print(f"wrote {options['out']}")
         wrote_file = True
     if options["csv_out"] is not None:
-        Path(options["csv_out"]).write_bytes(rep.to_csv_bytes(result))
+        _write_output(options["csv_out"], lambda path: Path(path).write_bytes(rep.to_csv_bytes(result)))
         print(f"wrote {options['csv_out']}")
         wrote_file = True
     if options["bins_out"] is not None:
         text = json.dumps(result.bins, indent=2, sort_keys=True, allow_nan=False) + "\n"
-        Path(options["bins_out"]).write_text(text, encoding="utf-8")
+        _write_output(options["bins_out"], lambda path: Path(path).write_text(text, encoding="utf-8"))
         print(f"wrote {options['bins_out']}")
         wrote_file = True
     if not wrote_file:
@@ -347,7 +358,7 @@ def cmd_synth(args) -> int:
         config = syn.default_ladder(**_given(args, ("seed", "shift")))
     if args.out is None:
         raise UsageError("missing required option --out")
-    manifest_path = syn.generate_benchmark(config, args.out)
+    manifest_path = _write_output(args.out, partial(syn.generate_benchmark, config))
     print(f"wrote {manifest_path}")
     for domain in config.domains:
         cal = domain.calibration_images if domain.calibration_images is not None else config.calibration_images

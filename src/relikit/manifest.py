@@ -36,6 +36,7 @@ not depend on the order they were listed in.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -144,7 +145,8 @@ def load_manifest(path) -> DatasetManifest:
     for entry in manifest.entries:
         for key in ("logits", "labels", "feature", "image", "ood_mask"):
             rel = getattr(entry, key)
-            if rel is not None and not manifest.resolve(rel).is_file():
+            # os.path.isfile is False, not an exception, on a name the OS refuses
+            if rel is not None and not os.path.isfile(manifest.resolve(rel)):
                 raise ManifestError(f"{path}: entry {entry.image_id!r} references missing {key} file {rel!r}")
     return manifest
 

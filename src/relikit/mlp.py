@@ -9,10 +9,11 @@ predicted temperature; its gradient with respect to the temperature is
 network by hand. :func:`loss_and_grads` is checked against central finite
 differences in the test suite.
 
-:func:`loss_and_grads` and the forward-only :func:`mean_nll` share one
-forward pass, so their losses agree bit for bit. :func:`sgd_train` takes
-gradients on minibatches only; each epoch's loss on the curve is a
-forward-only :func:`mean_nll` pass over all calibration pixels.
+:func:`sgd_train` touches the data only through minibatch
+:func:`loss_and_grads` calls. Each epoch's loss on the curve is the running
+mean of that epoch's minibatch losses, weighted by each batch's row count
+or weight sum, so it averages over the parameters the epoch passed
+through, not the epoch's final ones.
 """
 
 from __future__ import annotations
@@ -74,54 +75,6 @@ def raw_output(params: MlpParams, features: np.ndarray) -> np.ndarray:
     return _hidden(params, features) @ params.w2 + params.b2
 
 
-@dataclass
-class _Forward:
-    """What the forward pass leaves for the backward pass."""
-
-    loss: float
-    hidden: np.ndarray  # (n, hidden) tanh activations
-    raw: np.ndarray     # (n,) network output
-    t: np.ndarray       # (n,) temperatures
-    expd: np.ndarray    # (n, K) exp of the shifted scaled logits
-    norm: np.ndarray    # (n,) row sums of expd
-    scale: np.ndarray   # (n,) normalized per-pixel loss weights
-
-
-def _forward(params: MlpParams, features: np.ndarray, logits: np.ndarray, labels: np.ndarray,
-             t_floor: float, weights: np.ndarray | None) -> _Forward:
-    n = features.shape[0]
-    hidden = _hidden(params, features)
-    raw = hidden @ params.w2 + params.b2
-    t = softplus(raw) + t_floor
-    scaled = logits / t[:, None]
-    shift = scaled.max(axis=1, keepdims=True)
-    expd = np.exp(scaled - shift)
-    norm = expd.sum(axis=1)
-    lse = shift[:, 0] + np.log(norm)
-    nll = lse - scaled[np.arange(n), labels]
-    if weights is None:
-        scale = np.full(n, 1.0 / n)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        total = weights.sum()
-        if total <= 0:
-            raise ValueError("weights must have positive sum")
-        scale = weights / total
-    loss = float((nll * scale).sum())
-    return _Forward(loss, hidden, raw, t, expd, norm, scale)
-
-
-def _as_float64(features, logits, labels):
-    return (np.asarray(features, dtype=np.float64), np.asarray(logits, dtype=np.float64),
-            np.asarray(labels, dtype=np.int64))
-
-
-def mean_nll(params: MlpParams, features: np.ndarray, logits: np.ndarray, labels: np.ndarray,
-             t_floor: float, weights: np.ndarray | None = None) -> float:
-    """The loss of :func:`loss_and_grads`, bit for bit, from the forward pass alone."""
-    return _forward(params, *_as_float64(features, logits, labels), t_floor, weights).loss
-
-
 def loss_and_grads(params: MlpParams, features: np.ndarray, logits: np.ndarray,
                    labels: np.ndarray, t_floor: float,
                    weights: np.ndarray | None = None) -> tuple[float, MlpParams, np.ndarray]:
@@ -131,42 +84,74 @@ def loss_and_grads(params: MlpParams, features: np.ndarray, logits: np.ndarray,
     temperatures). ``weights`` defaults to uniform and is normalized to
     sum to one.
     """
-    features, logits, labels = _as_float64(features, logits, labels)
-    fwd = _forward(params, features, logits, labels, t_floor, weights)
-    probs = fwd.expd / fwd.norm[:, None]
-    rows = np.arange(features.shape[0])
-    dloss_dt = (logits[rows, labels] - (probs * logits).sum(axis=1)) / fwd.t**2
-    g_raw = dloss_dt * sigmoid(fwd.raw) * fwd.scale
+    features = np.asarray(features, dtype=np.float64)
+    logits = np.asarray(logits, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n = features.shape[0]
+    hidden = _hidden(params, features)
+    raw = hidden @ params.w2 + params.b2
+    t = softplus(raw) + t_floor
+    scaled = logits / t[:, None]
+    shift = scaled.max(axis=1, keepdims=True)
+    expd = np.exp(scaled - shift)
+    norm = expd.sum(axis=1)
+    lse = shift[:, 0] + np.log(norm)
+    rows = np.arange(n)
+    nll = lse - scaled[rows, labels]
+    if weights is None:
+        scale = np.full(n, 1.0 / n)
+    else:
+        weights = np.asarray(weights, dtype=np.float64)
+        total = weights.sum()
+        if total <= 0:
+            raise ValueError("weights must have positive sum")
+        scale = weights / total
+    loss = float((nll * scale).sum())
+    probs = expd / norm[:, None]
+    dloss_dt = (logits[rows, labels] - (probs * logits).sum(axis=1)) / t**2
+    g_raw = dloss_dt * sigmoid(raw) * scale
     g_b2 = float(g_raw.sum())
-    g_w2 = fwd.hidden.T @ g_raw
-    g_hidden = np.outer(g_raw, params.w2) * (1.0 - fwd.hidden**2)
+    g_w2 = hidden.T @ g_raw
+    g_hidden = np.outer(g_raw, params.w2) * (1.0 - hidden**2)
     g_w1 = g_hidden.T @ features
     g_b1 = g_hidden.sum(axis=0)
-    return fwd.loss, MlpParams(g_w1, g_b1, g_w2, g_b2), fwd.t
+    return loss, MlpParams(g_w1, g_b1, g_w2, g_b2), t
 
 
 def sgd_train(params: MlpParams, features: np.ndarray, logits: np.ndarray, labels: np.ndarray,
               t_floor: float, learning_rate: float, epochs: int, batch_pixels: int,
               rng: np.random.Generator, weights: np.ndarray | None = None) -> list[float]:
-    """Mini-batch gradient descent in place; returns the per-epoch full-data loss.
+    """Mini-batch gradient descent in place; returns the per-epoch training loss.
 
-    Each epoch takes ``ceil(n / batch_pixels)`` gradient steps, then records
-    :func:`mean_nll` over all ``n`` rows, a forward pass with no gradients.
+    Each epoch takes ``ceil(n / batch_pixels)`` gradient steps and records the
+    mean of their minibatch losses, each weighted by its batch's row count, or
+    by its weight sum when ``weights`` are given. A batch whose weights sum to
+    zero has neither a gradient nor loss mass: it takes no step and adds
+    nothing to the curve. There is no other pass over the data.
     """
+    if weights is not None and not weights.sum() > 0:
+        raise ValueError("weights must have positive sum")
     n = features.shape[0]
     batch_pixels = max(1, min(batch_pixels, n))
     curve = []
     for _ in range(epochs):
         order = rng.permutation(n)
+        loss_sum = mass = 0.0
         for start in range(0, n, batch_pixels):
             batch = order[start : start + batch_pixels]
-            _, grads, _ = loss_and_grads(
-                params, features[batch], logits[batch], labels[batch], t_floor,
-                None if weights is None else weights[batch],
+            batch_weights = None if weights is None else weights[batch]
+            batch_mass = batch.size if weights is None else float(batch_weights.sum())
+            if batch_mass == 0:
+                continue
+            loss, grads, _ = loss_and_grads(
+                params, np.take(features, batch, axis=0), np.take(logits, batch, axis=0),
+                labels[batch], t_floor, batch_weights,
             )
             params.w1 -= learning_rate * grads.w1
             params.b1 -= learning_rate * grads.b1
             params.w2 -= learning_rate * grads.w2
             params.b2 -= learning_rate * grads.b2
-        curve.append(mean_nll(params, features, logits, labels, t_floor, weights))
+            loss_sum += loss * batch_mass
+            mass += batch_mass
+        curve.append(loss_sum / mass)
     return curve

@@ -284,6 +284,13 @@ def _cast_scalars(cls, source: dict) -> dict:
             for f in fields(cls) if type(f.default) in (int, float)}
 
 
+def _json_list(name: str, value) -> list:
+    """A config value that must be a JSON list; a string is not iterated character by character."""
+    if not isinstance(value, list):
+        raise UsageError(f"{name.replace('_', '-')} must be a list, got {value!r}")
+    return value
+
+
 def config_from_json(source: str | dict) -> SynthConfig:
     """Build a config from JSON text or an already-parsed JSON object.
 
@@ -292,7 +299,9 @@ def config_from_json(source: str | dict) -> SynthConfig:
     keys and values that do not cast to their field's type are usage
     errors. Values are cast as ``fit`` and ``eval`` options are
     (:func:`~relikit.errors.convert_option`): a bool is no number and a
-    float no integer.
+    float no integer. ``domains``, ``holdout_classes`` and a domain's
+    ``feature_offset`` must be JSON lists, and ``"domains": []`` lists no
+    domain at all, which :func:`validate_config` rejects.
     """
     payload = source
     if isinstance(source, str):
@@ -307,7 +316,7 @@ def config_from_json(source: str | dict) -> SynthConfig:
         raise UsageError(f"unknown benchmark config keys: {sorted(unknown)}")
     try:
         domains = []
-        for i, raw in enumerate(payload.get("domains", [])):
+        for i, raw in enumerate(_json_list("domains", payload.get("domains", []))):
             if not isinstance(raw, dict) or "tag" not in raw:
                 raise UsageError(f"domain {i}: must be an object with a tag")
             domain_unknown = raw.keys() - {f.name for f in fields(DomainSpec)}
@@ -317,17 +326,17 @@ def config_from_json(source: str | dict) -> SynthConfig:
                       for f in fields(DomainSpec) if f.default is None}
             if not isinstance(raw["tag"], str) or not raw["tag"]:
                 raise UsageError(f"domain {i}: tag must be a non-empty string, got {raw['tag']!r}")
+            offset = _json_list("feature_offset", raw.get("feature_offset", list(DomainSpec.feature_offset)))
             domains.append(DomainSpec(
                 tag=raw["tag"],
                 **_cast_scalars(DomainSpec, raw),
-                feature_offset=tuple(convert_option("feature_offset", x, float)
-                                     for x in raw.get("feature_offset", (0.0, 0.0))),
+                feature_offset=tuple(convert_option("feature_offset", x, float) for x in offset),
                 **counts,
             ))
+        holdout = _json_list("holdout_classes", payload.get("holdout_classes", []))
         config = SynthConfig(
-            domains=tuple(domains) if domains else SynthConfig.domains,
-            holdout_classes=tuple(convert_option("holdout_classes", c, int)
-                                  for c in payload.get("holdout_classes", ())),
+            domains=tuple(domains) if "domains" in payload else SynthConfig.domains,
+            holdout_classes=tuple(convert_option("holdout_classes", c, int) for c in holdout),
             **_cast_scalars(SynthConfig, payload),
         )
     except (TypeError, ValueError, OverflowError, UsageError) as exc:

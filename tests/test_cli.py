@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from relikit import cli
+from relikit import cli, mlp
 from relikit.calibration import (
     ClusterTemperatureModel,
     GlobalTemperature,
@@ -36,6 +36,10 @@ def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _one_error_line(err: str) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestParsing:
@@ -77,6 +81,16 @@ class TestValidate:
     def test_missing_manifest_is_data_error(self, capsys, tmp_path):
         code, _, err = _run(capsys, ["validate", str(tmp_path / "absent.json")])
         assert code == 2 and "error:" in err
+
+    def test_slot_name_the_os_refuses_is_a_missing_file(self, bench, capsys, tmp_path):
+        # a 5000-character name makes stat fail with ENAMETOOLONG, not ENOENT
+        raw = json.loads(bench.read_text())
+        raw["entries"][0]["logits"] = "x" * 5000
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(raw))
+        code, _, err = _run(capsys, ["validate", str(manifest)])
+        assert code == 2 and _one_error_line(err)
+        assert "references missing logits file" in err
 
 
 class TestFit:
@@ -139,6 +153,46 @@ class TestFit:
     def test_missing_out_is_usage_error(self, bench, capsys):
         code, _, err = _run(capsys, ["fit", "--manifest", str(bench)])
         assert code == 1 and "--out" in err
+
+    def test_out_under_missing_directory_is_usage_error(self, bench, capsys, tmp_path):
+        out = tmp_path / "absent" / "c.json"
+        code, _, err = _run(capsys, ["fit", "--manifest", str(bench), "--out", str(out)])
+        assert code == 1 and _one_error_line(err)
+        assert f"cannot write {out}" in err
+
+    def test_zero_weight_minibatch_is_skipped(self, bench, capsys, tmp_path):
+        # one-pixel batches from the zero-weight domain have no gradient and no loss mass
+        out = tmp_path / "lts.json"
+        code, text, err = _run(capsys, [
+            "fit", "--manifest", str(bench), "--out", str(out), "--method", "lts", "--epochs", "2",
+            "--batch-pixels", "1", "--pixels-per-image", "20", "--domain-weight", "id=0",
+        ])
+        assert code == 0 and err == ""
+        assert "training loss:" in text
+        assert isinstance(load_calibrator(out), TemperatureRegressor)
+
+    def test_diverging_lts_fit_exits_3(self, bench, capsys, tmp_path, monkeypatch):
+        # the last step's NaN gradients leave every parameter NaN but the last curve value finite
+        real = mlp.loss_and_grads
+        losses = []
+
+        def last_step_diverges(*args):
+            loss, grads, t = real(*args)
+            losses.append(loss)
+            if len(losses) == 2:
+                grads = grads.from_vector(np.full(grads.to_vector().size, np.nan))
+            return loss, grads, t
+
+        monkeypatch.setattr(mlp, "loss_and_grads", last_step_diverges)
+        out = tmp_path / "lts.json"
+        code, _, err = _run(capsys, [
+            "fit", "--manifest", str(bench), "--out", str(out), "--method", "lts", "--epochs", "2",
+            "--pixels-per-image", "20", "--batch-pixels", "100000",
+        ])
+        assert len(losses) == 2 and np.isfinite(losses).all()
+        assert code == 3 and _one_error_line(err)
+        assert "diverged" in err
+        assert not out.exists()
 
     def test_malformed_domain_weight(self, bench, capsys, tmp_path):
         code, _, err = _run(capsys, [
@@ -255,6 +309,21 @@ class TestConfigFile:
         assert code in (0, 1, 2, 3)
         assert err == "" or (err.startswith("error: ") and err.count("\n") == 1)
 
+    @pytest.mark.parametrize("command, key", [
+        ("fit", "manifest"), ("fit", "out"), ("eval", "manifest"), ("eval", "calibrator"),
+    ])
+    def test_nul_in_path_option_is_usage_error(self, bench, capsys, tmp_path, command, key):
+        options = {"manifest": str(bench)}
+        if command == "fit":
+            options["out"] = str(tmp_path / "c.json")
+        options[key] = str(tmp_path / "a\u0000b")
+        config = tmp_path / "nul.json"
+        config.write_text(json.dumps(options))
+        code, _, err = _run(capsys, [command, "--config", str(config)])
+        assert code == 1 and _one_error_line(err)
+        assert f"{key} must not contain a NUL character" in err
+        assert not (tmp_path / "c.json").exists()
+
     def test_bad_config_choice_is_usage_error(self, bench, capsys, tmp_path):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"manifest": str(bench), "score": "loudest"}))
@@ -295,6 +364,14 @@ class TestEval:
             assert code == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv-out", "--bins-out"])
+    def test_output_under_missing_directory_is_usage_error(self, bench, capsys, tmp_path, flag):
+        path = tmp_path / "absent" / "r.out"
+        code, _, err = _run(capsys, ["eval", "--manifest", str(bench), "--pixels-per-image", "50",
+                                     flag, str(path)])
+        assert code == 1 and _one_error_line(err)
+        assert f"cannot write {path}" in err
 
     def test_bad_calibrator_artifact_is_data_error(self, bench, capsys, tmp_path):
         artifact = tmp_path / "cluster.json"
@@ -570,6 +647,35 @@ class TestSynth:
     def test_missing_out(self, capsys):
         code, _, err = _run(capsys, ["synth"])
         assert code == 1 and "--out" in err
+
+    def test_out_the_os_refuses_is_usage_error(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "bench"
+        code, _, err = _run(capsys, ["synth", "--out", str(out)])
+        assert code == 1 and _one_error_line(err)
+        assert f"cannot write {out}" in err
+
+    @pytest.mark.parametrize("payload, name", [
+        ({"holdout_classes": "12"}, "holdout-classes"),
+        ({"domains": [{"tag": "a", "feature_offset": "34"}]}, "feature-offset"),
+        ({"domains": "id"}, "domains"),
+    ])
+    def test_list_field_given_a_string_is_usage_error(self, capsys, tmp_path, payload, name):
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps({"height": 8, "width": 8, **payload}))
+        code, _, err = _run(capsys, ["synth", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert code == 1 and _one_error_line(err)
+        assert f"{name} must be a list" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_empty_domain_list_is_usage_error(self, capsys, tmp_path):
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps({"domains": [], "height": 8, "width": 8}))
+        code, _, err = _run(capsys, ["synth", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert code == 1 and _one_error_line(err)
+        assert "need at least one domain" in err
+        assert not (tmp_path / "x").exists()
 
     def test_seed_overrides_config(self, capsys, tmp_path):
         config = tmp_path / "synth.json"

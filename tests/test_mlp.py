@@ -4,15 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from relikit import mlp
 from relikit.mlp import (
     MlpParams,
     init_params,
     loss_and_grads,
-    mean_nll,
     raw_output,
     sgd_train,
     sigmoid,
@@ -167,37 +164,6 @@ def _extreme_problem():
     return params, np.array([[5.0], [-5.0]]), np.array([[4.0, -4.0], [0.5, -0.5]]), np.array([0, 1])
 
 
-@st.composite
-def _loss_cases(draw):
-    """A random network and batch, with or without per-pixel weights."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n, input_dim = draw(st.integers(1, 60)), draw(st.integers(1, 6))
-    classes, hidden = draw(st.integers(2, 6)), draw(st.integers(1, 6))
-    params = init_params(input_dim, hidden, rng, raw_bias=float(rng.normal()))
-    features = rng.normal(scale=draw(st.sampled_from([0.1, 1.0, 10.0])), size=(n, input_dim))
-    logits = rng.normal(scale=draw(st.sampled_from([0.5, 3.0, 30.0])), size=(n, classes))
-    labels = rng.integers(0, classes, size=n)
-    weights = rng.random(n) + 0.01 if draw(st.booleans()) else None
-    return params, features, logits, labels, weights
-
-
-class TestMeanNll:
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(_loss_cases(), st.sampled_from([0.05, 0.3]))
-    @example((*_extreme_problem(), None), 0.05)
-    @example((*_extreme_problem(), np.array([0.25, 3.0])), 0.05)
-    def test_equals_loss_and_grads_loss_bit_for_bit(self, case, t_floor):
-        params, features, logits, labels, weights = case
-        loss = mean_nll(params, features, logits, labels, t_floor, weights)
-        assert np.isfinite(loss)
-        assert loss == loss_and_grads(params, features, logits, labels, t_floor, weights)[0]
-
-    def test_non_positive_weight_sum_raises(self):
-        params, features, logits, labels = _problem(np.random.default_rng(62), n=5)
-        with pytest.raises(ValueError):
-            mean_nll(params, features, logits, labels, 0.05, np.zeros(5))
-
-
 def _train_problem(n=150, weighted=False):
     rng = np.random.default_rng(63)
     features = rng.normal(size=(n, 3))
@@ -210,7 +176,7 @@ def _train_problem(n=150, weighted=False):
 class TestSgdTrain:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_matches_full_gradient_reference_loop(self, weighted):
-        # the reference records each epoch's loss from a full-data loss_and_grads pass
+        # the reference records each epoch's loss as the running mean of its minibatch losses
         features, logits, labels, weights = _train_problem(weighted=weighted)
         params = init_params(3, 5, np.random.default_rng(64), raw_bias=0.4)
         reference = params.copy()
@@ -220,17 +186,60 @@ class TestSgdTrain:
         expected = []
         for _ in range(4):
             order = rng.permutation(len(labels))
+            loss_sum = mass = 0.0
             for start in range(0, len(labels), 32):
                 batch = order[start : start + 32]
-                _, grads, _ = loss_and_grads(reference, features[batch], logits[batch], labels[batch],
-                                             0.05, None if weights is None else weights[batch])
+                loss, grads, _ = loss_and_grads(reference, features[batch], logits[batch], labels[batch],
+                                                0.05, None if weights is None else weights[batch])
                 reference.w1 -= 0.1 * grads.w1
                 reference.b1 -= 0.1 * grads.b1
                 reference.w2 -= 0.1 * grads.w2
                 reference.b2 -= 0.1 * grads.b2
-            expected.append(loss_and_grads(reference, features, logits, labels, 0.05, weights)[0])
+                batch_mass = len(batch) if weights is None else float(weights[batch].sum())
+                loss_sum += loss * batch_mass
+                mass += batch_mass
+            expected.append(loss_sum / mass)
         assert curve == expected
         np.testing.assert_array_equal(params.to_vector(), reference.to_vector())
+
+    @pytest.mark.parametrize("batch_pixels", [1, 3])
+    def test_zero_weight_batch_takes_no_step_and_adds_no_loss(self, batch_pixels):
+        # a batch whose weights sum to zero has a 0/0 gradient and no loss mass
+        features, logits, labels, weights = _train_problem(n=30, weighted=True)
+        weights[::2] = 0.0
+        params = init_params(3, 5, np.random.default_rng(70), raw_bias=0.4)
+        reference = params.copy()
+        curve = sgd_train(params, features, logits, labels, 0.05, 0.1, 3, batch_pixels,
+                          np.random.default_rng(71), weights)
+        rng = np.random.default_rng(71)
+        expected, skipped = [], 0
+        for _ in range(3):
+            order = rng.permutation(30)
+            loss_sum = mass = 0.0
+            for start in range(0, 30, batch_pixels):
+                batch = order[start : start + batch_pixels]
+                batch_mass = float(weights[batch].sum())
+                if batch_mass == 0:
+                    skipped += 1
+                    continue
+                loss, grads, _ = loss_and_grads(reference, features[batch], logits[batch], labels[batch],
+                                                0.05, weights[batch])
+                reference.w1 -= 0.1 * grads.w1
+                reference.b1 -= 0.1 * grads.b1
+                reference.w2 -= 0.1 * grads.w2
+                reference.b2 -= 0.1 * grads.b2
+                loss_sum += loss * batch_mass
+                mass += batch_mass
+            expected.append(loss_sum / mass)
+        assert skipped > 0
+        assert curve == expected
+        np.testing.assert_array_equal(params.to_vector(), reference.to_vector())
+
+    def test_all_zero_weights_raise(self):
+        features, logits, labels, _ = _train_problem(n=10)
+        params = init_params(3, 5, np.random.default_rng(72), raw_bias=0.0)
+        with pytest.raises(ValueError):
+            sgd_train(params, features, logits, labels, 0.05, 0.1, 1, 4, np.random.default_rng(73), np.zeros(10))
 
     @pytest.mark.parametrize("n, epochs, batch_pixels", [(150, 4, 32), (150, 3, 150), (7, 2, 1000), (96, 5, 32)])
     def test_gradients_only_on_minibatches(self, monkeypatch, n, epochs, batch_pixels):
