@@ -33,21 +33,24 @@ Every fit stacks its split's drawn pixels once, in entry order, into one
 each row's entry. Global scaling fits all rows; cluster scaling gives each
 row a cell id, groups the rows by one stable sort on it and fits each
 cell's contiguous slice; LTS takes its per-row domain weights from the
-entry index.
+entry index. :data:`METHODS` is the one schema of the calibrator artifact,
+walked by :func:`save_calibrator` to write it and :func:`load_calibrator` to check it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import mlp, tensor_io
 from .confidence import scaled_logits
-from .errors import CalibrationError, ManifestError, NumericalError, UsageError, convert_option
+from .errors import (CalibrationError, ManifestError, NumericalError, UsageError, convert_option,
+                     read_json_object)
 from .kmeans import assign_points, kmeans
 from .manifest import DatasetManifest, ManifestEntry, load_features
 from .rng import derive_stream, subsample_indices
@@ -125,7 +128,7 @@ class LtsHyper:
     domain_weights: dict[str, float] | None = None
 
     def __post_init__(self):
-        for name in ("hidden_width", "epochs", "batch_pixels"):
+        for name in (f.name for f in fields(self) if f.type == "int"):
             if getattr(self, name) < 1:
                 raise UsageError(f"{name.replace('_', '-')} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.t_floor < 1.0:
@@ -546,119 +549,96 @@ def apply_calibrator(calibrator: Calibrator | None, logits: LogitTensor,
     return apply_temperature(logits, calibrator_temperature(calibrator, logits, feature, image))
 
 
+_RULES = {
+    "finite": np.isfinite,
+    "positive": lambda v: v > 0,
+    "positive and finite": lambda v: np.isfinite(v) & (v > 0),
+    "in (0, 1)": lambda v: (v > 0) & (v < 1),
+}
+
+
+class _Method(NamedTuple):
+    build: type       # the calibrator class
+    fixed: dict       # the constructor arguments the method tag implies
+    keys: dict        # name -> (cast or array shape, rule), in read order
+    parts: dict = {}  # attribute -> the dataclass whose fields are keys of their own
+
+
+# The calibrator artifact by method tag, the one place that names its keys. An array
+# shape names int keys read before it and dimensions that the first array to use them binds.
+METHODS = {
+    "ts": _Method(GlobalTemperature, {}, {"temperature": (float, "positive and finite")}),
+    **{tag: _Method(ClusterTemperatureModel, {"variant": variant}, {
+        "fallback_temperature": (float, "positive and finite"),
+        "classes": (int, "positive"),
+        "centroids": ("(k, d)", "finite"),
+        "temperatures": (shape, "positive and finite"),
+    }) for tag, variant, shape in (("cluster_ts", ClusterVariant.PER_IMAGE, "(k,)"),
+                                   ("class_cluster_ts", ClusterVariant.PER_CLASS, "(k, classes)"))},
+    "lts": _Method(TemperatureRegressor, {}, {
+        "feature_mode": (FeatureMode, None),
+        "input_dim": (int, "positive"),
+        "hidden_width": (int, "positive"),
+        "t_floor": (float, "in (0, 1)"),
+        "feature_mean": ("(input_dim,)", "finite"),
+        "feature_scale": ("(input_dim,)", "positive and finite"),
+        "w1": ("(hidden_width, input_dim)", "finite"),
+        "b1": ("(hidden_width,)", "finite"),
+        "w2": ("(hidden_width,)", "finite"),
+        "b2": (float, "finite"),
+    }, parts={"params": mlp.MlpParams}),
+}
+
+
 def save_calibrator(calibrator: Calibrator, path) -> Path:
-    """Serialize any calibrator to a method-tagged JSON artifact."""
-    if isinstance(calibrator, GlobalTemperature):
-        payload = {"method": "ts", "temperature": calibrator.temperature}
-    elif isinstance(calibrator, ClusterTemperatureModel):
-        payload = {
-            "method": "cluster_ts" if calibrator.variant is ClusterVariant.PER_IMAGE else "class_cluster_ts",
-            "centroids": calibrator.centroids.tolist(),
-            "temperatures": calibrator.temperatures.tolist(),
-            "fallback_temperature": calibrator.fallback_temperature,
-            "classes": calibrator.classes,
-        }
-    elif isinstance(calibrator, TemperatureRegressor):
-        payload = {
-            "method": "lts",
-            "feature_mode": calibrator.feature_mode.value,
-            "input_dim": calibrator.input_dim,
-            "hidden_width": calibrator.hidden_width,
-            "t_floor": calibrator.t_floor,
-            "feature_mean": calibrator.feature_mean.tolist(),
-            "feature_scale": calibrator.feature_scale.tolist(),
-            "w1": calibrator.params.w1.tolist(),
-            "b1": calibrator.params.b1.tolist(),
-            "w2": calibrator.params.w2.tolist(),
-            "b2": calibrator.params.b2,
-        }
-    else:
+    """Serialize any calibrator to a JSON artifact: its method tag and the keys of its :data:`METHODS` entry."""
+    tag = next((tag for tag, method in METHODS.items() if isinstance(calibrator, method.build)
+                and all(getattr(calibrator, k) == v for k, v in method.fixed.items())), None)
+    if tag is None:
         raise UsageError(f"unknown calibrator type {type(calibrator).__name__}")
-    path = Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+    values = asdict(calibrator)
+    for part in METHODS[tag].parts:
+        values.update(values.pop(part))
+    payload = {"method": tag, **{name: values[name] for name in METHODS[tag].keys}}
+    # an enum is a str subclass, written as its value; an array is written as nested lists
+    text = json.dumps(payload, indent=2, sort_keys=True, default=np.ndarray.tolist)
+    Path(path).write_text(text + "\n", encoding="utf-8")
+    return Path(path)
+
+
+def _read_key(path, name: str, kind, rule: str | None, raw, sizes: dict):
+    """Cast one artifact value, then check its shape against ``sizes`` (binding new names) and its rule."""
+    if isinstance(kind, str):
+        dims, items = kind.strip("()").replace(",", " ").split(), np.asarray(raw, dtype=object)
+        if items.ndim != len(dims) or not all(type(x) in (int, float) for x in items.flat):  # a bool is no number
+            raise UsageError(f"{name.replace('_', '-')} must be a {kind} array of numbers, got {raw!r}")
+        value = items.astype(np.float64)
+        shape = tuple(map(sizes.setdefault, dims, value.shape))
+        if value.shape != shape:
+            raise CalibrationError(f"{path}: {name} has shape {value.shape}, metadata implies {shape}")
+    else:
+        value = sizes[name] = convert_option(name, raw, kind)
+    ok = np.asarray(_RULES[rule](np.asarray(value)) if rule else True)
+    if not ok.all():
+        raise CalibrationError(f"{path}: {name} must be {rule}, got {np.asarray(value)[~ok].flat[0]}")
+    return value
 
 
 def load_calibrator(path) -> Calibrator:
-    path = Path(path)
+    """Read a calibrator artifact, casting and checking each key of its :data:`METHODS` entry."""
+    payload = read_json_object(path, CalibrationError, "calibrator")
+    tag = payload.get("method")
+    method = METHODS.get(tag) if isinstance(tag, str) else None
+    if method is None:
+        raise CalibrationError(f"{path}: method must be one of {', '.join(METHODS)}, got {tag!r}")
+    if payload.keys() != {"method", *method.keys}:
+        raise CalibrationError(f"{path}: a {tag} artifact has exactly the keys method, "
+                               f"{', '.join(method.keys)}; got {', '.join(sorted(payload))}")
+    sizes: dict = {}
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise CalibrationError(f"{path}: cannot read calibrator ({exc})") from exc
-    except json.JSONDecodeError as exc:
-        raise CalibrationError(f"{path}: calibrator is not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict) or "method" not in payload:
-        raise CalibrationError(f"{path}: calibrator artifact has no method tag")
-    method = payload["method"]
-    try:
-        if method == "ts":
-            t = convert_option("temperature", payload["temperature"], float)
-            if not np.isfinite(t) or t <= 0:
-                raise CalibrationError(f"{path}: non-positive temperature")
-            return GlobalTemperature(t)
-        if method in ("cluster_ts", "class_cluster_ts"):
-            centroids = np.asarray(payload["centroids"], dtype=np.float64)
-            temperatures = np.asarray(payload["temperatures"], dtype=np.float64)
-            variant = ClusterVariant.PER_IMAGE if method == "cluster_ts" else ClusterVariant.PER_CLASS
-            expected_ndim = 1 if variant is ClusterVariant.PER_IMAGE else 2
-            if centroids.ndim != 2 or temperatures.ndim != expected_ndim:
-                raise CalibrationError(f"{path}: malformed cluster calibrator arrays")
-            if not np.all(np.isfinite(centroids)):
-                raise CalibrationError(f"{path}: non-finite cluster centroid")
-            if temperatures.shape[0] != centroids.shape[0]:
-                raise CalibrationError(f"{path}: temperature/centroid count mismatch")
-            if not np.all(np.isfinite(temperatures)) or temperatures.min() <= 0:
-                raise CalibrationError(f"{path}: non-positive cluster temperature")
-            fallback = convert_option("fallback_temperature", payload["fallback_temperature"], float)
-            if not np.isfinite(fallback) or fallback <= 0:
-                raise CalibrationError(f"{path}: non-positive fallback temperature")
-            classes = convert_option("classes", payload["classes"], int)
-            if variant is ClusterVariant.PER_CLASS and temperatures.shape[1] != classes:
-                raise CalibrationError(
-                    f"{path}: {temperatures.shape[1]} temperatures per cluster, artifact says {classes} classes"
-                )
-            return ClusterTemperatureModel(
-                variant=variant,
-                centroids=centroids,
-                temperatures=temperatures,
-                fallback_temperature=fallback,
-                classes=classes,
-            )
-        if method == "lts":
-            w1 = np.asarray(payload["w1"], dtype=np.float64)
-            params = mlp.MlpParams(
-                w1=w1,
-                b1=np.asarray(payload["b1"], dtype=np.float64),
-                b2=convert_option("b2", payload["b2"], float),
-                w2=np.asarray(payload["w2"], dtype=np.float64),
-            )
-            regressor = TemperatureRegressor(
-                feature_mode=FeatureMode(payload["feature_mode"]),
-                input_dim=convert_option("input_dim", payload["input_dim"], int),
-                hidden_width=convert_option("hidden_width", payload["hidden_width"], int),
-                t_floor=convert_option("t_floor", payload["t_floor"], float),
-                feature_mean=np.asarray(payload["feature_mean"], dtype=np.float64),
-                feature_scale=np.asarray(payload["feature_scale"], dtype=np.float64),
-                params=params,
-            )
-            if not 0.0 < regressor.t_floor < 1.0:
-                raise CalibrationError(f"{path}: regressor t_floor must be in (0, 1), got {regressor.t_floor}")
-            hidden, dim = regressor.hidden_width, regressor.input_dim
-            arrays = {"w1": (w1, (hidden, dim)), "b1": (params.b1, (hidden,)), "w2": (params.w2, (hidden,)),
-                      "feature_mean": (regressor.feature_mean, (dim,)),
-                      "feature_scale": (regressor.feature_scale, (dim,))}
-            for name, (array, expected) in arrays.items():
-                if array.shape != expected:
-                    raise CalibrationError(
-                        f"{path}: regressor {name} has shape {array.shape}, metadata implies {expected}"
-                    )
-                if not np.all(np.isfinite(array)):
-                    raise CalibrationError(f"{path}: non-finite value in regressor {name}")
-            if not np.isfinite(params.b2):
-                raise CalibrationError(f"{path}: non-finite value in regressor b2")
-            if np.any(regressor.feature_scale <= 0):
-                raise CalibrationError(f"{path}: non-positive value in regressor feature_scale")
-            return regressor
-    except (KeyError, TypeError, ValueError, OverflowError, UsageError) as exc:
+        values = {name: _read_key(path, name, *spec, payload[name], sizes) for name, spec in method.keys.items()}
+        for part, build in method.parts.items():
+            values[part] = build(**{f.name: values.pop(f.name) for f in fields(build)})
+        return method.build(**method.fixed, **values)
+    except (TypeError, ValueError, OverflowError, UsageError) as exc:
         raise CalibrationError(f"{path}: malformed calibrator artifact ({exc})") from exc
-    raise CalibrationError(f"{path}: unknown calibrator method {method!r}")

@@ -29,8 +29,10 @@ from . import tensor_io
 from .calibration import (
     DEFAULT_CLUSTERS,
     DEFAULT_PIXELS_PER_IMAGE,
-    ClusterVariant,
+    METHODS,
+    ClusterTemperatureModel,
     FeatureMode,
+    GlobalTemperature,
     LtsHyper,
     fit_cluster_ts,
     fit_global_ts,
@@ -47,13 +49,14 @@ from .errors import (
     TensorFormatError,
     UsageError,
     convert_option,
+    read_json_object,
 )
 from .manifest import SPLITS, load_manifest
 from .tensors import validate_labels
 
 WORKERS_ENV = "RELIKIT_WORKERS"
 # fit/eval options that hold a path or a tag; argparse gives strings, a config file may not
-_TEXT_OPTIONS = ("manifest", "out", "calibrator", "csv_out", "bins_out", "id_domain", "split")
+_TEXT_OPTIONS = ("manifest", "out", "calibrator", "csv_out", "bins_out", "id_domain", "split", "method")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,23 +64,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_config_file(path) -> dict:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path} ({exc})") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path} is not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
-    return payload
-
-
 def _resolve_options(args, defaults: dict) -> dict:
     """defaults < config file < explicit flags."""
     options = dict(defaults)
     if getattr(args, "config", None):
-        config = _load_config_file(args.config)
+        config = read_json_object(args.config, UsageError, "config file")
         unknown = config.keys() - defaults.keys()
         if unknown:
             raise UsageError(f"unknown config keys {sorted(unknown)}; valid: {sorted(defaults)}")
@@ -94,6 +85,11 @@ def _resolve_options(args, defaults: dict) -> dict:
             raise UsageError(f"{key.replace('_', '-')} must not contain a NUL character, got {value!r}")
     if options["split"] not in SPLITS:
         raise UsageError(f"split must be one of {', '.join(SPLITS)}, got {options['split']!r}")
+    for key in ("out", "csv_out", "bins_out"):
+        # a missing directory is reported before any work; an OS refusal at write time by _write_output
+        parent = os.path.dirname(options.get(key) or "") or "."
+        if not os.path.isdir(parent):
+            raise UsageError(f"cannot write {options[key]} (no directory {parent})")
     return options
 
 
@@ -227,29 +223,30 @@ def _parse_domain_weights(value) -> dict[str, float] | None:
 
 def cmd_fit(args) -> int:
     options = _resolve_options(args, _FIT_DEFAULTS)
-    manifest = load_manifest(_require(options, "manifest"))
     out = Path(_require(options, "out"))
-    method = options["method"]
+    method = METHODS.get(options["method"])
+    if method is None:
+        raise UsageError(f"unknown method {options['method']!r}; choose one of {', '.join(METHODS)}")
+    manifest = load_manifest(_require(options, "manifest"))
     seed = convert_option("seed", options["seed"], int)
     split = options["split"]
     pixels = _pixels(options["pixels_per_image"])
-    if method == "ts":
+    if method.build is GlobalTemperature:
         calibrator = fit_global_ts(manifest, split=split, pixels_per_image=pixels, seed=seed)
         print(f"temperature: {calibrator.temperature:.6f}")
-    elif method in ("cluster_ts", "class_cluster_ts"):
-        variant = ClusterVariant.PER_IMAGE if method == "cluster_ts" else ClusterVariant.PER_CLASS
+    elif method.build is ClusterTemperatureModel:
         k = convert_option("k", options["k"], int)
-        calibrator = fit_cluster_ts(manifest, k=k, variant=variant,
+        calibrator = fit_cluster_ts(manifest, k=k, variant=method.fixed["variant"],
                                     split=split, pixels_per_image=pixels, seed=seed)
         print(f"clusters: {calibrator.clusters}  fallback temperature: "
               f"{calibrator.fallback_temperature:.6f}")
         for j in range(calibrator.clusters):
-            if variant is ClusterVariant.PER_IMAGE:
+            if calibrator.temperatures.ndim == 1:
                 print(f"cluster {j}: T={float(calibrator.temperatures[j]):.6f}")
             else:
                 row = "  ".join(f"{t:.4f}" for t in calibrator.temperatures[j])
                 print(f"cluster {j}: T per class: {row}")
-    elif method == "lts":
+    else:
         hyper = LtsHyper(
             **{key: convert_option(key, options[key], type(default))
                for key, default in asdict(LtsHyper()).items() if default is not None},
@@ -262,8 +259,6 @@ def cmd_fit(args) -> int:
               f"hidden={calibrator.hidden_width}")
         if curve:
             print(f"training loss: {curve[0]:.6f} -> {curve[-1]:.6f} over {len(curve)} epochs")
-    else:
-        raise UsageError(f"unknown method {method!r}; choose ts, cluster_ts, class_cluster_ts or lts")
     _write_output(out, partial(save_calibrator, calibrator))
     print(f"wrote {out}")
     return 0
@@ -304,9 +299,7 @@ def cmd_eval(args) -> int:
         metrics=_metrics(options["metrics"]),
         workers=_resolve_workers(options["workers"]),
     )
-    calibrator = None
-    if options["calibrator"] is not None:
-        calibrator = load_calibrator(options["calibrator"])
+    calibrator = None if options["calibrator"] is None else load_calibrator(options["calibrator"])
     result = ev.evaluate_manifest(manifest, calibrator, config)
     json_bytes = rep.to_json_bytes(result)
     wrote_file = False
@@ -351,7 +344,7 @@ def cmd_synth(args) -> int:
     if args.config is not None:
         if args.shift is not None:
             raise UsageError("--shift shapes the built-in benchmark; it cannot override a config file")
-        config = syn.config_from_json(_load_config_file(args.config))
+        config = syn.config_from_json(read_json_object(args.config, UsageError, "config file"))
         if args.seed is not None:
             config = replace(config, seed=args.seed)
     else:
@@ -400,7 +393,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", help="JSON file with any of the long options")
     p.add_argument("--manifest")
     p.add_argument("--out", help="where to write the calibrator artifact")
-    p.add_argument("--method", choices=["ts", "cluster_ts", "class_cluster_ts", "lts"])
+    p.add_argument("--method", choices=list(METHODS))
     p.add_argument("--split", choices=SPLITS)
     p.add_argument("--seed", type=int)
     p.add_argument("--pixels-per-image", dest="pixels_per_image", type=int,

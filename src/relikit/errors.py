@@ -6,9 +6,13 @@ exit code of its errors as ``exit_code``: usage problems exit 1, data
 problems (every class without its own code) exit 2, numerical failures
 exit 3. :func:`convert_option` is the one strict cast of option
 and config values, so a value of the wrong type is always a usage error.
+:func:`read_json_object` reads every JSON input file (manifest, calibrator,
+config) and raises the error class its caller names.
 """
 
+import json
 from enum import Enum
+from pathlib import Path
 
 
 class RelikitError(Exception):
@@ -64,3 +68,16 @@ def convert_option(name: str, value, kind):
         else:
             expected = "an integer" if kind is int else "a number"
         raise UsageError(f"{name.replace('_', '-')} must be {expected}, got {value!r}") from exc
+
+
+def read_json_object(path, error: type[RelikitError], noun: str) -> dict:
+    """The JSON object in the UTF-8 file ``path``; any failure raises ``error`` naming the file."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise error(f"{path}: cannot read {noun} ({exc})") from exc
+    except (ValueError, RecursionError) as exc:  # invalid JSON, bytes that are not UTF-8, or nesting too deep
+        raise error(f"{path}: {noun} is not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise error(f"{path}: {noun} must be a JSON object")
+    return payload

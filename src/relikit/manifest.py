@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor_io
-from .errors import ManifestError
+from .errors import ManifestError, read_json_object
 
 SPLITS = ("calibration", "test")
 _REQUIRED_FIELDS = ("image_id", "split", "domain", "logits", "labels")
@@ -110,13 +110,7 @@ def _parse_entry(raw: dict, index: int) -> ManifestEntry:
 def load_manifest(path) -> DatasetManifest:
     """Load and validate a manifest, checking referenced files exist."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ManifestError(f"{path}: cannot read manifest ({exc})") from exc
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"{path}: manifest is not valid JSON ({exc})") from exc
-    _require(isinstance(raw, dict), f"{path}: manifest must be a JSON object")
+    raw = read_json_object(path, ManifestError, "manifest")
     for key in ("classes", "ignore_value", "entries"):
         _require(key in raw, f"{path}: missing top-level field {key!r}")
     classes = raw["classes"]

@@ -2,10 +2,11 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from relikit import calibration, mlp
@@ -672,9 +673,18 @@ class TestSaveLoadRoundTrip:
             cases[f"short_{key}.json"] = json.dumps({**lts, key: lts[key][:-1]})
         for bad in (0.0, -0.5, float("nan"), float("inf")):
             cases[f"t_floor_{bad}.json"] = json.dumps({**lts, "t_floor": bad})
+        # every key a method does not list is rejected, like an unknown manifest or config key
+        cases["unknown_key.json"] = json.dumps({**lts, "diagnostics": {}})
+        cases["ts_with_lts_key.json"] = '{"method": "ts", "temperature": 1.5, "t_floor": 0.05}'
+        cases["method_list.json"] = '{"method": ["ts"], "temperature": 1.5}'
+        # deeper than NumPy's 32-axis iterators: rejected for its rank, without iterating it
+        cases["deep_centroids.json"] = self._cluster_payload(centroids=json.loads("[" * 40 + "0" + "]" * 40))
+        cases["not_utf8.json"] = b"\xe9"
         for name, content in cases.items():
             path = tmp_path / name
-            if content is not None:
+            if isinstance(content, bytes):
+                path.write_bytes(content)
+            elif content is not None:
                 path.write_text(content, encoding="utf-8")
             with pytest.raises(CalibrationError):
                 load_calibrator(path)
@@ -705,13 +715,13 @@ class TestSaveLoadRoundTrip:
         assert load_calibrator(path).fallback_temperature == 1.2
         for bad in (-1.0, 0.0, float("nan"), float("inf")):
             path.write_text(self._cluster_payload(fallback_temperature=bad), encoding="utf-8")
-            with pytest.raises(CalibrationError, match="fallback temperature"):
+            with pytest.raises(CalibrationError, match="fallback_temperature must be positive and finite"):
                 load_calibrator(path)
 
     def test_load_rejects_class_count_mismatch(self, tmp_path):
         path = tmp_path / "cc.json"
         path.write_text(self._cluster_payload(classes=3), encoding="utf-8")
-        with pytest.raises(CalibrationError, match="3 classes"):
+        with pytest.raises(CalibrationError, match=r"temperatures has shape \(2, 2\), metadata implies \(2, 3\)"):
             load_calibrator(path)
 
     def _rejects(self, tmp_path, payload, match):
@@ -728,6 +738,11 @@ class TestSaveLoadRoundTrip:
         cases += [({**cluster, "classes": bad}, "classes") for bad in (True, 2.0, 5.9)]
         cases += [({**self._LTS, key: True}, key) for key in ("input_dim", "hidden_width", "t_floor", "b2")]
         cases += [({**self._LTS, key: 2.5}, key) for key in ("input_dim", "hidden_width")]
+        # array elements take only JSON numbers: [true, true] would read as T = 1, ["1.5", "2"] as 1.5 and 2
+        for bad in ([True, True], ["1.5", "2"], [1.5, None], [1.5, [2.0]]):
+            cases.append(({**cluster, "method": "cluster_ts", "temperatures": bad}, "temperatures"))
+        cases += [({**self._LTS, "feature_scale": [1, 1, True]}, "feature_scale"),
+                  ({**self._LTS, "w1": [[0, 0, 0], [0, "0", 0]]}, "w1")]
         for payload, key in cases:
             self._rejects(tmp_path, payload, f"malformed.*{key.replace('_', '-')} must be")
 
@@ -735,15 +750,68 @@ class TestSaveLoadRoundTrip:
         # Python's json parses NaN, and a NaN centroid would win every nearest-centroid argmin
         cluster = json.loads(self._cluster_payload())
         for bad in (float("nan"), float("inf")):
-            self._rejects(tmp_path, {**cluster, "centroids": [[0.0], [bad]]}, "non-finite cluster centroid")
-            self._rejects(tmp_path, {**self._LTS, "b2": bad}, "non-finite value in regressor b2")
-            for key in ("w1", "b1", "w2", "feature_mean", "feature_scale"):
+            self._rejects(tmp_path, {**cluster, "centroids": [[0.0], [bad]]}, f"centroids must be finite, got {bad}")
+            self._rejects(tmp_path, {**self._LTS, "b2": bad}, f"b2 must be finite, got {bad}")
+            for key, rule in (("w1", "finite"), ("b1", "finite"), ("w2", "finite"), ("feature_mean", "finite"),
+                              ("feature_scale", "positive and finite")):
                 array = np.asarray(self._LTS[key], dtype=np.float64)
                 array.flat[-1] = bad
-                self._rejects(tmp_path, {**self._LTS, key: array.tolist()}, f"non-finite value in regressor {key}")
+                self._rejects(tmp_path, {**self._LTS, key: array.tolist()}, f"{key} must be {rule}, got {bad}")
         for bad in (0.0, -1.0):
             self._rejects(tmp_path, {**self._LTS, "feature_scale": [1, bad, 1]},
-                          "non-positive value in regressor feature_scale")
+                          f"feature_scale must be positive and finite, got {bad}")
+        # a cluster_ts artifact uses classes nowhere else, so only the rule rejects a negative count
+        for bad in (0, -3):
+            self._rejects(tmp_path, {**cluster, "method": "cluster_ts", "temperatures": [1.0, 2.0], "classes": bad},
+                          f"classes must be positive, got {bad}")
+
+    def test_artifact_keys_are_the_dataclass_fields(self, tmp_path):
+        # a field added to a calibrator dataclass without a table entry would be missing here
+        params = mlp.MlpParams(np.zeros((2, 3)), np.zeros(2), np.zeros(2), 0.0)
+        calibrators = [
+            GlobalTemperature(1.5),
+            ClusterTemperatureModel(ClusterVariant.PER_IMAGE, np.zeros((2, 1)), np.ones(2), 1.0, 2),
+            ClusterTemperatureModel(ClusterVariant.PER_CLASS, np.zeros((2, 1)), np.ones((2, 2)), 1.0, 2),
+            TemperatureRegressor(FeatureMode.LOGITS, 3, 2, 0.05, np.zeros(3), np.ones(3), params),
+        ]
+        for calibrator in calibrators:
+            path = save_calibrator(calibrator, tmp_path / "a.json")
+            keys = {"method"}
+            for field in dataclasses.fields(calibrator):
+                value = getattr(calibrator, field.name)
+                if dataclasses.is_dataclass(value):  # params: its fields are keys of their own
+                    keys |= {f.name for f in dataclasses.fields(value)}
+                elif field.name != "variant":  # the method tag names the variant
+                    keys.add(field.name)
+            assert json.loads(path.read_text(encoding="utf-8")).keys() == keys
+            assert save_calibrator(load_calibrator(path), tmp_path / "b.json").read_bytes() == path.read_bytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])  # each draw overwrites one file
+    @given(st.data())
+    def test_load_rejects_every_dropped_retyped_or_reshaped_key(self, tmp_path, data):
+        cluster = json.loads(self._cluster_payload())
+        artifact = dict(data.draw(st.sampled_from([
+            {"method": "ts", "temperature": 1.5},
+            {**cluster, "method": "cluster_ts", "temperatures": [1.0, 2.0]},
+            cluster,
+            self._LTS,
+        ])))
+        key = data.draw(st.sampled_from(sorted(artifact)))
+        value = artifact[key]
+        change = data.draw(st.sampled_from(["drop", "retype"] + ["reshape", "element"] * isinstance(value, list)))
+        if change == "drop":
+            del artifact[key]
+        elif change == "retype":
+            artifact[key] = data.draw(st.sampled_from([True, "x", None, [], {}]))
+        elif change == "reshape":  # one axis more, one less, or one entry fewer along the first
+            artifact[key] = data.draw(st.sampled_from([[value], value[0], value[:-1]]))
+        else:  # the first element retyped
+            artifact[key] = row = json.loads(json.dumps(value))
+            while isinstance(row[0], list):
+                row = row[0]
+            row[0] = data.draw(st.sampled_from([True, "1.5", None]))
+        self._rejects(tmp_path, artifact, re.escape(f"{tmp_path / 'artifact.json'}: "))
 
     def test_default_pixels_constant(self):
         assert DEFAULT_PIXELS_PER_IMAGE == 20_000

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from relikit import cli, mlp
 from relikit.calibration import (
+    METHODS,
     ClusterTemperatureModel,
     GlobalTemperature,
     TemperatureRegressor,
@@ -57,6 +58,20 @@ class TestParsing:
             "--method", "nope",
         ])
         assert code == 1 and "error:" in err
+
+
+    @pytest.mark.parametrize("argv, exit_code", [
+        (["eval", "--manifest", "{bench}", "--calibrator", "{bad}"], 2),
+        (["eval", "--config", "{bad}"], 1),
+        (["synth", "--config", "{bad}", "--out", "{tmp}/bench"], 1),
+        (["validate", "{bad}"], 2),
+    ])
+    def test_json_input_that_is_not_utf8_is_one_error_line(self, bench, capsys, tmp_path, argv, exit_code):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b"\xe9")
+        code, _, err = _run(capsys, [arg.format(bench=bench, bad=bad, tmp=tmp_path) for arg in argv])
+        assert code == exit_code and _one_error_line(err)
+        assert f"{bad}: " in err and "is not valid JSON" in err and "utf-8" in err
 
 
 class TestValidate:
@@ -154,11 +169,15 @@ class TestFit:
         code, _, err = _run(capsys, ["fit", "--manifest", str(bench)])
         assert code == 1 and "--out" in err
 
-    def test_out_under_missing_directory_is_usage_error(self, bench, capsys, tmp_path):
+    def test_out_under_missing_directory_is_usage_error(self, bench, capsys, tmp_path, monkeypatch):
+        reads = []
+        read_logits = cli.tensor_io.read_logits
+        monkeypatch.setattr(cli.tensor_io, "read_logits", lambda path: reads.append(path) or read_logits(path))
         out = tmp_path / "absent" / "c.json"
-        code, _, err = _run(capsys, ["fit", "--manifest", str(bench), "--out", str(out)])
+        code, text, err = _run(capsys, ["fit", "--manifest", str(bench), "--out", str(out)])
         assert code == 1 and _one_error_line(err)
         assert f"cannot write {out}" in err
+        assert reads == [] and "temperature:" not in text
 
     def test_zero_weight_minibatch_is_skipped(self, bench, capsys, tmp_path):
         # one-pixel batches from the zero-weight domain have no gradient and no loss mass
@@ -324,6 +343,14 @@ class TestConfigFile:
         assert f"{key} must not contain a NUL character" in err
         assert not (tmp_path / "c.json").exists()
 
+    def test_unknown_method_names_every_method(self, bench, capsys, tmp_path):
+        config = tmp_path / "fit.json"
+        config.write_text(json.dumps({"manifest": str(bench), "out": str(tmp_path / "c.json"), "method": "magic"}))
+        code, _, err = _run(capsys, ["fit", "--config", str(config)])
+        assert code == 1 and _one_error_line(err)
+        assert "'magic'" in err and "ts, cluster_ts, class_cluster_ts, lts" in err
+        assert not (tmp_path / "c.json").exists()
+
     def test_bad_config_choice_is_usage_error(self, bench, capsys, tmp_path):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"manifest": str(bench), "score": "loudest"}))
@@ -366,12 +393,16 @@ class TestEval:
         assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("flag", ["--out", "--csv-out", "--bins-out"])
-    def test_output_under_missing_directory_is_usage_error(self, bench, capsys, tmp_path, flag):
+    def test_output_under_missing_directory_is_usage_error(self, bench, capsys, tmp_path, flag, monkeypatch):
+        reads = []
+        read_logits = cli.tensor_io.read_logits
+        monkeypatch.setattr(cli.tensor_io, "read_logits", lambda path: reads.append(path) or read_logits(path))
         path = tmp_path / "absent" / "r.out"
         code, _, err = _run(capsys, ["eval", "--manifest", str(bench), "--pixels-per-image", "50",
                                      flag, str(path)])
         assert code == 1 and _one_error_line(err)
         assert f"cannot write {path}" in err
+        assert reads == []
 
     def test_bad_calibrator_artifact_is_data_error(self, bench, capsys, tmp_path):
         artifact = tmp_path / "cluster.json"
@@ -379,8 +410,9 @@ class TestEval:
                    "fallback_temperature": 1.0, "classes": 5}
         lts = {"method": "lts", "feature_mode": "logits", "input_dim": 5, "hidden_width": 1, "t_floor": 0.05,
                "feature_mean": [0] * 5, "feature_scale": [1] * 5, "w1": [[0] * 5], "b1": [0], "w2": [0], "b2": 0.0}
-        for payload, message in [({**cluster, "fallback_temperature": -1.0}, "fallback temperature"),
-                                 ({**cluster, "centroids": [[0.0], [float("nan")]]}, "non-finite cluster centroid"),
+        for payload, message in [({**cluster, "fallback_temperature": -1.0},
+                                  "fallback_temperature must be positive and finite"),
+                                 ({**cluster, "centroids": [[0.0], [float("nan")]]}, "centroids must be finite"),
                                  ({"method": "ts", "temperature": True}, "temperature must be a number"),
                                  ({**lts, "t_floor": 5.0}, "t_floor must be in (0, 1)")]:
             artifact.write_text(json.dumps(payload))
@@ -388,6 +420,18 @@ class TestEval:
                                          "--calibrator", str(artifact)])
             assert code == 2 and message in err
             assert err.count("\n") == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_fitted_artifact_with_a_retyped_key_is_data_error(self, bench, capsys, tmp_path, method):
+        artifact = tmp_path / "fitted.json"
+        assert _run(capsys, ["fit", "--manifest", str(bench), "--out", str(artifact), "--method", method,
+                             "--k", "2", "--epochs", "1"])[0] == 0
+        payload = json.loads(artifact.read_text())
+        payload[list(METHODS[method].keys)[-1]] = None
+        artifact.write_text(json.dumps(payload))
+        code, _, err = _run(capsys, ["eval", "--manifest", str(bench), "--calibrator", str(artifact)])
+        assert code == 2 and _one_error_line(err)
+        assert "malformed calibrator artifact" in err
 
     def test_cluster_centroid_width_mismatch_is_data_error(self, bench, capsys, tmp_path):
         artifact = tmp_path / "cluster.json"

@@ -137,9 +137,11 @@ class TestLoadManifest:
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "manifest.json"
-        path.write_text("{broken", encoding="utf-8")
-        with pytest.raises(ManifestError, match="not valid JSON"):
-            load_manifest(path)
+        # broken syntax, and arrays nested too deep for the parser's recursion
+        for text in ("{broken", "[" * 200_000):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ManifestError, match="not valid JSON"):
+                load_manifest(path)
 
     def test_missing_manifest_file(self, tmp_path):
         with pytest.raises(ManifestError, match="cannot read"):
