@@ -24,9 +24,11 @@ dNLL/dbeta: one pass over the pixels yields the NLL with its exact first
 and second derivatives, and a fit that wants to leave [t_min, t_max] is
 pinned to exactly that bound.
 
-Fitting and evaluation load every manifest entry through
-:func:`load_entry`, the one place where an entry is read, checked and its
-pixels drawn, so a given seed sees one pixel set per image everywhere.
+Fitting and evaluation read a split through :func:`load_batches`: each
+entry is read, checked and its pixels drawn by :func:`load_entry`, so a
+given seed sees one pixel set per image everywhere, and consecutive
+entries of one grid are stacked into an :class:`EntryBatch` of at most
+:data:`BATCH_PIXELS` pixels (or one larger entry).
 :func:`needs_image` decides whether a calibrator reads the image tensor.
 Every fit stacks its split's drawn pixels once, in entry order, into one
 :class:`CalibrationPixels` set (:func:`gather_pixel_batches`) that records
@@ -40,8 +42,10 @@ walked by :func:`save_calibrator` to write it and :func:`load_calibrator` to che
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -68,6 +72,8 @@ T_MAX = 20.0
 LN_T_TOL = 1e-4
 DEFAULT_PIXELS_PER_IMAGE = 20_000
 DEFAULT_CLUSTERS = 16
+# Pixels per batch of same-grid entries: a 128 x 256 image fills one on its own.
+BATCH_PIXELS = 1 << 15
 
 
 class ClusterVariant(str, Enum):
@@ -242,7 +248,7 @@ def apply_temperature(logits: LogitTensor, temperature: float | TemperatureMap) 
 
     T is a positive scalar or a per-pixel :class:`TemperatureMap`.
     """
-    z = scaled_logits(logits, temperature)
+    z = scaled_logits(logits.data, temperature)
     z -= z.max(axis=2, keepdims=True)
     e = np.exp(z)
     e /= e.sum(axis=2, keepdims=True)
@@ -257,6 +263,7 @@ class LoadedEntry:
     those drawn from them; a tensor that was not asked for is None.
     """
 
+    entry: ManifestEntry
     logits: LogitTensor
     labels: LabelMap
     valid: np.ndarray
@@ -273,15 +280,15 @@ class LoadedEntry:
 def load_entry(manifest: DatasetManifest, entry: ManifestEntry, *,
                pixels_per_image: int | None, seed: int,
                image: bool = False, feature: bool = False, mask: bool = False) -> LoadedEntry:
-    """Read and check one entry's logits and labels and draw its pixels, for fit and eval.
+    """Read and check one entry's logits and labels and draw its pixels: one step of :func:`load_batches`.
 
     The draw uses the ``(seed, image_id)`` stream of record extraction, so
     fitting and evaluation see identical pixels. The image and the feature
     are read only when asked for, and the entry must then list them; the
     OOD mask is read when asked for and listed.
     """
-    logits = tensor_io.read_logits(manifest.resolve(entry.logits))
-    labels = tensor_io.read_labels(manifest.resolve(entry.labels))
+    logits = tensor_io.read_logits(manifest.path(entry.logits))
+    labels = tensor_io.read_labels(manifest.path(entry.labels))
     check_same_shape(logits, labels, f"{entry.image_id}: logits vs labels")
     if logits.classes != manifest.classes:
         raise ManifestError(
@@ -294,17 +301,79 @@ def load_entry(manifest: DatasetManifest, entry: ManifestEntry, *,
     if image:
         if entry.image is None:
             raise CalibrationError(f"{entry.image_id}: entry has no image tensor")
-        image_tensor = tensor_io.read_image(manifest.resolve(entry.image))
+        image_tensor = tensor_io.read_image(manifest.path(entry.image))
         check_same_shape(logits, image_tensor, f"{entry.image_id}: logits vs image")
     if feature:
         if entry.feature is None:
             raise CalibrationError(f"{entry.image_id}: entry has no feature vector")
-        feature_vector = tensor_io.read_feature(manifest.resolve(entry.feature))
+        feature_vector = tensor_io.read_feature(manifest.path(entry.feature))
     if mask and entry.ood_mask is not None:
-        ood_mask = tensor_io.read_mask(manifest.resolve(entry.ood_mask))
+        ood_mask = tensor_io.read_mask(manifest.path(entry.ood_mask))
         if ood_mask.shape != (logits.height, logits.width):
             raise ManifestError(f"{entry.image_id}: ood mask shape {ood_mask.shape} does not match image")
-    return LoadedEntry(logits, labels, valid, rows, image_tensor, feature_vector, ood_mask)
+    return LoadedEntry(entry, logits, labels, valid, rows, image_tensor, feature_vector, ood_mask)
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """``np.stack(arrays)``; a single array becomes a view with a leading axis of 1, not a copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+@dataclass(frozen=True)
+class EntryBatch:
+    """Consecutive loaded entries of one (H, W) grid, their tensors stacked on first use.
+
+    ``logits`` is (B, H, W, K) float32 and ``labels`` (B, H, W) uint16.
+    ``rows`` holds every entry's drawn pixels, entry by entry and each in
+    pixel order, as flat indices into the batch's B * H * W pixels; entry
+    i's are ``rows[bounds[i]:bounds[i + 1]]``.
+    """
+
+    loaded: tuple[LoadedEntry, ...]
+
+    @cached_property
+    def logits(self) -> np.ndarray:
+        return _stack([one.logits.data for one in self.loaded])
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        return _stack([one.labels.data for one in self.loaded])
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        pixels = self.loaded[0].labels.data.size
+        return np.concatenate([one.rows + i * pixels for i, one in enumerate(self.loaded)])
+
+    @cached_property
+    def bounds(self) -> np.ndarray:
+        return np.cumsum([0] + [one.rows.size for one in self.loaded])
+
+    def drawn(self, per_pixel: np.ndarray) -> np.ndarray:
+        """The drawn pixels of a (B, H, W) or (B, H, W, C) array, entry by entry."""
+        return per_pixel.reshape(-1, *per_pixel.shape[3:])[self.rows]
+
+
+def load_batches(manifest: DatasetManifest, entries: list[ManifestEntry], *,
+                 pixels_per_image: int | None, seed: int,
+                 image: bool = False, feature: bool = False, mask: bool = False) -> Iterator[EntryBatch]:
+    """The entries, each loaded by :func:`load_entry` in order, as batches for fit and eval.
+
+    A batch is a run of consecutive entries of one (H, W) grid holding at
+    most :data:`BATCH_PIXELS` pixels, or a single larger entry. Entries are
+    read as the batches are taken, so the reader holds one batch and the
+    entry that starts the next.
+    """
+    run: list[LoadedEntry] = []
+    for entry in entries:
+        one = load_entry(manifest, entry, pixels_per_image=pixels_per_image, seed=seed,
+                         image=image, feature=feature, mask=mask)
+        if run and (one.labels.data.shape != run[0].labels.data.shape
+                    or (len(run) + 1) * one.labels.data.size > BATCH_PIXELS):
+            yield EntryBatch(tuple(run))
+            run = []
+        run.append(one)
+    if run:
+        yield EntryBatch(tuple(run))
 
 
 @dataclass(frozen=True)
@@ -324,21 +393,21 @@ class CalibrationPixels:
 def gather_pixel_batches(manifest: DatasetManifest, entries: list[ManifestEntry], *,
                          pixels_per_image: int | None, seed: int,
                          need_image: bool = False) -> CalibrationPixels:
-    """The drawn pixels of each entry (see :func:`load_entry`), stacked as float64 rows."""
+    """The drawn pixels of each entry, read batch by batch (:func:`load_batches`), stacked as float64 rows."""
     if not entries:
         raise CalibrationError("no manifest entries to gather pixels from")
-    logits, labels, channels = [], [], []
-    for entry in entries:
-        loaded = load_entry(manifest, entry, pixels_per_image=pixels_per_image, seed=seed,
-                            image=need_image)
-        logits.append(loaded.drawn(loaded.logits.data))
-        labels.append(loaded.drawn(loaded.labels.data))
+    logits, labels, channels, counts = [], [], [], []
+    for batch in load_batches(manifest, entries, pixels_per_image=pixels_per_image, seed=seed,
+                              image=need_image):
+        logits.append(batch.drawn(batch.logits))
+        labels.append(batch.drawn(batch.labels))
         if need_image:
-            channels.append(loaded.drawn(loaded.image.data))
+            channels.append(batch.drawn(_stack([one.image.data for one in batch.loaded])))
+        counts.extend(one.rows.size for one in batch.loaded)
     return CalibrationPixels(
         logits=np.concatenate(logits, dtype=np.float64),
         labels=np.concatenate(labels, dtype=np.int64),
-        entry=np.repeat(np.arange(len(entries)), [rows.size for rows in labels]),
+        entry=np.repeat(np.arange(len(entries)), counts),
         channels=np.concatenate(channels, dtype=np.float64) if need_image else None,
     )
 
@@ -542,6 +611,14 @@ def calibrator_temperature(calibrator: Calibrator | None, logits: LogitTensor,
     raise UsageError(f"unknown calibrator type {type(calibrator).__name__}")
 
 
+def batch_temperature(calibrator: Calibrator | None, batch: EntryBatch) -> np.ndarray | TemperatureMap:
+    """:func:`calibrator_temperature` of each entry of a batch, stacked: B scalars or a (B, H, W) map."""
+    temperatures = [calibrator_temperature(calibrator, one.logits, one.feature, one.image) for one in batch.loaded]
+    if isinstance(temperatures[0], TemperatureMap):
+        return TemperatureMap(_stack([t.values for t in temperatures]))
+    return np.array(temperatures, dtype=np.float64)
+
+
 def apply_calibrator(calibrator: Calibrator | None, logits: LogitTensor,
                      feature: np.ndarray | None = None,
                      image: ImageTensor | None = None) -> np.ndarray:
@@ -617,7 +694,7 @@ def _read_key(path, name: str, kind, rule: str | None, raw, sizes: dict):
         if value.shape != shape:
             raise CalibrationError(f"{path}: {name} has shape {value.shape}, metadata implies {shape}")
     else:
-        value = sizes[name] = convert_option(name, raw, kind)
+        value = sizes[name] = convert_option(name, raw, kind, text=False)
     ok = np.asarray(_RULES[rule](np.asarray(value)) if rule else True)
     if not ok.all():
         raise CalibrationError(f"{path}: {name} must be {rule}, got {np.asarray(value)[~ok].flat[0]}")

@@ -137,7 +137,7 @@ def cmd_validate(args) -> int:
     for entry in manifest.entries:
         shape = None
         try:
-            logits = tensor_io.read_logits(manifest.resolve(entry.logits))
+            logits = tensor_io.read_logits(manifest.path(entry.logits))
             shape = (logits.height, logits.width)
             if logits.classes != manifest.classes:
                 violations.append((entry.logits, "classes",
@@ -145,7 +145,7 @@ def cmd_validate(args) -> int:
         except (TensorFormatError, InvalidTensorError) as exc:
             violations.append((entry.logits, "format", str(exc)))
         try:
-            labels = tensor_io.read_labels(manifest.resolve(entry.labels))
+            labels = tensor_io.read_labels(manifest.path(entry.labels))
             if shape is not None and (labels.height, labels.width) != shape:
                 violations.append((entry.labels, "shape",
                                    f"labels are {(labels.height, labels.width)}, logits are {shape}"))
@@ -157,13 +157,13 @@ def cmd_validate(args) -> int:
             violations.append((entry.labels, "format", str(exc)))
         if entry.feature is not None:
             try:
-                vec = tensor_io.read_feature(manifest.resolve(entry.feature))
+                vec = tensor_io.read_feature(manifest.path(entry.feature))
                 feature_dims.setdefault(vec.shape[0], entry.feature)
             except (TensorFormatError, InvalidTensorError) as exc:
                 violations.append((entry.feature, "format", str(exc)))
         if entry.image is not None:
             try:
-                image = tensor_io.read_image(manifest.resolve(entry.image))
+                image = tensor_io.read_image(manifest.path(entry.image))
                 if shape is not None and (image.height, image.width) != shape:
                     violations.append((entry.image, "shape",
                                        f"image is {(image.height, image.width)}, logits are {shape}"))
@@ -172,7 +172,7 @@ def cmd_validate(args) -> int:
                 violations.append((entry.image, "format", str(exc)))
         if entry.ood_mask is not None:
             try:
-                mask = tensor_io.read_mask(manifest.resolve(entry.ood_mask))
+                mask = tensor_io.read_mask(manifest.path(entry.ood_mask))
                 if shape is not None and mask.shape != shape:
                     violations.append((entry.ood_mask, "shape",
                                        f"mask is {mask.shape}, logits are {shape}"))
@@ -423,7 +423,7 @@ def build_parser() -> _Parser:
     p.add_argument("--metrics", help="comma-separated subset of "
                                      "miou,ece,ada_ece,ks_error,prr,ood_auroc,pixel_ood_auroc")
     p.add_argument("--workers", type=int,
-                   help=f"parallel image workers (default ${WORKERS_ENV} or 1)")
+                   help=f"threads scoring batches of images (default ${WORKERS_ENV} or 1)")
     p.add_argument("--out", help="write the JSON report here (default: stdout)")
     p.add_argument("--csv-out", dest="csv_out", help="write the CSV report here")
     p.add_argument("--bins-out", dest="bins_out", help="write per-domain reliability bins here")

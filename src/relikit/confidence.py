@@ -30,31 +30,41 @@ class ConfidenceScore(str, Enum):
     NEG_ENTROPY = "neg_entropy"
 
 
-def scaled_logits(logits: LogitTensor, temperature: float | TemperatureMap) -> np.ndarray:
-    """float64 logits / T, for T a positive finite scalar or a map of the image's shape."""
-    z = logits.data.astype(np.float64)
+def scaled_logits(logits: np.ndarray, temperature: float | np.ndarray | TemperatureMap) -> np.ndarray:
+    """float64 (..., K) logits / T.
+
+    T is a positive finite scalar, one such scalar per image of a
+    (B, H, W, K) stack, or a :class:`TemperatureMap` of the logits' pixel
+    shape: (H, W), or (B, H, W) for a stack.
+    """
+    z = logits.astype(np.float64)
     if isinstance(temperature, TemperatureMap):
-        tmap = temperature.values
-        if tmap.shape != (logits.height, logits.width):
-            raise CalibrationError(
-                f"temperature map shape {tmap.shape} does not match image {(logits.height, logits.width)}"
-            )
-        return z / tmap[:, :, None]
-    t = float(temperature)
-    if not np.isfinite(t) or t <= 0.0:
-        raise CalibrationError(f"temperature must be positive and finite, got {t}")
-    return z / t
+        t = temperature.values
+        if t.shape != z.shape[:-1]:
+            raise CalibrationError(f"temperature map shape {t.shape} does not match image {z.shape[:-1]}")
+    else:
+        t = np.asarray(temperature, dtype=np.float64)
+        if not np.all(np.isfinite(t) & (t > 0.0)):
+            raise CalibrationError(f"temperature must be positive and finite, got {temperature}")
+        if t.ndim:  # one T per image of a stack
+            if t.shape != z.shape[:-3]:
+                raise CalibrationError(f"{t.size} temperatures for a stack of {z.shape[:-3]} images")
+            t = t[:, None, None]
+    z /= t[..., None]
+    return z
 
 
-def confidence_map(logits: LogitTensor, temperature: float | TemperatureMap = 1.0,
+def confidence_map(logits: LogitTensor | np.ndarray, temperature: float | np.ndarray | TemperatureMap = 1.0,
                    score: ConfidenceScore = ConfidenceScore.MAX_PROB):
     """Per-pixel (confidence, predicted class) of softmax(logits / T).
 
-    Returns a float64 (H, W) confidence array and the int64 (H, W) argmax
-    of the raw logits. With z the scaled logits minus their row maximum
-    and s = sum_k exp z_k, ``max_prob`` is 1 / s; ``neg_entropy`` is
-    sum_k p_k ln p_k over p = exp z / s, with 0 * ln 0 = 0, so one-hot
-    distributions score exactly 0. No probability tensor is kept.
+    ``logits`` is one image's tensor or a (B, H, W, K) stack, and T takes
+    the forms of :func:`scaled_logits`. Returns a float64 confidence array
+    and the int64 argmax of the raw logits, both of the pixel shape. With z
+    the scaled logits minus their row maximum and s = sum_k exp z_k,
+    ``max_prob`` is 1 / s; ``neg_entropy`` is sum_k p_k ln p_k over
+    p = exp z / s, with 0 * ln 0 = 0, so one-hot distributions score
+    exactly 0. No probability tensor is kept.
     """
     score = ConfidenceScore(score)
     max_prob, neg_entropy, predicted = _confidence_pass(
@@ -62,20 +72,23 @@ def confidence_map(logits: LogitTensor, temperature: float | TemperatureMap = 1.
     return (max_prob if neg_entropy is None else neg_entropy), predicted
 
 
-def _confidence_pass(logits: LogitTensor, temperature: float | TemperatureMap, *, entropy: bool):
+def _confidence_pass(logits: LogitTensor | np.ndarray, temperature: float | np.ndarray | TemperatureMap, *,
+                     entropy: bool):
     """(max_prob, neg_entropy or None, predicted) from one exp pass, as :func:`confidence_map` defines them."""
-    predicted = logits.data.argmax(axis=2).astype(np.int64)
+    if isinstance(logits, LogitTensor):
+        logits = logits.data
+    predicted = logits.argmax(axis=-1).astype(np.int64)
     z = scaled_logits(logits, temperature)
-    z -= np.take_along_axis(z, predicted[:, :, None], axis=2)
+    z -= np.take_along_axis(z, predicted[..., None], axis=-1)
     e = np.exp(z, out=z)
-    total = e.sum(axis=2, keepdims=True)
-    max_prob = 1.0 / total[:, :, 0]
+    total = e.sum(axis=-1, keepdims=True)
+    max_prob = 1.0 / total[..., 0]
     if not entropy:
         return max_prob, None, predicted
     p = np.divide(e, total, out=e)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    return max_prob, terms.sum(axis=2), predicted
+    return max_prob, terms.sum(axis=-1), predicted
 
 
 def _stable_argsort(values: np.ndarray) -> np.ndarray:

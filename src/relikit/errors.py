@@ -7,7 +7,8 @@ problems (every class without its own code) exit 2, numerical failures
 exit 3. :func:`convert_option` is the one strict cast of option
 and config values, so a value of the wrong type is always a usage error.
 :func:`read_json_object` reads every JSON input file (manifest, calibrator,
-config) and raises the error class its caller names.
+config) and raises the error class its caller names; :func:`parse_json_object`
+is its parse of JSON text, which also reads a synth config given as text.
 """
 
 import json
@@ -53,13 +54,17 @@ class UsageError(RelikitError):
     exit_code = 1
 
 
-def convert_option(name: str, value, kind):
+def convert_option(name: str, value, kind, *, text: bool = True):
     """Cast one option or config value with ``kind``; a value it rejects is a usage error.
 
     A bool is no number and a float no integer, so ``true`` or ``2.7`` is not truncated.
+    A string may spell a number (a command-line value, an environment
+    variable) unless ``text`` is False, as for a JSON artifact, which holds
+    its numbers as JSON numbers.
     """
     try:
-        if kind in (int, float) and (isinstance(value, bool) or kind is int and isinstance(value, float)):
+        if kind in (int, float) and (isinstance(value, bool) or kind is int and isinstance(value, float)
+                                     or not text and isinstance(value, str)):
             raise TypeError(value)
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -70,14 +75,27 @@ def convert_option(name: str, value, kind):
         raise UsageError(f"{name.replace('_', '-')} must be {expected}, got {value!r}") from exc
 
 
+def parse_json_object(text: str, error: type[RelikitError], noun: str, where=None) -> dict:
+    """The JSON object in ``text``; invalid or over-nested JSON, or another JSON value, raises ``error``.
+
+    ``where``, when given, prefixes the message (the file the text came from).
+    """
+    prefix = "" if where is None else f"{where}: "
+    try:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # invalid JSON or nesting too deep
+        raise error(f"{prefix}{noun} is not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise error(f"{prefix}{noun} must be a JSON object")
+    return payload
+
+
 def read_json_object(path, error: type[RelikitError], noun: str) -> dict:
     """The JSON object in the UTF-8 file ``path``; any failure raises ``error`` naming the file."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise error(f"{path}: cannot read {noun} ({exc})") from exc
-    except (ValueError, RecursionError) as exc:  # invalid JSON, bytes that are not UTF-8, or nesting too deep
+    except ValueError as exc:  # bytes that are not UTF-8
         raise error(f"{path}: {noun} is not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise error(f"{path}: {noun} must be a JSON object")
-    return payload
+    return parse_json_object(text, error, noun, path)

@@ -7,21 +7,31 @@ always from max-probability confidence), misclassification detection
 (PRR, from the configured confidence score), and OOD detection (image-
 and pixel-level AUROC against the in-domain reference).
 
-Images are processed independently (optionally by a thread pool) and
-reduced in sorted image-id order, so the report bytes do not depend on
-the worker count. Each image is loaded through
-:func:`~relikit.calibration.load_entry`, as in fitting, so a seed
+The split is scored in batches: runs of consecutive entries of one
+(H, W) grid holding at most :data:`~relikit.calibration.BATCH_PIXELS`
+pixels, or one larger image, read by
+:func:`~relikit.calibration.load_batches` as in fitting, so a seed
 identifies one pixel set per image everywhere. Besides the logits and
 labels it reads only what is used: the image for an LTS calibrator that
 takes image channels, the feature vector for a cluster calibrator, and
-the OOD mask when ``pixel_ood_auroc`` is requested. The calibrator
-gives the image one temperature, a scalar or a per-pixel map
-(:func:`~relikit.calibration.calibrator_temperature`), and
-:func:`~relikit.confidence.confidence_map` reduces the scaled logits
-straight to confidences, without a probability tensor; the predicted
-class is the raw-logit argmax. Under ``neg_entropy`` one exp pass gives
-both the max-probability confidence (for the calibration metrics) and the
-entropy score (for ranking).
+the OOD mask when ``pixel_ood_auroc`` is requested. The calibrator gives
+each image one temperature, a scalar or a per-pixel map
+(:func:`~relikit.calibration.calibrator_temperature`), stacked for the
+batch, and one :func:`~relikit.confidence.confidence_map` call reduces
+the batch's scaled logits straight to confidences, without a probability
+tensor; the predicted class is the raw-logit argmax. Under
+``neg_entropy`` one exp pass gives both the max-probability confidence
+(for the calibration metrics) and the entropy score (for ranking). One
+``bincount`` gives every image's confusion matrix; each image's drawn
+records, mean confidence and OOD split are slices of the batch's arrays.
+
+With ``workers`` > 1 the calling thread reads the batches and a thread
+pool of that many workers scores them, one batch per task, so a worker
+holds at most max(one image, ``BATCH_PIXELS`` pixels) of tensors at a
+time and the reader a few batches ahead of it. Every per-pixel value is
+computed by the same operations whatever the batch, and images are
+reduced in sorted image-id order, so the report bytes do not depend on
+the worker count.
 
 Every per-domain quantity is computed once. The equal-width reliability
 bins behind ``ece`` are kept on the report (``bins``, not serialized) for
@@ -34,6 +44,7 @@ NumPy's unstable default sort; no metric runs a stable sort.
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -45,13 +56,14 @@ from .calibration import (
     DEFAULT_PIXELS_PER_IMAGE,
     Calibrator,
     ClusterTemperatureModel,
-    calibrator_temperature,
-    load_entry,
+    EntryBatch,
+    batch_temperature,
+    load_batches,
     needs_image,
 )
 from .confidence import ConfidenceScore, RecordSet, _confidence_pass, confidence_map
 from .errors import ManifestError, MetricError, UsageError
-from .manifest import DatasetManifest, ManifestEntry
+from .manifest import DatasetManifest
 # Unused here; the benchmark tracer's smoke test looks these bindings up.
 from .calibration import apply_calibrator  # noqa: F401
 from .rng import subsample_indices  # noqa: F401
@@ -95,40 +107,69 @@ class _ImageSummary:
     unknown_conf: np.ndarray | None
 
 
-def _summarize_image(manifest: DatasetManifest, entry: ManifestEntry,
-                     calibrator: Calibrator | None, config: EvalConfig) -> _ImageSummary:
-    loaded = load_entry(manifest, entry, pixels_per_image=config.pixels_per_image, seed=config.seed,
-                        image=needs_image(calibrator),
-                        feature=isinstance(calibrator, ClusterTemperatureModel),
-                        mask="pixel_ood_auroc" in config.metrics)
-    if loaded.valid.size == 0:
-        raise MetricError(f"{entry.image_id}: image has no non-ignored pixels")
-    temperature = calibrator_temperature(calibrator, loaded.logits, feature=loaded.feature, image=loaded.image)
-
+def _summarize_batch(batch: EntryBatch, manifest: DatasetManifest,
+                     calibrator: Calibrator | None, config: EvalConfig) -> list[_ImageSummary]:
+    """The summaries of one batch's entries, from one confidence pass and one confusion count."""
+    for one in batch.loaded:
+        if one.valid.size == 0:
+            raise MetricError(f"{one.entry.image_id}: image has no non-ignored pixels")
+    temperature = batch_temperature(calibrator, batch)
     if config.score is ConfidenceScore.MAX_PROB:
-        conf_cal, predicted = confidence_map(loaded.logits, temperature)
+        conf_cal, predicted = confidence_map(batch.logits, temperature)
         conf_rank = conf_cal
     else:
-        conf_cal, conf_rank, predicted = _confidence_pass(loaded.logits, temperature, entropy=True)
-    flat_rank = conf_rank.reshape(-1)
+        conf_cal, conf_rank, predicted = _confidence_pass(batch.logits, temperature, entropy=True)
+    confusion = met.confusion_matrix(predicted, batch.labels, manifest.classes, manifest.ignore_value)
 
-    known_conf = unknown_conf = None
-    if loaded.ood_mask is not None:
-        flat_mask = loaded.ood_mask.reshape(-1)
-        known_conf = flat_rank[~flat_mask]
-        unknown_conf = flat_rank[flat_mask]
+    def per_entry(drawn):  # each entry's part, as views of one gather over the batch
+        return np.split(drawn, batch.bounds[1:-1])
 
-    return _ImageSummary(
-        domain=entry.domain,
-        confidence_cal=loaded.drawn(conf_cal),
-        confidence_rank=loaded.drawn(conf_rank),
-        predicted=loaded.drawn(predicted),
-        actual=loaded.drawn(loaded.labels.data).astype(np.int64),
-        confusion=met.confusion_matrix(predicted, loaded.labels, manifest.classes, manifest.ignore_value),
-        mean_confidence=float(flat_rank[loaded.valid].mean()),
-        known_conf=known_conf,
-        unknown_conf=unknown_conf,
-    )
+    drawn_cal = per_entry(batch.drawn(conf_cal))
+    drawn_rank = drawn_cal if conf_rank is conf_cal else per_entry(batch.drawn(conf_rank))
+    drawn_predicted = per_entry(batch.drawn(predicted))
+    drawn_actual = per_entry(batch.drawn(batch.labels).astype(np.int64))
+    ranks = conf_rank.reshape(len(batch.loaded), -1)
+    summaries = []
+    for i, one in enumerate(batch.loaded):
+        known_conf = unknown_conf = None
+        if one.ood_mask is not None:
+            flat_mask = one.ood_mask.reshape(-1)
+            known_conf = ranks[i][~flat_mask]
+            unknown_conf = ranks[i][flat_mask]
+        summaries.append(_ImageSummary(
+            domain=one.entry.domain,
+            confidence_cal=drawn_cal[i],
+            confidence_rank=drawn_rank[i],
+            predicted=drawn_predicted[i],
+            actual=drawn_actual[i],
+            confusion=confusion[i],
+            mean_confidence=float(ranks[i][one.valid].mean()),
+            known_conf=known_conf,
+            unknown_conf=unknown_conf,
+        ))
+    return summaries
+
+
+def _ordered_map(pool: ThreadPoolExecutor, fn, items, ahead: int):
+    """``fn`` of each item, in order, run by ``pool`` while the caller takes the next items.
+
+    At most ``ahead + 1`` items are in the pool and not yet returned, so a
+    worker that finishes finds the next item waiting. When taking an item
+    fails, the results before it are read first, so an earlier item's
+    error wins.
+    """
+    pending: deque = deque()
+    try:
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) > ahead:
+                yield pending.popleft().result()
+    except Exception:
+        for future in pending:
+            future.result()
+        raise
+    for future in pending:
+        yield future.result()
 
 
 def _nullable(values: np.ndarray) -> list:
@@ -162,12 +203,16 @@ def evaluate_manifest(manifest: DatasetManifest, calibrator: Calibrator | None =
     entries = manifest.select(split=config.split)
     if not entries:
         raise ManifestError(f"manifest has no entries in split {config.split!r}")
-    summarize = partial(_summarize_image, manifest, calibrator=calibrator, config=config)
+    batches = load_batches(manifest, entries, pixels_per_image=config.pixels_per_image, seed=config.seed,
+                           image=needs_image(calibrator),
+                           feature=isinstance(calibrator, ClusterTemperatureModel),
+                           mask="pixel_ood_auroc" in config.metrics)
+    summarize = partial(_summarize_batch, manifest=manifest, calibrator=calibrator, config=config)
     if config.workers == 1:
-        summaries = [summarize(e) for e in entries]
+        summaries = [s for batch in batches for s in summarize(batch)]
     else:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            summaries = list(pool.map(summarize, entries))
+            summaries = [s for part in _ordered_map(pool, summarize, batches, config.workers) for s in part]
 
     by_domain: dict[str, list[_ImageSummary]] = {}
     for summary in summaries:  # entries are sorted by image_id, so groups are too

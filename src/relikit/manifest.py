@@ -27,9 +27,10 @@ is a non-empty string. ``logits`` and ``labels`` are required per entry;
 (per-pixel channels for the temperature regressor) and ``ood_mask``
 (unknown-class pixels) are optional, and :func:`save_manifest` writes only
 those an entry has. Relative paths are resolved against the manifest's
-directory. ``split`` is ``calibration`` or ``test``. ``ignore_value`` labels
-pixels excluded from every metric and fit; it must not collide with a class
-index. Entries are sorted by ``image_id`` at load so downstream results do
+directory; :meth:`DatasetManifest.path` gives each entry path's resolved
+text, computed once when the manifest is built. ``split`` is
+``calibration`` or ``test``. ``ignore_value`` labels pixels excluded from
+every metric and fit; it must not collide with a class index. Entries are sorted by ``image_id`` at load so downstream results do
 not depend on the order they were listed in.
 """
 
@@ -62,16 +63,40 @@ class ManifestEntry:
     ood_mask: str | None = None
 
 
+_FIELD_NAMES = tuple(f.name for f in fields(ManifestEntry))
+_PATH_FIELDS = ("logits", "labels", "feature", "image", "ood_mask")
+
+
+def _joined(root: str, relpath: str) -> str:
+    """``str(Path(root) / relpath)`` for ``root`` the text of a Path; builds no Path for a plain relative path."""
+    if (os.sep != "/" or root.endswith("/") or relpath.startswith("/") or relpath.endswith("/")
+            or "//" in relpath or "/./" in f"/{relpath}/"):
+        return str(Path(root) / relpath)  # pathlib normalizes these; keep its text
+    return relpath if root == "." else f"{root}/{relpath}"
+
+
 @dataclass(frozen=True)
 class DatasetManifest:
     classes: int
     ignore_value: int
     entries: tuple[ManifestEntry, ...]
     root: Path = field(default_factory=Path)
+    _paths: dict = field(init=False, repr=False, compare=False)  # entry path -> resolved text
+
+    def __post_init__(self):
+        root = str(self.root)
+        object.__setattr__(self, "_paths", {
+            rel: _joined(root, rel) for entry in self.entries
+            for rel in (getattr(entry, key) for key in _PATH_FIELDS) if rel is not None
+        })
+
+    def path(self, relpath: str) -> str:
+        """The text of :meth:`resolve`; an entry's paths are looked up, not joined again."""
+        text = self._paths.get(relpath)
+        return _joined(str(self.root), relpath) if text is None else text
 
     def resolve(self, relpath: str) -> Path:
-        path = Path(relpath)
-        return path if path.is_absolute() else self.root / path
+        return Path(self.path(relpath))
 
     def select(self, split: str | None = None, domain: str | None = None) -> list[ManifestEntry]:
         out = []
@@ -96,10 +121,9 @@ def _parse_entry(raw: dict, index: int) -> ManifestEntry:
     _require(isinstance(raw, dict), f"entry {index}: not a JSON object")
     for key in _REQUIRED_FIELDS:
         _require(key in raw, f"entry {index}: missing required field {key!r}")
-    names = [f.name for f in fields(ManifestEntry)]
-    unknown = raw.keys() - set(names)
+    unknown = raw.keys() - set(_FIELD_NAMES)
     _require(not unknown, f"entry {index}: unknown fields {sorted(unknown)}")
-    for key in names:
+    for key in _FIELD_NAMES:
         if key in raw:
             _require(isinstance(raw[key], str) and raw[key],
                      f"entry {index}: field {key!r} must be a non-empty string")
@@ -137,10 +161,10 @@ def load_manifest(path) -> DatasetManifest:
         root=path.parent,
     )
     for entry in manifest.entries:
-        for key in ("logits", "labels", "feature", "image", "ood_mask"):
+        for key in _PATH_FIELDS:
             rel = getattr(entry, key)
             # os.path.isfile is False, not an exception, on a name the OS refuses
-            if rel is not None and not os.path.isfile(manifest.resolve(rel)):
+            if rel is not None and not os.path.isfile(manifest.path(rel)):
                 raise ManifestError(f"{path}: entry {entry.image_id!r} references missing {key} file {rel!r}")
     return manifest
 
@@ -167,7 +191,7 @@ def load_features(manifest: DatasetManifest, entries: list[ManifestEntry]) -> tu
     for entry in entries:
         if entry.feature is None:
             raise ManifestError(f"entry {entry.image_id!r} has no feature vector")
-        vectors.append(tensor_io.read_feature(manifest.resolve(entry.feature)))
+        vectors.append(tensor_io.read_feature(manifest.path(entry.feature)))
         ids.append(entry.image_id)
     dims = {v.shape[0] for v in vectors}
     if len(dims) > 1:

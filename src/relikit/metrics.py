@@ -179,11 +179,15 @@ class MiouResult:
     per_class: np.ndarray  # IoU per class, NaN where the class never occurs
 
 
-def confusion_matrix(predicted, labels: LabelMap, classes: int, ignore_value: int = 255) -> np.ndarray:
-    """(classes, classes) count matrix, rows = actual, columns = predicted."""
-    pred = predicted.data if isinstance(predicted, LabelMap) else np.asarray(predicted)
-    pred = pred.astype(np.int64)
-    actual = labels.data.astype(np.int64)
+def confusion_matrix(predicted, labels, classes: int, ignore_value: int = 255) -> np.ndarray:
+    """(classes, classes) count matrix, rows = actual, columns = predicted.
+
+    For a (B, H, W) stack of predictions and labels, the (B, classes,
+    classes) matrices of its images, counted by one ``bincount`` in which
+    image i's cells are offset by i * classes^2.
+    """
+    pred = np.asarray(predicted.data if isinstance(predicted, LabelMap) else predicted).astype(np.int64)
+    actual = np.asarray(labels.data if isinstance(labels, LabelMap) else labels).astype(np.int64)
     if pred.shape != actual.shape:
         raise MetricError(f"prediction/label shapes differ: {pred.shape} vs {actual.shape}")
     valid = actual != ignore_value
@@ -193,7 +197,12 @@ def confusion_matrix(predicted, labels: LabelMap, classes: int, ignore_value: in
         raise MetricError("predicted class outside [0, classes)")
     if actual.size and (actual.min() < 0 or actual.max() >= classes):
         raise MetricError("actual class outside [0, classes)")
-    return np.bincount(actual * classes + pred, minlength=classes * classes).reshape(classes, classes)
+    cell = actual * classes + pred
+    images = int(np.prod(valid.shape[:-2]))
+    if images > 1:
+        cell += np.flatnonzero(valid) // (valid.shape[-2] * valid.shape[-1]) * (classes * classes)
+    counts = np.bincount(cell, minlength=images * classes * classes)
+    return counts.reshape(*valid.shape[:-2], classes, classes)
 
 
 def iou_from_confusion(confusion: np.ndarray) -> MiouResult:

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor_io
-from .errors import UsageError, convert_option
+from .errors import UsageError, convert_option, parse_json_object
 from .manifest import DatasetManifest, ManifestEntry, save_manifest
 from .rng import derive_stream
 from .tensors import ImageTensor, LabelMap, LogitTensor
@@ -303,12 +303,7 @@ def config_from_json(source: str | dict) -> SynthConfig:
     ``feature_offset`` must be JSON lists, and ``"domains": []`` lists no
     domain at all, which :func:`validate_config` rejects.
     """
-    payload = source
-    if isinstance(source, str):
-        try:
-            payload = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"benchmark config is not valid JSON ({exc})") from exc
+    payload = parse_json_object(source, UsageError, "benchmark config") if isinstance(source, str) else source
     if not isinstance(payload, dict):
         raise UsageError("benchmark config must be a JSON object")
     unknown = payload.keys() - {f.name for f in fields(SynthConfig)}

@@ -125,9 +125,8 @@ def _parse_header(file, size: int, path) -> TensorHeader:
 
 
 def _read_raw(path) -> tuple[TensorHeader, np.ndarray]:
-    path = Path(path)
     try:
-        with path.open("rb") as file:
+        with open(path, "rb") as file:
             header = _parse_header(file, os.fstat(file.fileno()).st_size, path)
             arr = np.empty(header.shape, dtype=_DTYPES[header.dtype])
             if file.readinto(memoryview(arr).cast("B")) != header.payload_bytes:

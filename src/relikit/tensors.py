@@ -8,7 +8,7 @@ invariants once, at construction, so downstream code can rely on them:
   checked against a class count and ignore sentinel via :func:`validate_labels`
   because the map itself does not know either.
 * :class:`ImageTensor`  -- per-pixel input channels, (H, W, C) float32, C >= 1, finite.
-* :class:`TemperatureMap` -- per-pixel temperatures, (H, W) float64, finite and > 0.
+* :class:`TemperatureMap` -- per-pixel temperatures, (H, W) or a (B, H, W) stack, float64, finite and > 0.
 """
 
 from __future__ import annotations
@@ -119,14 +119,14 @@ class ImageTensor:
 
 @dataclass(frozen=True)
 class TemperatureMap:
-    """Per-pixel temperatures, (H, W) float64, strictly positive."""
+    """Per-pixel temperatures of one image (H, W) or a stack of images (B, H, W), float64, strictly positive."""
 
     values: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2:
-            raise CalibrationError(f"temperature map must be 2-D, got shape {arr.shape}")
+        if arr.ndim not in (2, 3):
+            raise CalibrationError(f"temperature map must be (H, W) or (B, H, W), got shape {arr.shape}")
         if not np.all(np.isfinite(arr)) or arr.min() <= 0.0:
             raise CalibrationError("temperature map must be finite and strictly positive")
         object.__setattr__(self, "values", arr)

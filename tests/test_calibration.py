@@ -39,7 +39,8 @@ from relikit.calibration import (
     scaled_nll,
 )
 from relikit.confidence import confidence_map
-from relikit.errors import CalibrationError, ManifestError, UsageError
+from relikit.cli import main
+from relikit.errors import CalibrationError, ManifestError, UsageError, convert_option
 from relikit.kmeans import kmeans
 from relikit.manifest import load_features, load_manifest
 from relikit.rng import derive_stream, subsample_indices
@@ -746,6 +747,26 @@ class TestSaveLoadRoundTrip:
         for payload, key in cases:
             self._rejects(tmp_path, payload, f"malformed.*{key.replace('_', '-')} must be")
 
+    def test_load_rejects_numbers_spelled_as_strings(self, tmp_path, ladder_manifest, capsys):
+        # JSON holds numbers as numbers: "1.5" would read as T = 1.5, "5" as 5 classes
+        cluster = json.loads(self._cluster_payload())
+        cases = [({"method": "ts", "temperature": "1.5"}, "temperature must be a number, got '1.5'"),
+                 ({**cluster, "fallback_temperature": "1.5"}, "fallback-temperature must be a number, got '1.5'"),
+                 ({**cluster, "classes": "2"}, "classes must be an integer, got '2'"),
+                 ({**self._LTS, "hidden_width": "2"}, "hidden-width must be an integer, got '2'"),
+                 ({**self._LTS, "b2": "0"}, "b2 must be a number, got '0'")]
+        path = tmp_path / "artifact.json"
+        for payload, message in cases:
+            self._rejects(tmp_path, payload, re.escape(f"{path}: malformed calibrator artifact ({message})"))
+        # a command-line value and RELIKIT_WORKERS are strings, and still cast
+        assert convert_option("workers", "3", int) == 3 and convert_option("domain weight id", "1.5", float) == 1.5
+        path.write_text(json.dumps({"method": "ts", "temperature": "1.5"}), encoding="utf-8")
+        code = main(["eval", "--manifest", str(ladder_manifest.root / "manifest.json"), "--calibrator", str(path),
+                     "--out", str(tmp_path / "report.json")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert err == f"error: {path}: malformed calibrator artifact (temperature must be a number, got '1.5')\n"
+
     def test_load_rejects_non_finite_and_non_positive_values(self, tmp_path):
         # Python's json parses NaN, and a NaN centroid would win every nearest-centroid argmin
         cluster = json.loads(self._cluster_payload())
@@ -799,11 +820,14 @@ class TestSaveLoadRoundTrip:
         ])))
         key = data.draw(st.sampled_from(sorted(artifact)))
         value = artifact[key]
-        change = data.draw(st.sampled_from(["drop", "retype"] + ["reshape", "element"] * isinstance(value, list)))
+        change = data.draw(st.sampled_from(["drop", "retype"] + ["string"] * (not isinstance(value, str))
+                                           + ["reshape", "element"] * isinstance(value, list)))
         if change == "drop":
             del artifact[key]
         elif change == "retype":
             artifact[key] = data.draw(st.sampled_from([True, "x", None, [], {}]))
+        elif change == "string":  # the valid value spelled as JSON text
+            artifact[key] = json.dumps(value)
         elif change == "reshape":  # one axis more, one less, or one entry fewer along the first
             artifact[key] = data.draw(st.sampled_from([[value], value[0], value[:-1]]))
         else:  # the first element retyped

@@ -5,15 +5,30 @@ import dataclasses
 import numpy as np
 import pytest
 
-from relikit import confidence
-from relikit.calibration import GlobalTemperature
-from relikit.confidence import ConfidenceScore
+from relikit import calibration, confidence
+from relikit import metrics as met
+from relikit.calibration import (
+    BATCH_PIXELS,
+    ClusterTemperatureModel,
+    GlobalTemperature,
+    LtsHyper,
+    calibrator_temperature,
+    fit_cluster_ts,
+    fit_lts,
+    gather_pixel_batches,
+    load_batches,
+    load_entry,
+    needs_image,
+    save_calibrator,
+)
+from relikit.cli import main
+from relikit.confidence import ConfidenceScore, RecordSet, confidence_map
 from relikit.errors import ManifestError, UsageError
 from relikit.evaluate import ALL_METRICS, EvalConfig, evaluate_manifest
-from relikit.manifest import DatasetManifest, ManifestEntry
+from relikit.manifest import DatasetManifest, ManifestEntry, load_manifest, save_manifest
 from relikit.report import to_csv_bytes, to_json_bytes
-from relikit.tensor_io import write_labels, write_logits
-from relikit.tensors import LabelMap, LogitTensor
+from relikit.tensor_io import write_feature, write_image, write_labels, write_logits, write_mask
+from relikit.tensors import ImageTensor, LabelMap, LogitTensor
 
 
 @pytest.fixture(scope="module")
@@ -132,13 +147,18 @@ class TestEvaluateManifest:
             assert ranked.domains[tag]["ks_error"] == base.domains[tag]["ks_error"]
         assert ranked.meta["score"] == "neg_entropy"
 
-    def test_neg_entropy_scales_each_image_once(self, ladder_manifest, monkeypatch):
-        # both scores come from one divide-and-exp pass over each image's logits
-        calls = []
+    def test_neg_entropy_scales_each_pixel_once(self, ladder_manifest, monkeypatch):
+        # both scores come from one divide-and-exp pass over the split's logits, batch by batch
+        pixels = []
         real = confidence.scaled_logits
-        monkeypatch.setattr(confidence, "scaled_logits", lambda *args: calls.append(1) or real(*args))
+
+        def counted(logits, temperature):
+            pixels.append(logits.size // logits.shape[-1])
+            return real(logits, temperature)
+
+        monkeypatch.setattr(confidence, "scaled_logits", counted)
         evaluate_manifest(ladder_manifest, None, EvalConfig(seed=3, score=ConfidenceScore.NEG_ENTROPY))
-        assert len(calls) == len(ladder_manifest.select(split="test"))
+        assert sum(pixels) == 48 * 48 * len(ladder_manifest.select(split="test"))
 
     def test_prediction_is_the_raw_logit_argmax(self, tmp_path):
         # softmax rounds [0, 1e-30] to two equal probabilities, whose argmax is class 0;
@@ -213,3 +233,179 @@ class TestBinTables:
         assert report.bins
         assert b"lower" not in to_json_bytes(report)
         assert dataclasses.replace(report, bins={}) == report
+
+
+def _write_mixed(root, faults=None):
+    """A manifest whose entries change (H, W) grid along image_id order, with several domains per run.
+
+    (6, 8) and (8, 6) grids have one pixel count. ``faults`` maps an
+    image_id to a function that rewrites one of its files.
+    """
+    rng = np.random.default_rng(7)
+    grids = {"calibration": [(8, 8)] * 3 + [(6, 8), (8, 6), (8, 6), (4, 12)] + [(8, 8)] * 2,
+             "test": [(8, 8)] * 5 + [(6, 8), (6, 8), (8, 6), (4, 12), (4, 12)] + [(8, 8)] * 4}
+    entries = []
+    for split, shapes in grids.items():
+        for i, (h, w) in enumerate(shapes):
+            image_id = f"{split[:3]}-{i:02d}"
+            paths = {key: f"{image_id}.{key}.bin" for key in ("logits", "labels", "feature", "image", "ood_mask")}
+            domain = ("id", "near", "far")[i % 3]
+            scale = {"id": 3.0, "near": 1.5, "far": 0.7}[domain]
+            labels = rng.integers(0, 3, size=(h, w)).astype(np.uint16)
+            labels[rng.random((h, w)) < 0.15] = 255
+            logits = rng.normal(size=(h, w, 3)) + scale * np.eye(3)[np.minimum(labels, 2)]
+            write_logits(root / paths["logits"], LogitTensor(logits.astype(np.float32)))
+            write_labels(root / paths["labels"], LabelMap(labels), 3)
+            write_feature(root / paths["feature"], np.array([scale, i % 2], np.float32))
+            write_image(root / paths["image"], ImageTensor(rng.normal(size=(h, w, 2)).astype(np.float32)))
+            write_mask(root / paths["ood_mask"], rng.random((h, w)) < 0.3)
+            entries.append(ManifestEntry(image_id=image_id, split=split, domain=domain, **paths))
+            if faults and image_id in faults:
+                faults[image_id](root, entries[-1])
+    return save_manifest(DatasetManifest(classes=3, ignore_value=255, entries=tuple(entries), root=root),
+                         root / "manifest.json")
+
+
+def _oracle_report(manifest, calibrator, config):
+    """The report domains and bins of evaluate_manifest, built entry by entry (max_prob score)."""
+
+    def nullable(values):
+        return [None if np.isnan(x) else float(x) for x in values]
+
+    by_domain = {}
+    for entry in manifest.select(split=config.split):
+        one = load_entry(manifest, entry, pixels_per_image=config.pixels_per_image, seed=config.seed,
+                         image=needs_image(calibrator), feature=isinstance(calibrator, ClusterTemperatureModel),
+                         mask=True)
+        temperature = calibrator_temperature(calibrator, one.logits, one.feature, one.image)
+        conf, pred = confidence_map(one.logits, temperature)
+        flat = conf.reshape(-1)
+        by_domain.setdefault(entry.domain, []).append((
+            one.drawn(conf), one.drawn(pred), one.drawn(one.labels.data).astype(np.int64),
+            met.confusion_matrix(pred, one.labels, manifest.classes, manifest.ignore_value),
+            float(flat[one.valid].mean()), flat[~one.ood_mask.reshape(-1)], flat[one.ood_mask.reshape(-1)]))
+    domains, bins, pixel_ood = {}, {}, {}
+    for tag, images in sorted(by_domain.items()):
+        records = RecordSet(*(np.concatenate([image[k] for image in images]) for k in range(3)))
+        iou = met.iou_from_confusion(sum(image[3] for image in images))
+        partition = met.bin_partition(records, config.bins)
+        domains[tag] = {
+            "n_images": len(images), "n_records": len(records), "accuracy": float(records.correct.mean()),
+            "mean_confidence": float(np.mean([image[4] for image in images])),
+            "miou": iou.miou, "per_class_iou": nullable(iou.per_class),
+            "ece": partition.expected_calibration_error(), "ada_ece": met.ada_ece(records, config.bins),
+            "ks_error": met.ks_error(records), "prr": met.prr(records),
+        }
+        bins[tag] = {key: nullable(getattr(partition, key))
+                     for key in ("lower", "upper", "mean_confidence", "accuracy")}
+        bins[tag]["count"] = partition.count.tolist()
+        pixel_ood[tag] = met.auroc(np.concatenate([image[5] for image in images]),
+                                   np.concatenate([image[6] for image in images]))
+    means = {tag: [image[4] for image in images] for tag, images in by_domain.items()}
+    ood = {tag: met.auroc(means["id"], means[tag]) for tag in sorted(means) if tag != "id"}
+    return domains, bins, ood, pixel_ood
+
+
+class TestBatchedEvaluation:
+    """Eval and fit score runs of same-grid entries as batches; nothing may depend on the batching."""
+
+    @pytest.fixture(scope="class")
+    def mixed(self, tmp_path_factory):
+        return load_manifest(_write_mixed(tmp_path_factory.mktemp("mixed")))
+
+    @pytest.fixture(params=[150, BATCH_PIXELS], ids=["small-budget", "default-budget"])
+    def budget(self, request, monkeypatch):
+        monkeypatch.setattr(calibration, "BATCH_PIXELS", request.param)
+        return request.param
+
+    def _calibrators(self, manifest):
+        cluster = fit_cluster_ts(manifest, k=2, variant="per_class", pixels_per_image=20, seed=1)
+        return [None, GlobalTemperature(1.7),
+                fit_cluster_ts(manifest, k=2, pixels_per_image=20, seed=1), cluster,
+                fit_lts(manifest, hyper=LtsHyper(epochs=2, batch_pixels=64), pixels_per_image=20, seed=1)[0]]
+
+    def test_batches_cut_where_the_grid_or_budget_changes(self, mixed, budget):
+        entries = mixed.select(split="test")
+        batches = list(load_batches(mixed, entries, pixels_per_image=None, seed=0))
+        assert [one.entry for batch in batches for one in batch.loaded] == entries
+        for batch in batches:
+            grids = {one.labels.data.shape for one in batch.loaded}
+            assert len(grids) == 1 and (len(batch.loaded) == 1 or batch.labels.size <= budget)
+            assert batch.logits.shape == (len(batch.loaded), *grids.pop(), 3)
+        if budget == 150:  # two 8 x 8 images per batch; (6, 8) and (8, 6) part though they have one pixel count
+            assert [len(batch.loaded) for batch in batches] == [2, 2, 1, 2, 1, 2, 2, 2]
+        else:
+            assert [len(batch.loaded) for batch in batches] == [5, 2, 1, 2, 4]
+
+    def test_reports_match_entry_by_entry_oracle_at_every_worker_count(self, mixed, budget):
+        config = EvalConfig(seed=2, pixels_per_image=45, id_domain="id")  # a draw from 8 x 8, all of 48 pixels
+        for calibrator in self._calibrators(mixed):
+            reports = [evaluate_manifest(mixed, calibrator, dataclasses.replace(config, workers=workers))
+                       for workers in (1, 2, 3)]
+            for report in reports[1:]:
+                assert to_json_bytes(report) == to_json_bytes(reports[0])
+                assert to_csv_bytes(report) == to_csv_bytes(reports[0])
+                assert report.bins == reports[0].bins
+            domains, bins, ood, pixel_ood = _oracle_report(mixed, calibrator, config)
+            assert reports[0].domains == domains
+            assert reports[0].ood_auroc == ood and reports[0].pixel_ood_auroc == pixel_ood
+            assert reports[0].bins == bins
+
+    def test_fit_pixels_match_entry_by_entry_stack(self, mixed, budget):
+        entries = mixed.select(split="calibration")
+        pixels = gather_pixel_batches(mixed, entries, pixels_per_image=25, seed=4, need_image=True)
+        loaded = [load_entry(mixed, e, pixels_per_image=25, seed=4, image=True) for e in entries]
+        np.testing.assert_array_equal(pixels.logits, np.concatenate([one.drawn(one.logits.data) for one in loaded]))
+        np.testing.assert_array_equal(pixels.labels, np.concatenate([one.drawn(one.labels.data) for one in loaded]))
+        np.testing.assert_array_equal(pixels.channels, np.concatenate([one.drawn(one.image.data) for one in loaded]))
+        np.testing.assert_array_equal(pixels.entry, np.repeat(np.arange(len(entries)), [one.rows.size for one in loaded]))
+        assert pixels.logits.dtype == pixels.channels.dtype == np.float64 and pixels.labels.dtype == np.int64
+
+    def test_fitted_artifacts_do_not_depend_on_the_budget(self, mixed, tmp_path, monkeypatch):
+        saved = {}
+        for budget in (BATCH_PIXELS, 150, 1):
+            monkeypatch.setattr(calibration, "BATCH_PIXELS", budget)
+            # a budget of 1 puts each entry in a batch of its own
+            saved[budget] = [save_calibrator(c, tmp_path / f"{budget}-{i}.json").read_bytes()
+                             for i, c in enumerate(self._calibrators(mixed)[1:])]
+        assert saved[150] == saved[BATCH_PIXELS] == saved[1]
+
+    @staticmethod
+    def _replace_logits(data):
+        def fault(root, entry):
+            write_logits(root / entry.logits, LogitTensor(np.zeros((8, 8, 3), np.float32)))
+            raw = bytearray((root / entry.logits).read_bytes())
+            raw[-4:] = np.array([data], "<f4").tobytes()
+            (root / entry.logits).write_bytes(bytes(raw))
+        return fault
+
+    @pytest.mark.parametrize("fault, message", [
+        ("non_finite", "{logits}: logits: non-finite values"),
+        ("label_range", "labels: value 7 outside [0, 3) and not the ignore sentinel 255"),
+        ("dtype", "{labels}: expected u16 HW labels, got f32 HWC"),
+        ("shape", "tes-01: logits vs labels: spatial shapes differ, (8, 8) vs (4, 12)"),
+        ("all_ignored", "tes-01: image has no non-ignored pixels"),
+    ])
+    def test_fault_in_the_middle_of_a_batch(self, tmp_path, monkeypatch, capsys, fault, message):
+        # test entries 0-2 are one 8 x 8 batch under a 200-pixel budget; entry 1 is broken
+        def labels(data):
+            return lambda root, entry: write_labels(root / entry.labels, LabelMap(data), 3)
+
+        faults = {
+            "non_finite": self._replace_logits(np.inf),
+            "label_range": labels(np.full((8, 8), 7, np.uint16)),
+            "dtype": lambda root, entry: write_image(root / entry.labels, ImageTensor(np.zeros((8, 8, 1), np.float32))),
+            "shape": labels(np.zeros((4, 12), np.uint16)),
+            "all_ignored": labels(np.full((8, 8), 255, np.uint16)),
+        }
+        path = _write_mixed(tmp_path, {"tes-01": faults[fault]})
+        monkeypatch.setattr(calibration, "BATCH_PIXELS", 200)
+        manifest = load_manifest(path)
+        entry = manifest.select(split="test")[1]
+        expected = message.format(logits=manifest.path(entry.logits), labels=manifest.path(entry.labels))
+        for workers in ("1", "2"):
+            code = main(["eval", "--manifest", str(path), "--workers", workers, "--out", str(tmp_path / "r.json")])
+            assert (code, capsys.readouterr().err) == (2, f"error: {expected}\n")
+        # fit reads the same batches; an all-ignored image only gives it no pixels
+        code = main(["fit", "--manifest", str(path), "--split", "test", "--out", str(tmp_path / "a.json")])
+        assert (code, capsys.readouterr().err) == ((0, "") if fault == "all_ignored" else (2, f"error: {expected}\n"))

@@ -1,13 +1,15 @@
 """Manifest loading, validation, selection, and persistence."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from relikit.errors import ManifestError
+from relikit.errors import ManifestError, TensorFormatError
 from relikit.manifest import (
     SPLITS,
     DatasetManifest,
@@ -16,7 +18,7 @@ from relikit.manifest import (
     load_manifest,
     save_manifest,
 )
-from relikit.tensor_io import write_feature, write_labels, write_logits
+from relikit.tensor_io import read_logits, write_feature, write_labels, write_logits
 from relikit.tensors import LabelMap, LogitTensor
 
 
@@ -64,6 +66,33 @@ class TestLoadManifest:
         assert manifest.resolve("x.logits.bin") == tmp_path / "x.logits.bin"
         absolute = tmp_path / "x.labels.bin"
         assert manifest.resolve(str(absolute)) == absolute
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(["a", "b.bin", ".", "..", "", "~"]), min_size=1, max_size=5),
+           st.sampled_from([".", "/", "//", "d", "d/e", "/d/e", "../d"]))
+    def test_path_text_is_the_resolved_path_text(self, parts, root):
+        # path() joins strings without a Path; pathlib drops "." parts, doubled and trailing slashes
+        for rel in ("/".join(parts), "/" + "/".join(parts)):
+            if rel:
+                entry = ManifestEntry("x", "test", "id", rel, "m")
+                manifest = DatasetManifest(classes=2, ignore_value=255, entries=(entry,), root=Path(root))
+                assert manifest.path(rel) == str(Path(root) / rel) == str(manifest.resolve(rel))
+
+    def test_read_errors_name_the_resolved_path(self, tmp_path, monkeypatch):
+        # a manifest in the working directory names its files relative to it, one elsewhere by its directory
+        (tmp_path / "sub").mkdir()
+        payload = {"classes": 3, "ignore_value": 255,
+                   "entries": [_entry(tmp_path, "x"), _entry(tmp_path, "y", labels=str(tmp_path / "y.labels.bin"))]}
+        _write_manifest(tmp_path, payload)
+        (tmp_path / "x.logits.bin").write_bytes(b"RELI")
+        monkeypatch.chdir(tmp_path)
+        for where, prefix in (("manifest.json", ""), (str(tmp_path / "manifest.json"), f"{tmp_path}/"),
+                              ("./manifest.json", ""), ("sub/../manifest.json", "sub/../")):
+            manifest = load_manifest(where)
+            x, y = manifest.entries
+            assert (manifest.path(x.logits), manifest.path(y.labels)) == (f"{prefix}x.logits.bin", f"{tmp_path}/y.labels.bin")
+            with pytest.raises(TensorFormatError, match=f"^{re.escape(prefix)}x.logits.bin: file too short"):
+                read_logits(manifest.path(x.logits))
 
     def test_select_by_split_and_domain(self, tmp_path):
         payload = {

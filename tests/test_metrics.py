@@ -509,6 +509,18 @@ class TestConfusionMatrix:
         cm = confusion_matrix(pred, labels, classes=2)
         np.testing.assert_array_equal(cm, [[1, 0], [0, 1]])
 
+    @pytest.mark.parametrize("images", [1, 4])
+    def test_stack_gives_each_image_its_matrix(self, images):
+        rng = np.random.default_rng(images)
+        labels = rng.integers(0, 3, size=(images, 5, 7)).astype(np.uint16)
+        labels[rng.random(labels.shape) < 0.2] = 255
+        labels[-1] = 255  # an all-ignored image counts nothing
+        pred = rng.integers(0, 3, size=labels.shape)
+        stacked = confusion_matrix(pred, labels, classes=3)
+        assert stacked.shape == (images, 3, 3)
+        for i in range(images):
+            np.testing.assert_array_equal(stacked[i], confusion_matrix(pred[i], LabelMap(labels[i]), classes=3))
+
     def test_out_of_range_prediction_raises(self):
         labels = LabelMap(np.array([[0]], dtype=np.uint16))
         with pytest.raises(MetricError):

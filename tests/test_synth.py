@@ -285,10 +285,16 @@ class TestConfigJson:
             config_from_json(json.dumps({"domains": [{"tag": "a", "oops": 1}]}))
 
     def test_invalid_json_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="^benchmark config is not valid JSON"):
             config_from_json("{nope")
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="^benchmark config must be a JSON object$"):
             config_from_json("[1, 2]")
+
+    def test_over_nested_json_text_is_a_usage_error(self):
+        # the text parse is errors.parse_json_object, as for a config file; nesting too deep is no RecursionError
+        for text in ("[" * 100_000, '{"domains": ' + "[" * 100_000 + "]" * 100_000 + "}"):
+            with pytest.raises(UsageError, match="^benchmark config is not valid JSON"):
+                config_from_json(text)
 
     def test_validation_applies_to_parsed_configs(self):
         with pytest.raises(UsageError):
