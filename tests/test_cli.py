@@ -20,7 +20,8 @@ from relikit.cli import main
 from relikit.errors import NumericalError
 from relikit.manifest import load_manifest
 from relikit.synth import DomainSpec, SynthConfig, config_to_json, generate_benchmark
-from relikit.tensor_io import MAGIC
+from relikit.tensor_io import MAGIC, write_feature, write_image, write_labels, write_logits, write_mask
+from relikit.tensors import ImageTensor, LabelMap, LogitTensor
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +42,59 @@ def _run(capsys, argv):
 
 def _one_error_line(err: str) -> bool:
     return err.startswith("error: ") and err.count("\n") == 1
+
+
+_WRITERS = {
+    "logits": lambda path, data: write_logits(path, LogitTensor(data)),
+    "labels": lambda path, data: write_labels(path, LabelMap(data), 5),
+    "feature": write_feature,
+    "image": lambda path, data: write_image(path, ImageTensor(data)),
+    "ood_mask": write_mask,
+}
+
+
+def _corrupted(bench, tmp_path, image_id: str, tensors: dict):
+    """A copy of ``bench`` whose entry ``image_id`` has each slot of ``tensors`` rewritten.
+
+    None truncates the slot's file by 4 bytes; an ``ood_mask`` is added to the entry.
+    """
+    root = tmp_path / "bench"
+    shutil.copytree(bench.parent, root)
+    raw = json.loads(bench.read_text())
+    entry = next(e for e in raw["entries"] if e["image_id"] == image_id)
+    for slot, data in tensors.items():
+        path = root / entry.setdefault(slot, f"data/{image_id}.mask.bin")
+        if data is None:
+            path.write_bytes(path.read_bytes()[:-4])
+        else:
+            _WRITERS[slot](path, data)
+    (root / "manifest.json").write_text(json.dumps(raw))
+    return root / "manifest.json"
+
+
+# One corrupted calibration entry per violation kind: the tensors written over
+# id-cal-001's, and the FAIL prefixes validate prints for them, in order.
+_VIOLATIONS = {
+    "classes": ({"logits": np.zeros((24, 24, 6), np.float32)},
+                ["data/id-cal-001.logits.bin [classes]"]),
+    "labels_shape": ({"labels": np.zeros((4, 16), np.uint16)},
+                     ["data/id-cal-001.labels.bin [shape]"]),
+    "label_values": ({"labels": np.full((24, 24), 7, np.uint16)},
+                     ["data/id-cal-001.labels.bin [values]"]),
+    "image_shape": ({"image": np.zeros((4, 16, 8), np.float32)},
+                    ["data/id-cal-001.image.bin [shape]"]),
+    "mask_shape": ({"ood_mask": np.zeros((4, 16), bool)},
+                   ["data/id-cal-001.mask.bin [shape]"]),
+    # the cross-entry checks name the first file seen, id-cal-000's
+    "feature_width": ({"feature": np.zeros(2, np.float32)},
+                      ["data/id-cal-000.feature.bin [width]"]),
+    "image_channels": ({"image": np.zeros((24, 24, 5), np.float32)},
+                       ["data/id-cal-000.image.bin [classes]"]),
+    "truncated": ({"labels": None},
+                  ["data/id-cal-001.labels.bin [format]"]),
+    "two_in_one_entry": ({"logits": np.zeros((24, 24, 6), np.float32), "labels": np.zeros((4, 16), np.uint16)},
+                         ["data/id-cal-001.logits.bin [classes]", "data/id-cal-001.labels.bin [shape]"]),
+}
 
 
 class TestParsing:
@@ -92,6 +146,15 @@ class TestValidate:
         assert code == 2
         assert "FAIL data/id-cal-000.logits.bin [format]" in out
         assert "violation(s)" in out
+
+    @pytest.mark.parametrize("kind", list(_VIOLATIONS))
+    def test_every_violation_is_listed(self, bench, capsys, tmp_path, kind):
+        tensors, prefixes = _VIOLATIONS[kind]
+        code, out, err = _run(capsys, ["validate", str(_corrupted(bench, tmp_path, "id-cal-001", tensors))])
+        assert code == 2 and err == ""
+        lines = out.splitlines()
+        assert [line.partition("] ")[0] + "]" for line in lines[:-1]] == [f"FAIL {p}" for p in prefixes]
+        assert lines[-1] == f"{len(prefixes)} violation(s) in 8 entries"
 
     def test_missing_manifest_is_data_error(self, capsys, tmp_path):
         code, _, err = _run(capsys, ["validate", str(tmp_path / "absent.json")])
