@@ -26,9 +26,12 @@ pinned to exactly that bound.
 
 Fitting and evaluation read a split through :func:`load_batches`: each
 entry is read, checked and its pixels drawn by :func:`load_entry`, so a
-given seed sees one pixel set per image everywhere, and consecutive
-entries of one grid are stacked into an :class:`EntryBatch` of at most
-:data:`BATCH_PIXELS` pixels (or one larger entry).
+given seed sees one pixel set per image everywhere. Every tensor check is
+written once, in :func:`check_entry`, which yields each violation of one
+entry: ``relikit validate`` lists them all and :func:`load_entry` raises
+the first. Consecutive entries of one grid are stacked into an
+:class:`EntryBatch` of at most :data:`BATCH_PIXELS` pixels (or one larger
+entry).
 :func:`needs_image` decides whether a calibrator reads the image tensor.
 Every fit stacks its split's drawn pixels once, in entry order, into one
 :class:`CalibrationPixels` set (:func:`gather_pixel_batches`) that records
@@ -53,10 +56,10 @@ import numpy as np
 
 from . import mlp, tensor_io
 from .confidence import scaled_logits
-from .errors import (CalibrationError, ManifestError, NumericalError, UsageError, convert_option,
-                     read_json_object)
+from .errors import (CalibrationError, InvalidTensorError, ManifestError, NumericalError, RelikitError,
+                     TensorFormatError, UsageError, convert_option, read_json_object)
 from .kmeans import assign_points, kmeans
-from .manifest import DatasetManifest, ManifestEntry, load_features
+from .manifest import DatasetManifest, ManifestEntry, check_agreement, load_features
 from .rng import derive_stream, subsample_indices
 from .tensors import (
     ImageTensor,
@@ -277,41 +280,83 @@ class LoadedEntry:
         return per_pixel.reshape(-1, *per_pixel.shape[2:])[self.rows]
 
 
+# Each manifest slot's reader in tensor_io, in the order check_entry reads and checks the slots.
+_READERS = {"logits": "read_logits", "labels": "read_labels", "feature": "read_feature",
+            "image": "read_image", "ood_mask": "read_mask"}
+
+
+def _failures(file: str, field: str, check, *args) -> Iterator[tuple[str, str, RelikitError]]:
+    """``(file, field, error)`` if ``check(*args)`` raises ``error``, else nothing."""
+    try:
+        check(*args)
+    except RelikitError as exc:
+        yield file, field, exc
+
+
+def check_entry(manifest: DatasetManifest, entry: ManifestEntry, read: dict, seen: dict,
+                slots=frozenset(_READERS)) -> Iterator[tuple[str, str, RelikitError]]:
+    """Read each tensor ``entry`` lists among ``slots`` into ``read``; yield each failed check.
+
+    A failed check is ``(file, field, error)``, in one fixed order: each
+    file's ``format``, the logits' ``classes``, the labels' ``shape`` and
+    ``values``, the feature ``width``, the image's ``shape`` and
+    ``channels``, the mask's ``shape``. ``seen`` records the first width and
+    channel count, as (value, file), for the checks across entries, which
+    name that first file.
+    """
+    where = entry.image_id
+    for slot, reader in _READERS.items():
+        file = getattr(entry, slot)
+        if slot not in slots or file is None:
+            continue
+        try:
+            tensor = read[slot] = getattr(tensor_io, reader)(manifest.path(file))
+        except (TensorFormatError, InvalidTensorError) as exc:
+            yield file, "format", exc
+            continue
+        logits = read.get("logits")
+        if slot == "logits" and tensor.classes != manifest.classes:
+            yield file, "classes", ManifestError(
+                f"{where}: logits carry {tensor.classes} classes, manifest says {manifest.classes}")
+        if slot in ("labels", "image") and logits is not None:
+            yield from _failures(file, "shape", check_same_shape, logits, tensor, f"{where}: logits vs {slot}")
+        if slot == "labels":
+            yield from _failures(file, "values", validate_labels, tensor, manifest.classes, manifest.ignore_value)
+        if slot in ("feature", "image"):
+            field, value = ("width", tensor.shape[0]) if slot == "feature" else ("channels", tensor.channels)
+            first = seen.setdefault(field, (value, file))
+            yield from _failures(first[1], field, check_agreement, field, first, value, file)
+        if slot == "ood_mask" and logits is not None and tensor.shape != (logits.height, logits.width):
+            yield file, "shape", ManifestError(f"{where}: ood mask shape {tensor.shape} does not match image")
+
+
 def load_entry(manifest: DatasetManifest, entry: ManifestEntry, *,
                pixels_per_image: int | None, seed: int,
-               image: bool = False, feature: bool = False, mask: bool = False) -> LoadedEntry:
+               image: bool = False, feature: bool = False, mask: bool = False,
+               seen: dict | None = None) -> LoadedEntry:
     """Read and check one entry's logits and labels and draw its pixels: one step of :func:`load_batches`.
 
-    The draw uses the ``(seed, image_id)`` stream of record extraction, so
+    The first violation :func:`check_entry` yields is raised; ``seen`` is
+    its cross-entry record, kept by the caller from entry to entry. The
+    draw uses the ``(seed, image_id)`` stream of record extraction, so
     fitting and evaluation see identical pixels. The image and the feature
     are read only when asked for, and the entry must then list them; the
     OOD mask is read when asked for and listed.
     """
-    logits = tensor_io.read_logits(manifest.path(entry.logits))
-    labels = tensor_io.read_labels(manifest.path(entry.labels))
-    check_same_shape(logits, labels, f"{entry.image_id}: logits vs labels")
-    if logits.classes != manifest.classes:
-        raise ManifestError(
-            f"{entry.image_id}: logits carry {logits.classes} classes, manifest says {manifest.classes}"
-        )
-    validate_labels(labels, manifest.classes, manifest.ignore_value)
+    if image and entry.image is None:
+        raise CalibrationError(f"{entry.image_id}: entry has no image tensor")
+    if feature and entry.feature is None:
+        raise CalibrationError(f"{entry.image_id}: entry has no feature vector")
+    read: dict = {}
+    slots = {"logits", "labels"} | {slot for slot, asked in (("feature", feature), ("image", image),
+                                                             ("ood_mask", mask)) if asked}
+    for _, _, error in check_entry(manifest, entry, read, {} if seen is None else seen, slots):
+        raise error
+    labels = read["labels"]
     valid = np.flatnonzero(labels.data.reshape(-1) != manifest.ignore_value)
     rows = valid[subsample_indices(valid.size, pixels_per_image, seed, f"pixels:{entry.image_id}")]
-    image_tensor = feature_vector = ood_mask = None
-    if image:
-        if entry.image is None:
-            raise CalibrationError(f"{entry.image_id}: entry has no image tensor")
-        image_tensor = tensor_io.read_image(manifest.path(entry.image))
-        check_same_shape(logits, image_tensor, f"{entry.image_id}: logits vs image")
-    if feature:
-        if entry.feature is None:
-            raise CalibrationError(f"{entry.image_id}: entry has no feature vector")
-        feature_vector = tensor_io.read_feature(manifest.path(entry.feature))
-    if mask and entry.ood_mask is not None:
-        ood_mask = tensor_io.read_mask(manifest.path(entry.ood_mask))
-        if ood_mask.shape != (logits.height, logits.width):
-            raise ManifestError(f"{entry.image_id}: ood mask shape {ood_mask.shape} does not match image")
-    return LoadedEntry(entry, logits, labels, valid, rows, image_tensor, feature_vector, ood_mask)
+    return LoadedEntry(entry, read["logits"], labels, valid, rows,
+                       read.get("image"), read.get("feature"), read.get("ood_mask"))
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
@@ -361,12 +406,13 @@ def load_batches(manifest: DatasetManifest, entries: list[ManifestEntry], *,
     A batch is a run of consecutive entries of one (H, W) grid holding at
     most :data:`BATCH_PIXELS` pixels, or a single larger entry. Entries are
     read as the batches are taken, so the reader holds one batch and the
-    entry that starts the next.
+    entry that starts the next. All entries share one cross-entry record.
     """
     run: list[LoadedEntry] = []
+    seen: dict = {}
     for entry in entries:
         one = load_entry(manifest, entry, pixels_per_image=pixels_per_image, seed=seed,
-                         image=image, feature=feature, mask=mask)
+                         image=image, feature=feature, mask=mask, seen=seen)
         if run and (one.labels.data.shape != run[0].labels.data.shape
                     or (len(run) + 1) * one.labels.data.size > BATCH_PIXELS):
             yield EntryBatch(tuple(run))

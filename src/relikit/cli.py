@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Five subcommands: ``validate`` checks a manifest and every referenced
-tensor, ``fit`` trains a calibrator and writes it as a JSON artifact,
+Five subcommands: ``validate`` lists every violation of the tensor checks
+(:func:`~relikit.calibration.check_entry`) that ``fit`` and ``eval`` stop
+at, ``fit`` trains a calibrator and writes it as a JSON artifact,
 ``eval`` renders a reliability report, ``synth`` writes a synthetic
 benchmark, and ``theorem`` prints the group-calibration paradox.
 
@@ -25,7 +26,7 @@ from pathlib import Path
 from . import evaluate as ev
 from . import report as rep
 from . import synth as syn
-from . import tensor_io
+from . import tensor_io  # noqa: F401  (unused here; tests count tensor reads through cli.tensor_io)
 from .calibration import (
     DEFAULT_CLUSTERS,
     DEFAULT_PIXELS_PER_IMAGE,
@@ -34,6 +35,7 @@ from .calibration import (
     FeatureMode,
     GlobalTemperature,
     LtsHyper,
+    check_entry,
     fit_cluster_ts,
     fit_global_ts,
     fit_lts,
@@ -43,16 +45,13 @@ from .calibration import (
 from .confidence import ConfidenceScore
 from .counterexample import CounterexampleSpec, build_counterexample, evaluate_counterexample
 from .errors import (
-    InvalidTensorError,
     NumericalError,
     RelikitError,
-    TensorFormatError,
     UsageError,
     convert_option,
     read_json_object,
 )
 from .manifest import SPLITS, load_manifest
-from .tensors import validate_labels
 
 WORKERS_ENV = "RELIKIT_WORKERS"
 # fit/eval options that hold a path or a tag; argparse gives strings, a config file may not
@@ -130,67 +129,11 @@ def _pixels(value) -> int | None:
 
 def cmd_validate(args) -> int:
     manifest = load_manifest(args.manifest)
-    violations: list[tuple[str, str, str]] = []
-    feature_dims: dict[int, str] = {}
-    image_channels: dict[int, str] = {}
-
-    for entry in manifest.entries:
-        shape = None
-        try:
-            logits = tensor_io.read_logits(manifest.path(entry.logits))
-            shape = (logits.height, logits.width)
-            if logits.classes != manifest.classes:
-                violations.append((entry.logits, "classes",
-                                   f"logits carry {logits.classes} classes, manifest says {manifest.classes}"))
-        except (TensorFormatError, InvalidTensorError) as exc:
-            violations.append((entry.logits, "format", str(exc)))
-        try:
-            labels = tensor_io.read_labels(manifest.path(entry.labels))
-            if shape is not None and (labels.height, labels.width) != shape:
-                violations.append((entry.labels, "shape",
-                                   f"labels are {(labels.height, labels.width)}, logits are {shape}"))
-            try:
-                validate_labels(labels, manifest.classes, manifest.ignore_value)
-            except InvalidTensorError as exc:
-                violations.append((entry.labels, "values", str(exc)))
-        except (TensorFormatError, InvalidTensorError) as exc:
-            violations.append((entry.labels, "format", str(exc)))
-        if entry.feature is not None:
-            try:
-                vec = tensor_io.read_feature(manifest.path(entry.feature))
-                feature_dims.setdefault(vec.shape[0], entry.feature)
-            except (TensorFormatError, InvalidTensorError) as exc:
-                violations.append((entry.feature, "format", str(exc)))
-        if entry.image is not None:
-            try:
-                image = tensor_io.read_image(manifest.path(entry.image))
-                if shape is not None and (image.height, image.width) != shape:
-                    violations.append((entry.image, "shape",
-                                       f"image is {(image.height, image.width)}, logits are {shape}"))
-                image_channels.setdefault(image.channels, entry.image)
-            except (TensorFormatError, InvalidTensorError) as exc:
-                violations.append((entry.image, "format", str(exc)))
-        if entry.ood_mask is not None:
-            try:
-                mask = tensor_io.read_mask(manifest.path(entry.ood_mask))
-                if shape is not None and mask.shape != shape:
-                    violations.append((entry.ood_mask, "shape",
-                                       f"mask is {mask.shape}, logits are {shape}"))
-            except (TensorFormatError, InvalidTensorError) as exc:
-                violations.append((entry.ood_mask, "format", str(exc)))
-
-    if len(feature_dims) > 1:
-        listing = ", ".join(f"{d} in {f}" for d, f in sorted(feature_dims.items()))
-        violations.append((next(iter(feature_dims.values())), "width",
-                           f"feature dimensions disagree across entries: {listing}"))
-    if len(image_channels) > 1:
-        listing = ", ".join(f"{c} in {f}" for c, f in sorted(image_channels.items()))
-        violations.append((next(iter(image_channels.values())), "classes",
-                           f"image channel counts disagree across entries: {listing}"))
-
+    seen: dict = {}
+    violations = [found for entry in manifest.entries for found in check_entry(manifest, entry, {}, seen)]
+    for file, field, error in violations:
+        print(f"FAIL {file} [{field}] {error}")
     if violations:
-        for file, field, message in violations:
-            print(f"FAIL {file} [{field}] {message}")
         print(f"{len(violations)} violation(s) in {len(manifest.entries)} entries")
         return 2
     print(f"OK {len(manifest.entries)} entries, classes={manifest.classes}, "
@@ -423,7 +366,7 @@ def build_parser() -> _Parser:
     p.add_argument("--metrics", help="comma-separated subset of "
                                      "miou,ece,ada_ece,ks_error,prr,ood_auroc,pixel_ood_auroc")
     p.add_argument("--workers", type=int,
-                   help=f"threads scoring batches of images (default ${WORKERS_ENV} or 1)")
+                   help=f"threads scoring batches of images, at most the CPU count (default ${WORKERS_ENV} or 1)")
     p.add_argument("--out", help="write the JSON report here (default: stdout)")
     p.add_argument("--csv-out", dest="csv_out", help="write the CSV report here")
     p.add_argument("--bins-out", dest="bins_out", help="write per-domain reliability bins here")

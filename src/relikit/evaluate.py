@@ -26,12 +26,12 @@ tensor; the predicted class is the raw-logit argmax. Under
 records, mean confidence and OOD split are slices of the batch's arrays.
 
 With ``workers`` > 1 the calling thread reads the batches and a thread
-pool of that many workers scores them, one batch per task, so a worker
-holds at most max(one image, ``BATCH_PIXELS`` pixels) of tensors at a
-time and the reader a few batches ahead of it. Every per-pixel value is
-computed by the same operations whatever the batch, and images are
-reduced in sorted image-id order, so the report bytes do not depend on
-the worker count.
+pool of that many workers, at most ``os.cpu_count()``, scores them, one
+batch per task, so a worker holds at most max(one image, ``BATCH_PIXELS``
+pixels) of tensors at a time and the reader a few batches ahead of it.
+Every per-pixel value is computed by the same operations whatever the
+batch, and images are reduced in sorted image-id order, so the report
+bytes do not depend on the worker count.
 
 Every per-domain quantity is computed once. The equal-width reliability
 bins behind ``ece`` are kept on the report (``bins``, not serialized) for
@@ -44,6 +44,7 @@ NumPy's unstable default sort; no metric runs a stable sort.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -208,11 +209,12 @@ def evaluate_manifest(manifest: DatasetManifest, calibrator: Calibrator | None =
                            feature=isinstance(calibrator, ClusterTemperatureModel),
                            mask="pixel_ood_auroc" in config.metrics)
     summarize = partial(_summarize_batch, manifest=manifest, calibrator=calibrator, config=config)
-    if config.workers == 1:
+    workers = min(config.workers, os.cpu_count() or 1)
+    if workers == 1:
         summaries = [s for batch in batches for s in summarize(batch)]
     else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            summaries = [s for part in _ordered_map(pool, summarize, batches, config.workers) for s in part]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            summaries = [s for part in _ordered_map(pool, summarize, batches, workers) for s in part]
 
     by_domain: dict[str, list[_ImageSummary]] = {}
     for summary in summaries:  # entries are sorted by image_id, so groups are too

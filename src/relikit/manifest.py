@@ -182,10 +182,21 @@ def save_manifest(manifest: DatasetManifest, path) -> Path:
     return path
 
 
+# The cross-entry checks by validate field: each entry's value must equal the first entry's.
+_DISAGREEMENTS = {"width": "feature dimensions disagree across entries",
+                  "channels": "image channel counts disagree across entries"}
+
+
+def check_agreement(field: str, first: tuple[int, str], value: int, file: str) -> None:
+    """Raise unless ``file``'s ``value`` of ``field`` equals the first entry's, ``first`` = (value, file)."""
+    if value != first[0]:
+        raise ManifestError(f"{_DISAGREEMENTS[field]}: {first[0]} in {first[1]}, {value} in {file}")
+
+
 def load_features(manifest: DatasetManifest, entries: list[ManifestEntry]) -> tuple[list[str], np.ndarray]:
     """Load per-image feature vectors for ``entries`` into one (n, D) matrix.
 
-    Raises when an entry lacks a feature or when dimensions disagree.
+    Raises when an entry lacks a feature or when its dimension differs from the first entry's.
     """
     ids, vectors = [], []
     for entry in entries:
@@ -193,7 +204,5 @@ def load_features(manifest: DatasetManifest, entries: list[ManifestEntry]) -> tu
             raise ManifestError(f"entry {entry.image_id!r} has no feature vector")
         vectors.append(tensor_io.read_feature(manifest.path(entry.feature)))
         ids.append(entry.image_id)
-    dims = {v.shape[0] for v in vectors}
-    if len(dims) > 1:
-        raise ManifestError(f"feature dimensions disagree across entries: {sorted(dims)}")
+        check_agreement("width", (vectors[0].shape[0], entries[0].feature), vectors[-1].shape[0], entry.feature)
     return ids, np.stack(vectors).astype(np.float64)

@@ -21,8 +21,9 @@ they are referenced from rather than by the file itself:
 Round-trips are bit-exact: writing a tensor and reading it back yields
 equal arrays, and re-writing a freshly read file reproduces its bytes.
 A reader parses the header first and checks the payload size against
-the file size, then reads the payload straight into the returned array,
-so a file is held in memory once.
+the file size and the dtype and layout against the role it reads, then
+reads the payload straight into the returned array, so a file is held in
+memory once.
 """
 
 from __future__ import annotations
@@ -124,16 +125,19 @@ def _parse_header(file, size: int, path) -> TensorHeader:
     return parsed
 
 
-def _read_raw(path) -> tuple[TensorHeader, np.ndarray]:
+def _read_raw(path, dtype: str, layout: str, role: str) -> np.ndarray:
+    """The payload of a ``dtype`` ``layout`` file holding ``role``; any other dtype or layout is an error."""
     try:
         with open(path, "rb") as file:
             header = _parse_header(file, os.fstat(file.fileno()).st_size, path)
+            if (header.dtype, header.layout) != (dtype, layout):
+                raise _fail(path, f"expected {dtype} {layout} {role}, got {header.dtype} {header.layout}")
             arr = np.empty(header.shape, dtype=_DTYPES[header.dtype])
             if file.readinto(memoryview(arr).cast("B")) != header.payload_bytes:
                 raise _fail(path, "file truncated inside payload")
     except OSError as exc:
         raise _fail(path, f"cannot read file ({exc})") from exc
-    return header, arr
+    return arr
 
 
 def _write_raw(path, arr: np.ndarray, dtype: str, layout: str, classes: int) -> None:
@@ -150,40 +154,31 @@ def _write_raw(path, arr: np.ndarray, dtype: str, layout: str, classes: int) -> 
     Path(path).write_bytes(blob)
 
 
-def read_logits(path) -> LogitTensor:
-    header, arr = _read_raw(path)
-    if header.dtype != "f32" or header.layout != "HWC":
-        raise _fail(path, f"expected f32 HWC logits, got {header.dtype} {header.layout}")
+def _checked(path, tensor_type, arr: np.ndarray):
+    """``tensor_type(arr)``; data that breaks the type's invariants is a format error naming the file."""
     try:
-        return LogitTensor(arr)
+        return tensor_type(arr)
     except InvalidTensorError as exc:
         raise _fail(path, str(exc)) from exc
+
+
+def read_logits(path) -> LogitTensor:
+    return _checked(path, LogitTensor, _read_raw(path, "f32", "HWC", "logits"))
 
 
 def read_labels(path) -> LabelMap:
-    header, arr = _read_raw(path)
-    if header.dtype != "u16" or header.layout != "HW":
-        raise _fail(path, f"expected u16 HW labels, got {header.dtype} {header.layout}")
-    return LabelMap(arr)
+    return LabelMap(_read_raw(path, "u16", "HW", "labels"))
 
 
 def read_image(path) -> ImageTensor:
-    header, arr = _read_raw(path)
-    if header.dtype != "f32" or header.layout != "HWC":
-        raise _fail(path, f"expected f32 HWC image channels, got {header.dtype} {header.layout}")
-    try:
-        return ImageTensor(arr)
-    except InvalidTensorError as exc:
-        raise _fail(path, str(exc)) from exc
+    return _checked(path, ImageTensor, _read_raw(path, "f32", "HWC", "image channels"))
 
 
 def read_feature(path) -> np.ndarray:
     """Read a per-image feature vector (f32 HW file with a single row)."""
-    header, arr = _read_raw(path)
-    if header.dtype != "f32" or header.layout != "HW":
-        raise _fail(path, f"expected f32 HW feature, got {header.dtype} {header.layout}")
-    if header.height != 1:
-        raise _fail(path, f"feature file must have height 1, got {header.height}")
+    arr = _read_raw(path, "f32", "HW", "feature")
+    if arr.shape[0] != 1:
+        raise _fail(path, f"feature file must have height 1, got {arr.shape[0]}")
     vec = arr[0].astype(np.float32)
     if not np.all(np.isfinite(vec)):
         raise _fail(path, "feature: non-finite values")
@@ -192,9 +187,7 @@ def read_feature(path) -> np.ndarray:
 
 def read_mask(path) -> np.ndarray:
     """Read a binary pixel mask (u16 HW, values 0/1) as a boolean array."""
-    header, arr = _read_raw(path)
-    if header.dtype != "u16" or header.layout != "HW":
-        raise _fail(path, f"expected u16 HW mask, got {header.dtype} {header.layout}")
+    arr = _read_raw(path, "u16", "HW", "mask")
     if arr.max(initial=0) > 1:
         raise _fail(path, f"mask values must be 0 or 1, found {int(arr.max())}")
     return arr.astype(bool)

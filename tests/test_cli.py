@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, option layering, exit codes."""
 
 import json
+import os
 import shutil
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from relikit import cli, mlp
+from relikit import calibration, cli, evaluate, mlp
 from relikit.calibration import (
     METHODS,
     ClusterTemperatureModel,
@@ -89,7 +90,7 @@ _VIOLATIONS = {
     "feature_width": ({"feature": np.zeros(2, np.float32)},
                       ["data/id-cal-000.feature.bin [width]"]),
     "image_channels": ({"image": np.zeros((24, 24, 5), np.float32)},
-                       ["data/id-cal-000.image.bin [classes]"]),
+                       ["data/id-cal-000.image.bin [channels]"]),
     "truncated": ({"labels": None},
                   ["data/id-cal-001.labels.bin [format]"]),
     "two_in_one_entry": ({"logits": np.zeros((24, 24, 6), np.float32), "labels": np.zeros((4, 16), np.uint16)},
@@ -156,6 +157,19 @@ class TestValidate:
         assert [line.partition("] ")[0] + "]" for line in lines[:-1]] == [f"FAIL {p}" for p in prefixes]
         assert lines[-1] == f"{len(prefixes)} violation(s) in 8 entries"
 
+    @pytest.mark.parametrize("kind", list(_VIOLATIONS))
+    def test_fit_and_eval_stop_at_the_first_listed_violation(self, bench, capsys, tmp_path, kind):
+        # each command reads the corrupted calibration entry's slot
+        command = {
+            "image_shape": ["fit", "--method", "lts", "--epochs", "1"],
+            "image_channels": ["fit", "--method", "lts", "--epochs", "1"],
+            "feature_width": ["fit", "--method", "cluster_ts", "--k", "2"],
+        }.get(kind, ["eval", "--split", "calibration"])
+        manifest = str(_corrupted(bench, tmp_path, "id-cal-001", _VIOLATIONS[kind][0]))
+        _, out, _ = _run(capsys, ["validate", manifest])
+        code, _, err = _run(capsys, [*command, "--manifest", manifest, "--out", str(tmp_path / "out.json")])
+        assert (code, err) == (2, f"error: {out.splitlines()[0].partition('] ')[2]}\n")
+
     def test_missing_manifest_is_data_error(self, capsys, tmp_path):
         code, _, err = _run(capsys, ["validate", str(tmp_path / "absent.json")])
         assert code == 2 and "error:" in err
@@ -201,6 +215,20 @@ class TestFit:
         regressor = load_calibrator(out)
         assert isinstance(regressor, TemperatureRegressor)
         assert regressor.feature_mode.value == "image"
+
+    @pytest.mark.parametrize("grid", [(24, 24), (12, 12)], ids=["one_batch", "two_batches"])
+    def test_lts_on_disagreeing_image_channels_is_data_error(self, bench, capsys, tmp_path, grid):
+        # on a grid of its own, id-cal-001 is a batch of its own
+        tensors = {"logits": np.zeros((*grid, 5), np.float32), "labels": np.zeros(grid, np.uint16),
+                   "image": np.zeros((*grid, 5), np.float32)}
+        manifest = _corrupted(bench, tmp_path, "id-cal-001", tensors)
+        out = tmp_path / "lts.json"
+        code, _, err = _run(capsys, ["fit", "--manifest", str(manifest), "--method", "lts", "--epochs", "1",
+                                     "--out", str(out)])
+        assert code == 2 and _one_error_line(err)
+        assert "image channel counts disagree" in err
+        assert "8 in data/id-cal-000.image.bin, 5 in data/id-cal-001.image.bin" in err
+        assert not out.exists()
 
     def test_domain_weight_for_no_calibration_domain_is_usage_error(self, ladder_manifest, capsys, tmp_path):
         fit = ["fit", "--manifest", str(ladder_manifest.root / "manifest.json"), "--method", "lts",
@@ -455,6 +483,25 @@ class TestEval:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_workers_are_capped_at_the_cpu_count(self, bench, capsys, tmp_path, monkeypatch):
+        built = []
+
+        class Recording(evaluate.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                built.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(evaluate, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(calibration, "BATCH_PIXELS", 1)  # each of the 4 test images is a task of its own
+        outs = []
+        for workers in ("1", "1000"):
+            path = tmp_path / f"w{workers}.json"
+            code, _, _ = _run(capsys, ["eval", "--manifest", str(bench), "--workers", workers, "--out", str(path)])
+            assert code == 0
+            outs.append(path.read_bytes())
+        assert built == [2] and outs[0] == outs[1]
+
     @pytest.mark.parametrize("flag", ["--out", "--csv-out", "--bins-out"])
     def test_output_under_missing_directory_is_usage_error(self, bench, capsys, tmp_path, flag, monkeypatch):
         reads = []
@@ -691,6 +738,54 @@ class TestTensorFileFuzz:
         damage = data.draw(_damage(len(blob), int.from_bytes(blob[len(MAGIC):_PREFIX], "little"),
                                    ("truncate", "retype", "header_length")))
         self._eval_damaged(capsys, victim, victim[2], damage)
+
+
+class TestManifestFuzz:
+    """A manifest with one key dropped, retyped or reshaped ends validate, fit and eval in an exit code."""
+
+    @pytest.fixture(scope="class")
+    def setup(self, bench, tmp_path_factory):
+        """A copy of the bench to write mutated manifests into, and an LTS artifact, which reads images."""
+        root = tmp_path_factory.mktemp("manifest-fuzz")
+        shutil.copytree(bench.parent, root / "bench")
+        lts = root / "lts.json"
+        assert main(["fit", "--manifest", str(bench), "--method", "lts", "--epochs", "1", "--out", str(lts)]) == 0
+        return root / "bench", lts
+
+    @pytest.mark.parametrize("kind", ["drop", "retype", "reshape"])
+    @pytest.mark.parametrize("key", ["classes", "ignore_value", "entries", "image_id", "split", "domain",
+                                     "logits", "labels", "feature", "image"])
+    @settings(max_examples=3, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(index=st.integers(0, 7), value=st.sampled_from(_EDGE_VALUES), as_list=st.booleans())
+    def test_mutated_key_ends_in_an_exit_code(self, bench, setup, capsys, tmp_path, key, kind,
+                                              index, value, as_list):
+        root, lts = setup
+        raw = json.loads(bench.read_text())
+        owner = raw if key in ("classes", "ignore_value", "entries") else raw["entries"][index]
+        original = owner.pop(key)
+        if kind == "retype":
+            assume(type(value) is not type(original))
+            owner[key] = value
+        elif kind == "reshape":
+            owner[key] = [original] if as_list else {"value": original}
+        path = root / "mutated.json"
+        path.write_text(json.dumps(raw))
+        codes = []
+        for argv in (["validate", str(path)],
+                     ["fit", "--manifest", str(path), "--method", "cluster_ts", "--k", "2",
+                      "--pixels-per-image", "50", "--out", str(tmp_path / "c.json")],
+                     ["eval", "--manifest", str(path), "--calibrator", str(lts),
+                      "--pixels-per-image", "50", "--out", str(tmp_path / "r.json")]):
+            code, out, err = _run(capsys, argv)
+            listed = argv[0] == "validate" and out.endswith(" violation(s) in 8 entries\n")
+            assert (code, err) == (0, "") or code in (1, 2, 3) and (_one_error_line(err) or listed and err == "")
+            codes.append(code)
+        # only an optional slot can go: validate accepts that, and fit or eval exit 2 if they need the slot
+        if kind == "drop" and key in ("feature", "image"):
+            assert codes[0] == 0 and set(codes) <= {0, 2}
+        else:
+            assert 0 not in codes
 
 
 class TestSynth:
