@@ -22,7 +22,12 @@ The mean NLL is convex in the inverse temperature beta = 1/T, so a
 temperature is fitted by a safeguarded Newton search for the root of
 dNLL/dbeta: one pass over the pixels yields the NLL with its exact first
 and second derivatives, and a fit that wants to leave [t_min, t_max] is
-pinned to exactly that bound.
+pinned to exactly that bound. A fit shifts each row by its maximum once;
+each pass runs over L2-sized blocks of rows (:data:`BLOCK_VALUES`)
+through one reused buffer, and block sizes that are multiples of 64 rows
+give every row the bits of one whole-array pass. Cluster cells start
+their searches from the per-row terms the global fit kept at T = 1 and
+at the bound it checked.
 
 Fitting and evaluation read a split through :func:`load_batches`: each
 entry is read, checked and its pixels drawn by :func:`load_entry`, so a
@@ -59,7 +64,7 @@ from .confidence import scaled_logits
 from .errors import (CalibrationError, InvalidTensorError, ManifestError, NumericalError, RelikitError,
                      TensorFormatError, UsageError, convert_option, read_json_object)
 from .kmeans import assign_points, kmeans
-from .manifest import DatasetManifest, ManifestEntry, check_agreement, load_features
+from .manifest import DatasetManifest, ManifestEntry, check_agreement, load_features, require_slot
 from .rng import derive_stream, subsample_indices
 from .tensors import (
     ImageTensor,
@@ -77,6 +82,8 @@ DEFAULT_PIXELS_PER_IMAGE = 20_000
 DEFAULT_CLUSTERS = 16
 # Pixels per batch of same-grid entries: a 128 x 256 image fills one on its own.
 BATCH_PIXELS = 1 << 15
+# float64 values per block of a temperature fit's passes: 512 KiB, so a block stays in L2.
+BLOCK_VALUES = 1 << 16
 
 
 class ClusterVariant(str, Enum):
@@ -162,25 +169,193 @@ def scaled_nll(logits: np.ndarray, labels: np.ndarray, temperature: float) -> fl
     return float((lse - z[np.arange(z.shape[0]), labels]).mean())
 
 
-def _nll_derivatives(z: np.ndarray, mean_zy: float, beta: float) -> tuple[float, float, float]:
+def _block_rows(classes: int) -> int:
+    """Rows per block of a pass over (n, classes) rows: a multiple of 64 holding about :data:`BLOCK_VALUES` values."""
+    return max(64, BLOCK_VALUES // classes // 64 * 64)
+
+
+def _blocks(rows: int, classes: int) -> list[slice]:
+    """The row blocks of one NLL pass, each summed by one BLAS matrix-vector product.
+
+    Such a product gives a row the same bits wherever the row sits, except
+    in its last ``rows % 4`` rows, which the kernel finishes one or two at a
+    time (and in a one-row product, which NumPy hands to a dot kernel). So
+    every block but the last holds a multiple of 64 rows, and the last
+    holds the final ``rows % 64`` rows, 64 more when that leaves fewer than
+    4: every row then gets the bits that one product over all rows gives it
+    on one BLAS thread, and two (or four) BLAS threads, which split a block
+    in equal parts, give the same bits.
+    """
+    tail = min(rows, rows % 64 + (64 if rows % 64 < 4 else 0))
+    step = _block_rows(classes)
+    return [slice(start, min(start + step, rows - tail)) for start in range(0, rows - tail, step)] + [
+        slice(rows - tail, rows)]
+
+
+def _shift_rows(z: np.ndarray) -> np.ndarray:
+    """Subtract each row's maximum from ``z`` in place, block by block; return ``z``.
+
+    The bits are those of ``z - z.max(axis=1, keepdims=True)``. The maximum
+    is taken column by column, and a row whose maximum is zero takes it from
+    ``max`` itself, the only thing that decides the sign of a zero maximum.
+    """
+    step = _block_rows(z.shape[1])
+    top = np.empty(min(step, z.shape[0]))
+    for start in range(0, z.shape[0], step):
+        block = z[start:start + step]
+        peak = top[:block.shape[0]]
+        np.copyto(peak, block[:, 0])
+        for column in block.T[1:]:
+            np.maximum(peak, column, out=peak)
+        zero = np.flatnonzero(peak == 0.0)
+        if zero.size:
+            peak[zero] = block[zero].max(axis=1)
+        block -= peak[:, None]
+    return z
+
+
+def _row_terms(z: np.ndarray, beta: float, out: np.ndarray, buffer: np.ndarray) -> None:
+    """Each row's ln sum exp(beta * z), E_p[z] and Var_p[z] into the three rows of ``out``.
+
+    ``buffer`` holds at least ``len(z)`` rows of exp(beta * z); each row sum
+    is one BLAS matrix-vector product over all of ``z``.
+    """
+    e = np.multiply(z, beta, out=buffer[:z.shape[0]])
+    np.exp(e, out=e)
+    ones = np.ones(z.shape[1])
+    total, mean_z, var_z = out
+    np.matmul(e, ones, out=total)
+    e *= z
+    np.matmul(e, ones, out=mean_z)
+    mean_z /= total
+    e *= z
+    np.matmul(e, ones, out=var_z)
+    var_z /= total
+    var_z -= mean_z * mean_z
+    np.maximum(var_z, 0.0, out=var_z)
+    np.log(total, out=total)
+
+
+def _means(terms: np.ndarray, beta: float, mean_zy: float) -> tuple[float, float, float]:
+    """The mean NLL and its two derivatives in beta from per-row terms (:func:`_row_terms`)."""
+    return (float(terms[0].mean()) - beta * mean_zy, float(terms[1].mean()) - mean_zy,
+            float(terms[2].mean()))
+
+
+def _nll_derivatives(z: np.ndarray, mean_zy: float, beta: float,
+                     terms: np.ndarray | None = None) -> tuple[float, float, float]:
     """Mean NLL of softmax(beta * z) and its first two derivatives in beta.
 
     ``z`` holds row-shifted logits (each row's maximum is 0, so every
     exp(beta * z) lies in (0, 1] and each row sum is at least 1) and
     ``mean_zy`` the mean shifted logit of the labels. One exp pass serves
     all three values: the derivatives are the mean over rows of
-    E_p[z] - z_y and of Var_p[z].
+    E_p[z] - z_y and of Var_p[z]. The pass runs block by block
+    (:func:`_blocks`) through one L2-sized buffer and writes each row's
+    terms into ``terms`` (3, n), a new array when None; the means are then
+    taken over all rows at once.
     """
-    ones = np.ones(z.shape[1])
-    e = np.multiply(z, beta)
-    np.exp(e, out=e)
-    total = e @ ones
-    e *= z
-    mean_z = (e @ ones) / total
-    e *= z
-    var_z = (e @ ones) / total - mean_z * mean_z
-    nll = float(np.log(total).mean()) - beta * mean_zy
-    return nll, float(mean_z.mean()) - mean_zy, float(np.maximum(var_z, 0.0).mean())
+    terms = np.empty((3, z.shape[0])) if terms is None else terms
+    blocks = _blocks(*z.shape)
+    buffer = np.empty((max(block.stop - block.start for block in blocks), z.shape[1]))
+    for block in blocks:
+        _row_terms(z[block], beta, terms[:, block], buffer)
+    return _means(terms, beta, mean_zy)
+
+
+def _search(evaluate, t_min: float = T_MIN, t_max: float = T_MAX) -> float:
+    """The temperature in [t_min, t_max] minimizing a convex NLL; see :func:`fit_temperature`.
+
+    ``evaluate(beta)`` returns the NLL and its first two derivatives at beta = 1/T.
+    """
+    lo, hi = 1.0 / t_max, 1.0 / t_min
+    temperature_of = {lo: t_max, hi: t_min}
+    seen: dict[float, float] = {}
+
+    def slope_at(beta: float) -> tuple[float, float]:
+        nll, slope, curvature = evaluate(beta)
+        if not np.all(np.isfinite([nll, slope, curvature])):
+            raise NumericalError("temperature search produced a non-finite NLL")
+        seen[beta] = nll
+        return slope, curvature
+
+    beta = min(max(1.0, lo), hi)
+    slope, curvature = slope_at(beta)
+    if slope != 0.0:
+        downhill = hi if slope < 0.0 else lo
+        if beta == downhill or np.sign(slope_at(downhill)[0]) != -np.sign(slope):
+            return temperature_of[downhill]
+        a, b = (beta, hi) if slope < 0.0 else (lo, beta)
+        newton = True
+        while np.log(b / a) > LN_T_TOL:
+            step = beta - slope / curvature if curvature > 0.0 else a
+            newton = newton and a < step < b
+            if not newton:
+                step = float(np.sqrt(a * b))
+            last, previous = beta, slope
+            beta = float(step)
+            slope, curvature = slope_at(beta)
+            if slope == 0.0 or (newton and abs(np.log(beta / last)) <= LN_T_TOL):
+                break
+            a, b = (beta, b) if slope < 0.0 else (a, beta)
+            newton = abs(slope) <= 0.5 * abs(previous)
+    best = min(seen, key=seen.get)
+    return temperature_of.get(best, 1.0 / best)
+
+
+def _fit_in_place(logits: np.ndarray, labels: np.ndarray, t_min: float = T_MIN, t_max: float = T_MAX,
+                  keep: dict | None = None) -> float:
+    """:func:`fit_temperature` on float64 rows that it shifts in place (:func:`_shift_rows`).
+
+    With ``keep``, the per-row terms of the first two betas evaluated (T = 1
+    and the bound downhill of it) are kept there by beta, 48 bytes a row.
+    """
+    if logits.ndim != 2 or logits.shape[0] == 0:
+        raise CalibrationError(f"need a non-empty (n, K) logit matrix, got shape {logits.shape}")
+    if labels.shape != (logits.shape[0],):
+        raise CalibrationError("labels must be one class index per logit row")
+    if labels.min() < 0 or labels.max() >= logits.shape[1]:
+        raise CalibrationError("labels outside [0, classes)")
+    if not 0 < t_min < t_max:
+        raise CalibrationError(f"need 0 < t_min < t_max, got [{t_min}, {t_max}]")
+    z = _shift_rows(logits)
+    mean_zy = float(z[np.arange(z.shape[0]), labels].mean())
+
+    def evaluate(beta: float) -> tuple[float, float, float]:
+        terms = np.empty((3, z.shape[0]))
+        derivatives = _nll_derivatives(z, mean_zy, beta, terms)
+        if keep is not None and len(keep) < 2:
+            keep[beta] = terms
+        return derivatives
+    return _search(evaluate, t_min, t_max)
+
+
+def _cell_passes(z: np.ndarray, zy: np.ndarray, rows: np.ndarray, kept: dict):
+    """``evaluate(beta)`` for :func:`_search` over the rows ``z[rows]`` (ascending).
+
+    ``zy`` holds each row's shifted logit of its label, and ``kept`` the
+    per-row terms over all of ``z`` that :func:`_fit_in_place` kept. A
+    pass over ``z[rows]`` gives each row before its last block the bits
+    that row has in the pass over ``z`` (:func:`_blocks`), and the last
+    block holds the cell's last rows, among them any of the last rows of
+    ``z``. So at a kept beta only the last block is computed; the other
+    rows' terms are gathered.
+    """
+    mean_zy = float(zy[rows].mean())
+    last = _blocks(rows.size, z.shape[1])[-1]
+    cell = None
+
+    def evaluate(beta: float) -> tuple[float, float, float]:
+        nonlocal cell
+        if beta not in kept:
+            cell = z[rows] if cell is None else cell
+            return _nll_derivatives(cell, mean_zy, beta)
+        terms = np.empty((3, rows.size))
+        terms[:, :last.start] = kept[beta][:, rows[:last.start]]
+        tail = z[rows[last]]
+        _row_terms(tail, beta, terms[:, last], np.empty_like(tail))
+        return _means(terms, beta, mean_zy)
+    return evaluate
 
 
 def fit_temperature(logits: np.ndarray, labels: np.ndarray,
@@ -196,54 +371,10 @@ def fit_temperature(logits: np.ndarray, labels: np.ndarray,
     fails to halve the slope, until the bracket is within LN_T_TOL in
     ln T or a Newton step moves ln T by at most LN_T_TOL (its error is
     then of the order of that step squared). The best temperature
-    evaluated is returned.
+    evaluated is returned. The rows are shifted by their maxima once, in a
+    copy: ``logits`` is never changed.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if logits.ndim != 2 or logits.shape[0] == 0:
-        raise CalibrationError(f"need a non-empty (n, K) logit matrix, got shape {logits.shape}")
-    if labels.shape != (logits.shape[0],):
-        raise CalibrationError("labels must be one class index per logit row")
-    if labels.min() < 0 or labels.max() >= logits.shape[1]:
-        raise CalibrationError("labels outside [0, classes)")
-    if not 0 < t_min < t_max:
-        raise CalibrationError(f"need 0 < t_min < t_max, got [{t_min}, {t_max}]")
-
-    z = logits - logits.max(axis=1, keepdims=True)
-    mean_zy = float(z[np.arange(z.shape[0]), labels].mean())
-    lo, hi = 1.0 / t_max, 1.0 / t_min
-    temperature_of = {lo: t_max, hi: t_min}
-    seen: dict[float, float] = {}
-
-    def evaluate(beta: float) -> tuple[float, float]:
-        nll, slope, curvature = _nll_derivatives(z, mean_zy, beta)
-        if not np.all(np.isfinite([nll, slope, curvature])):
-            raise NumericalError("temperature search produced a non-finite NLL")
-        seen[beta] = nll
-        return slope, curvature
-
-    beta = min(max(1.0, lo), hi)
-    slope, curvature = evaluate(beta)
-    if slope != 0.0:
-        downhill = hi if slope < 0.0 else lo
-        if beta == downhill or np.sign(evaluate(downhill)[0]) != -np.sign(slope):
-            return temperature_of[downhill]
-        a, b = (beta, hi) if slope < 0.0 else (lo, beta)
-        newton = True
-        while np.log(b / a) > LN_T_TOL:
-            step = beta - slope / curvature if curvature > 0.0 else a
-            newton = newton and a < step < b
-            if not newton:
-                step = float(np.sqrt(a * b))
-            last, previous = beta, slope
-            beta = float(step)
-            slope, curvature = evaluate(beta)
-            if slope == 0.0 or (newton and abs(np.log(beta / last)) <= LN_T_TOL):
-                break
-            a, b = (beta, b) if slope < 0.0 else (a, beta)
-            newton = abs(slope) <= 0.5 * abs(previous)
-    best = min(seen, key=seen.get)
-    return temperature_of.get(best, 1.0 / best)
+    return _fit_in_place(np.array(logits, dtype=np.float64), np.asarray(labels, dtype=np.int64), t_min, t_max)
 
 
 def apply_temperature(logits: LogitTensor, temperature: float | TemperatureMap) -> np.ndarray:
@@ -343,10 +474,9 @@ def load_entry(manifest: DatasetManifest, entry: ManifestEntry, *,
     are read only when asked for, and the entry must then list them; the
     OOD mask is read when asked for and listed.
     """
-    if image and entry.image is None:
-        raise CalibrationError(f"{entry.image_id}: entry has no image tensor")
-    if feature and entry.feature is None:
-        raise CalibrationError(f"{entry.image_id}: entry has no feature vector")
+    for slot, asked in (("image", image), ("feature", feature)):
+        if asked:
+            require_slot(entry, slot)
     read: dict = {}
     slots = {"logits", "labels"} | {slot for slot, asked in (("feature", feature), ("image", image),
                                                              ("ood_mask", mask)) if asked}
@@ -471,7 +601,7 @@ def fit_global_ts(manifest: DatasetManifest, *, split: str = "calibration",
     """One temperature for the whole dataset, fitted on the given split."""
     pixels = gather_pixel_batches(manifest, _split_entries(manifest, split),
                                   pixels_per_image=pixels_per_image, seed=seed)
-    return GlobalTemperature(fit_temperature(pixels.logits, pixels.labels))
+    return GlobalTemperature(_fit_in_place(pixels.logits, pixels.labels))
 
 
 def fit_cluster_ts(manifest: DatasetManifest, *, k: int = DEFAULT_CLUSTERS,
@@ -485,28 +615,33 @@ def fit_cluster_ts(manifest: DatasetManifest, *, k: int = DEFAULT_CLUSTERS,
     cell. Both variants give each calibration pixel a cell id (its image's
     cluster, or cluster * K + the argmax of its raw logits), group the
     stacked pixels by one stable sort on that id and fit each non-empty
-    cell on its contiguous slice, whose rows stay in entry order. Cells
-    with no calibration pixels inherit the global temperature, so the
-    model degrades gracefully; with k = 1 it coincides with global scaling
-    exactly.
+    cell on its contiguous slice, whose rows stay in entry order. The rows
+    are shifted by their maxima once, in place, for the global fit and
+    every cell; each cell's search starts at T = 1 and the bound downhill
+    of it, where the global fit kept every row's terms, so a cell gathers
+    those instead of making its first passes. Cells with no calibration
+    pixels inherit the global temperature, so the model degrades
+    gracefully; with k = 1 it coincides with global scaling exactly.
     """
     variant = ClusterVariant(variant)
     entries = _split_entries(manifest, split)
     _, features = load_features(manifest, entries)
     result = kmeans(features, k, seed)
     pixels = gather_pixel_batches(manifest, entries, pixels_per_image=pixels_per_image, seed=seed)
-    fallback = fit_temperature(pixels.logits, pixels.labels)
     cell = result.assignment[pixels.entry]
     shape = (k,)
     if variant is ClusterVariant.PER_CLASS:
         cell = cell * manifest.classes + pixels.logits.argmax(axis=1)
         shape = (k, manifest.classes)
+    kept: dict = {}
+    fallback = _fit_in_place(pixels.logits, pixels.labels, keep=kept)
+    z = pixels.logits
+    zy = z[np.arange(z.shape[0]), pixels.labels]
     temperatures = np.full(shape, fallback)
     order = np.argsort(cell, kind="stable")
     bounds = np.searchsorted(cell, np.arange(temperatures.size + 1), sorter=order)
     for c in np.flatnonzero(np.diff(bounds)):
-        rows = order[bounds[c]:bounds[c + 1]]
-        temperatures.flat[c] = fit_temperature(pixels.logits[rows], pixels.labels[rows])
+        temperatures.flat[c] = _search(_cell_passes(z, zy, order[bounds[c]:bounds[c + 1]], kept))
     return ClusterTemperatureModel(
         variant=variant,
         centroids=result.centroids,

@@ -31,6 +31,8 @@ from .calibration import (
     DEFAULT_CLUSTERS,
     DEFAULT_PIXELS_PER_IMAGE,
     METHODS,
+    T_MAX,
+    T_MIN,
     ClusterTemperatureModel,
     FeatureMode,
     GlobalTemperature,
@@ -164,6 +166,14 @@ def _parse_domain_weights(value) -> dict[str, float] | None:
     return weights
 
 
+def _warn_pinned(what: str, temperatures) -> None:
+    """One stderr warning when fitted temperatures sit exactly on a bound of [T_MIN, T_MAX]."""
+    pinned = sum(t in (T_MIN, T_MAX) for t in temperatures)
+    if pinned:
+        count = f"{pinned} of {len(temperatures)} {what}s are" if len(temperatures) > 1 else f"the {what} is"
+        print(f"warning: {count} pinned to a bound of [{T_MIN:g}, {T_MAX:g}]", file=sys.stderr)
+
+
 def cmd_fit(args) -> int:
     options = _resolve_options(args, _FIT_DEFAULTS)
     out = Path(_require(options, "out"))
@@ -177,6 +187,7 @@ def cmd_fit(args) -> int:
     if method.build is GlobalTemperature:
         calibrator = fit_global_ts(manifest, split=split, pixels_per_image=pixels, seed=seed)
         print(f"temperature: {calibrator.temperature:.6f}")
+        _warn_pinned("temperature", [calibrator.temperature])
     elif method.build is ClusterTemperatureModel:
         k = convert_option("k", options["k"], int)
         calibrator = fit_cluster_ts(manifest, k=k, variant=method.fixed["variant"],
@@ -189,6 +200,8 @@ def cmd_fit(args) -> int:
             else:
                 row = "  ".join(f"{t:.4f}" for t in calibrator.temperatures[j])
                 print(f"cluster {j}: T per class: {row}")
+        _warn_pinned("fallback temperature", [calibrator.fallback_temperature])
+        _warn_pinned("cell temperature", list(calibrator.temperatures.flat))
     else:
         hyper = LtsHyper(
             **{key: convert_option(key, options[key], type(default))

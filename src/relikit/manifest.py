@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor_io
-from .errors import ManifestError, read_json_object
+from .errors import CalibrationError, ManifestError, read_json_object
 
 SPLITS = ("calibration", "test")
 _REQUIRED_FIELDS = ("image_id", "split", "domain", "logits", "labels")
@@ -193,15 +193,25 @@ def check_agreement(field: str, first: tuple[int, str], value: int, file: str) -
         raise ManifestError(f"{_DISAGREEMENTS[field]}: {first[0]} in {first[1]}, {value} in {file}")
 
 
+# What an entry's optional slot holds, as the error for an entry a fit or eval needs it from names it.
+_SLOT_NAMES = {"feature": "feature vector", "image": "image tensor"}
+
+
+def require_slot(entry: ManifestEntry, slot: str) -> None:
+    """Raise unless ``entry`` lists a file in ``slot`` (``feature`` or ``image``): the one wording of fit and eval."""
+    if getattr(entry, slot) is None:
+        raise CalibrationError(f"{entry.image_id}: entry has no {_SLOT_NAMES[slot]}")
+
+
 def load_features(manifest: DatasetManifest, entries: list[ManifestEntry]) -> tuple[list[str], np.ndarray]:
     """Load per-image feature vectors for ``entries`` into one (n, D) matrix.
 
-    Raises when an entry lacks a feature or when its dimension differs from the first entry's.
+    Raises when an entry lacks a feature (:func:`require_slot`) or when its
+    dimension differs from the first entry's.
     """
     ids, vectors = [], []
     for entry in entries:
-        if entry.feature is None:
-            raise ManifestError(f"entry {entry.image_id!r} has no feature vector")
+        require_slot(entry, "feature")
         vectors.append(tensor_io.read_feature(manifest.path(entry.feature)))
         ids.append(entry.image_id)
         check_agreement("width", (vectors[0].shape[0], entries[0].feature), vectors[-1].shape[0], entry.feature)

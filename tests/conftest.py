@@ -5,10 +5,19 @@ receives the same loaded manifest, so the suite stays fast and fully
 deterministic.
 """
 
-import pytest
+import os
 
-from relikit.manifest import load_manifest
-from relikit.synth import DomainSpec, SynthConfig, default_ladder, generate_benchmark
+# One BLAS thread, as in perfbench: a matrix-vector product that BLAS splits
+# across threads may finish the rows at a split on another kernel path, so
+# the whole-array oracle of the NLL pass is reproducible only on one thread.
+# Set before NumPy loads BLAS.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import pytest  # noqa: E402
+
+from relikit.manifest import load_manifest  # noqa: E402
+from relikit.synth import DomainSpec, SynthConfig, default_ladder, generate_benchmark  # noqa: E402
 
 
 @pytest.fixture(scope="session")

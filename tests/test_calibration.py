@@ -81,6 +81,47 @@ def _fit_problems(draw):
     return logits, labels
 
 
+def _oracle_nll_derivatives(z, mean_zy, beta):
+    """The NLL pass as one whole-array formula: the blocked pass must give its bits.
+
+    Returns the NLL and its two derivatives, and the per-row terms they are the means of.
+    """
+    ones = np.ones(z.shape[1])
+    e = np.multiply(z, beta)
+    np.exp(e, out=e)
+    total = e @ ones
+    e *= z
+    mean_z = (e @ ones) / total
+    e *= z
+    var_z = (e @ ones) / total - mean_z * mean_z
+    nll = float(np.log(total).mean()) - beta * mean_zy
+    derivatives = nll, float(mean_z.mean()) - mean_zy, float(np.maximum(var_z, 0.0).mean())
+    return derivatives, np.stack([np.log(total), mean_z, np.maximum(var_z, 0.0)])
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+@st.composite
+def _pass_problems(draw):
+    """Logits of 1, B - 1, B, B + 1 or 3B + 5 rows (B rows per block) with tied maxima
+    and rows whose maximum is a zero of either sign, labels and a beta in [1/20, 20]."""
+    classes = draw(st.sampled_from([2, 5, 19, 40]))
+    block = calibration._block_rows(classes)
+    n = draw(st.sampled_from([1, block - 1, block, block + 1, 3 * block + 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = rng.normal(scale=draw(st.floats(0.1, 30.0)), size=(n, classes))
+    kind = rng.integers(0, 4, n)
+    tied = np.flatnonzero(kind == 1)
+    logits[tied, rng.integers(0, classes, tied.size)] = logits[tied].max(axis=1)
+    zero = np.flatnonzero(kind >= 2)
+    logits[zero] = -np.abs(logits[zero]) - 0.5
+    logits[zero, rng.integers(0, classes, zero.size)] = 0.0
+    logits[zero, rng.integers(0, classes, zero.size)] = -0.0
+    return logits, rng.integers(0, classes, n), draw(st.floats(0.05, 20.0))
+
+
 @pytest.fixture(scope="module")
 def mono_manifest(tmp_path_factory):
     """Single mildly shifted domain (oracle temperature 2)."""
@@ -205,6 +246,58 @@ class TestFitTemperature:
             fit_temperature(np.zeros((2, 3)), np.array([0, 3]))
         with pytest.raises(CalibrationError):
             fit_temperature(np.zeros((2, 3)), np.array([0, 1]), t_min=2.0, t_max=1.0)
+
+
+class TestBlockedPass:
+    """The NLL pass runs block by block, and cluster cells reuse the global fit's kept row terms."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_pass_problems())
+    def test_blocked_pass_matches_whole_array_formula(self, problem):
+        logits, labels, beta = problem
+        z = logits - logits.max(axis=1, keepdims=True)
+        np.testing.assert_array_equal(_bits(calibration._shift_rows(logits.copy())), _bits(z))
+        mean_zy = float(z[np.arange(z.shape[0]), labels].mean())
+        terms = np.empty((3, z.shape[0]))
+        derivatives = calibration._nll_derivatives(z, mean_zy, beta, terms)
+        expected, expected_terms = _oracle_nll_derivatives(z, mean_zy, beta)
+        np.testing.assert_array_equal(_bits(terms), _bits(expected_terms))
+        np.testing.assert_array_equal(_bits(derivatives), _bits(expected))
+
+    @pytest.mark.parametrize("classes", [5, 19, 40])
+    def test_row_subset_terms_are_the_full_terms(self, classes):
+        # what the kept first passes rest on: a row's terms do not depend on the rows
+        # around it, except in a pass's last block, which a cell fit always computes
+        rng = np.random.default_rng(classes)
+        n = 3 * calibration._block_rows(classes) + 7
+        z = calibration._shift_rows(rng.normal(scale=3.0, size=(n, classes)))
+        zy = z[np.arange(n), rng.integers(0, classes, n)]
+        for beta in (1.0, 1 / T_MAX, 1 / T_MIN):
+            full = np.empty((3, n))
+            calibration._nll_derivatives(z, 0.0, beta, full)
+            for size in (1, 2, 3, 66, 67, 68, 69, 70, 1001, 2 * n // 3):
+                rows = np.union1d(rng.choice(n, size, replace=False), [n - 3, n - 2, n - 1])
+                part = np.empty((3, rows.size))
+                calibration._nll_derivatives(z[rows], 0.0, beta, part)
+                last = calibration._blocks(rows.size, classes)[-1]
+                np.testing.assert_array_equal(_bits(part[:, :last.start]), _bits(full[:, rows[:last.start]]))
+                kept = calibration._cell_passes(z, zy, rows, {beta: full})(beta)
+                fresh = calibration._nll_derivatives(z[rows], float(zy[rows].mean()), beta)
+                np.testing.assert_array_equal(_bits(kept), _bits(fresh))
+
+    def test_blocks_cover_the_rows_in_multiples_of_64(self):
+        for rows, classes in ((1, 5), (3, 19), (64, 19), (67, 19), (68, 19), (3392 * 2 + 70, 19), (13056 + 5, 5)):
+            blocks = calibration._blocks(rows, classes)
+            assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
+            assert blocks[0].start == 0 and blocks[-1].stop == rows
+            assert all((b.stop - b.start) % 64 == 0 for b in blocks[:-1])
+            assert min(rows, 4) <= blocks[-1].stop - blocks[-1].start < 68
+
+    def test_fit_temperature_leaves_its_input_unchanged(self):
+        logits, labels = _calibrated_sample(np.random.default_rng(75), 500, 4, temperature=2.0)
+        before = logits.copy()
+        fit_temperature(logits, labels)
+        np.testing.assert_array_equal(logits, before)
 
 
 class TestApplyTemperature:
@@ -409,6 +502,30 @@ class TestFitClusterTs:
         assert (empty > 0) == (pixels == 2)
         assert model.fallback_temperature == fallback
         np.testing.assert_array_equal(model.temperatures, expected)
+
+
+    @pytest.mark.parametrize("variant", list(ClusterVariant))
+    def test_cells_start_from_the_kept_first_passes(self, ladder_manifest, monkeypatch, variant):
+        passes, cells = [], []
+        real_pass, real_cell = calibration._nll_derivatives, calibration._cell_passes
+        monkeypatch.setattr(calibration, "_nll_derivatives", lambda *args: passes.append(1) or real_pass(*args))
+
+        def counted_cell(*args):
+            evaluate, made = real_cell(*args), []
+            cells.append(made)
+
+            def counted(beta):
+                before = len(passes)
+                result = evaluate(beta)
+                made.append((beta, len(passes) - before))
+                return result
+            return counted
+
+        monkeypatch.setattr(calibration, "_cell_passes", counted_cell)
+        fit_cluster_ts(ladder_manifest, k=3, variant=variant, pixels_per_image=300, seed=6)
+        evaluations = [one for made in cells for one in made]
+        assert cells and all(made[0] == (1.0, 0) for made in cells)
+        assert sum(count for _, count in evaluations) <= len(evaluations) - len(cells)
 
 
 @pytest.fixture(scope="module")

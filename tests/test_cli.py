@@ -304,6 +304,55 @@ class TestFit:
         assert "diverged" in err
         assert not out.exists()
 
+    def test_fit_pinned_to_a_bound_warns_once_per_kind(self, bench, capsys, tmp_path):
+        # every pixel's label logit is its largest, so the NLL keeps falling as T -> 0
+        rng = np.random.default_rng(3)
+        entries = []
+        for i, split in enumerate(["calibration"] * 4 + ["test"]):
+            labels = rng.integers(0, 3, (8, 8)).astype(np.uint16)
+            logits = rng.normal(0.0, 0.5, (8, 8, 3)) + 4.0 * (np.arange(3) == labels[..., None])
+            files = {slot: f"e{i}.{slot}.bin" for slot in ("logits", "labels", "feature")}
+            write_logits(tmp_path / files["logits"], LogitTensor(logits.astype(np.float32)))
+            write_labels(tmp_path / files["labels"], LabelMap(labels), 3)
+            write_feature(tmp_path / files["feature"], np.array([float(i % 2), 0.0], np.float32))
+            entries.append({"image_id": f"e{i}", "split": split, "domain": "all", **files})
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"classes": 3, "ignore_value": 255, "entries": entries}))
+        fit = ["fit", "--manifest", str(manifest)]
+        code, text, err = _run(capsys, fit + ["--out", str(tmp_path / "ts.json")])
+        assert code == 0 and "temperature: 0.050000" in text and "warning" not in text
+        assert err == "warning: the temperature is pinned to a bound of [0.05, 20]\n"
+        code, text, err = _run(capsys, fit + ["--method", "class_cluster_ts", "--k", "2",
+                                              "--out", str(tmp_path / "cc.json")])
+        assert code == 0 and "warning" not in text
+        assert err == ("warning: the fallback temperature is pinned to a bound of [0.05, 20]\n"
+                       "warning: 6 of 6 cell temperatures are pinned to a bound of [0.05, 20]\n")
+        # a fit inside the bounds warns of nothing
+        code, _, err = _run(capsys, ["fit", "--manifest", str(bench), "--method", "cluster_ts", "--k", "2",
+                                     "--out", str(tmp_path / "c.json")])
+        assert code == 0 and err == ""
+
+    def test_missing_feature_vector_is_one_message_in_fit_and_eval(self, bench, capsys, tmp_path):
+        artifact = tmp_path / "cluster.json"
+        assert main(["fit", "--manifest", str(bench), "--method", "cluster_ts", "--k", "2",
+                     "--out", str(artifact)]) == 0
+        root = tmp_path / "bench"
+        shutil.copytree(bench.parent, root)
+        raw = json.loads(bench.read_text())
+        for entry in raw["entries"]:
+            if entry["image_id"] in ("id-cal-001", "id-test-001"):
+                del entry["feature"]
+        (root / "manifest.json").write_text(json.dumps(raw))
+        capsys.readouterr()
+        manifest = str(root / "manifest.json")
+        fit_code, _, fit_err = _run(capsys, ["fit", "--manifest", manifest, "--method", "cluster_ts", "--k", "2",
+                                             "--out", str(tmp_path / "again.json")])
+        eval_code, _, eval_err = _run(capsys, ["eval", "--manifest", manifest, "--calibrator", str(artifact),
+                                               "--out", str(tmp_path / "report.json")])
+        assert fit_code == eval_code == 2 and _one_error_line(fit_err) and _one_error_line(eval_err)
+        assert fit_err == "error: id-cal-001: entry has no feature vector\n"
+        assert fit_err.replace("id-cal-001", "") == eval_err.replace("id-test-001", "")
+
     def test_malformed_domain_weight(self, bench, capsys, tmp_path):
         code, _, err = _run(capsys, [
             "fit", "--manifest", str(bench), "--out", str(tmp_path / "x.json"),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from relikit.errors import ManifestError, TensorFormatError
+from relikit.errors import CalibrationError, ManifestError, TensorFormatError
 from relikit.manifest import (
     SPLITS,
     DatasetManifest,
@@ -250,5 +250,6 @@ class TestLoadFeatures:
     def test_missing_feature_slot(self, tmp_path):
         payload = {"classes": 2, "ignore_value": 255, "entries": [_entry(tmp_path, "a")]}
         manifest = load_manifest(_write_manifest(tmp_path, payload))
-        with pytest.raises(ManifestError, match="no feature"):
+        # the wording and class of load_entry's check, which eval reaches
+        with pytest.raises(CalibrationError, match="^a: entry has no feature vector$"):
             load_features(manifest, list(manifest.entries))
