@@ -193,7 +193,7 @@ def check_agreement(field: str, first: tuple[int, str], value: int, file: str) -
         raise ManifestError(f"{_DISAGREEMENTS[field]}: {first[0]} in {first[1]}, {value} in {file}")
 
 
-# What an entry's optional slot holds, as the error for an entry a fit or eval needs it from names it.
+# The optional slots a fit or eval may require, by what their file holds.
 _SLOT_NAMES = {"feature": "feature vector", "image": "image tensor"}
 
 
