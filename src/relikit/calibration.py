@@ -238,8 +238,8 @@ def _row_terms(z: np.ndarray, beta: float, out: np.ndarray, buffer: np.ndarray) 
 
 def _means(terms: np.ndarray, beta: float, mean_zy: float) -> tuple[float, float, float]:
     """The mean NLL and its two derivatives in beta from per-row terms (:func:`_row_terms`)."""
-    return (float(terms[0].mean()) - beta * mean_zy, float(terms[1].mean()) - mean_zy,
-            float(terms[2].mean()))
+    nll, first, second = np.add.reduce(terms, axis=1) / terms.shape[1]
+    return float(nll) - beta * mean_zy, float(first) - mean_zy, float(second)
 
 
 def _nll_derivatives(z: np.ndarray, mean_zy: float, beta: float,

@@ -16,7 +16,6 @@ Exit codes: 0 success, 1 usage or configuration errors, 2 data errors
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import asdict, fields, replace
@@ -242,6 +241,12 @@ def _metrics(value) -> tuple[str, ...]:
     raise UsageError(f"metrics must be a comma-separated string or a list of strings, got {value!r}")
 
 
+# the files eval writes, in this order, and the per-domain summary fields it then prints
+_EVAL_OUTPUTS = (("out", rep.to_json_bytes), ("csv_out", rep.to_csv_bytes), ("bins_out", rep.to_bins_bytes))
+_EVAL_SUMMARY = (("miou", "miou", _percent), ("ece", "ece", _percent), ("ada_ece", "ada_ece", _percent),
+                 ("ks_error", "ks", _percent), ("prr", "prr", "{:.2f}".format))
+
+
 def cmd_eval(args) -> int:
     options = _resolve_options(args, _EVAL_DEFAULTS)
     manifest = load_manifest(_require(options, "manifest"))
@@ -257,38 +262,17 @@ def cmd_eval(args) -> int:
     )
     calibrator = None if options["calibrator"] is None else load_calibrator(options["calibrator"])
     result = ev.evaluate_manifest(manifest, calibrator, config)
-    json_bytes = rep.to_json_bytes(result)
-    wrote_file = False
-    if options["out"] is not None:
-        _write_output(options["out"], lambda path: Path(path).write_bytes(json_bytes))
-        print(f"wrote {options['out']}")
-        wrote_file = True
-    if options["csv_out"] is not None:
-        _write_output(options["csv_out"], lambda path: Path(path).write_bytes(rep.to_csv_bytes(result)))
-        print(f"wrote {options['csv_out']}")
-        wrote_file = True
-    if options["bins_out"] is not None:
-        text = json.dumps(result.bins, indent=2, sort_keys=True, allow_nan=False) + "\n"
-        _write_output(options["bins_out"], lambda path: Path(path).write_text(text, encoding="utf-8"))
-        print(f"wrote {options['bins_out']}")
-        wrote_file = True
-    if not wrote_file:
-        sys.stdout.write(json_bytes.decode("utf-8"))
+    outputs = [(options[key], serialize) for key, serialize in _EVAL_OUTPUTS if options[key] is not None]
+    if not outputs:
+        sys.stdout.write(rep.to_json_bytes(result).decode("utf-8"))
         return 0
-    for tag in sorted(result.domains):
-        stats = result.domains[tag]
-        parts = [f"{tag}:"]
-        if "miou" in stats:
-            parts.append(f"miou {_percent(stats['miou'])}")
-        if "ece" in stats:
-            parts.append(f"ece {_percent(stats['ece'])}")
-        if "ada_ece" in stats:
-            parts.append(f"ada_ece {_percent(stats['ada_ece'])}")
-        if "ks_error" in stats:
-            parts.append(f"ks {_percent(stats['ks_error'])}")
-        if "prr" in stats:
-            parts.append(f"prr {stats['prr']:.2f}")
-        print("  ".join(parts))
+    for path, serialize in outputs:
+        data = serialize(result)
+        _write_output(path, lambda target: Path(target).write_bytes(data))
+        print(f"wrote {path}")
+    for tag, stats in sorted(result.domains.items()):
+        print("  ".join([f"{tag}:"] + [f"{label} {show(stats[key])}" for key, label, show in _EVAL_SUMMARY
+                                       if key in stats]))
     for tag in sorted(result.ood_auroc):
         print(f"ood_auroc[{tag} vs {result.meta['id_domain']}]: {result.ood_auroc[tag]:.4f}")
     for tag in sorted(result.pixel_ood_auroc):
@@ -310,8 +294,7 @@ def cmd_synth(args) -> int:
     manifest_path = _write_output(args.out, partial(syn.generate_benchmark, config))
     print(f"wrote {manifest_path}")
     for domain in config.domains:
-        cal = domain.calibration_images if domain.calibration_images is not None else config.calibration_images
-        test = domain.test_images if domain.test_images is not None else config.test_images
+        cal, test = syn.image_counts(config, domain)
         print(f"{domain.tag}: tau={domain.true_temperature:g} "
               f"({cal} calibration + {test} test images)")
     if config.holdout_classes:

@@ -10,7 +10,8 @@ supported:
 
 The predicted class is always the argmax of the raw logits, ties broken
 toward the lowest class index, whatever the score and the temperature:
-one positive temperature per pixel never reorders a pixel's classes.
+one positive temperature per pixel never reorders a pixel's classes. A
+:class:`RecordSet` orders and sums its records once for every metric.
 """
 
 from __future__ import annotations
@@ -121,10 +122,9 @@ class RecordSet:
     Parallel arrays: ``confidence`` float64, ``predicted`` and ``actual``
     int64 class indices. Ignored pixels are never present.
 
-    :attr:`order` is the stable ascending order of ``confidence``
-    (:func:`_stable_argsort`), computed on first use and shared by every
-    rank-based metric that reads the set, so one set is ordered at most
-    once.
+    :attr:`order` (the stable ascending order of ``confidence``) and
+    :attr:`running` (sums along it) are computed on first use and shared
+    by every metric that reads the set, so one set is ordered at most once.
     """
 
     confidence: np.ndarray
@@ -159,6 +159,16 @@ class RecordSet:
         :func:`_stable_argsort` for how the tie order is kept.
         """
         return _stable_argsort(self.confidence)
+
+    @cached_property
+    def running(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Confidences along :attr:`order`, and the float64 running sums of confidence and of
+        correctness along it, each n + 1 long from 0; the correctness sums are exact counts."""
+        ordered = self.confidence[self.order]
+        sums = np.zeros((2, ordered.shape[0] + 1))
+        np.cumsum(ordered, out=sums[0, 1:])
+        np.cumsum(self.correct[self.order], dtype=np.float64, out=sums[1, 1:])
+        return ordered, sums[0], sums[1]
 
     @staticmethod
     def concat(parts: list["RecordSet"]) -> "RecordSet":

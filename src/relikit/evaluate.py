@@ -33,13 +33,14 @@ Every per-pixel value is computed by the same operations whatever the
 batch, and images are reduced in sorted image-id order, so the report
 bytes do not depend on the worker count.
 
-Every per-domain quantity is computed once. The equal-width reliability
-bins behind ``ece`` are kept on the report (``bins``, not serialized) for
-``eval --bins-out``, so the bin tables need no second pass. Under the
+An unknown ``id_domain`` fails before any tensor is read. Every
+per-domain quantity is computed once, in one loop over the sorted
+domains. The equal-width reliability bins behind ``ece`` are kept on the
+report (``bins``, not serialized) for ``eval --bins-out``. Under the
 ``max_prob`` score one record set serves calibration and PRR alike, and
-ADA-ECE, KS and PRR share that set's one stable order
-(:attr:`~relikit.confidence.RecordSet.order`), which is built from
-NumPy's unstable default sort; no metric runs a stable sort.
+ADA-ECE, KS and PRR share that set's one stable order and running sums
+(:attr:`~relikit.confidence.RecordSet.running`), built from NumPy's
+unstable default sort; no metric runs a stable sort.
 """
 
 from __future__ import annotations
@@ -204,6 +205,12 @@ def evaluate_manifest(manifest: DatasetManifest, calibrator: Calibrator | None =
     entries = manifest.select(split=config.split)
     if not entries:
         raise ManifestError(f"manifest has no entries in split {config.split!r}")
+    id_domain = config.id_domain
+    present = {entry.domain for entry in entries}
+    if id_domain is None and "id" in present:
+        id_domain = "id"
+    if id_domain is not None and id_domain not in present:
+        raise UsageError(f"in-domain tag {id_domain!r} has no images in split {config.split!r}")
     batches = load_batches(manifest, entries, pixels_per_image=config.pixels_per_image, seed=config.seed,
                            image=needs_image(calibrator),
                            feature=isinstance(calibrator, ClusterTemperatureModel),
@@ -223,61 +230,42 @@ def evaluate_manifest(manifest: DatasetManifest, calibrator: Calibrator | None =
     wanted = set(config.metrics)
     domains = {}
     bins = {}
+    ood_auroc = {}
+    pixel_ood = {}
     for tag in sorted(by_domain):
         group = by_domain[tag]
-        cal_records = _record_set(group, rank=False)
+        records = _record_set(group, rank=False)
         stats = {
             "n_images": len(group),
-            "n_records": len(cal_records),
-            "accuracy": float(cal_records.correct.mean()),
+            "n_records": len(records),
+            "accuracy": float(records.correct.mean()),
             "mean_confidence": float(np.mean([s.mean_confidence for s in group])),
         }
         if "miou" in wanted:
-            pooled = np.zeros((manifest.classes, manifest.classes), dtype=np.int64)
-            for s in group:
-                pooled += s.confusion
-            result = met.iou_from_confusion(pooled)
+            result = met.iou_from_confusion(sum(s.confusion for s in group))
             stats["miou"] = result.miou
             stats["per_class_iou"] = _nullable(result.per_class)
-        partition = met.bin_partition(cal_records, config.bins)
+        partition = met.bin_partition(records, config.bins)
         bins[tag] = _bin_table(partition)
         if "ece" in wanted:
             stats["ece"] = partition.expected_calibration_error()
         if "ada_ece" in wanted:
-            stats["ada_ece"] = met.ada_ece(cal_records, config.bins)
+            stats["ada_ece"] = met.ada_ece(records, config.bins)
         if "ks_error" in wanted:
-            stats["ks_error"] = met.ks_error(cal_records)
+            stats["ks_error"] = met.ks_error(records)
         if "prr" in wanted:
-            rank_records = (cal_records if config.score is ConfidenceScore.MAX_PROB
-                            else _record_set(group, rank=True))
-            stats["prr"] = met.prr(rank_records)
+            if config.score is not ConfidenceScore.MAX_PROB:  # rebinding drops the calibration set's view
+                records = _record_set(group, rank=True)
+            stats["prr"] = met.prr(records)
         domains[tag] = stats
-
-    id_domain = config.id_domain
-    if id_domain is None and "id" in by_domain:
-        id_domain = "id"
-    if id_domain is not None and id_domain not in by_domain:
-        raise UsageError(f"in-domain tag {id_domain!r} has no images in split {config.split!r}")
-
-    ood_auroc = {}
-    if "ood_auroc" in wanted and id_domain is not None:
-        id_means = [s.mean_confidence for s in by_domain[id_domain]]
-        for tag in sorted(by_domain):
-            if tag == id_domain:
-                continue
-            ood_auroc[tag] = met.auroc(id_means, [s.mean_confidence for s in by_domain[tag]])
-
-    pixel_ood = {}
-    if "pixel_ood_auroc" in wanted:
-        for tag in sorted(by_domain):
-            known = [s.known_conf for s in by_domain[tag] if s.known_conf is not None]
-            unknown = [s.unknown_conf for s in by_domain[tag] if s.unknown_conf is not None]
-            if not known:
-                continue
-            known_all = np.concatenate(known)
-            unknown_all = np.concatenate(unknown)
-            if known_all.size and unknown_all.size:
-                pixel_ood[tag] = met.auroc(known_all, unknown_all)
+        if "ood_auroc" in wanted and id_domain not in (None, tag):
+            ood_auroc[tag] = met.auroc([s.mean_confidence for s in by_domain[id_domain]],
+                                       [s.mean_confidence for s in group])
+        masked = [s for s in group if s.known_conf is not None]
+        # masks are read only for pixel_ood_auroc; a domain with no known or no unknown pixel gets no entry
+        if any(s.known_conf.size for s in masked) and any(s.unknown_conf.size for s in masked):
+            pixel_ood[tag] = met.auroc(np.concatenate([s.known_conf for s in masked]),
+                                       np.concatenate([s.unknown_conf for s in masked]))
 
     meta = {
         "split": config.split,

@@ -9,6 +9,9 @@ quality is measured by :func:`iou_from_confusion` over a
 detection are :func:`auroc` over the confidences that
 :func:`~relikit.evaluate.evaluate_manifest` collects.
 
+:func:`ada_ece`, :func:`ks_error` and :func:`prr` read the record set's one
+ordered view with its running sums (:attr:`~relikit.confidence.RecordSet.running`).
+
 All metric functions raise :class:`~relikit.errors.MetricError` when their
 preconditions fail (empty inputs, no evaluable classes, degenerate
 correctness patterns) instead of returning sentinels.
@@ -21,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .confidence import RecordSet, _stable_argsort
+from .confidence import RecordSet
 # Not called here; the benchmark tracer's smoke test looks this binding up.
 from .confidence import confidence_map  # noqa: F401
 from .errors import MetricError
@@ -67,21 +70,20 @@ class BinPartition:
         return float((weights * self.gap[filled]).sum())
 
 
-def _normalized_confidence(records: RecordSet) -> np.ndarray:
-    """Map confidences onto [0, 1] for binning.
+def _normalized_confidence(records: RecordSet) -> RecordSet:
+    """The records with confidences mapped onto [0, 1] for binning.
 
-    Scores already inside [0, 1] pass through untouched. Anything else
-    (e.g. negative entropy) is min-max normalized; a constant score maps
-    to 0.5.
+    Records whose scores already lie inside [0, 1] are returned as they
+    are. Anything else (e.g. negative entropy) is min-max normalized into
+    a new set; a constant score maps to 0.5.
     """
     conf = records.confidence
     lo = conf.min()
     hi = conf.max()
     if lo >= 0.0 and hi <= 1.0:
-        return conf
-    if hi == lo:
-        return np.full_like(conf, 0.5)
-    return (conf - lo) / (hi - lo)
+        return records
+    scaled = np.full_like(conf, 0.5) if hi == lo else (conf - lo) / (hi - lo)
+    return RecordSet(scaled, records.predicted, records.actual)
 
 
 def bin_partition(records: RecordSet, bins: int = DEFAULT_BINS,
@@ -92,12 +94,9 @@ def bin_partition(records: RecordSet, bins: int = DEFAULT_BINS,
     with confidence exactly 1 lands in the last bin. Equal-population bins
     order records by ascending confidence, ties in record order, and cut
     the ordered sequence into ``bins`` runs whose sizes differ by at most
-    one, the first ``n mod bins`` runs taking the extra record. Confidences
-    already in [0, 1] use the set's cached :attr:`RecordSet.order`;
-    min-max-normalized ones are ordered afresh, since normalization can
-    merge distinct scores into ties. Either order is the stable argsort,
-    taken from NumPy's unstable default sort with a tie-group key
-    (:func:`~relikit.confidence._stable_argsort`).
+    one, the first ``n mod bins`` runs taking the extra record, read from
+    :attr:`RecordSet.running`; normalized confidences are a set of their
+    own, ordered afresh, since normalization can merge distinct scores.
     """
     n = len(records)
     if n == 0:
@@ -105,25 +104,21 @@ def bin_partition(records: RecordSet, bins: int = DEFAULT_BINS,
     if bins < 1:
         raise MetricError(f"bin count must be >= 1, got {bins}")
     strategy = BinStrategy(strategy)
-    conf = _normalized_confidence(records)
-    correct = records.correct.astype(np.float64)
+    normalized = _normalized_confidence(records)
     if strategy is BinStrategy.EQUAL_WIDTH:
+        conf = normalized.confidence
         idx = np.minimum(np.floor(conf * bins).astype(np.int64), bins - 1)
         count = np.bincount(idx, minlength=bins)
         sum_conf = np.bincount(idx, weights=conf, minlength=bins)
-        sum_correct = np.bincount(idx, weights=correct, minlength=bins)
+        sum_correct = np.bincount(idx, weights=records.correct.astype(np.float64), minlength=bins)
         lower = np.arange(bins) / bins
         upper = np.arange(1, bins + 1) / bins
     else:
-        order = records.order if conf is records.confidence else _stable_argsort(conf)
+        sorted_conf, cum_conf, cum_correct = normalized.running
         sizes = np.full(bins, n // bins, dtype=np.int64)
         sizes[: n % bins] += 1
         stops = np.cumsum(sizes)
         starts = stops - sizes
-        sorted_conf = conf[order]
-        sorted_correct = correct[order]
-        cum_conf = np.concatenate([[0.0], np.cumsum(sorted_conf)])
-        cum_correct = np.concatenate([[0.0], np.cumsum(sorted_correct)])
         count = sizes
         sum_conf = cum_conf[stops] - cum_conf[starts]
         sum_correct = cum_correct[stops] - cum_correct[starts]
@@ -162,14 +157,12 @@ def ks_error(records: RecordSet) -> float:
 
     Sort records by confidence ascending (stable) and return the largest
     absolute difference between the running sums of confidence and of
-    correctness, divided by n.
+    correctness (:attr:`RecordSet.running`), divided by n.
     """
     n = len(records)
     if n == 0:
         raise MetricError("cannot compute KS error of an empty record set")
-    order = records.order
-    cum_conf = np.cumsum(records.confidence[order])
-    cum_correct = np.cumsum(records.correct[order].astype(np.float64))
+    _, cum_conf, cum_correct = records.running
     return float(np.abs(cum_conf - cum_correct).max() / n)
 
 
@@ -251,9 +244,10 @@ def auroc(positive, negative) -> float:
 def _errors_remaining(records: RecordSet) -> np.ndarray:
     """Errors left after rejecting the k least-confident records, k = 0..n, as int64.
 
-    Tied records are rejected in record order.
+    The k rejected records hold k minus their (exact) running correct count
+    errors. Tied records are rejected in record order.
     """
-    rejected = np.concatenate([[0], np.cumsum(~records.correct[records.order], dtype=np.int64)])
+    rejected = np.arange(len(records) + 1) - records.running[2].astype(np.int64)
     return rejected[-1] - rejected
 
 

@@ -2,10 +2,11 @@
 
 A report is a plain nested structure: per-domain metrics, image-level OOD
 AUROC per shifted domain, pixel-level OOD AUROC where unknown-class masks
-exist, and a metadata echo of the evaluation settings. Serialization is
-deterministic byte for byte: JSON uses sorted keys and Python's float
-repr (which round-trips exactly), NaN is never emitted (absent classes
-serialize as null), and CSV rows follow a fixed order.
+exist, and a metadata echo of the evaluation settings. ``eval`` writes
+:func:`to_json_bytes`, :func:`to_csv_bytes` and :func:`to_bins_bytes`,
+each deterministic byte for byte: JSON uses sorted keys and Python's
+float repr (which round-trips exactly), NaN is never emitted (absent
+classes serialize as null), and CSV rows follow a fixed order.
 """
 
 from __future__ import annotations
@@ -49,6 +50,11 @@ def to_json_bytes(report: ReliabilityReport) -> bytes:
     }
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     return (text + "\n").encode("utf-8")
+
+
+def to_bins_bytes(report: ReliabilityReport) -> bytes:
+    """Each domain's reliability-bin table (``report.bins``) as sorted-key JSON."""
+    return (json.dumps(report.bins, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
 
 
 def from_json_bytes(data: bytes) -> ReliabilityReport:

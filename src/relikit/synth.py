@@ -208,6 +208,13 @@ def generate_scene(config: SynthConfig, domain_tag: str, image_id: str) -> Scene
     )
 
 
+def image_counts(config: SynthConfig, domain: DomainSpec) -> tuple[int, int]:
+    """The domain's (calibration, test) image counts: its own where set, else the config's."""
+    cal = config.calibration_images if domain.calibration_images is None else domain.calibration_images
+    test = config.test_images if domain.test_images is None else domain.test_images
+    return cal, test
+
+
 def generate_benchmark(config: SynthConfig, out_dir) -> Path:
     """Write a full benchmark (tensors plus manifest); returns the manifest path."""
     validate_config(config)
@@ -216,13 +223,8 @@ def generate_benchmark(config: SynthConfig, out_dir) -> Path:
     data.mkdir(parents=True, exist_ok=True)
     entries = []
     for domain in config.domains:
-        counts = (
-            ("calibration", "cal", domain.calibration_images if domain.calibration_images is not None
-             else config.calibration_images),
-            ("test", "test", domain.test_images if domain.test_images is not None
-             else config.test_images),
-        )
-        for split, short, count in counts:
+        cal, test = image_counts(config, domain)
+        for split, short, count in (("calibration", "cal", cal), ("test", "test", test)):
             for i in range(count):
                 image_id = f"{domain.tag}-{short}-{i:03d}"
                 scene = generate_scene(config, domain.tag, image_id)

@@ -520,6 +520,53 @@ class TestEval:
         assert set(json.loads(bins_out.read_text())) == {"id", "warm"}
         assert "id:  miou" in text and "ood_auroc[warm vs id]:" in text
 
+    @pytest.mark.parametrize("score", ["max_prob", "neg_entropy"])
+    def test_stdout_characterized_byte_for_byte(self, holdout_manifest, capsys, tmp_path, score):
+        """The ``wrote`` lines in --out, --csv-out, --bins-out order whatever the flag order, one
+        summary line per domain in tag order, then the image- and pixel-level OOD lines; with no
+        output file, stdout is the JSON report's bytes."""
+        base = ["eval", "--manifest", str(holdout_manifest.root / "manifest.json"),
+                "--score", score, "--seed", "3", "--pixels-per-image", "200"]
+
+        def pct(value):
+            return f"{100.0 * value:.2f}%"
+
+        for metrics, fields in ((None, ("miou", "ece", "ada_ece", "ks_error", "prr")),
+                                ("prr,ks_error,pixel_ood_auroc", ("ks_error", "prr"))):
+            selected = [] if metrics is None else ["--metrics", metrics]
+            paths = {flag: tmp_path / f"{metrics}{suffix}"
+                     for flag, suffix in (("--out", ".json"), ("--csv-out", ".csv"), ("--bins-out", ".bins"))}
+            flags = [arg for flag in ("--bins-out", "--out", "--csv-out") for arg in (flag, str(paths[flag]))]
+            code, out, err = _run(capsys, base + selected + flags)
+            assert code == 0 and err == ""
+            report = json.loads(paths["--out"].read_text())
+            assert report["pixel_ood_auroc"] and (metrics is not None or report["ood_auroc"])
+            lines = [f"wrote {paths[flag]}" for flag in ("--out", "--csv-out", "--bins-out")]
+            for tag, stats in sorted(report["domains"].items()):
+                assert {"miou", "ece", "ada_ece", "ks_error", "prr"} & stats.keys() == set(fields)
+                parts = [f"{tag}:"]
+                parts += [f"{label} {pct(stats[key])}" for key, label in
+                          (("miou", "miou"), ("ece", "ece"), ("ada_ece", "ada_ece"), ("ks_error", "ks"))
+                          if key in fields]
+                parts.append(f"prr {stats['prr']:.2f}")
+                lines.append("  ".join(parts))
+            lines += [f"ood_auroc[{tag} vs id]: {value:.4f}" for tag, value in sorted(report["ood_auroc"].items())]
+            lines += [f"pixel_ood_auroc[{tag}]: {value:.4f}"
+                      for tag, value in sorted(report["pixel_ood_auroc"].items())]
+            assert out == "".join(line + "\n" for line in lines)
+            code, out, err = _run(capsys, base + selected)
+            assert code == 0 and err == ""
+            assert out.encode("utf-8") == paths["--out"].read_bytes()
+
+    def test_unknown_id_domain_is_usage_error_before_any_read(self, bench, capsys, monkeypatch):
+        reads = []
+        read_logits = cli.tensor_io.read_logits
+        monkeypatch.setattr(cli.tensor_io, "read_logits", lambda path: reads.append(path) or read_logits(path))
+        code, out, err = _run(capsys, ["eval", "--manifest", str(bench), "--id-domain", "nope"])
+        assert (code, out) == (1, "")
+        assert err == "error: in-domain tag 'nope' has no images in split 'test'\n"
+        assert reads == []
+
     def test_worker_flag_does_not_change_bytes(self, bench, capsys, tmp_path):
         outs = []
         for workers, name in ((1, "a.json"), (4, "b.json")):

@@ -278,6 +278,17 @@ class TestEceRandomized:
             want = oracle_ece_equal_population(list(conf), list(correct), bins)
             assert abs(got - want) < 1e-12
 
+    def test_normalization_ties_are_ordered_by_record(self):
+        # distinct raw scores that min-max scaling merges into one tie at 0, across the
+        # bin boundary: ties take record order, not the order of the raw scores
+        conf = [4e-300, 3e-300, 2e-300, 1e-300, 5e299, 1e300]
+        correct = [True, False, False, False, False, False]
+        scaled = _normalize(conf)
+        assert len(set(conf)) == 6 and scaled[:4] == [0.0] * 4
+        got = ada_ece(_rs(conf, correct), bins=2)
+        want = oracle_ece_equal_population(conf, correct, 2)
+        assert want == pytest.approx(5 / 12) and abs(got - want) < 1e-12
+
     def test_normalized_scores_match_oracle(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
