@@ -23,11 +23,16 @@ temperature is fitted by a safeguarded Newton search for the root of
 dNLL/dbeta: one pass over the pixels yields the NLL with its exact first
 and second derivatives, and a fit that wants to leave [t_min, t_max] is
 pinned to exactly that bound. A fit shifts each row by its maximum once;
-each pass runs over L2-sized blocks of rows (:data:`BLOCK_VALUES`)
-through one reused buffer, and block sizes that are multiples of 64 rows
-give every row the bits of one whole-array pass. Cluster cells start
-their searches from the per-row terms the global fit kept at T = 1 and
-at the bound it checked.
+each pass runs over L2-sized blocks of rows
+(:data:`~relikit.confidence.BLOCK_VALUES`) through one reused buffer, and
+block sizes that are multiples of 64 rows give every row the bits of one
+whole-array pass. Cluster cells start their searches from the per-row
+terms the global fit kept at T = 1 and at the bound it checked. LTS
+reads the same blocks: :func:`predict_temperature_map` builds,
+standardizes and runs each block of input rows through the network in
+one buffer, and :func:`fit_lts` takes the feature mean and spread block
+by block and standardizes each minibatch as training takes it, so the
+gathered pixel rows are the only (n, K + C) matrix.
 
 Fitting and evaluation read a split through :func:`load_batches`: each
 entry is read, checked and its pixels drawn by :func:`load_entry`, so a
@@ -40,7 +45,8 @@ entry).
 :func:`needs_image` decides whether a calibrator reads the image tensor.
 Every fit stacks its split's drawn pixels once, in entry order, into one
 :class:`CalibrationPixels` set (:func:`gather_pixel_batches`) that records
-each row's entry. Global scaling fits all rows; cluster scaling gives each
+each row's entry and keeps the image channels, when read, next to the
+logits in one float64 matrix. Global scaling fits all rows; cluster scaling gives each
 row a cell id, groups the rows by one stable sort on it and fits each
 cell's contiguous slice; LTS takes its per-row domain weights from the
 entry index. :data:`METHODS` is the one schema of the calibrator artifact,
@@ -60,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import mlp, tensor_io
-from .confidence import scaled_logits
+from .confidence import _block_rows, _blocks, scaled_logits
 from .errors import (CalibrationError, InvalidTensorError, ManifestError, NumericalError, RelikitError,
                      TensorFormatError, UsageError, convert_option, read_json_object)
 from .kmeans import assign_points, kmeans
@@ -82,8 +88,6 @@ DEFAULT_PIXELS_PER_IMAGE = 20_000
 DEFAULT_CLUSTERS = 16
 # Pixels per batch of same-grid entries: a 128 x 256 image fills one on its own.
 BATCH_PIXELS = 1 << 15
-# float64 values per block of a temperature fit's passes: 512 KiB, so a block stays in L2.
-BLOCK_VALUES = 1 << 16
 
 
 class ClusterVariant(str, Enum):
@@ -167,29 +171,6 @@ def scaled_nll(logits: np.ndarray, labels: np.ndarray, temperature: float) -> fl
     shift = z.max(axis=1, keepdims=True)
     lse = shift[:, 0] + np.log(np.exp(z - shift).sum(axis=1))
     return float((lse - z[np.arange(z.shape[0]), labels]).mean())
-
-
-def _block_rows(classes: int) -> int:
-    """Rows per block of a pass over (n, classes) rows: a multiple of 64 holding about :data:`BLOCK_VALUES` values."""
-    return max(64, BLOCK_VALUES // classes // 64 * 64)
-
-
-def _blocks(rows: int, classes: int) -> list[slice]:
-    """The row blocks of one NLL pass, each summed by one BLAS matrix-vector product.
-
-    Such a product gives a row the same bits wherever the row sits, except
-    in its last ``rows % 4`` rows, which the kernel finishes one or two at a
-    time (and in a one-row product, which NumPy hands to a dot kernel). So
-    every block but the last holds a multiple of 64 rows, and the last
-    holds the final ``rows % 64`` rows, 64 more when that leaves fewer than
-    4: every row then gets the bits that one product over all rows gives it
-    on one BLAS thread, and two (or four) BLAS threads, which split a block
-    in equal parts, give the same bits.
-    """
-    tail = min(rows, rows % 64 + (64 if rows % 64 < 4 else 0))
-    step = _block_rows(classes)
-    return [slice(start, min(start + step, rows - tail)) for start in range(0, rows - tail, step)] + [
-        slice(rows - tail, rows)]
 
 
 def _shift_rows(z: np.ndarray) -> np.ndarray:
@@ -557,13 +538,30 @@ class CalibrationPixels:
     """The drawn pixels of a list of entries, stacked in entry order.
 
     Row i was drawn from ``entries[entry[i]]``; each entry's rows are
-    contiguous and in pixel order.
+    contiguous and in pixel order. ``values`` holds each row's K logits
+    and, when the image was gathered, its C channels after them, so the
+    LTS input rows of every feature mode are views of it (:meth:`lts_input`).
     """
 
-    logits: np.ndarray                  # (n, K) float64
+    values: np.ndarray                  # (n, K) or (n, K + C) float64
     labels: np.ndarray                  # (n,) int64
     entry: np.ndarray                   # (n,) int64 index into the gathered entries
-    channels: np.ndarray | None = None  # (n, C) float64 per-pixel image channels
+    classes: int
+
+    @property
+    def logits(self) -> np.ndarray:
+        """(n, K) float64."""
+        return self.values[:, :self.classes]
+
+    @property
+    def channels(self) -> np.ndarray | None:
+        """(n, C) float64 per-pixel image channels, or None when the image was not gathered."""
+        return self.values[:, self.classes:] if self.values.shape[1] > self.classes else None
+
+    def lts_input(self, mode: FeatureMode) -> np.ndarray:
+        """The regressor's input rows in ``mode``: the logits, the channels or both."""
+        return {FeatureMode.LOGITS: self.logits, FeatureMode.IMAGE: self.channels,
+                FeatureMode.BOTH: self.values}[mode]
 
 
 def gather_pixel_batches(manifest: DatasetManifest, entries: list[ManifestEntry], *,
@@ -580,11 +578,20 @@ def gather_pixel_batches(manifest: DatasetManifest, entries: list[ManifestEntry]
         if need_image:
             channels.append(batch.drawn(_stack([one.image.data for one in batch.loaded])))
         counts.extend(one.rows.size for one in batch.loaded)
+    del batch  # the last batch's tensors
+    groups = [logits, channels] if need_image else [logits]
+    values = np.empty((sum(counts), sum(group[0].shape[1] for group in groups)))
+    column = 0
+    for group in groups:
+        width = group[0].shape[1]
+        np.concatenate(group, out=values[:, column:column + width])
+        group.clear()
+        column += width
     return CalibrationPixels(
-        logits=np.concatenate(logits, dtype=np.float64),
+        values=values,
         labels=np.concatenate(labels, dtype=np.int64),
         entry=np.repeat(np.arange(len(entries)), counts),
-        channels=np.concatenate(channels, dtype=np.float64) if need_image else None,
+        classes=manifest.classes,
     )
 
 
@@ -662,15 +669,35 @@ def assign_cluster(model: ClusterTemperatureModel, feature: np.ndarray) -> int:
     return int(assign_points(model.centroids, feature)[0])
 
 
-def _lts_input(mode: FeatureMode, logits: np.ndarray, channels: np.ndarray | None) -> np.ndarray:
-    """The regressor's per-pixel input rows: (n, K) logits, (n, C) channels or both.
+def _lts_parts(mode: FeatureMode, logits: np.ndarray, channels: np.ndarray | None) -> list[np.ndarray]:
+    """The column groups of the regressor's per-pixel input rows: (n, K) logits, (n, C) channels or both."""
+    return {FeatureMode.LOGITS: [logits], FeatureMode.IMAGE: [channels], FeatureMode.BOTH: [logits, channels]}[mode]
 
-    Always a new float64 array, never a view of the caller's, so it may be
-    standardized in place.
+
+def _feature_stats(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``features.mean(axis=0)`` and ``features.std(axis=0)`` bit for bit, through one block buffer.
+
+    NumPy sums the rows of a C-ordered matrix one after another into the
+    column sums, starting from 0. Each block does the same from the sums
+    so far, added to its first row, so no (n, D) temporary is made.
     """
-    parts = {FeatureMode.LOGITS: [logits], FeatureMode.IMAGE: [channels],
-             FeatureMode.BOTH: [logits, channels]}[mode]
-    return np.concatenate(parts, axis=1, dtype=np.float64)
+    n = features.shape[0]
+    step = _block_rows(features.shape[1])
+    buffer = np.empty((min(step, n), features.shape[1]))
+    mean = np.zeros(features.shape[1])
+    squares = np.zeros(features.shape[1])
+    for total, centre in ((mean, None), (squares, mean)):
+        for start in range(0, n, step):
+            block = buffer[:min(step, n - start)]
+            if centre is None:
+                np.copyto(block, features[start:start + step])
+            else:
+                np.subtract(features[start:start + step], centre, out=block)
+                block *= block
+            block[0] += total
+            np.add.reduce(block, axis=0, out=total)
+        total /= n
+    return mean, np.sqrt(squares, out=squares)
 
 
 def fit_lts(manifest: DatasetManifest, *, feature_mode: FeatureMode = FeatureMode.BOTH,
@@ -700,18 +727,15 @@ def fit_lts(manifest: DatasetManifest, *, feature_mode: FeatureMode = FeatureMod
         manifest, entries, pixels_per_image=pixels_per_image, seed=seed,
         need_image=needs_image(feature_mode),
     )
-    features = _lts_input(feature_mode, pixels.logits, pixels.channels)
+    features = pixels.lts_input(feature_mode)
     weights = None
     if hyper.domain_weights is not None:
         per_entry = [float(hyper.domain_weights.get(entry.domain, 1.0)) for entry in entries]
         weights = np.array(per_entry)[pixels.entry]
         if weights.sum() == 0:
             raise CalibrationError("domain weights are zero on every calibration pixel")
-    mean = features.mean(axis=0)
-    scale = features.std(axis=0)
+    mean, scale = _feature_stats(features)
     scale[scale < 1e-12] = 1.0
-    features -= mean
-    features /= scale
     params = mlp.init_params(
         features.shape[1], hyper.hidden_width,
         derive_stream(seed, "lts-init"),
@@ -720,7 +744,7 @@ def fit_lts(manifest: DatasetManifest, *, feature_mode: FeatureMode = FeatureMod
     curve = mlp.sgd_train(
         params, features, pixels.logits, pixels.labels, hyper.t_floor,
         hyper.learning_rate, hyper.epochs, hyper.batch_pixels,
-        derive_stream(seed, "lts-batches"), weights,
+        derive_stream(seed, "lts-batches"), weights, (mean, scale),
     )
     if (curve and not np.isfinite(curve[-1])) or not np.isfinite(params.to_vector()).all():
         raise NumericalError("temperature regressor training diverged")
@@ -738,22 +762,37 @@ def fit_lts(manifest: DatasetManifest, *, feature_mode: FeatureMode = FeatureMod
 
 def predict_temperature_map(regressor: TemperatureRegressor, logits: LogitTensor,
                             image: ImageTensor | None = None) -> TemperatureMap:
-    """Per-pixel temperatures for one image."""
+    """Per-pixel temperatures for one image.
+
+    The input rows are built, standardized and run through the network
+    block by block (:func:`~relikit.confidence._blocks`, blocks of at
+    least 128 rows), through one buffer of each kind, so the map is the
+    only whole-image array made. Each BLAS product then gives every row the
+    bits of one product over the whole image.
+    """
     channels = None
     if needs_image(regressor):
         if image is None:
             raise CalibrationError(f"feature mode {regressor.feature_mode.value} needs the image tensor")
         check_same_shape(logits, image, "logits vs image")
         channels = image.data.reshape(-1, image.channels)
-    features = _lts_input(regressor.feature_mode, logits.data.reshape(-1, logits.classes), channels)
-    if features.shape[1] != regressor.input_dim:
-        raise CalibrationError(
-            f"feature dimension {features.shape[1]} does not match the regressor's {regressor.input_dim}"
-        )
-    features -= regressor.feature_mean
-    features /= regressor.feature_scale
-    raw = mlp.raw_output(regressor.params, features)
-    t = mlp.softplus(raw) + regressor.t_floor
+    parts = _lts_parts(regressor.feature_mode, logits.data.reshape(-1, logits.classes), channels)
+    width = sum(part.shape[1] for part in parts)
+    if width != regressor.input_dim:
+        raise CalibrationError(f"feature dimension {width} does not match the regressor's {regressor.input_dim}")
+    blocks = _blocks(logits.height * logits.width, width, least=128)
+    size = max(block.stop - block.start for block in blocks)
+    features = np.empty((size, width))
+    hidden = np.empty((size, regressor.hidden_width))
+    t = np.empty(logits.height * logits.width)
+    for block in blocks:
+        rows = features[:block.stop - block.start]
+        np.concatenate([part[block] for part in parts], axis=1, out=rows)
+        rows -= regressor.feature_mean
+        rows /= regressor.feature_scale
+        raw = mlp.raw_output(regressor.params, rows, t[block], hidden[:rows.shape[0]])
+        mlp.softplus(raw, out=raw)
+        raw += regressor.t_floor
     return TemperatureMap(t.reshape(logits.height, logits.width))
 
 

@@ -262,6 +262,8 @@ def cmd_eval(args) -> int:
     )
     calibrator = None if options["calibrator"] is None else load_calibrator(options["calibrator"])
     result = ev.evaluate_manifest(manifest, calibrator, config)
+    for warning in result.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     outputs = [(options[key], serialize) for key, serialize in _EVAL_OUTPUTS if options[key] is not None]
     if not outputs:
         sys.stdout.write(rep.to_json_bytes(result).decode("utf-8"))

@@ -12,10 +12,21 @@ The predicted class is always the argmax of the raw logits, ties broken
 toward the lowest class index, whatever the score and the temperature:
 one positive temperature per pixel never reorders a pixel's classes. A
 :class:`RecordSet` orders and sums its records once for every metric.
+
+Every per-pixel pass of the package runs over blocks of about
+:data:`BLOCK_VALUES` float64 values (512 KiB, so a block stays in L2),
+sized here by one rule (:func:`_block_rows`, :func:`_blocks`): the
+confidence pass, the temperature fit's NLL passes, the LTS prediction and
+feature statistics, and the synthetic scene generator. A pass holds its
+outputs and a few blocks, never a float64 copy of a whole image, and
+each output keeps the bits of one whole-array pass: an elementwise value
+or a row's own sum does not depend on the block, and a block of a BLAS
+product is cut where the product gives every row the same bits.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -31,6 +42,78 @@ class ConfidenceScore(str, Enum):
     NEG_ENTROPY = "neg_entropy"
 
 
+# float64 values per block of a per-pixel pass: 512 KiB, so a block stays in L2.
+BLOCK_VALUES = 1 << 16
+
+
+def _block_rows(classes: int) -> int:
+    """Rows per block of a pass over (n, classes) rows: a multiple of 64 holding about :data:`BLOCK_VALUES` values."""
+    return max(64, BLOCK_VALUES // classes // 64 * 64)
+
+
+def _blocks(rows: int, classes: int, least: int = 4) -> list[slice]:
+    """The row blocks of one pass over (rows, classes) rows, for passes whose row sums are BLAS products.
+
+    A matrix-vector product gives a row the same bits wherever the row
+    sits, except in its last ``rows % 4`` rows, which the kernel finishes
+    one or two at a time (and in a one-row product, which NumPy hands to a
+    dot kernel). So every block but the last holds a multiple of 64 rows,
+    and the last holds the final ``rows % 64`` rows, plus 64 as often as
+    it takes to hold ``least`` rows: every row then gets the bits that one
+    product over all rows gives it on one BLAS thread, and two (or four)
+    BLAS threads, which split a block in equal parts, give the same bits.
+    A matrix-matrix product of fewer than about 76 rows sums in another
+    order than a longer one, so a pass that makes one asks for ``least`` =
+    128: no block is then shorter, a short block before the last joining it.
+    """
+    tail = rows % 64
+    while tail < min(least, rows):
+        tail += 64
+    step = max(_block_rows(classes), least)
+    head = rows - tail
+    if head % step < least:
+        head -= head % step
+    return [slice(start, min(start + step, head)) for start in range(0, head, step)] + [slice(head, rows)]
+
+
+def _image_blocks(images: int, pixels: int, classes: int) -> Iterator[tuple[slice, slice]]:
+    """(image slice, pixel slice) blocks of a pass over ``images`` images of ``pixels`` (pixels, classes) rows.
+
+    An image of at most :func:`_block_rows` pixels goes whole, as many to a
+    block as fit, so a per-image scalar is applied over a whole image at
+    once; a larger image is cut into the row blocks of :func:`_blocks`.
+    """
+    step = _block_rows(classes)
+    if pixels <= step:
+        per_block = step // max(pixels, 1)
+        for start in range(0, images, per_block):
+            yield slice(start, min(start + per_block, images)), slice(0, pixels)
+        return
+    blocks = _blocks(pixels, classes)
+    for image in range(images):
+        for block in blocks:
+            yield slice(image, image + 1), block
+
+
+def _checked_temperature(pixel_shape: tuple, temperature: float | np.ndarray | TemperatureMap):
+    """``temperature`` checked against logits of pixel shape ``pixel_shape``, as a float64 array.
+
+    A :class:`TemperatureMap` must have the pixel shape; anything else is
+    a positive finite scalar (0-d) or one per image of a stack.
+    """
+    if isinstance(temperature, TemperatureMap):
+        if temperature.values.shape != pixel_shape:
+            raise CalibrationError(
+                f"temperature map shape {temperature.values.shape} does not match image {pixel_shape}")
+        return temperature.values
+    t = np.asarray(temperature, dtype=np.float64)
+    if not np.all(np.isfinite(t) & (t > 0.0)):
+        raise CalibrationError(f"temperature must be positive and finite, got {temperature}")
+    if t.ndim and t.shape != pixel_shape[:-2]:  # one T per image of a stack
+        raise CalibrationError(f"{t.size} temperatures for a stack of {pixel_shape[:-2]} images")
+    return t
+
+
 def scaled_logits(logits: np.ndarray, temperature: float | np.ndarray | TemperatureMap) -> np.ndarray:
     """float64 (..., K) logits / T.
 
@@ -38,19 +121,10 @@ def scaled_logits(logits: np.ndarray, temperature: float | np.ndarray | Temperat
     (B, H, W, K) stack, or a :class:`TemperatureMap` of the logits' pixel
     shape: (H, W), or (B, H, W) for a stack.
     """
+    t = _checked_temperature(logits.shape[:-1], temperature)
+    if not isinstance(temperature, TemperatureMap) and t.ndim:
+        t = t[:, None, None]
     z = logits.astype(np.float64)
-    if isinstance(temperature, TemperatureMap):
-        t = temperature.values
-        if t.shape != z.shape[:-1]:
-            raise CalibrationError(f"temperature map shape {t.shape} does not match image {z.shape[:-1]}")
-    else:
-        t = np.asarray(temperature, dtype=np.float64)
-        if not np.all(np.isfinite(t) & (t > 0.0)):
-            raise CalibrationError(f"temperature must be positive and finite, got {temperature}")
-        if t.ndim:  # one T per image of a stack
-            if t.shape != z.shape[:-3]:
-                raise CalibrationError(f"{t.size} temperatures for a stack of {z.shape[:-3]} images")
-            t = t[:, None, None]
     z /= t[..., None]
     return z
 
@@ -65,7 +139,8 @@ def confidence_map(logits: LogitTensor | np.ndarray, temperature: float | np.nda
     the scaled logits minus their row maximum and s = sum_k exp z_k,
     ``max_prob`` is 1 / s; ``neg_entropy`` is sum_k p_k ln p_k over
     p = exp z / s, with 0 * ln 0 = 0, so one-hot distributions score
-    exactly 0. No probability tensor is kept.
+    exactly 0. No probability tensor is kept, and no float64 copy of the
+    logits: the pass runs over blocks of :data:`BLOCK_VALUES` values.
     """
     score = ConfidenceScore(score)
     max_prob, neg_entropy, predicted = _confidence_pass(
@@ -75,21 +150,47 @@ def confidence_map(logits: LogitTensor | np.ndarray, temperature: float | np.nda
 
 def _confidence_pass(logits: LogitTensor | np.ndarray, temperature: float | np.ndarray | TemperatureMap, *,
                      entropy: bool):
-    """(max_prob, neg_entropy or None, predicted) from one exp pass, as :func:`confidence_map` defines them."""
+    """(max_prob, neg_entropy or None, predicted) from one exp pass, as :func:`confidence_map` defines them.
+
+    The pass runs block by block (:func:`_image_blocks`), each block scaled
+    by :func:`scaled_logits` and reduced to its rows' outputs, so it holds
+    the outputs and a few blocks. Every value is a function of its pixel's
+    logits and temperature alone, so each pixel gets the bits of one
+    whole-array pass.
+    """
     if isinstance(logits, LogitTensor):
         logits = logits.data
-    predicted = logits.argmax(axis=-1).astype(np.int64)
-    z = scaled_logits(logits, temperature)
-    z -= np.take_along_axis(z, predicted[..., None], axis=-1)
-    e = np.exp(z, out=z)
-    total = e.sum(axis=-1, keepdims=True)
-    max_prob = 1.0 / total[..., 0]
-    if not entropy:
-        return max_prob, None, predicted
-    p = np.divide(e, total, out=e)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    return max_prob, terms.sum(axis=-1), predicted
+    pixel_shape = logits.shape[:-1]
+    t = _checked_temperature(pixel_shape, temperature)
+    images = int(np.prod(pixel_shape[:-2]))
+    pixels = int(np.prod(pixel_shape[-2:]))
+    rows = logits.reshape(images, 1, pixels, logits.shape[-1])  # a stack of one-row images, as scaled_logits takes
+    is_map = isinstance(temperature, TemperatureMap)
+    if is_map:
+        t = t.reshape(images, 1, pixels)
+    elif t.ndim:  # one T per image
+        t = t.reshape(images)
+    max_prob = np.empty((images, 1, pixels))
+    neg_entropy = np.empty((images, 1, pixels)) if entropy else None
+    predicted = np.empty((images, 1, pixels), dtype=np.int64)
+    for image, pixel in _image_blocks(images, pixels, logits.shape[-1]):
+        block = rows[image, :, pixel]
+        top = predicted[image, :, pixel]
+        np.argmax(block, axis=-1, out=top)
+        z = scaled_logits(block, TemperatureMap(t[image, :, pixel]) if is_map else t[image] if t.ndim else t)
+        z -= np.take_along_axis(z, top[..., None], axis=-1)
+        e = np.exp(z, out=z)
+        total = e.sum(axis=-1, keepdims=True)
+        np.divide(1.0, total[..., 0], out=max_prob[image, :, pixel])
+        if entropy:
+            p = np.divide(e, total, out=e)
+            # p ln p with 0 ln 0 = 0: ln 1 * 0 is 0 as well
+            terms = np.where(p > 0.0, p, 1.0)
+            np.log(terms, out=terms)
+            terms *= p
+            np.add.reduce(terms, axis=-1, out=neg_entropy[image, :, pixel])
+    return (max_prob.reshape(pixel_shape), None if neg_entropy is None else neg_entropy.reshape(pixel_shape),
+            predicted.reshape(pixel_shape))
 
 
 def _stable_argsort(values: np.ndarray) -> np.ndarray:
@@ -122,9 +223,11 @@ class RecordSet:
     Parallel arrays: ``confidence`` float64, ``predicted`` and ``actual``
     int64 class indices. Ignored pixels are never present.
 
-    :attr:`order` (the stable ascending order of ``confidence``) and
-    :attr:`running` (sums along it) are computed on first use and shared
-    by every metric that reads the set, so one set is ordered at most once.
+    :attr:`order` (the stable ascending order of ``confidence``),
+    :attr:`running_correct` and :attr:`running` (sums along it) are
+    computed on first use and shared by every metric that reads the set,
+    so one set is ordered at most once, and a set read only by ``prr``
+    never gathers or sums its confidences.
     """
 
     confidence: np.ndarray
@@ -161,14 +264,20 @@ class RecordSet:
         return _stable_argsort(self.confidence)
 
     @cached_property
+    def running_correct(self) -> np.ndarray:
+        """The float64 running count of correct records along :attr:`order`, n + 1 long from 0."""
+        sums = np.zeros(len(self) + 1)
+        np.cumsum(self.correct[self.order], dtype=np.float64, out=sums[1:])
+        return sums
+
+    @cached_property
     def running(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Confidences along :attr:`order`, and the float64 running sums of confidence and of
-        correctness along it, each n + 1 long from 0; the correctness sums are exact counts."""
+        correctness (:attr:`running_correct`) along it, each n + 1 long from 0."""
         ordered = self.confidence[self.order]
-        sums = np.zeros((2, ordered.shape[0] + 1))
-        np.cumsum(ordered, out=sums[0, 1:])
-        np.cumsum(self.correct[self.order], dtype=np.float64, out=sums[1, 1:])
-        return ordered, sums[0], sums[1]
+        sums = np.zeros(ordered.shape[0] + 1)
+        np.cumsum(ordered, out=sums[1:])
+        return ordered, sums, self.running_correct
 
     @staticmethod
     def concat(parts: list["RecordSet"]) -> "RecordSet":

@@ -36,11 +36,15 @@ bytes do not depend on the worker count.
 An unknown ``id_domain`` fails before any tensor is read. Every
 per-domain quantity is computed once, in one loop over the sorted
 domains. The equal-width reliability bins behind ``ece`` are kept on the
-report (``bins``, not serialized) for ``eval --bins-out``. Under the
+report (``bins``, not serialized) for ``eval --bins-out``, and so is
+one warning (``warnings``) per masked domain that gets no
+``pixel_ood_auroc`` for want of a known or an unknown pixel. Under the
 ``max_prob`` score one record set serves calibration and PRR alike, and
 ADA-ECE, KS and PRR share that set's one stable order and running sums
 (:attr:`~relikit.confidence.RecordSet.running`), built from NumPy's
-unstable default sort; no metric runs a stable sort.
+unstable default sort; no metric runs a stable sort. Under
+``neg_entropy`` the ranking set serves PRR alone, which reads only its
+running correct count.
 """
 
 from __future__ import annotations
@@ -232,6 +236,7 @@ def evaluate_manifest(manifest: DatasetManifest, calibrator: Calibrator | None =
     bins = {}
     ood_auroc = {}
     pixel_ood = {}
+    warnings = []
     for tag in sorted(by_domain):
         group = by_domain[tag]
         records = _record_set(group, rank=False)
@@ -262,10 +267,16 @@ def evaluate_manifest(manifest: DatasetManifest, calibrator: Calibrator | None =
             ood_auroc[tag] = met.auroc([s.mean_confidence for s in by_domain[id_domain]],
                                        [s.mean_confidence for s in group])
         masked = [s for s in group if s.known_conf is not None]
-        # masks are read only for pixel_ood_auroc; a domain with no known or no unknown pixel gets no entry
-        if any(s.known_conf.size for s in masked) and any(s.unknown_conf.size for s in masked):
+        # masks are read only for pixel_ood_auroc; a masked domain with no known or no unknown pixel
+        # gets no entry, and a warning
+        known = sum(s.known_conf.size for s in masked)
+        unknown = sum(s.unknown_conf.size for s in masked)
+        if known and unknown:
             pixel_ood[tag] = met.auroc(np.concatenate([s.known_conf for s in masked]),
                                        np.concatenate([s.unknown_conf for s in masked]))
+        elif masked:
+            warnings.append(f"{tag}: no pixel_ood_auroc, its masks hold {known} known "
+                            f"and {unknown} unknown pixels")
 
     meta = {
         "split": config.split,
@@ -278,6 +289,6 @@ def evaluate_manifest(manifest: DatasetManifest, calibrator: Calibrator | None =
         "ignore_value": manifest.ignore_value,
         "metrics": sorted(wanted),
     }
-    return ReliabilityReport(meta=meta, domains=domains,
-                             ood_auroc=ood_auroc, pixel_ood_auroc=pixel_ood, bins=bins)
+    return ReliabilityReport(meta=meta, domains=domains, ood_auroc=ood_auroc, pixel_ood_auroc=pixel_ood,
+                             bins=bins, warnings=tuple(warnings))
 

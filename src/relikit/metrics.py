@@ -9,8 +9,10 @@ quality is measured by :func:`iou_from_confusion` over a
 detection are :func:`auroc` over the confidences that
 :func:`~relikit.evaluate.evaluate_manifest` collects.
 
-:func:`ada_ece`, :func:`ks_error` and :func:`prr` read the record set's one
-ordered view with its running sums (:attr:`~relikit.confidence.RecordSet.running`).
+:func:`ada_ece` and :func:`ks_error` read the record set's one ordered view
+with its running sums (:attr:`~relikit.confidence.RecordSet.running`), and
+:func:`prr` only its running correct count
+(:attr:`~relikit.confidence.RecordSet.running_correct`).
 
 All metric functions raise :class:`~relikit.errors.MetricError` when their
 preconditions fail (empty inputs, no evaluable classes, degenerate
@@ -247,7 +249,7 @@ def _errors_remaining(records: RecordSet) -> np.ndarray:
     The k rejected records hold k minus their (exact) running correct count
     errors. Tied records are rejected in record order.
     """
-    rejected = np.arange(len(records) + 1) - records.running[2].astype(np.int64)
+    rejected = np.arange(len(records) + 1) - records.running_correct.astype(np.int64)
     return rejected[-1] - rejected
 
 

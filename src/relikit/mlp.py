@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def softplus(x):
-    return np.logaddexp(0.0, x)
+def softplus(x, out=None):
+    return np.logaddexp(0.0, x, out=out)
 
 
 def softplus_inverse(y: float) -> float:
@@ -65,14 +65,18 @@ def init_params(input_dim: int, hidden: int, rng: np.random.Generator, raw_bias:
     )
 
 
-def _hidden(params: MlpParams, features: np.ndarray) -> np.ndarray:
-    hidden = features @ params.w1.T
+def _hidden(params: MlpParams, features: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    hidden = np.matmul(features, params.w1.T, out=out)
     hidden += params.b1
     return np.tanh(hidden, out=hidden)
 
 
-def raw_output(params: MlpParams, features: np.ndarray) -> np.ndarray:
-    return _hidden(params, features) @ params.w2 + params.b2
+def raw_output(params: MlpParams, features: np.ndarray, out: np.ndarray | None = None,
+               hidden: np.ndarray | None = None) -> np.ndarray:
+    """Each row's raw output, written into ``out`` (n,) and through ``hidden`` (n, hidden) when given."""
+    raw = np.matmul(_hidden(params, features, hidden), params.w2, out=out)
+    raw += params.b2
+    return raw
 
 
 def loss_and_grads(params: MlpParams, features: np.ndarray, logits: np.ndarray,
@@ -118,10 +122,20 @@ def loss_and_grads(params: MlpParams, features: np.ndarray, logits: np.ndarray,
     return loss, MlpParams(g_w1, g_b1, g_w2, g_b2), t
 
 
+def _take_rows(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``matrix[rows]``; ``np.take`` is faster on a C-ordered matrix but copies any other whole."""
+    return np.take(matrix, rows, axis=0) if matrix.flags.c_contiguous else matrix[rows]
+
+
 def sgd_train(params: MlpParams, features: np.ndarray, logits: np.ndarray, labels: np.ndarray,
               t_floor: float, learning_rate: float, epochs: int, batch_pixels: int,
-              rng: np.random.Generator, weights: np.ndarray | None = None) -> list[float]:
+              rng: np.random.Generator, weights: np.ndarray | None = None,
+              standardize: tuple[np.ndarray, np.ndarray] | None = None) -> list[float]:
     """Mini-batch gradient descent in place; returns the per-epoch training loss.
+
+    With ``standardize`` = (mean, scale), each minibatch's feature rows are
+    taken as (row - mean) / scale, the values a standardized copy of
+    ``features`` would hold.
 
     Each epoch takes ``ceil(n / batch_pixels)`` gradient steps and records the
     mean of their minibatch losses, each weighted by its batch's row count, or
@@ -143,9 +157,12 @@ def sgd_train(params: MlpParams, features: np.ndarray, logits: np.ndarray, label
             batch_mass = batch.size if weights is None else float(batch_weights.sum())
             if batch_mass == 0:
                 continue
+            rows = _take_rows(features, batch)
+            if standardize is not None:
+                rows -= standardize[0]
+                rows /= standardize[1]
             loss, grads, _ = loss_and_grads(
-                params, np.take(features, batch, axis=0), np.take(logits, batch, axis=0),
-                labels[batch], t_floor, batch_weights,
+                params, rows, _take_rows(logits, batch), labels[batch], t_floor, batch_weights,
             )
             params.w1 -= learning_rate * grads.w1
             params.b1 -= learning_rate * grads.b1

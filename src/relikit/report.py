@@ -30,8 +30,10 @@ class ReliabilityReport:
 
     ``bins`` holds each domain's equal-width reliability-bin table (bin
     edges, counts, mean confidence and accuracy) from the same pass as the
-    metrics. It is what ``eval --bins-out`` writes; the JSON and CSV
-    reports do not carry it, and it takes no part in equality.
+    metrics. It is what ``eval --bins-out`` writes. ``warnings`` holds one
+    line per thing the evaluation left out, which ``eval`` prints on
+    stderr. The JSON and CSV reports carry neither, and neither takes part
+    in equality.
     """
 
     meta: dict
@@ -39,6 +41,7 @@ class ReliabilityReport:
     ood_auroc: dict[str, float] = field(default_factory=dict)
     pixel_ood_auroc: dict[str, float] = field(default_factory=dict)
     bins: dict[str, dict] = field(default_factory=dict, compare=False, repr=False)
+    warnings: tuple[str, ...] = field(default=(), compare=False, repr=False)
 
 
 def to_json_bytes(report: ReliabilityReport) -> bytes:

@@ -17,7 +17,11 @@ held-out classes are re-labelled as ignore, flagged in the mask, and get
 their logits damped so the model is visibly less confident there.
 
 All randomness is drawn from one stream per (seed, image_id), so any
-image is reproducible in isolation.
+image is reproducible in isolation. An image is built in place and in
+blocks of image rows of about :data:`~relikit.confidence.BLOCK_VALUES`
+values, each draw taken block by block in stream order: generating it
+holds its outputs and a few blocks, and gives the bits of whole-image
+arrays.
 
 A benchmark config (``relikit synth --config``) is a JSON object whose keys
 are the fields of :class:`SynthConfig`; ``domains`` is a list of objects
@@ -35,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor_io
+from .confidence import _block_rows
 from .errors import UsageError, convert_option, parse_json_object
 from .manifest import DatasetManifest, ManifestEntry, save_manifest
 from .rng import derive_stream
@@ -131,26 +136,56 @@ def validate_config(config: SynthConfig) -> None:
         raise UsageError("holdout_logit_damp must be in (0, 1]")
 
 
-def _box_smooth_axis(arr: np.ndarray, radius: int, axis: int) -> np.ndarray:
-    n = arr.shape[axis]
-    cumsum = np.cumsum(arr, axis=axis)
-    pad_shape = list(arr.shape)
-    pad_shape[axis] = 1
-    cumsum = np.concatenate([np.zeros(pad_shape), cumsum], axis=axis)
-    idx = np.arange(n)
-    lo = np.maximum(idx - radius, 0)
-    hi = np.minimum(idx + radius + 1, n)
-    window = np.take(cumsum, hi, axis=axis) - np.take(cumsum, lo, axis=axis)
-    counts_shape = [1] * arr.ndim
-    counts_shape[axis] = n
-    return window / (hi - lo).reshape(counts_shape)
+def _smooth_in_place(field: np.ndarray, radius: int, step: int) -> np.ndarray:
+    """:func:`box_smooth` of a float64 (h, w, k) field written over it, ``step`` image rows at a time.
+
+    Each axis takes window sums as differences of running sums from 0,
+    np.cumsum's sequential bits. Down the rows the running sums are carried
+    from block to block in a buffer of ``step + 2 * radius + 1`` rows; a
+    block's rows are written once the running sums reach ``radius`` rows
+    past it, so every row they still need is unread. Across the columns
+    each block is summed on its own.
+    """
+    h, w = field.shape[:2]
+    index = np.arange(h)
+    lo = np.maximum(index - radius, 0)
+    hi = np.minimum(index + radius + 1, h)
+    across = np.arange(w)
+    left = np.maximum(across - radius, 0)
+    right = np.minimum(across + radius + 1, w)
+    width = (right - left).reshape(w, 1)
+    sums = np.zeros((min(step, h) + 2 * radius + 1, *field.shape[1:]))  # running sums of rows first..top
+    row_sums = np.zeros((min(step, h), w + 1, *field.shape[2:]))
+    first = top = 0
+    for start in range(0, h, step):
+        rows = field[start:start + step]
+        need_lo, need_hi = lo[start], hi[start + rows.shape[0] - 1]
+        sums[:top - need_lo + 1] = sums[need_lo - first:top - first + 1]
+        first = need_lo
+        fresh = sums[top - first:need_hi - first + 1]
+        fresh[1:] = field[top:need_hi]
+        run = fresh[1:] if top == 0 else fresh  # the first running sum is the first row itself, as in np.cumsum
+        np.cumsum(run, axis=0, out=run)
+        top = need_hi
+        span = slice(start, start + rows.shape[0])
+        np.subtract(sums[hi[span] - first], sums[lo[span] - first], out=rows)
+        rows /= (hi[span] - lo[span]).reshape(-1, 1, 1)
+        summed = row_sums[:rows.shape[0]]
+        np.cumsum(rows, axis=1, out=summed[:, 1:])
+        np.subtract(summed[:, right], summed[:, left], out=rows)
+        rows /= width
+    return field
 
 
 def box_smooth(field: np.ndarray, radius: int) -> np.ndarray:
-    """Mean filter over a (2r+1)^2 window, clamped at the borders."""
+    """Mean filter over a (2r+1)^2 window, clamped at the borders: down the rows, then across.
+
+    Returns a new float64 array of the (h, w, k) field, or the field
+    itself at radius 0.
+    """
     if radius <= 0:
         return field
-    return _box_smooth_axis(_box_smooth_axis(field, radius, 0), radius, 1)
+    return _smooth_in_place(np.array(field, dtype=np.float64), radius, field.shape[0])
 
 
 def _domain(config: SynthConfig, tag: str) -> tuple[int, DomainSpec]:
@@ -161,47 +196,74 @@ def _domain(config: SynthConfig, tag: str) -> tuple[int, DomainSpec]:
 
 
 def generate_scene(config: SynthConfig, domain_tag: str, image_id: str) -> Scene:
-    """Generate one image; deterministic in (config.seed, image_id)."""
+    """Generate one image; deterministic in (config.seed, image_id).
+
+    The (h, w, k) random field is smoothed and normalized in place into
+    the returned probabilities, and every other per-pixel quantity is made
+    in blocks of image rows holding about :data:`~relikit.confidence.BLOCK_VALUES`
+    values, each random draw taken block by block in stream order. So an
+    image holds its outputs and a few blocks, and the bits are those of
+    whole-image passes.
+    """
     validate_config(config)
     domain_index, domain = _domain(config, domain_tag)
     h, w, k = config.height, config.width, config.classes
     rng = derive_stream(config.seed, f"scene:{image_id}")
+    step = max(1, _block_rows(k) // w)
+    blocks = [slice(start, start + step) for start in range(0, h, step)]
 
-    raw = rng.gamma(config.concentration, 1.0, size=(h, w, k))
-    # smoothing flattens the field; the sharpness exponent restores
-    # confident regions while keeping spatial coherence
-    raw = np.maximum(box_smooth(raw, config.smoothing_radius), PROB_FLOOR) ** config.sharpness
-    probs = raw / raw.sum(axis=2, keepdims=True)
-
+    probs = rng.gamma(config.concentration, 1.0, size=(h, w, k))
+    if config.smoothing_radius > 0:
+        _smooth_in_place(probs, config.smoothing_radius, step)
     draw = rng.random((h, w))
-    labels = np.minimum((draw[:, :, None] > np.cumsum(probs, axis=2)).sum(axis=2), k - 1)
+    labels = np.empty((h, w), dtype=np.int64)
+    for rows in blocks:
+        block = probs[rows]
+        # smoothing flattens the field; the sharpness exponent restores
+        # confident regions while keeping spatial coherence
+        np.maximum(block, PROB_FLOOR, out=block)
+        block **= config.sharpness
+        block /= block.sum(axis=2, keepdims=True)
+        np.sum(draw[rows][:, :, None] > np.cumsum(block, axis=2), axis=2, out=labels[rows])
+    np.minimum(labels, k - 1, out=labels)
+    mask = np.isin(labels, np.asarray(config.holdout_classes)) if config.holdout_classes else None
 
-    base = np.log(probs)
-    logits = domain.true_temperature * base
-    logits += rng.normal(0.0, 1.0, size=(h, w, k)) * domain.logit_noise
+    logits = np.empty((h, w, k), dtype=np.float32)
+    for rows in blocks:
+        block = np.log(probs[rows])
+        block *= domain.true_temperature
+        block += rng.normal(0.0, 1.0, size=block.shape) * domain.logit_noise
+        if mask is not None:
+            block[mask[rows]] *= config.holdout_logit_damp
+        logits[rows] = block
 
-    one_hot = rng.normal(0.0, 1.0, size=(h, w, len(config.domains))) * config.channel_noise
-    one_hot[:, :, domain_index] += 1.0
-    shift = np.full((h, w, 1), np.log(domain.true_temperature))
-    shift += rng.normal(0.0, 1.0, size=(h, w, 1)) * config.channel_noise
-    evidence = np.maximum(base, config.evidence_floor)
-    evidence = evidence + rng.normal(0.0, 1.0, size=(h, w, k)) * config.channel_noise
-    image = np.concatenate([one_hot, shift, evidence], axis=2)
+    domains = len(config.domains)
+    image = np.empty((h, w, domains + 1 + k), dtype=np.float32)
+    for rows in blocks:
+        one_hot = rng.normal(0.0, 1.0, size=(*draw[rows].shape, domains)) * config.channel_noise
+        one_hot[:, :, domain_index] += 1.0
+        image[rows, :, :domains] = one_hot
+    log_temperature = np.log(domain.true_temperature)
+    for rows in blocks:
+        shift = rng.normal(0.0, 1.0, size=(*draw[rows].shape, 1)) * config.channel_noise
+        shift += log_temperature
+        image[rows, :, domains:domains + 1] = shift
+    for rows in blocks:
+        evidence = np.maximum(np.log(probs[rows]), config.evidence_floor)
+        evidence += rng.normal(0.0, 1.0, size=evidence.shape) * config.channel_noise
+        image[rows, :, domains + 1:] = evidence
 
     offset = np.asarray(domain.feature_offset, dtype=np.float64)
     feature = offset + rng.normal(0.0, 1.0, size=offset.shape[0]) * config.feature_jitter
 
-    mask = None
     out_labels = labels.astype(np.uint16)
-    if config.holdout_classes:
-        mask = np.isin(labels, np.asarray(config.holdout_classes))
-        logits = np.where(mask[:, :, None], logits * config.holdout_logit_damp, logits)
-        out_labels = np.where(mask, config.ignore_value, out_labels).astype(np.uint16)
+    if mask is not None:
+        out_labels[mask] = config.ignore_value
 
     return Scene(
-        logits=LogitTensor(logits.astype(np.float32)),
+        logits=LogitTensor(logits),
         labels=LabelMap(out_labels),
-        image=ImageTensor(image.astype(np.float32)),
+        image=ImageTensor(image),
         feature=feature.astype(np.float32),
         ood_mask=mask,
         true_probs=probs,

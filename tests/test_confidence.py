@@ -319,3 +319,21 @@ class TestExtractRecords:
             load_entry(holdout_manifest, entry, pixels_per_image=None, seed=0)
         with pytest.raises(InvalidTensorError):
             self._eval_one(holdout_manifest, entry)
+
+
+class TestRunningCorrect:
+    def test_prr_reads_no_confidence_sums(self):
+        from relikit.metrics import prr, rejection_curve
+
+        rng = np.random.default_rng(21)
+        records = RecordSet(np.round(rng.random(500), 2), rng.integers(0, 3, 500), rng.integers(0, 3, 500))
+        value = prr(records)
+        rejection_curve(records)
+        assert "running" not in vars(records)  # no gather of the confidences, no sum of them
+        fresh = RecordSet(records.confidence, records.predicted, records.actual)
+        ordered, cum_conf, cum_correct = fresh.running
+        assert cum_correct is fresh.running_correct
+        np.testing.assert_array_equal(cum_correct, records.running_correct)
+        np.testing.assert_array_equal(cum_correct[1:], np.cumsum(records.correct[records.order]))
+        np.testing.assert_array_equal(ordered, np.sort(records.confidence))
+        assert prr(fresh) == value

@@ -409,3 +409,30 @@ class TestBatchedEvaluation:
         # fit reads the same batches; an all-ignored image only gives it no pixels
         code = main(["fit", "--manifest", str(path), "--split", "test", "--out", str(tmp_path / "a.json")])
         assert (code, capsys.readouterr().err) == ((0, "") if fault == "all_ignored" else (2, f"error: {expected}\n"))
+
+
+class TestPixelOodWarning:
+    def test_masked_domain_without_unknown_pixels_is_named_once(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        entries = []
+        for domain, unknown in (("id", 3), ("clean", 0), ("plain", None)):
+            write_logits(tmp_path / f"{domain}.logits.bin", LogitTensor(rng.normal(size=(4, 4, 3)).astype(np.float32)))
+            write_labels(tmp_path / f"{domain}.labels.bin", LabelMap(rng.integers(0, 3, (4, 4)).astype(np.uint16)), 3)
+            mask = None
+            if unknown is not None:
+                mask = f"{domain}.mask.bin"
+                write_mask(tmp_path / mask, np.arange(16).reshape(4, 4) < unknown)
+            entries.append(ManifestEntry(domain, "test", domain, f"{domain}.logits.bin", f"{domain}.labels.bin",
+                                         ood_mask=mask))
+        path = save_manifest(DatasetManifest(classes=3, ignore_value=255, entries=tuple(entries), root=tmp_path),
+                             tmp_path / "manifest.json")
+        assert main(["eval", "--manifest", str(path), "--out", str(tmp_path / "report.json")]) == 0
+        # a domain without masks is not named: pixel OOD does not apply to it
+        assert capsys.readouterr().err == (
+            "warning: clean: no pixel_ood_auroc, its masks hold 16 known and 0 unknown pixels\n")
+        report = evaluate_manifest(load_manifest(path))
+        assert set(report.pixel_ood_auroc) == {"id"}
+        assert (tmp_path / "report.json").read_bytes() == to_json_bytes(report)
+        # without pixel_ood_auroc no mask is read, so nothing is left out
+        assert main(["eval", "--manifest", str(path), "--metrics", "prr", "--out", str(tmp_path / "r.json")]) == 0
+        assert capsys.readouterr().err == ""
