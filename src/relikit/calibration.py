@@ -46,10 +46,10 @@ entry).
 Every fit stacks its split's drawn pixels once, in entry order, into one
 :class:`CalibrationPixels` set (:func:`gather_pixel_batches`) that records
 each row's entry and keeps the image channels, when read, next to the
-logits in one float64 matrix. Global scaling fits all rows; cluster scaling gives each
-row a cell id, groups the rows by one stable sort on it and fits each
-cell's contiguous slice; LTS takes its per-row domain weights from the
-entry index. :data:`METHODS` is the one schema of the calibrator artifact,
+logits in one float64 matrix. Global scaling fits all rows; cluster
+scaling gives each row a cell id, groups the rows by one stable sort on
+it and fits each cell's contiguous slice; LTS takes its per-row domain
+weights from the entry index. :data:`METHODS` is the one schema of the calibrator artifact,
 walked by :func:`save_calibrator` to write it and :func:`load_calibrator` to check it.
 """
 

@@ -57,12 +57,11 @@ def _oracle_confidence_pass(logits, temperature, entropy):
     return max_prob, terms.sum(axis=-1), predicted
 
 
-def _oracle_temperature_map(regressor, logits, image=None):
+def _oracle_temperature_map(regressor, logits, image):
     """LTS prediction over one (H * W, K + C) float64 input matrix."""
-    parts = {FeatureMode.LOGITS: [logits.data.reshape(-1, logits.classes)],
-             FeatureMode.IMAGE: [image.data.reshape(-1, image.channels)] if image is not None else None,
-             FeatureMode.BOTH: [logits.data.reshape(-1, logits.classes)]
-             + ([image.data.reshape(-1, image.channels)] if image is not None else [])}[regressor.feature_mode]
+    rows, channels = logits.data.reshape(-1, logits.classes), image.data.reshape(-1, image.channels)
+    parts = {FeatureMode.LOGITS: [rows], FeatureMode.IMAGE: [channels],
+             FeatureMode.BOTH: [rows, channels]}[regressor.feature_mode]
     features = np.concatenate(parts, axis=1, dtype=np.float64)
     features -= regressor.feature_mean
     features /= regressor.feature_scale
