@@ -164,7 +164,8 @@ def _confidence_pass(logits: LogitTensor | np.ndarray, temperature: float | np.n
     t = _checked_temperature(pixel_shape, temperature)
     images = int(np.prod(pixel_shape[:-2]))
     pixels = int(np.prod(pixel_shape[-2:]))
-    rows = logits.reshape(images, 1, pixels, logits.shape[-1])  # a stack of one-row images, as scaled_logits takes
+    classes = logits.shape[-1]
+    rows = logits.reshape(images, 1, pixels, classes)  # a stack of one-row images, as scaled_logits takes
     is_map = isinstance(temperature, TemperatureMap)
     if is_map:
         t = t.reshape(images, 1, pixels)
@@ -173,12 +174,13 @@ def _confidence_pass(logits: LogitTensor | np.ndarray, temperature: float | np.n
     max_prob = np.empty((images, 1, pixels))
     neg_entropy = np.empty((images, 1, pixels)) if entropy else None
     predicted = np.empty((images, 1, pixels), dtype=np.int64)
-    for image, pixel in _image_blocks(images, pixels, logits.shape[-1]):
+    for image, pixel in _image_blocks(images, pixels, classes):
         block = rows[image, :, pixel]
         top = predicted[image, :, pixel]
         np.argmax(block, axis=-1, out=top)
         z = scaled_logits(block, TemperatureMap(t[image, :, pixel]) if is_map else t[image] if t.ndim else t)
-        z -= np.take_along_axis(z, top[..., None], axis=-1)
+        # each row's scaled logit at the raw argmax, by one flat gather
+        z -= z.reshape(-1)[top.reshape(-1) + np.arange(0, top.size * classes, classes)].reshape(*top.shape, 1)
         e = np.exp(z, out=z)
         total = e.sum(axis=-1, keepdims=True)
         np.divide(1.0, total[..., 0], out=max_prob[image, :, pixel])
