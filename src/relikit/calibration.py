@@ -66,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import mlp, tensor_io
-from .confidence import _block_rows, _blocks, scaled_logits
+from .confidence import _block_rows, _blocks, _checked_temperature, scaled_logits
 from .errors import (CalibrationError, InvalidTensorError, ManifestError, NumericalError, RelikitError,
                      TensorFormatError, UsageError, convert_option, read_json_object)
 from .kmeans import assign_points, kmeans
@@ -361,9 +361,9 @@ def fit_temperature(logits: np.ndarray, labels: np.ndarray,
 def apply_temperature(logits: LogitTensor, temperature: float | TemperatureMap) -> np.ndarray:
     """softmax(logits / T) as an (H, W, K) float64 array.
 
-    T is a positive scalar or a per-pixel :class:`TemperatureMap`.
+    T is a positive scalar or a per-pixel :class:`TemperatureMap`, checked once.
     """
-    z = scaled_logits(logits.data, temperature)
+    z = scaled_logits(logits.data, _checked_temperature(logits.data.shape[:-1], temperature))
     z -= z.max(axis=2, keepdims=True)
     e = np.exp(z)
     e /= e.sum(axis=2, keepdims=True)

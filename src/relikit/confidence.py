@@ -11,6 +11,7 @@ supported:
 The predicted class is always the argmax of the raw logits, ties broken
 toward the lowest class index, whatever the score and the temperature:
 one positive temperature per pixel never reorders a pixel's classes. A
+pass checks its temperature once and divides each block by its slice. A
 :class:`RecordSet` orders and sums its records once for every metric.
 
 Every per-pixel pass of the package runs over blocks of about
@@ -95,11 +96,11 @@ def _image_blocks(images: int, pixels: int, classes: int) -> Iterator[tuple[slic
             yield slice(image, image + 1), block
 
 
-def _checked_temperature(pixel_shape: tuple, temperature: float | np.ndarray | TemperatureMap):
-    """``temperature`` checked against logits of pixel shape ``pixel_shape``, as a float64 array.
+def _checked_temperature(pixel_shape: tuple, temperature: float | np.ndarray | TemperatureMap) -> np.ndarray:
+    """``temperature`` checked against logits of pixel shape ``pixel_shape``, as a float64 array of that shape.
 
-    A :class:`TemperatureMap` must have the pixel shape; anything else is
-    a positive finite scalar (0-d) or one per image of a stack.
+    A :class:`TemperatureMap` must have the pixel shape; anything else (a plain array
+    is no map) is a positive finite scalar or one per image of a stack, broadcast.
     """
     if isinstance(temperature, TemperatureMap):
         if temperature.values.shape != pixel_shape:
@@ -111,19 +112,11 @@ def _checked_temperature(pixel_shape: tuple, temperature: float | np.ndarray | T
         raise CalibrationError(f"temperature must be positive and finite, got {temperature}")
     if t.ndim and t.shape != pixel_shape[:-2]:  # one T per image of a stack
         raise CalibrationError(f"{t.size} temperatures for a stack of {pixel_shape[:-2]} images")
-    return t
+    return np.broadcast_to(t.reshape(t.shape + (1, 1)) if t.ndim else t, pixel_shape)
 
 
-def scaled_logits(logits: np.ndarray, temperature: float | np.ndarray | TemperatureMap) -> np.ndarray:
-    """float64 (..., K) logits / T.
-
-    T is a positive finite scalar, one such scalar per image of a
-    (B, H, W, K) stack, or a :class:`TemperatureMap` of the logits' pixel
-    shape: (H, W), or (B, H, W) for a stack.
-    """
-    t = _checked_temperature(logits.shape[:-1], temperature)
-    if not isinstance(temperature, TemperatureMap) and t.ndim:
-        t = t[:, None, None]
+def scaled_logits(logits: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """float64 (..., K) logits / T, for T (a slice of) :func:`_checked_temperature`'s array; no check here."""
     z = logits.astype(np.float64)
     z /= t[..., None]
     return z
@@ -133,9 +126,11 @@ def confidence_map(logits: LogitTensor | np.ndarray, temperature: float | np.nda
                    score: ConfidenceScore = ConfidenceScore.MAX_PROB):
     """Per-pixel (confidence, predicted class) of softmax(logits / T).
 
-    ``logits`` is one image's tensor or a (B, H, W, K) stack, and T takes
-    the forms of :func:`scaled_logits`. Returns a float64 confidence array
-    and the int64 argmax of the raw logits, both of the pixel shape. With z
+    ``logits`` is one image's tensor or a (B, H, W, K) stack. T is a
+    positive finite scalar, one such scalar per image of a stack, or a
+    :class:`TemperatureMap` of the logits' pixel shape, (H, W) or
+    (B, H, W). Returns a float64 confidence array and the int64 argmax of
+    the raw logits, both of the pixel shape. With z
     the scaled logits minus their row maximum and s = sum_k exp z_k,
     ``max_prob`` is 1 / s; ``neg_entropy`` is sum_k p_k ln p_k over
     p = exp z / s, with 0 * ln 0 = 0, so one-hot distributions score
@@ -152,45 +147,41 @@ def _confidence_pass(logits: LogitTensor | np.ndarray, temperature: float | np.n
                      entropy: bool):
     """(max_prob, neg_entropy or None, predicted) from one exp pass, as :func:`confidence_map` defines them.
 
-    The pass runs block by block (:func:`_image_blocks`), each block scaled
-    by :func:`scaled_logits` and reduced to its rows' outputs, so it holds
-    the outputs and a few blocks. Every value is a function of its pixel's
-    logits and temperature alone, so each pixel gets the bits of one
-    whole-array pass.
+    The temperature is checked once; the pass then runs over (images,
+    pixels, K) rows block by block (:func:`_image_blocks`), each block
+    divided by its slice of the temperature and reduced to its rows'
+    outputs, so it holds the outputs and a few blocks. Every value is a
+    function of its pixel's logits and temperature alone, so each pixel
+    gets the bits of one whole-array pass.
     """
     if isinstance(logits, LogitTensor):
         logits = logits.data
     pixel_shape = logits.shape[:-1]
-    t = _checked_temperature(pixel_shape, temperature)
     images = int(np.prod(pixel_shape[:-2]))
     pixels = int(np.prod(pixel_shape[-2:]))
     classes = logits.shape[-1]
-    rows = logits.reshape(images, 1, pixels, classes)  # a stack of one-row images, as scaled_logits takes
-    is_map = isinstance(temperature, TemperatureMap)
-    if is_map:
-        t = t.reshape(images, 1, pixels)
-    elif t.ndim:  # one T per image
-        t = t.reshape(images)
-    max_prob = np.empty((images, 1, pixels))
-    neg_entropy = np.empty((images, 1, pixels)) if entropy else None
-    predicted = np.empty((images, 1, pixels), dtype=np.int64)
+    rows = logits.reshape(images, pixels, classes)
+    t = _checked_temperature(pixel_shape, temperature).reshape(images, pixels)
+    max_prob = np.empty((images, pixels))
+    neg_entropy = np.empty((images, pixels)) if entropy else None
+    predicted = np.empty((images, pixels), dtype=np.int64)
     for image, pixel in _image_blocks(images, pixels, classes):
-        block = rows[image, :, pixel]
-        top = predicted[image, :, pixel]
+        block = rows[image, pixel]
+        top = predicted[image, pixel]
         np.argmax(block, axis=-1, out=top)
-        z = scaled_logits(block, TemperatureMap(t[image, :, pixel]) if is_map else t[image] if t.ndim else t)
+        z = scaled_logits(block, t[image, pixel])
         # each row's scaled logit at the raw argmax, by one flat gather
         z -= z.reshape(-1)[top.reshape(-1) + np.arange(0, top.size * classes, classes)].reshape(*top.shape, 1)
         e = np.exp(z, out=z)
         total = e.sum(axis=-1, keepdims=True)
-        np.divide(1.0, total[..., 0], out=max_prob[image, :, pixel])
+        np.divide(1.0, total[..., 0], out=max_prob[image, pixel])
         if entropy:
             p = np.divide(e, total, out=e)
             # p ln p with 0 ln 0 = 0: ln 1 * 0 is 0 as well
             terms = np.where(p > 0.0, p, 1.0)
             np.log(terms, out=terms)
             terms *= p
-            np.add.reduce(terms, axis=-1, out=neg_entropy[image, :, pixel])
+            np.add.reduce(terms, axis=-1, out=neg_entropy[image, pixel])
     return (max_prob.reshape(pixel_shape), None if neg_entropy is None else neg_entropy.reshape(pixel_shape),
             predicted.reshape(pixel_shape))
 

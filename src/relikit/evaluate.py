@@ -17,13 +17,14 @@ takes image channels, the feature vector for a cluster calibrator, and
 the OOD mask when ``pixel_ood_auroc`` is requested. The calibrator gives
 each image one temperature, a scalar or a per-pixel map
 (:func:`~relikit.calibration.calibrator_temperature`), stacked for the
-batch, and one :func:`~relikit.confidence.confidence_map` call reduces
-the batch's scaled logits straight to confidences, without a probability
-tensor; the predicted class is the raw-logit argmax. Under
-``neg_entropy`` one exp pass gives both the max-probability confidence
-(for the calibration metrics) and the entropy score (for ranking). One
-``bincount`` gives every image's confusion matrix; each image's drawn
-records, mean confidence and OOD split are slices of the batch's arrays.
+batch, and one confidence pass, which checks that temperature once,
+reduces the batch's scaled logits straight to confidences without a
+probability tensor; the predicted class is the raw-logit argmax. Under
+``neg_entropy`` the same exp pass gives both the max-probability
+confidence (for the calibration metrics) and the entropy score (for
+ranking). One ``bincount`` gives every image's confusion matrix; each
+image's drawn records, mean confidence and OOD split are slices of the
+batch's arrays.
 
 With ``workers`` > 1 the calling thread reads the batches and a thread
 pool of that many workers, at most ``os.cpu_count()``, scores them, one
@@ -35,12 +36,13 @@ bytes do not depend on the worker count.
 
 An unknown ``id_domain`` fails before any tensor is read. Every
 per-domain quantity is computed once, in one loop over the sorted
-domains. The equal-width reliability bins behind ``ece`` are kept on the
-report (``bins``, not serialized) for ``eval --bins-out``, and so is
-one warning (``warnings``) per masked domain that gets no
-``pixel_ood_auroc`` for want of a known or an unknown pixel. Under the
-``max_prob`` score one record set serves calibration and PRR alike, and
-ADA-ECE, KS and PRR share that set's one stable order and running sums
+domains, and a metric error there names its domain. The equal-width
+reliability bins behind ``ece`` are kept on the report (``bins``, not
+serialized) for ``eval --bins-out``, and so is one warning
+(``warnings``) per masked domain that gets no ``pixel_ood_auroc`` for
+want of a known or an unknown pixel. Under the ``max_prob`` score one
+record set serves calibration and PRR alike, and ADA-ECE, KS and PRR
+share that set's one stable order and running sums
 (:attr:`~relikit.confidence.RecordSet.running`), built from NumPy's
 unstable default sort; no metric runs a stable sort. Under
 ``neg_entropy`` the ranking set serves PRR alone, which reads only its
@@ -67,11 +69,12 @@ from .calibration import (
     load_batches,
     needs_image,
 )
-from .confidence import ConfidenceScore, RecordSet, _confidence_pass, confidence_map
+from .confidence import ConfidenceScore, RecordSet, _confidence_pass
 from .errors import ManifestError, MetricError, UsageError
 from .manifest import DatasetManifest
 # Unused here; the benchmark tracer's smoke test looks these bindings up.
 from .calibration import apply_calibrator  # noqa: F401
+from .confidence import confidence_map  # noqa: F401
 from .rng import subsample_indices  # noqa: F401
 from .tensors import validate_labels  # noqa: F401
 
@@ -119,12 +122,9 @@ def _summarize_batch(batch: EntryBatch, manifest: DatasetManifest,
     for one in batch.loaded:
         if one.valid.size == 0:
             raise MetricError(f"{one.entry.image_id}: image has no non-ignored pixels")
-    temperature = batch_temperature(calibrator, batch)
-    if config.score is ConfidenceScore.MAX_PROB:
-        conf_cal, predicted = confidence_map(batch.logits, temperature)
-        conf_rank = conf_cal
-    else:
-        conf_cal, conf_rank, predicted = _confidence_pass(batch.logits, temperature, entropy=True)
+    conf_cal, neg_entropy, predicted = _confidence_pass(batch.logits, batch_temperature(calibrator, batch),
+                                                        entropy=config.score is ConfidenceScore.NEG_ENTROPY)
+    conf_rank = conf_cal if neg_entropy is None else neg_entropy
     confusion = met.confusion_matrix(predicted, batch.labels, manifest.classes, manifest.ignore_value)
 
     def per_entry(drawn):  # each entry's part, as views of one gather over the batch
@@ -239,44 +239,47 @@ def evaluate_manifest(manifest: DatasetManifest, calibrator: Calibrator | None =
     warnings = []
     for tag in sorted(by_domain):
         group = by_domain[tag]
-        records = _record_set(group, rank=False)
-        stats = {
-            "n_images": len(group),
-            "n_records": len(records),
-            "accuracy": float(records.correct.mean()),
-            "mean_confidence": float(np.mean([s.mean_confidence for s in group])),
-        }
-        if "miou" in wanted:
-            result = met.iou_from_confusion(sum(s.confusion for s in group))
-            stats["miou"] = result.miou
-            stats["per_class_iou"] = _nullable(result.per_class)
-        partition = met.bin_partition(records, config.bins)
-        bins[tag] = _bin_table(partition)
-        if "ece" in wanted:
-            stats["ece"] = partition.expected_calibration_error()
-        if "ada_ece" in wanted:
-            stats["ada_ece"] = met.ada_ece(records, config.bins)
-        if "ks_error" in wanted:
-            stats["ks_error"] = met.ks_error(records)
-        if "prr" in wanted:
-            if config.score is not ConfidenceScore.MAX_PROB:  # rebinding drops the calibration set's view
-                records = _record_set(group, rank=True)
-            stats["prr"] = met.prr(records)
-        domains[tag] = stats
-        if "ood_auroc" in wanted and id_domain not in (None, tag):
-            ood_auroc[tag] = met.auroc([s.mean_confidence for s in by_domain[id_domain]],
-                                       [s.mean_confidence for s in group])
-        masked = [s for s in group if s.known_conf is not None]
-        # masks are read only for pixel_ood_auroc; a masked domain with no known or no unknown pixel
-        # gets no entry, and a warning
-        known = sum(s.known_conf.size for s in masked)
-        unknown = sum(s.unknown_conf.size for s in masked)
-        if known and unknown:
-            pixel_ood[tag] = met.auroc(np.concatenate([s.known_conf for s in masked]),
-                                       np.concatenate([s.unknown_conf for s in masked]))
-        elif masked:
-            warnings.append(f"{tag}: no pixel_ood_auroc, its masks hold {known} known "
-                            f"and {unknown} unknown pixels")
+        try:
+            records = _record_set(group, rank=False)
+            stats = {
+                "n_images": len(group),
+                "n_records": len(records),
+                "accuracy": float(records.correct.mean()),
+                "mean_confidence": float(np.mean([s.mean_confidence for s in group])),
+            }
+            if "miou" in wanted:
+                result = met.iou_from_confusion(sum(s.confusion for s in group))
+                stats["miou"] = result.miou
+                stats["per_class_iou"] = _nullable(result.per_class)
+            partition = met.bin_partition(records, config.bins)
+            bins[tag] = _bin_table(partition)
+            if "ece" in wanted:
+                stats["ece"] = partition.expected_calibration_error()
+            if "ada_ece" in wanted:
+                stats["ada_ece"] = met.ada_ece(records, config.bins)
+            if "ks_error" in wanted:
+                stats["ks_error"] = met.ks_error(records)
+            if "prr" in wanted:
+                if config.score is not ConfidenceScore.MAX_PROB:  # rebinding drops the calibration set's view
+                    records = _record_set(group, rank=True)
+                stats["prr"] = met.prr(records)
+            domains[tag] = stats
+            if "ood_auroc" in wanted and id_domain not in (None, tag):
+                ood_auroc[tag] = met.auroc([s.mean_confidence for s in by_domain[id_domain]],
+                                           [s.mean_confidence for s in group])
+            masked = [s for s in group if s.known_conf is not None]
+            # masks are read only for pixel_ood_auroc; a masked domain with no known or no unknown pixel
+            # gets no entry, and a warning
+            known = sum(s.known_conf.size for s in masked)
+            unknown = sum(s.unknown_conf.size for s in masked)
+            if known and unknown:
+                pixel_ood[tag] = met.auroc(np.concatenate([s.known_conf for s in masked]),
+                                           np.concatenate([s.unknown_conf for s in masked]))
+            elif masked:
+                warnings.append(f"{tag}: no pixel_ood_auroc, its masks hold {known} known "
+                                f"and {unknown} unknown pixels")
+        except MetricError as exc:  # name the domain whose records the metric refused
+            raise MetricError(f"{tag}: {exc}") from exc
 
     meta = {
         "split": config.split,

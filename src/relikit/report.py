@@ -16,7 +16,7 @@ import io
 import json
 from dataclasses import dataclass, field
 
-from .errors import MetricError
+from .errors import MetricError, parse_json_object
 
 DOMAIN_METRIC_ORDER = (
     "n_images", "n_records", "accuracy", "mean_confidence",
@@ -62,18 +62,15 @@ def to_bins_bytes(report: ReliabilityReport) -> bytes:
 
 def from_json_bytes(data: bytes) -> ReliabilityReport:
     try:
-        payload = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        payload = parse_json_object(data.decode("utf-8"), MetricError, "report")
+    except UnicodeDecodeError as exc:
         raise MetricError(f"report is not valid JSON ({exc})") from exc
-    for key in ("meta", "domains"):
-        if key not in payload:
+    for key in ("meta", "domains", "ood_auroc", "pixel_ood_auroc"):
+        if key not in payload and key in ("meta", "domains"):
             raise MetricError(f"report is missing the {key!r} section")
-    return ReliabilityReport(
-        meta=payload["meta"],
-        domains=payload["domains"],
-        ood_auroc=payload.get("ood_auroc", {}),
-        pixel_ood_auroc=payload.get("pixel_ood_auroc", {}),
-    )
+        if not isinstance(payload.setdefault(key, {}), dict):
+            raise MetricError(f"report section {key!r} must be a JSON object")
+    return ReliabilityReport(payload["meta"], payload["domains"], payload["ood_auroc"], payload["pixel_ood_auroc"])
 
 
 def _format(value) -> str:

@@ -1,7 +1,8 @@
 """Core tensor types.
 
 Thin dataclass wrappers around numpy arrays that validate the structural
-invariants once, at construction, so downstream code can rely on them:
+invariants once, at construction, so downstream code can rely on them;
+every grid has at least one pixel:
 
 * :class:`LogitTensor`  -- raw per-pixel class scores, (H, W, K) float32, K >= 2, finite.
 * :class:`LabelMap`     -- per-pixel class indices, (H, W) uint16. Values are
@@ -28,23 +29,22 @@ def _as_array(data, dtype, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class LogitTensor:
-    """Raw class scores for one image, shape (height, width, classes)."""
+def _float_grid(data, name: str, axes: str, least: int, too_few: str) -> np.ndarray:
+    """``data`` as a finite float32 (H, W, C) grid of at least one pixel and ``least`` channels."""
+    arr = _as_array(data, np.float32, name)
+    if arr.ndim != 3:
+        raise InvalidTensorError(f"{name}: expected 3 axes {axes}, got shape {arr.shape}")
+    if arr.shape[2] < least:
+        raise InvalidTensorError(f"{name}: " + too_few.format(arr.shape[2]))
+    if arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise InvalidTensorError(f"{name}: empty spatial extent {arr.shape[:2]}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidTensorError(f"{name}: non-finite values")
+    return arr
 
-    data: np.ndarray
 
-    def __post_init__(self):
-        arr = _as_array(self.data, np.float32, "logits")
-        if arr.ndim != 3:
-            raise InvalidTensorError(f"logits: expected 3 axes (H, W, K), got shape {arr.shape}")
-        if arr.shape[2] < 2:
-            raise InvalidTensorError(f"logits: need at least 2 classes, got {arr.shape[2]}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise InvalidTensorError(f"logits: empty spatial extent {arr.shape[:2]}")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidTensorError("logits: non-finite values")
-        object.__setattr__(self, "data", arr)
+class _Grid:
+    """A per-pixel array whose first two axes are the (height, width) grid."""
 
     @property
     def height(self) -> int:
@@ -54,13 +54,24 @@ class LogitTensor:
     def width(self) -> int:
         return self.data.shape[1]
 
+
+@dataclass(frozen=True)
+class LogitTensor(_Grid):
+    """Raw class scores for one image, shape (height, width, classes)."""
+
+    data: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "data", _float_grid(self.data, "logits", "(H, W, K)", 2,
+                                                     "need at least 2 classes, got {}"))
+
     @property
     def classes(self) -> int:
         return self.data.shape[2]
 
 
 @dataclass(frozen=True)
-class LabelMap:
+class LabelMap(_Grid):
     """Ground-truth class indices for one image, shape (height, width)."""
 
     data: np.ndarray
@@ -79,38 +90,16 @@ class LabelMap:
             raise InvalidTensorError(f"labels: empty spatial extent {arr.shape}")
         object.__setattr__(self, "data", arr)
 
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
 
 @dataclass(frozen=True)
-class ImageTensor:
+class ImageTensor(_Grid):
     """Per-pixel input channels for one image, shape (height, width, channels)."""
 
     data: np.ndarray
 
     def __post_init__(self):
-        arr = _as_array(self.data, np.float32, "image")
-        if arr.ndim != 3:
-            raise InvalidTensorError(f"image: expected 3 axes (H, W, C), got shape {arr.shape}")
-        if arr.shape[2] < 1:
-            raise InvalidTensorError("image: need at least one channel")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidTensorError("image: non-finite values")
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
+        object.__setattr__(self, "data", _float_grid(self.data, "image", "(H, W, C)", 1,
+                                                     "need at least one channel"))
 
     @property
     def channels(self) -> int:

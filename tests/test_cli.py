@@ -21,7 +21,9 @@ from relikit.cli import main
 from relikit.errors import NumericalError
 from relikit.manifest import load_manifest
 from relikit.synth import DomainSpec, SynthConfig, config_to_json, generate_benchmark
-from relikit.tensor_io import MAGIC, write_feature, write_image, write_labels, write_logits, write_mask
+from relikit.tensor_io import (
+    MAGIC, read_labels, read_logits, write_feature, write_image, write_labels, write_logits, write_mask,
+)
 from relikit.tensors import ImageTensor, LabelMap, LogitTensor
 
 
@@ -749,6 +751,25 @@ class TestEval:
         report = json.loads(out)
         assert "ece" in report["domains"]["id"]
         assert "miou" not in report["domains"]["id"]
+
+    def test_metric_error_names_its_domain(self, capsys, tmp_path):
+        # every label logit of the clean domain raised by 10: each of its pixels is predicted right,
+        # which the data checks accept and prr cannot rank
+        config = SynthConfig(classes=3, height=8, width=8, calibration_images=1, test_images=2, seed=5,
+                             domains=(DomainSpec("clean", 1.0, 0.0, (0.0,)), DomainSpec("noisy", 2.0, 0.1, (4.0,))))
+        path = generate_benchmark(config, tmp_path / "bench")
+        manifest = load_manifest(path)
+        for entry in manifest.entries:
+            if entry.domain == "clean":
+                logits = read_logits(manifest.path(entry.logits)).data.copy()
+                labels = read_labels(manifest.path(entry.labels)).data
+                rows, cols = np.nonzero(labels != manifest.ignore_value)
+                logits[rows, cols, labels[rows, cols]] += 10.0
+                write_logits(manifest.path(entry.logits), LogitTensor(logits))
+        assert _run(capsys, ["validate", str(path)])[0] == 0
+        code, out, err = _run(capsys, ["eval", "--manifest", str(path)])
+        assert code == 2 and out == ""
+        assert err == "error: clean: prr is undefined for all-correct or all-incorrect records\n"
 
     def test_unknown_metric_is_usage_error(self, bench, capsys):
         code, _, err = _run(capsys, ["eval", "--manifest", str(bench), "--metrics", "f1"])

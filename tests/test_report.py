@@ -66,6 +66,29 @@ class TestJson:
         assert report.ood_auroc == {} and report.pixel_ood_auroc == {}
 
 
+class TestJsonThatIsNoReport:
+    @pytest.mark.parametrize("data", [b"5", b'"meta domains"', b'["meta", "domains"]', b"null"])
+    def test_json_value_that_is_not_an_object(self, data):
+        with pytest.raises(MetricError, match="^report must be a JSON object$"):
+            from_json_bytes(data)
+
+    def test_over_nested_json(self):
+        with pytest.raises(MetricError, match="^report is not valid JSON"):
+            from_json_bytes(b"[" * 100_000 + b"]" * 100_000)
+
+    @pytest.mark.parametrize("key", ["meta", "domains", "ood_auroc", "pixel_ood_auroc"])
+    @pytest.mark.parametrize("value", ["3", "[]", '"x"', "null"])
+    def test_section_that_is_not_an_object(self, key, value):
+        payload = {"meta": "{}", "domains": "{}", key: value}
+        data = ("{" + ", ".join(f'"{k}": {v}' for k, v in payload.items()) + "}").encode()
+        with pytest.raises(MetricError, match=f"^report section '{key}' must be a JSON object$"):
+            from_json_bytes(data)
+
+    def test_report_bytes_that_are_not_utf8(self):
+        with pytest.raises(MetricError, match="^report is not valid JSON"):
+            from_json_bytes(b'{"meta": {}, "domains": {"' + bytes([0xFF]) + b'": 1}}')
+
+
 class TestCsv:
     def test_layout(self):
         rows = to_csv_bytes(_sample_report()).decode().splitlines()

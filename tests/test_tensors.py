@@ -85,6 +85,35 @@ class TestImageTensor:
         with pytest.raises(InvalidTensorError):
             ImageTensor(arr)
 
+    @pytest.mark.parametrize("shape", [(0, 3, 2), (3, 0, 1)])
+    def test_rejects_empty_grid(self, shape):
+        # as logits and labels do: a grid holds at least one pixel
+        with pytest.raises(InvalidTensorError) as excinfo:
+            ImageTensor(np.zeros(shape, dtype=np.float32))
+        assert str(excinfo.value) == f"image: empty spatial extent {shape[:2]}"
+
+
+@pytest.mark.parametrize("make, data, message", [
+    (LogitTensor, np.zeros((2, 2)), "logits: expected 3 axes (H, W, K), got shape (2, 2)"),
+    (LogitTensor, np.zeros((0, 2, 1)), "logits: need at least 2 classes, got 1"),
+    (LogitTensor, np.zeros((2, 0, 2)), "logits: empty spatial extent (2, 0)"),
+    (LogitTensor, np.full((1, 1, 2), np.nan), "logits: non-finite values"),
+    (LogitTensor, [["a"]], "logits: cannot interpret data as <class 'numpy.float32'>"),
+    (ImageTensor, np.zeros(4), "image: expected 3 axes (H, W, C), got shape (4,)"),
+    (ImageTensor, np.zeros((0, 2, 0)), "image: need at least one channel"),
+    (ImageTensor, np.full((1, 1, 1), np.inf), "image: non-finite values"),
+])
+def test_float_grid_messages(make, data, message):
+    with pytest.raises(InvalidTensorError) as excinfo:
+        make(data)
+    assert str(excinfo.value) == message
+
+
+def test_grids_share_height_and_width():
+    for grid in (LogitTensor(np.zeros((3, 5, 2))), LabelMap(np.zeros((3, 5), np.uint16)),
+                 ImageTensor(np.zeros((3, 5, 1)))):
+        assert (grid.height, grid.width) == (3, 5)
+
 
 class TestValidateLabels:
     def test_ignore_sentinel_is_exempt(self):
