@@ -1,8 +1,8 @@
 """Confidence scores and flat prediction records.
 
 Every reliability metric in this package consumes the same substrate: a
-flat set of (confidence, predicted class, actual class) records taken
-from per-pixel logits scaled by a temperature. Two confidence scores are
+flat set of (confidence, correct) records taken from per-pixel logits
+scaled by a temperature, 9 bytes a record. Two confidence scores are
 supported:
 
 * ``max_prob``    -- the probability of the predicted class, in [0, 1];
@@ -203,18 +203,22 @@ def _stable_argsort(values: np.ndarray) -> np.ndarray:
     key = np.empty(n, dtype=np.int64)
     key[:1] = 0
     np.cumsum(ranked[1:] != ranked[:-1], out=key[1:])
+    del ranked
     key *= n
     key += order
+    del order  # the sort below then holds the key alone
     key.sort()
-    return key % n
+    key %= n
+    return key
 
 
 @dataclass(frozen=True)
 class RecordSet:
     """Flat per-pixel prediction records, the input to every metric.
 
-    Parallel arrays: ``confidence`` float64, ``predicted`` and ``actual``
-    int64 class indices. Ignored pixels are never present.
+    Two parallel arrays: ``confidence`` float64 and ``correct`` bool
+    (predicted class == actual class), 9 bytes a record; every metric
+    depends on these pairs alone. Ignored pixels are never present.
 
     :attr:`order` (the stable ascending order of ``confidence``),
     :attr:`running_correct` and :attr:`running` (sums along it) are
@@ -224,28 +228,22 @@ class RecordSet:
     """
 
     confidence: np.ndarray
-    predicted: np.ndarray
-    actual: np.ndarray
+    correct: np.ndarray
 
     def __post_init__(self):
         conf = np.asarray(self.confidence, dtype=np.float64)
-        pred = np.asarray(self.predicted, dtype=np.int64)
-        act = np.asarray(self.actual, dtype=np.int64)
-        lengths = {conf.shape, pred.shape, act.shape}
-        if len(lengths) != 1 or conf.ndim != 1:
+        correct = np.asarray(self.correct)
+        if correct.dtype != np.bool_:
+            raise InvalidTensorError(f"records: correct must be a bool array, got {correct.dtype}")
+        if conf.ndim != 1 or correct.shape != conf.shape:
             raise InvalidTensorError("records: parallel arrays must share one 1-D shape")
         if not np.all(np.isfinite(conf)):
             raise InvalidTensorError("records: non-finite confidences")
         object.__setattr__(self, "confidence", conf)
-        object.__setattr__(self, "predicted", pred)
-        object.__setattr__(self, "actual", act)
+        object.__setattr__(self, "correct", correct)
 
     def __len__(self) -> int:
         return self.confidence.shape[0]
-
-    @property
-    def correct(self) -> np.ndarray:
-        return self.predicted == self.actual
 
     @cached_property
     def order(self) -> np.ndarray:
@@ -276,8 +274,4 @@ class RecordSet:
     def concat(parts: list["RecordSet"]) -> "RecordSet":
         if not parts:
             raise MetricError("cannot concatenate zero record sets")
-        return RecordSet(
-            np.concatenate([p.confidence for p in parts]),
-            np.concatenate([p.predicted for p in parts]),
-            np.concatenate([p.actual for p in parts]),
-        )
+        return RecordSet(np.concatenate([p.confidence for p in parts]), np.concatenate([p.correct for p in parts]))

@@ -50,11 +50,10 @@ class Counterexample:
 
 def _records(confidences: list[float], corrects: list[int], per_bin: int) -> RecordSet:
     conf = np.repeat(np.asarray(confidences, dtype=np.float64), per_bin)
-    predicted = np.zeros(conf.shape[0], dtype=np.int64)
-    actual = np.ones(conf.shape[0], dtype=np.int64)
+    correct = np.zeros(conf.shape[0], dtype=bool)
     for i, k in enumerate(corrects):
-        actual[i * per_bin : i * per_bin + k] = 0
-    return RecordSet(conf, predicted, actual)
+        correct[i * per_bin : i * per_bin + k] = True
+    return RecordSet(conf, correct)
 
 
 def build_counterexample(spec: CounterexampleSpec = CounterexampleSpec()) -> Counterexample:

@@ -24,7 +24,8 @@ probability tensor; the predicted class is the raw-logit argmax. Under
 confidence (for the calibration metrics) and the entropy score (for
 ranking). One ``bincount`` gives every image's confusion matrix; each
 image's drawn records, mean confidence and OOD split are slices of the
-batch's arrays.
+batch's arrays; a drawn record is kept as its confidence (and its
+ranking score under ``neg_entropy``) and one correctness flag.
 
 With ``workers`` > 1 the calling thread reads the batches and a thread
 pool of that many workers, at most ``os.cpu_count()``, scores them, one
@@ -108,8 +109,7 @@ class _ImageSummary:
     domain: str
     confidence_cal: np.ndarray   # subsampled max-probability confidences
     confidence_rank: np.ndarray  # subsampled configured-score confidences
-    predicted: np.ndarray
-    actual: np.ndarray
+    correct: np.ndarray          # subsampled predicted == actual, bool
     confusion: np.ndarray
     mean_confidence: float       # configured score, all non-ignored pixels
     known_conf: np.ndarray | None
@@ -132,8 +132,7 @@ def _summarize_batch(batch: EntryBatch, manifest: DatasetManifest,
 
     drawn_cal = per_entry(batch.drawn(conf_cal))
     drawn_rank = drawn_cal if conf_rank is conf_cal else per_entry(batch.drawn(conf_rank))
-    drawn_predicted = per_entry(batch.drawn(predicted))
-    drawn_actual = per_entry(batch.drawn(batch.labels).astype(np.int64))
+    drawn_correct = per_entry(batch.drawn(predicted) == batch.drawn(batch.labels))
     ranks = conf_rank.reshape(len(batch.loaded), -1)
     summaries = []
     for i, one in enumerate(batch.loaded):
@@ -146,8 +145,7 @@ def _summarize_batch(batch: EntryBatch, manifest: DatasetManifest,
             domain=one.entry.domain,
             confidence_cal=drawn_cal[i],
             confidence_rank=drawn_rank[i],
-            predicted=drawn_predicted[i],
-            actual=drawn_actual[i],
+            correct=drawn_correct[i],
             confusion=confusion[i],
             mean_confidence=float(ranks[i][one.valid].mean()),
             known_conf=known_conf,
@@ -193,14 +191,6 @@ def _bin_table(partition: met.BinPartition) -> dict:
     }
 
 
-def _record_set(summaries: list[_ImageSummary], rank: bool) -> RecordSet:
-    return RecordSet(
-        np.concatenate([s.confidence_rank if rank else s.confidence_cal for s in summaries]),
-        np.concatenate([s.predicted for s in summaries]),
-        np.concatenate([s.actual for s in summaries]),
-    )
-
-
 def evaluate_manifest(manifest: DatasetManifest, calibrator: Calibrator | None = None,
                       config: EvalConfig = EvalConfig()):
     """Evaluate one split, returning a :class:`~relikit.report.ReliabilityReport`."""
@@ -240,7 +230,8 @@ def evaluate_manifest(manifest: DatasetManifest, calibrator: Calibrator | None =
     for tag in sorted(by_domain):
         group = by_domain[tag]
         try:
-            records = _record_set(group, rank=False)
+            records = RecordSet(np.concatenate([s.confidence_cal for s in group]),
+                                np.concatenate([s.correct for s in group]))
             stats = {
                 "n_images": len(group),
                 "n_records": len(records),
@@ -261,7 +252,7 @@ def evaluate_manifest(manifest: DatasetManifest, calibrator: Calibrator | None =
                 stats["ks_error"] = met.ks_error(records)
             if "prr" in wanted:
                 if config.score is not ConfidenceScore.MAX_PROB:  # rebinding drops the calibration set's view
-                    records = _record_set(group, rank=True)
+                    records = RecordSet(np.concatenate([s.confidence_rank for s in group]), records.correct)
                 stats["prr"] = met.prr(records)
             domains[tag] = stats
             if "ood_auroc" in wanted and id_domain not in (None, tag):

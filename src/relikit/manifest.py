@@ -64,6 +64,7 @@ class ManifestEntry:
 
 
 _FIELD_NAMES = tuple(f.name for f in fields(ManifestEntry))
+_FIELD_SET = frozenset(_FIELD_NAMES)
 _PATH_FIELDS = ("logits", "labels", "feature", "image", "ood_mask")
 
 
@@ -118,16 +119,20 @@ def _require(condition: bool, message: str):
 
 
 def _parse_entry(raw: dict, index: int) -> ManifestEntry:
-    _require(isinstance(raw, dict), f"entry {index}: not a JSON object")
+    """The entry ``raw``, the ``index``-th of its manifest; a message is formatted only for a failed check."""
+    if not isinstance(raw, dict):
+        raise ManifestError(f"entry {index}: not a JSON object")
     for key in _REQUIRED_FIELDS:
-        _require(key in raw, f"entry {index}: missing required field {key!r}")
-    unknown = raw.keys() - set(_FIELD_NAMES)
-    _require(not unknown, f"entry {index}: unknown fields {sorted(unknown)}")
+        if key not in raw:
+            raise ManifestError(f"entry {index}: missing required field {key!r}")
+    unknown = raw.keys() - _FIELD_SET
+    if unknown:
+        raise ManifestError(f"entry {index}: unknown fields {sorted(unknown)}")
     for key in _FIELD_NAMES:
-        if key in raw:
-            _require(isinstance(raw[key], str) and raw[key],
-                     f"entry {index}: field {key!r} must be a non-empty string")
-    _require(raw["split"] in SPLITS, f"entry {index}: split must be one of {SPLITS}, got {raw['split']!r}")
+        if key in raw and not (isinstance(raw[key], str) and raw[key]):
+            raise ManifestError(f"entry {index}: field {key!r} must be a non-empty string")
+    if raw["split"] not in SPLITS:
+        raise ManifestError(f"entry {index}: split must be one of {SPLITS}, got {raw['split']!r}")
     return ManifestEntry(**raw)
 
 
@@ -152,7 +157,8 @@ def load_manifest(path) -> DatasetManifest:
     entries = [_parse_entry(item, i) for i, item in enumerate(raw["entries"])]
     seen: set[str] = set()
     for entry in entries:
-        _require(entry.image_id not in seen, f"{path}: duplicate image_id {entry.image_id!r}")
+        if entry.image_id in seen:
+            raise ManifestError(f"{path}: duplicate image_id {entry.image_id!r}")
         seen.add(entry.image_id)
     manifest = DatasetManifest(
         classes=classes,

@@ -85,7 +85,7 @@ def _normalized_confidence(records: RecordSet) -> RecordSet:
     if lo >= 0.0 and hi <= 1.0:
         return records
     scaled = np.full_like(conf, 0.5) if hi == lo else (conf - lo) / (hi - lo)
-    return RecordSet(scaled, records.predicted, records.actual)
+    return RecordSet(scaled, records.correct)
 
 
 def bin_partition(records: RecordSet, bins: int = DEFAULT_BINS,
@@ -165,7 +165,8 @@ def ks_error(records: RecordSet) -> float:
     if n == 0:
         raise MetricError("cannot compute KS error of an empty record set")
     _, cum_conf, cum_correct = records.running
-    return float(np.abs(cum_conf - cum_correct).max() / n)
+    gap = np.subtract(cum_conf, cum_correct)
+    return float(np.abs(gap, out=gap).max() / n)
 
 
 @dataclass(frozen=True)
@@ -276,21 +277,25 @@ def prr(records: RecordSet) -> float:
     are all correct or all incorrect.
 
     All three curves take values (errors remaining)/n on a 1/n grid, so
-    their trapezoid areas scaled by 2 n^2 are integers. The areas are
-    accumulated in that integer space and only the final ratio touches
-    floating point, which keeps the result exact up to one rounding even
-    when the random/oracle gap is tiny.
+    their trapezoid areas scaled by 2 n^2 are integers, computed here in
+    closed form with exact integer arithmetic; only the final ratio
+    touches floating point, which keeps the result exact up to one
+    rounding even when the random/oracle gap is tiny. With E errors and
+    C_k correct records among the k least confident, the model curve is
+    m_k = E - k + C_k, so its area is 2 S - E for S = sum_k m_k =
+    (n + 1) E - n (n + 1) / 2 + sum_k C_k; the oracle curve max(0, E - k)
+    has area E^2, and the random one E n.
     """
     n = len(records)
     if n < 2:
         raise MetricError("prr needs at least two records")
-    # model[k] = n * (errors remaining after rejecting k least-confident)
-    model = _errors_remaining(records)
-    total_errors = int(model[0])
-    if total_errors == 0 or total_errors == n:
+    running_correct = records.running_correct
+    errors = n - int(running_correct[-1])
+    if errors == 0 or errors == n:
         raise MetricError("prr is undefined for all-correct or all-incorrect records")
-    oracle = np.maximum(0, total_errors - np.arange(n + 1, dtype=np.int64))
-    model_area = int(model[0] + model[-1] + 2 * model[1:-1].sum())
-    oracle_area = int(oracle[0] + oracle[-1] + 2 * oracle[1:-1].sum())
-    random_area = total_errors * n  # 2 n^2 * (e/n)/2
+    # the running counts are whole floats below 2^53: their int64 sum is exact
+    model_sum = (n + 1) * errors - n * (n + 1) // 2 + int(running_correct.sum(dtype=np.int64))
+    model_area = 2 * model_sum - errors
+    oracle_area = errors * errors
+    random_area = errors * n  # 2 n^2 * (e/n)/2
     return float(100.0 * ((random_area - model_area) / (random_area - oracle_area)))

@@ -88,7 +88,7 @@ def _parse_header(file, size: int, path) -> TensorHeader:
         raise _fail(path, "file truncated inside header")
     try:
         header = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise _fail(path, f"header is not valid UTF-8 JSON ({exc})") from exc
     if not isinstance(header, dict):
         raise _fail(path, "header is not a JSON object")

@@ -45,11 +45,7 @@ def _verdict(number: int, ok: bool, detail: str) -> None:
 
 
 def _records(conf, correct) -> RecordSet:
-    conf = np.asarray(conf, dtype=np.float64)
-    correct = np.asarray(correct, dtype=bool)
-    predicted = np.zeros(conf.shape[0], dtype=np.int64)
-    actual = np.where(correct, 0, 1)
-    return RecordSet(conf, predicted, actual)
+    return RecordSet(np.asarray(conf, dtype=np.float64), np.asarray(correct, dtype=bool))
 
 
 def _image_records(maps, labels, image_id, *, pixels_per_image=None, seed=0, ignore_value=255):
@@ -59,7 +55,7 @@ def _image_records(maps, labels, image_id, *, pixels_per_image=None, seed=0, ign
     flat = labels.data.reshape(-1)
     rows = np.flatnonzero(flat != ignore_value)
     rows = rows[subsample_indices(rows.size, pixels_per_image, seed, f"pixels:{image_id}")]
-    return RecordSet(conf.reshape(-1)[rows], predicted.reshape(-1)[rows], flat[rows].astype(np.int64))
+    return RecordSet(conf.reshape(-1)[rows], predicted.reshape(-1)[rows] == flat[rows])
 
 
 # ---------------------------------------------------------------- oracles

@@ -856,6 +856,26 @@ class TestTensorFileFuzz:
                                    ("truncate", "retype", "header_length")))
         self._eval_damaged(capsys, victim, victim[2], damage)
 
+    @pytest.mark.parametrize("command", ["validate", "eval"])
+    def test_over_nested_header_exit_2(self, capsys, victim, command):
+        # a header nested past the JSON parser's recursion limit, well inside the 1 MiB header cap
+        manifest, path = victim[0], victim[1]
+        original = path.read_bytes()
+        body = b"[" * 50_000 + b"]" * 50_000
+        path.write_bytes(MAGIC + len(body).to_bytes(4, "little") + body)
+        argv = (["validate", str(manifest)] if command == "validate" else
+                ["eval", "--manifest", str(manifest), "--metrics", "ece", "--out", str(manifest.parent / "r.json")])
+        try:
+            code, out, err = _run(capsys, argv)
+        finally:
+            path.write_bytes(original)
+        message = f"{path}: header is not valid UTF-8 JSON (maximum recursion depth exceeded"
+        assert code == 2
+        if command == "validate":
+            assert err == "" and f"[format] {message}" in out and out.endswith(" violation(s) in 8 entries\n")
+        else:
+            assert out == "" and _one_error_line(err) and err.startswith(f"error: {message}")
+
 
 class TestManifestFuzz:
     """A manifest with one key dropped, retyped or reshaped ends validate, fit and eval in an exit code."""

@@ -164,11 +164,15 @@ class TestConfidenceMap:
 class TestRecordSet:
     def _records(self, n=5):
         rng = np.random.default_rng(13)
-        return RecordSet(rng.random(n), rng.integers(0, 3, n), rng.integers(0, 3, n))
+        return RecordSet(rng.random(n), rng.integers(0, 3, n) == rng.integers(0, 3, n))
 
     def test_correct_mask(self):
-        rs = RecordSet(np.array([0.5, 0.6, 0.7]), np.array([0, 1, 2]), np.array([0, 2, 2]))
+        rs = RecordSet(np.array([0.5, 0.6, 0.7]), np.array([0, 1, 2]) == np.array([0, 2, 2]))
         np.testing.assert_array_equal(rs.correct, [True, False, True])
+        assert rs.correct.dtype == np.bool_
+        # the set holds two per-record arrays, 9 bytes a record
+        assert [f.name for f in dataclasses.fields(rs)] == ["confidence", "correct"]
+        assert rs.confidence.nbytes + rs.correct.nbytes == 9 * len(rs)
 
     def test_len(self):
         assert len(self._records(3)) == 3
@@ -180,26 +184,37 @@ class TestRecordSet:
         assert len(merged) == 7
         np.testing.assert_array_equal(merged.confidence[:3], a.confidence)
         np.testing.assert_array_equal(merged.confidence[3:], b.confidence)
+        np.testing.assert_array_equal(merged.correct, np.concatenate([a.correct, b.correct]))
 
     def test_concat_empty_list_raises(self):
         with pytest.raises(MetricError):
             RecordSet.concat([])
 
     def test_empty(self):
-        rs = RecordSet(np.empty(0), np.empty(0, np.int64), np.empty(0, np.int64))
+        rs = RecordSet(np.empty(0), np.empty(0, bool))
         assert len(rs) == 0
 
     def test_length_mismatch_raises(self):
-        with pytest.raises(InvalidTensorError):
-            RecordSet(np.zeros(3), np.zeros(2, np.int64), np.zeros(3, np.int64))
+        with pytest.raises(InvalidTensorError, match="1-D shape"):
+            RecordSet(np.zeros(3), np.zeros(2, bool))
+        with pytest.raises(InvalidTensorError, match="1-D shape"):
+            RecordSet(np.zeros((2, 2)), np.zeros((2, 2), bool))
 
     def test_non_finite_confidence_raises(self):
-        with pytest.raises(InvalidTensorError):
-            RecordSet(np.array([0.5, np.nan]), np.zeros(2, np.int64), np.zeros(2, np.int64))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidTensorError, match="non-finite"):
+                RecordSet(np.array([0.5, bad]), np.zeros(2, bool))
+
+    @pytest.mark.parametrize("correct", [np.zeros(2, np.int64), np.ones(2, np.uint8), np.array([0.0, 1.0]),
+                                         [1, 0], np.array(["a", "b"])])
+    def test_non_bool_correct_raises(self, correct):
+        # a class index or 0/1 count is not a correctness flag: no silent cast
+        with pytest.raises(InvalidTensorError, match="must be a bool array"):
+            RecordSet(np.array([0.5, 0.6]), correct)
 
     def test_order_is_the_stable_argsort(self):
         conf = np.array([0.5, 0.25, 0.5, -0.0, 1.0, 0.0, 0.25, 0.5])
-        rs = RecordSet(conf, np.zeros(8, np.int64), np.zeros(8, np.int64))
+        rs = RecordSet(conf, np.ones(8, bool))
         np.testing.assert_array_equal(rs.order, [3, 5, 1, 6, 0, 2, 7, 4])
 
 
@@ -326,11 +341,11 @@ class TestRunningCorrect:
         from relikit.metrics import prr, rejection_curve
 
         rng = np.random.default_rng(21)
-        records = RecordSet(np.round(rng.random(500), 2), rng.integers(0, 3, 500), rng.integers(0, 3, 500))
+        records = RecordSet(np.round(rng.random(500), 2), rng.integers(0, 3, 500) == rng.integers(0, 3, 500))
         value = prr(records)
         rejection_curve(records)
         assert "running" not in vars(records)  # no gather of the confidences, no sum of them
-        fresh = RecordSet(records.confidence, records.predicted, records.actual)
+        fresh = RecordSet(records.confidence, records.correct)
         ordered, cum_conf, cum_correct = fresh.running
         assert cum_correct is fresh.running_correct
         np.testing.assert_array_equal(cum_correct, records.running_correct)

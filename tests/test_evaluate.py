@@ -1,11 +1,12 @@
 """End-to-end evaluation over a manifest split."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from relikit import calibration, confidence
+from relikit import calibration, confidence, evaluate
 from relikit import metrics as met
 from relikit.calibration import (
     BATCH_PIXELS,
@@ -286,7 +287,8 @@ def _oracle_report(manifest, calibrator, config):
             float(flat[one.valid].mean()), flat[~one.ood_mask.reshape(-1)], flat[one.ood_mask.reshape(-1)]))
     domains, bins, pixel_ood = {}, {}, {}
     for tag, images in sorted(by_domain.items()):
-        records = RecordSet(*(np.concatenate([image[k] for image in images]) for k in range(3)))
+        records = RecordSet(np.concatenate([image[0] for image in images]),
+                            np.concatenate([image[1] == image[2] for image in images]))
         iou = met.iou_from_confusion(sum(image[3] for image in images))
         partition = met.bin_partition(records, config.bins)
         domains[tag] = {
@@ -436,3 +438,65 @@ class TestPixelOodWarning:
         # without pixel_ood_auroc no mask is read, so nothing is left out
         assert main(["eval", "--manifest", str(path), "--metrics", "prr", "--out", str(tmp_path / "r.json")]) == 0
         assert capsys.readouterr().err == ""
+
+
+@pytest.fixture(scope="module")
+def records_manifest(tmp_path_factory):
+    """Two test-only domains of 40 images of 48 x 48 x 5 each: 184 320 records when every pixel is drawn."""
+    from relikit.synth import DomainSpec, SynthConfig, generate_benchmark
+
+    config = SynthConfig(domains=(DomainSpec("id", 1.0, 0.0, (0.0, 0.0)), DomainSpec("mild", 2.0, 0.1, (6.0, 0.0))),
+                         calibration_images=0, test_images=40, seed=3)
+    return load_manifest(generate_benchmark(config, tmp_path_factory.mktemp("records")))
+
+
+class TestRecordMemory:
+    """Eval keeps a drawn record as its confidence (two under neg_entropy) and one correctness flag."""
+
+    # evaluate_manifest's tracemalloc peak per drawn record on records_manifest, every pixel drawn. Measured
+    # on x86-64 with NumPy 2.4: about 35 B under max_prob and 43 B under neg_entropy; with an int64
+    # predicted and actual class per record it was about 65 and 73 B.
+    PEAK_PER_RECORD = {ConfidenceScore.MAX_PROB: 45, ConfidenceScore.NEG_ENTROPY: 55}
+
+    @pytest.mark.parametrize("score", list(ConfidenceScore))
+    def test_summaries_and_record_sets_hold_no_int64_per_record(self, records_manifest, monkeypatch, score):
+        summaries, record_sets = [], []
+        summarize = evaluate._summarize_batch
+
+        def spy_summarize(*args, **kwargs):
+            out = summarize(*args, **kwargs)
+            summaries.extend(out)
+            return out
+
+        class SpyRecordSet(RecordSet):
+            def __post_init__(self):
+                super().__post_init__()
+                record_sets.append(self)
+
+        monkeypatch.setattr(evaluate, "_summarize_batch", spy_summarize)
+        monkeypatch.setattr(evaluate, "RecordSet", SpyRecordSet)
+        evaluate_manifest(records_manifest, None, EvalConfig(pixels_per_image=None, score=score))
+        assert len(summaries) == 80
+        assert len(record_sets) == (2 if score is ConfidenceScore.MAX_PROB else 4)
+        for summary in summaries:
+            per_record = {name: value.dtype for name, value in vars(summary).items()
+                          if isinstance(value, np.ndarray) and value.ndim == 1}
+            assert per_record == {"confidence_cal": np.float64, "confidence_rank": np.float64, "correct": np.bool_}
+        for records in record_sets:
+            assert {f.name: getattr(records, f.name).dtype for f in dataclasses.fields(records)} == {
+                "confidence": np.float64, "correct": np.bool_}
+
+    @pytest.mark.parametrize("score", list(ConfidenceScore))
+    def test_peak_per_drawn_record(self, records_manifest, score):
+        config = EvalConfig(pixels_per_image=None, score=score)
+        evaluate_manifest(records_manifest, None, config)  # first-call allocations are not the records'
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            report = evaluate_manifest(records_manifest, None, config)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        records = sum(stats["n_records"] for stats in report.domains.values())
+        assert records == 80 * 48 * 48
+        assert peak / records <= self.PEAK_PER_RECORD[score]

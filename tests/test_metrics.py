@@ -12,6 +12,8 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relikit.confidence import ConfidenceScore, RecordSet
 from relikit.errors import ManifestError, MetricError
@@ -34,11 +36,7 @@ from relikit.tensors import LabelMap
 
 
 def _rs(conf, correct):
-    conf = np.asarray(conf, dtype=np.float64)
-    correct = np.asarray(correct, dtype=bool)
-    predicted = np.zeros(conf.shape[0], dtype=np.int64)
-    actual = np.where(correct, 0, 1)
-    return RecordSet(conf, predicted, actual)
+    return RecordSet(np.asarray(conf, dtype=np.float64), np.asarray(correct, dtype=bool))
 
 
 def _normalize(conf):
@@ -134,6 +132,33 @@ def oracle_prr(conf, correct):
     numerator = total_errors * n - _oracle_area(model)
     denominator = total_errors * n - _oracle_area(oracle)
     return 100.0 * (numerator / denominator)
+
+
+def trapezoid_prr(conf, correct):
+    """prr as it was computed before its closed form: the three curves as int64 arrays, whose
+    trapezoid areas times 2 n^2 are summed element by element."""
+    n = conf.shape[0]
+    running = np.concatenate([[0], np.cumsum(correct[np.argsort(conf, kind="stable")])])
+    rejected = np.arange(n + 1) - running
+    model = rejected[-1] - rejected
+    total_errors = int(model[0])
+    oracle = np.maximum(0, total_errors - np.arange(n + 1, dtype=np.int64))
+    model_area = int(model[0] + model[-1] + 2 * model[1:-1].sum())
+    oracle_area = int(oracle[0] + oracle[-1] + 2 * oracle[1:-1].sum())
+    random_area = total_errors * n
+    return float(100.0 * ((random_area - model_area) / (random_area - oracle_area)))
+
+
+@st.composite
+def tied_records(draw):
+    """(confidence, correct) with confidences from a pool of at most five multiples of 2^-8, -0.0 among
+    them, so most records tie; the flags are as often all equal as not."""
+    grid = st.integers(-256, 512).map(lambda k: k / 256)
+    pool = draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0]), grid), min_size=1, max_size=5))
+    conf = np.array(draw(st.lists(st.sampled_from(pool), min_size=2, max_size=300)))
+    flags = st.booleans() if draw(st.booleans()) else st.just(draw(st.booleans()))
+    correct = np.array(draw(st.lists(flags, min_size=conf.size, max_size=conf.size)), dtype=bool)
+    return conf, correct
 
 
 def oracle_miou(predictions, labels, classes, ignore_value):
@@ -418,6 +443,21 @@ class TestPrr:
             got = prr(_rs(conf, correct))
             want = oracle_prr(list(conf), list(correct))
             assert abs(got - want) < 1e-12
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(tied_records())
+    @example((np.array([0.0, -0.0, 0.0, -0.0]), np.array([True, False, False, True])))
+    @example((np.array([-0.0, 0.0, 0.5, 0.5, -0.0]), np.array([False, True, True, False, True])))
+    @example((np.array([0.0, -0.0, 0.25]), np.array([True, True, True])))
+    @example((np.array([-0.0, 0.0]), np.array([False, False])))
+    def test_closed_form_matches_trapezoid_arrays_on_ties(self, case):
+        conf, correct = case
+        records = _rs(conf, correct)
+        if correct.all() or not correct.any():
+            with pytest.raises(MetricError, match="all-correct or all-incorrect"):
+                prr(records)
+        else:
+            assert prr(records) == trapezoid_prr(conf, correct)
 
     def test_degenerate_correctness_raises(self):
         with pytest.raises(MetricError):

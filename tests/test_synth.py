@@ -123,7 +123,7 @@ class TestGenerateScene:
         scene = generate_scene(config, "id", "id-cal-000")
         conf, predicted = confidence_map(scene.logits)
         keep = scene.labels.data != config.ignore_value
-        records = RecordSet(conf[keep], predicted[keep], scene.labels.data[keep])
+        records = RecordSet(conf[keep], predicted[keep] == scene.labels.data[keep])
         assert ece(records, bins=15) < 0.03
 
     def test_feature_carries_domain_offset(self):
