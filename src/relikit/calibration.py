@@ -34,14 +34,9 @@ one buffer, and :func:`fit_lts` takes the feature mean and spread block
 by block and standardizes each minibatch as training takes it, so the
 gathered pixel rows are the only (n, K + C) matrix.
 
-Fitting and evaluation read a split through :func:`load_batches`: each
-entry is read, checked and its pixels drawn by :func:`load_entry`, so a
-given seed sees one pixel set per image everywhere. Every tensor check is
-written once, in :func:`check_entry`, which yields each violation of one
-entry: ``relikit validate`` lists them all and :func:`load_entry` raises
-the first. Consecutive entries of one grid are stacked into an
-:class:`EntryBatch` of at most :data:`BATCH_PIXELS` pixels (or one larger
-entry).
+Fitting reads a split through the read path of :mod:`relikit.manifest`:
+:func:`~relikit.manifest.load_batches`, and for cluster scaling
+:func:`~relikit.manifest.load_features`.
 :func:`needs_image` decides whether a calibrator reads the image tensor.
 Every fit stacks its split's drawn pixels once, in entry order, into one
 :class:`CalibrationPixels` set (:func:`gather_pixel_batches`) that records
@@ -56,38 +51,29 @@ walked by :func:`save_calibrator` to write it and :func:`load_calibrator` to che
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from . import mlp, tensor_io
+from . import mlp
 from .confidence import _block_rows, _blocks, _checked_temperature, scaled_logits
-from .errors import (CalibrationError, InvalidTensorError, ManifestError, NumericalError, RelikitError,
-                     TensorFormatError, UsageError, convert_option, read_json_object)
+from .errors import CalibrationError, NumericalError, UsageError, convert_option, read_json_object
 from .kmeans import assign_points, kmeans
-from .manifest import DatasetManifest, ManifestEntry, check_agreement, load_features, require_slot
-from .rng import derive_stream, subsample_indices
-from .tensors import (
-    ImageTensor,
-    LabelMap,
-    LogitTensor,
-    TemperatureMap,
-    check_same_shape,
-    validate_labels,
-)
+from .manifest import DatasetManifest, EntryBatch, ManifestEntry, _stack, load_batches, load_features
+from .rng import derive_stream
+from .tensors import ImageTensor, LogitTensor, TemperatureMap, check_same_shape
+# Unused here; the benchmark tracer's smoke test looks these bindings up.
+from .rng import subsample_indices  # noqa: F401
+from .tensors import validate_labels  # noqa: F401
 
 T_MIN = 0.05
 T_MAX = 20.0
 LN_T_TOL = 1e-4
 DEFAULT_PIXELS_PER_IMAGE = 20_000
 DEFAULT_CLUSTERS = 16
-# Pixels per batch of same-grid entries: a 128 x 256 image fills one on its own.
-BATCH_PIXELS = 1 << 15
 
 
 class ClusterVariant(str, Enum):
@@ -163,14 +149,6 @@ class LtsHyper:
 
 
 Calibrator = GlobalTemperature | ClusterTemperatureModel | TemperatureRegressor
-
-
-def scaled_nll(logits: np.ndarray, labels: np.ndarray, temperature: float) -> float:
-    """Mean NLL of softmax(logits / temperature) against integer labels."""
-    z = np.asarray(logits, dtype=np.float64) / temperature
-    shift = z.max(axis=1, keepdims=True)
-    lse = shift[:, 0] + np.log(np.exp(z - shift).sum(axis=1))
-    return float((lse - z[np.arange(z.shape[0]), labels]).mean())
 
 
 def _shift_rows(z: np.ndarray) -> np.ndarray:
@@ -368,169 +346,6 @@ def apply_temperature(logits: LogitTensor, temperature: float | TemperatureMap) 
     e = np.exp(z)
     e /= e.sum(axis=2, keepdims=True)
     return e
-
-
-@dataclass(frozen=True)
-class LoadedEntry:
-    """One entry's checked tensors and its drawn pixels.
-
-    ``valid`` lists the flat indices of the non-ignored pixels and ``rows``
-    those drawn from them; a tensor that was not asked for is None.
-    """
-
-    entry: ManifestEntry
-    logits: LogitTensor
-    labels: LabelMap
-    valid: np.ndarray
-    rows: np.ndarray
-    image: ImageTensor | None = None
-    feature: np.ndarray | None = None
-    ood_mask: np.ndarray | None = None  # (H, W) bool
-
-    def drawn(self, per_pixel: np.ndarray) -> np.ndarray:
-        """The drawn pixels of an (H, W) or (H, W, C) array, in pixel order."""
-        return per_pixel.reshape(-1, *per_pixel.shape[2:])[self.rows]
-
-
-# Each manifest slot's reader in tensor_io, in the order check_entry reads and checks the slots.
-_READERS = {"logits": "read_logits", "labels": "read_labels", "feature": "read_feature",
-            "image": "read_image", "ood_mask": "read_mask"}
-
-
-def _failures(file: str, field: str, check, *args) -> Iterator[tuple[str, str, RelikitError]]:
-    """``(file, field, error)`` if ``check(*args)`` raises ``error``, else nothing."""
-    try:
-        check(*args)
-    except RelikitError as exc:
-        yield file, field, exc
-
-
-def check_entry(manifest: DatasetManifest, entry: ManifestEntry, read: dict, seen: dict,
-                slots=frozenset(_READERS)) -> Iterator[tuple[str, str, RelikitError]]:
-    """Read each tensor ``entry`` lists among ``slots`` into ``read``; yield each failed check.
-
-    A failed check is ``(file, field, error)``, in one fixed order: each
-    file's ``format``, the logits' ``classes``, the labels' ``shape`` and
-    ``values``, the feature ``width``, the image's ``shape`` and
-    ``channels``, the mask's ``shape``. ``seen`` records the first width and
-    channel count, as (value, file), for the checks across entries, which
-    name that first file.
-    """
-    where = entry.image_id
-    for slot, reader in _READERS.items():
-        file = getattr(entry, slot)
-        if slot not in slots or file is None:
-            continue
-        try:
-            tensor = read[slot] = getattr(tensor_io, reader)(manifest.path(file))
-        except (TensorFormatError, InvalidTensorError) as exc:
-            yield file, "format", exc
-            continue
-        logits = read.get("logits")
-        if slot == "logits" and tensor.classes != manifest.classes:
-            yield file, "classes", ManifestError(
-                f"{where}: logits carry {tensor.classes} classes, manifest says {manifest.classes}")
-        if slot in ("labels", "image") and logits is not None:
-            yield from _failures(file, "shape", check_same_shape, logits, tensor, f"{where}: logits vs {slot}")
-        if slot == "labels":
-            yield from _failures(file, "values", validate_labels, tensor, manifest.classes, manifest.ignore_value)
-        if slot in ("feature", "image"):
-            field, value = ("width", tensor.shape[0]) if slot == "feature" else ("channels", tensor.channels)
-            first = seen.setdefault(field, (value, file))
-            yield from _failures(first[1], field, check_agreement, field, first, value, file)
-        if slot == "ood_mask" and logits is not None and tensor.shape != (logits.height, logits.width):
-            yield file, "shape", ManifestError(f"{where}: ood mask shape {tensor.shape} does not match image")
-
-
-def load_entry(manifest: DatasetManifest, entry: ManifestEntry, *,
-               pixels_per_image: int | None, seed: int,
-               image: bool = False, feature: bool = False, mask: bool = False,
-               seen: dict | None = None) -> LoadedEntry:
-    """Read and check one entry's logits and labels and draw its pixels: one step of :func:`load_batches`.
-
-    The first violation :func:`check_entry` yields is raised; ``seen`` is
-    its cross-entry record, kept by the caller from entry to entry. The
-    draw uses the ``(seed, image_id)`` stream of record extraction, so
-    fitting and evaluation see identical pixels. The image and the feature
-    are read only when asked for, and the entry must then list them; the
-    OOD mask is read when asked for and listed.
-    """
-    for slot, asked in (("image", image), ("feature", feature)):
-        if asked:
-            require_slot(entry, slot)
-    read: dict = {}
-    slots = {"logits", "labels"} | {slot for slot, asked in (("feature", feature), ("image", image),
-                                                             ("ood_mask", mask)) if asked}
-    for _, _, error in check_entry(manifest, entry, read, {} if seen is None else seen, slots):
-        raise error
-    labels = read["labels"]
-    valid = np.flatnonzero(labels.data.reshape(-1) != manifest.ignore_value)
-    rows = valid[subsample_indices(valid.size, pixels_per_image, seed, f"pixels:{entry.image_id}")]
-    return LoadedEntry(entry, read["logits"], labels, valid, rows,
-                       read.get("image"), read.get("feature"), read.get("ood_mask"))
-
-
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """``np.stack(arrays)``; a single array becomes a view with a leading axis of 1, not a copy."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
-@dataclass(frozen=True)
-class EntryBatch:
-    """Consecutive loaded entries of one (H, W) grid, their tensors stacked on first use.
-
-    ``logits`` is (B, H, W, K) float32 and ``labels`` (B, H, W) uint16.
-    ``rows`` holds every entry's drawn pixels, entry by entry and each in
-    pixel order, as flat indices into the batch's B * H * W pixels; entry
-    i's are ``rows[bounds[i]:bounds[i + 1]]``.
-    """
-
-    loaded: tuple[LoadedEntry, ...]
-
-    @cached_property
-    def logits(self) -> np.ndarray:
-        return _stack([one.logits.data for one in self.loaded])
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        return _stack([one.labels.data for one in self.loaded])
-
-    @cached_property
-    def rows(self) -> np.ndarray:
-        pixels = self.loaded[0].labels.data.size
-        return np.concatenate([one.rows + i * pixels for i, one in enumerate(self.loaded)])
-
-    @cached_property
-    def bounds(self) -> np.ndarray:
-        return np.cumsum([0] + [one.rows.size for one in self.loaded])
-
-    def drawn(self, per_pixel: np.ndarray) -> np.ndarray:
-        """The drawn pixels of a (B, H, W) or (B, H, W, C) array, entry by entry."""
-        return per_pixel.reshape(-1, *per_pixel.shape[3:])[self.rows]
-
-
-def load_batches(manifest: DatasetManifest, entries: list[ManifestEntry], *,
-                 pixels_per_image: int | None, seed: int,
-                 image: bool = False, feature: bool = False, mask: bool = False) -> Iterator[EntryBatch]:
-    """The entries, each loaded by :func:`load_entry` in order, as batches for fit and eval.
-
-    A batch is a run of consecutive entries of one (H, W) grid holding at
-    most :data:`BATCH_PIXELS` pixels, or a single larger entry. Entries are
-    read as the batches are taken, so the reader holds one batch and the
-    entry that starts the next. All entries share one cross-entry record.
-    """
-    run: list[LoadedEntry] = []
-    seen: dict = {}
-    for entry in entries:
-        one = load_entry(manifest, entry, pixels_per_image=pixels_per_image, seed=seed,
-                         image=image, feature=feature, mask=mask, seen=seen)
-        if run and (one.labels.data.shape != run[0].labels.data.shape
-                    or (len(run) + 1) * one.labels.data.size > BATCH_PIXELS):
-            yield EntryBatch(tuple(run))
-            run = []
-        run.append(one)
-    if run:
-        yield EntryBatch(tuple(run))
 
 
 @dataclass(frozen=True)

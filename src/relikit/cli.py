@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Five subcommands: ``validate`` lists every violation of the tensor checks
-(:func:`~relikit.calibration.check_entry`) that ``fit`` and ``eval`` stop
-at, ``fit`` trains a calibrator and writes it as a JSON artifact,
-``eval`` renders a reliability report, ``synth`` writes a synthetic
-benchmark, and ``theorem`` prints the group-calibration paradox.
+(:func:`~relikit.manifest.check_entry`, on the read path of
+:mod:`relikit.manifest`) that ``fit`` and ``eval`` stop at, ``fit``
+trains a calibrator and writes it as a JSON artifact, ``eval`` renders a
+reliability report, ``synth`` writes a synthetic benchmark, and
+``theorem`` prints the group-calibration paradox.
 
 Each subcommand reads an optional ``--config`` JSON file whose keys match
 the long flag names (with underscores); explicit flags override the file.
@@ -36,7 +37,6 @@ from .calibration import (
     FeatureMode,
     GlobalTemperature,
     LtsHyper,
-    check_entry,
     fit_cluster_ts,
     fit_global_ts,
     fit_lts,
@@ -52,7 +52,7 @@ from .errors import (
     convert_option,
     read_json_object,
 )
-from .manifest import SPLITS, load_manifest
+from .manifest import SPLITS, check_entry, load_manifest
 
 WORKERS_ENV = "RELIKIT_WORKERS"
 # fit/eval options that hold a path or a tag; argparse gives strings, a config file may not

@@ -224,7 +224,8 @@ class RecordSet:
     :attr:`running_correct` and :attr:`running` (sums along it) are
     computed on first use and shared by every metric that reads the set,
     so one set is ordered at most once, and a set read only by ``prr``
-    never gathers or sums its confidences.
+    never gathers or sums its confidences. No metric reads :attr:`order`
+    once :attr:`running` is built, so building it drops the cached order.
     """
 
     confidence: np.ndarray
@@ -268,7 +269,9 @@ class RecordSet:
         ordered = self.confidence[self.order]
         sums = np.zeros(ordered.shape[0] + 1)
         np.cumsum(ordered, out=sums[1:])
-        return ordered, sums, self.running_correct
+        view = ordered, sums, self.running_correct
+        self.__dict__.pop("order", None)
+        return view
 
     @staticmethod
     def concat(parts: list["RecordSet"]) -> "RecordSet":

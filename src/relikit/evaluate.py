@@ -8,9 +8,9 @@ always from max-probability confidence), misclassification detection
 and pixel-level AUROC against the in-domain reference).
 
 The split is scored in batches: runs of consecutive entries of one
-(H, W) grid holding at most :data:`~relikit.calibration.BATCH_PIXELS`
+(H, W) grid holding at most :data:`~relikit.manifest.BATCH_PIXELS`
 pixels, or one larger image, read by
-:func:`~relikit.calibration.load_batches` as in fitting, so a seed
+:func:`~relikit.manifest.load_batches` as in fitting, so a seed
 identifies one pixel set per image everywhere. Besides the logits and
 labels it reads only what is used: the image for an LTS calibrator that
 takes image channels, the feature vector for a cluster calibrator, and
@@ -65,14 +65,12 @@ from .calibration import (
     DEFAULT_PIXELS_PER_IMAGE,
     Calibrator,
     ClusterTemperatureModel,
-    EntryBatch,
     batch_temperature,
-    load_batches,
     needs_image,
 )
 from .confidence import ConfidenceScore, RecordSet, _confidence_pass
 from .errors import ManifestError, MetricError, UsageError
-from .manifest import DatasetManifest
+from .manifest import DatasetManifest, EntryBatch, load_batches
 # Unused here; the benchmark tracer's smoke test looks these bindings up.
 from .calibration import apply_calibrator  # noqa: F401
 from .confidence import confidence_map  # noqa: F401

@@ -32,23 +32,38 @@ text, computed once when the manifest is built. ``split`` is
 ``calibration`` or ``test``. ``ignore_value`` labels pixels excluded from
 every metric and fit; it must not collide with a class index. Entries are sorted by ``image_id`` at load so downstream results do
 not depend on the order they were listed in.
+
+The read path that ``validate``, ``fit`` and ``eval`` share lives here
+too. :func:`check_entry` reads an entry's tensors through
+:data:`_READERS` and yields each violation of the checks, each written
+once: ``validate`` lists them all, :func:`load_entry` and
+:func:`load_features` raise the first. :func:`load_batches` stacks runs
+of loaded same-grid entries into batches of at most :data:`BATCH_PIXELS`
+pixels. Every read runs on the calling thread.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor_io
-from .errors import CalibrationError, ManifestError, read_json_object
+from .errors import (CalibrationError, InvalidTensorError, ManifestError, RelikitError, TensorFormatError,
+                     read_json_object)
+from .rng import subsample_indices
+from .tensors import ImageTensor, LabelMap, LogitTensor, check_same_shape, validate_labels
 
 SPLITS = ("calibration", "test")
 _REQUIRED_FIELDS = ("image_id", "split", "domain", "logits", "labels")
 DEFAULT_IGNORE = 255
+# Pixels per batch of same-grid entries: a 128 x 256 image fills one on its own.
+BATCH_PIXELS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -65,7 +80,9 @@ class ManifestEntry:
 
 _FIELD_NAMES = tuple(f.name for f in fields(ManifestEntry))
 _FIELD_SET = frozenset(_FIELD_NAMES)
-_PATH_FIELDS = ("logits", "labels", "feature", "image", "ood_mask")
+# Each path slot's reader in tensor_io, in the order check_entry reads and checks the slots.
+_READERS = {"logits": "read_logits", "labels": "read_labels", "feature": "read_feature",
+            "image": "read_image", "ood_mask": "read_mask"}
 
 
 def _joined(root: str, relpath: str) -> str:
@@ -88,7 +105,7 @@ class DatasetManifest:
         root = str(self.root)
         object.__setattr__(self, "_paths", {
             rel: _joined(root, rel) for entry in self.entries
-            for rel in (getattr(entry, key) for key in _PATH_FIELDS) if rel is not None
+            for rel in (getattr(entry, key) for key in _READERS) if rel is not None
         })
 
     def path(self, relpath: str) -> str:
@@ -167,7 +184,7 @@ def load_manifest(path) -> DatasetManifest:
         root=path.parent,
     )
     for entry in manifest.entries:
-        for key in _PATH_FIELDS:
+        for key in _READERS:
             rel = getattr(entry, key)
             # os.path.isfile is False, not an exception, on a name the OS refuses
             if rel is not None and not os.path.isfile(manifest.path(rel)):
@@ -188,37 +205,184 @@ def save_manifest(manifest: DatasetManifest, path) -> Path:
     return path
 
 
-# The cross-entry checks by validate field: each entry's value must equal the first entry's.
-_DISAGREEMENTS = {"width": "feature dimensions disagree across entries",
-                  "channels": "image channel counts disagree across entries"}
+@dataclass(frozen=True)
+class LoadedEntry:
+    """One entry's checked tensors and its drawn pixels.
+
+    ``valid`` lists the flat indices of the non-ignored pixels and ``rows``
+    those drawn from them; a tensor that was not asked for is None.
+    """
+
+    entry: ManifestEntry
+    logits: LogitTensor
+    labels: LabelMap
+    valid: np.ndarray
+    rows: np.ndarray
+    image: ImageTensor | None = None
+    feature: np.ndarray | None = None
+    ood_mask: np.ndarray | None = None  # (H, W) bool
+
+    def drawn(self, per_pixel: np.ndarray) -> np.ndarray:
+        """The drawn pixels of an (H, W) or (H, W, C) array, in pixel order."""
+        return per_pixel.reshape(-1, *per_pixel.shape[2:])[self.rows]
 
 
-def check_agreement(field: str, first: tuple[int, str], value: int, file: str) -> None:
-    """Raise unless ``file``'s ``value`` of ``field`` equals the first entry's, ``first`` = (value, file)."""
-    if value != first[0]:
-        raise ManifestError(f"{_DISAGREEMENTS[field]}: {first[0]} in {first[1]}, {value} in {file}")
+def _failures(file: str, field: str, check, *args) -> Iterator[tuple[str, str, RelikitError]]:
+    """``(file, field, error)`` if ``check(*args)`` raises ``error``, else nothing."""
+    try:
+        check(*args)
+    except RelikitError as exc:
+        yield file, field, exc
 
 
-# The optional slots a fit or eval may require, by what their file holds.
-_SLOT_NAMES = {"feature": "feature vector", "image": "image tensor"}
+def check_entry(manifest: DatasetManifest, entry: ManifestEntry, read: dict, seen: dict,
+                slots=frozenset(_READERS)) -> Iterator[tuple[str, str, RelikitError]]:
+    """Read each tensor ``entry`` lists among ``slots`` into ``read``; yield each failed check.
+
+    A failed check is ``(file, field, error)``, in one fixed order: each
+    file's ``format``, the logits' ``classes``, the labels' ``shape`` and
+    ``values``, the feature ``width``, the image's ``shape`` and
+    ``channels``, the mask's ``shape``. ``seen`` records the first width and
+    channel count, as (value, file), for the checks across entries, which
+    name that first file.
+    """
+    where = entry.image_id
+    for slot, reader in _READERS.items():
+        file = getattr(entry, slot)
+        if slot not in slots or file is None:
+            continue
+        try:
+            tensor = read[slot] = getattr(tensor_io, reader)(manifest.path(file))
+        except (TensorFormatError, InvalidTensorError) as exc:
+            yield file, "format", exc
+            continue
+        logits = read.get("logits")
+        if slot == "logits" and tensor.classes != manifest.classes:
+            yield file, "classes", ManifestError(
+                f"{where}: logits carry {tensor.classes} classes, manifest says {manifest.classes}")
+        if slot in ("labels", "image") and logits is not None:
+            yield from _failures(file, "shape", check_same_shape, logits, tensor, f"{where}: logits vs {slot}")
+        if slot == "labels":
+            yield from _failures(file, "values", validate_labels, tensor, manifest.classes, manifest.ignore_value)
+        if slot in ("feature", "image"):
+            field, value, what = (("width", tensor.shape[0], "feature dimensions") if slot == "feature"
+                                  else ("channels", tensor.channels, "image channel counts"))
+            first = seen.setdefault(field, (value, file))
+            if value != first[0]:
+                yield first[1], field, ManifestError(
+                    f"{what} disagree across entries: {first[0]} in {first[1]}, {value} in {file}")
+        if slot == "ood_mask" and logits is not None and tensor.shape != (logits.height, logits.width):
+            yield file, "shape", ManifestError(f"{where}: ood mask shape {tensor.shape} does not match image")
 
 
-def require_slot(entry: ManifestEntry, slot: str) -> None:
-    """Raise unless ``entry`` lists a file in ``slot`` (``feature`` or ``image``): the one wording of fit and eval."""
-    if getattr(entry, slot) is None:
-        raise CalibrationError(f"{entry.image_id}: entry has no {_SLOT_NAMES[slot]}")
+def _checked_read(manifest: DatasetManifest, entry: ManifestEntry, slots, seen: dict) -> dict:
+    """The tensors ``entry`` lists among ``slots``, read by :func:`check_entry`, whose first violation is raised.
+
+    An image or a feature among ``slots`` must be listed: the one wording
+    of fit and eval for a missing slot.
+    """
+    for slot, holds in (("image", "image tensor"), ("feature", "feature vector")):
+        if slot in slots and getattr(entry, slot) is None:
+            raise CalibrationError(f"{entry.image_id}: entry has no {holds}")
+    read: dict = {}
+    for _, _, error in check_entry(manifest, entry, read, seen, slots):
+        raise error
+    return read
+
+
+def load_entry(manifest: DatasetManifest, entry: ManifestEntry, *,
+               pixels_per_image: int | None, seed: int,
+               image: bool = False, feature: bool = False, mask: bool = False,
+               seen: dict | None = None) -> LoadedEntry:
+    """Read and check one entry's logits and labels and draw its pixels: one step of :func:`load_batches`.
+
+    The first violation :func:`check_entry` yields is raised; ``seen`` is
+    its cross-entry record, kept by the caller from entry to entry. The
+    draw uses the ``(seed, image_id)`` stream of record extraction, so
+    fitting and evaluation see identical pixels. The image and the feature
+    are read only when asked for, and the entry must then list them; the
+    OOD mask is read when asked for and listed.
+    """
+    slots = {"logits", "labels"} | {slot for slot, asked in (("feature", feature), ("image", image),
+                                                             ("ood_mask", mask)) if asked}
+    read = _checked_read(manifest, entry, slots, {} if seen is None else seen)
+    labels = read["labels"]
+    valid = np.flatnonzero(labels.data.reshape(-1) != manifest.ignore_value)
+    rows = valid[subsample_indices(valid.size, pixels_per_image, seed, f"pixels:{entry.image_id}")]
+    return LoadedEntry(entry, read["logits"], labels, valid, rows,
+                       read.get("image"), read.get("feature"), read.get("ood_mask"))
 
 
 def load_features(manifest: DatasetManifest, entries: list[ManifestEntry]) -> tuple[list[str], np.ndarray]:
     """Load per-image feature vectors for ``entries`` into one (n, D) matrix.
 
-    Raises when an entry lacks a feature (:func:`require_slot`) or when its
-    dimension differs from the first entry's.
+    Each entry must list a feature, read and checked by :func:`check_entry`
+    with one cross-entry record, so a dimension that differs from the
+    first entry's raises.
     """
-    ids, vectors = [], []
+    seen: dict = {}
+    vectors = [_checked_read(manifest, entry, {"feature"}, seen)["feature"] for entry in entries]
+    return [entry.image_id for entry in entries], np.stack(vectors).astype(np.float64)
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """``np.stack(arrays)``; a single array becomes a view with a leading axis of 1, not a copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+@dataclass(frozen=True)
+class EntryBatch:
+    """Consecutive loaded entries of one (H, W) grid, their tensors stacked on first use.
+
+    ``logits`` is (B, H, W, K) float32 and ``labels`` (B, H, W) uint16.
+    ``rows`` holds every entry's drawn pixels, entry by entry and each in
+    pixel order, as flat indices into the batch's B * H * W pixels; entry
+    i's are ``rows[bounds[i]:bounds[i + 1]]``.
+    """
+
+    loaded: tuple[LoadedEntry, ...]
+
+    @cached_property
+    def logits(self) -> np.ndarray:
+        return _stack([one.logits.data for one in self.loaded])
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        return _stack([one.labels.data for one in self.loaded])
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        pixels = self.loaded[0].labels.data.size
+        return np.concatenate([one.rows + i * pixels for i, one in enumerate(self.loaded)])
+
+    @cached_property
+    def bounds(self) -> np.ndarray:
+        return np.cumsum([0] + [one.rows.size for one in self.loaded])
+
+    def drawn(self, per_pixel: np.ndarray) -> np.ndarray:
+        """The drawn pixels of a (B, H, W) or (B, H, W, C) array, entry by entry."""
+        return per_pixel.reshape(-1, *per_pixel.shape[3:])[self.rows]
+
+
+def load_batches(manifest: DatasetManifest, entries: list[ManifestEntry], *,
+                 pixels_per_image: int | None, seed: int,
+                 image: bool = False, feature: bool = False, mask: bool = False) -> Iterator[EntryBatch]:
+    """The entries, each loaded by :func:`load_entry` in order, as batches for fit and eval.
+
+    A batch is a run of consecutive entries of one (H, W) grid holding at
+    most :data:`BATCH_PIXELS` pixels, or a single larger entry. Entries are
+    read as the batches are taken, so the reader holds one batch and the
+    entry that starts the next. All entries share one cross-entry record.
+    """
+    run: list[LoadedEntry] = []
+    seen: dict = {}
     for entry in entries:
-        require_slot(entry, "feature")
-        vectors.append(tensor_io.read_feature(manifest.path(entry.feature)))
-        ids.append(entry.image_id)
-        check_agreement("width", (vectors[0].shape[0], entries[0].feature), vectors[-1].shape[0], entry.feature)
-    return ids, np.stack(vectors).astype(np.float64)
+        one = load_entry(manifest, entry, pixels_per_image=pixels_per_image, seed=seed,
+                         image=image, feature=feature, mask=mask, seen=seen)
+        if run and (one.labels.data.shape != run[0].labels.data.shape
+                    or (len(run) + 1) * one.labels.data.size > BATCH_PIXELS):
+            yield EntryBatch(tuple(run))
+            run = []
+        run.append(one)
+    if run:
+        yield EntryBatch(tuple(run))

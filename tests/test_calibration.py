@@ -32,21 +32,27 @@ from relikit.calibration import (
     fit_temperature,
     gather_pixel_batches,
     load_calibrator,
-    load_entry,
     needs_image,
     predict_temperature_map,
     save_calibrator,
-    scaled_nll,
 )
 from relikit.confidence import confidence_map
 from relikit.cli import main
 from relikit.errors import CalibrationError, ManifestError, UsageError, convert_option
 from relikit.kmeans import kmeans
-from relikit.manifest import load_features, load_manifest
+from relikit.manifest import load_entry, load_features, load_manifest
 from relikit.rng import derive_stream, subsample_indices
 from relikit.synth import DomainSpec, SynthConfig, generate_benchmark
 from relikit.tensor_io import read_feature, read_image, read_labels, read_logits
 from relikit.tensors import LogitTensor
+
+
+def scaled_nll(logits: np.ndarray, labels: np.ndarray, temperature: float) -> float:
+    """Mean NLL of softmax(logits / temperature) against integer labels: the solver's oracle."""
+    z = np.asarray(logits, dtype=np.float64) / temperature
+    shift = z.max(axis=1, keepdims=True)
+    lse = shift[:, 0] + np.log(np.exp(z - shift).sum(axis=1))
+    return float((lse - z[np.arange(z.shape[0]), labels]).mean())
 
 
 def _calibrated_sample(rng, n, classes, temperature=1.0, concentration=1.0):

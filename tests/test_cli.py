@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from relikit import calibration, cli, evaluate, mlp
+from relikit import cli, evaluate, mlp
 from relikit.calibration import (
     METHODS,
     ClusterTemperatureModel,
@@ -19,7 +19,7 @@ from relikit.calibration import (
 )
 from relikit.cli import main
 from relikit.errors import NumericalError
-from relikit.manifest import load_manifest
+from relikit.manifest import check_entry, load_manifest
 from relikit.synth import DomainSpec, SynthConfig, config_to_json, generate_benchmark
 from relikit.tensor_io import (
     MAGIC, read_labels, read_logits, write_feature, write_image, write_labels, write_logits, write_mask,
@@ -171,6 +171,46 @@ class TestValidate:
         _, out, _ = _run(capsys, ["validate", manifest])
         code, _, err = _run(capsys, [*command, "--manifest", manifest, "--out", str(tmp_path / "out.json")])
         assert (code, err) == (2, f"error: {out.splitlines()[0].partition('] ')[2]}\n")
+
+    @pytest.mark.parametrize("kind, tensors, expected", [
+        ("clean", {}, ["id-cal-000", "id-cal-001", "warm-cal-000", "warm-cal-001"]),
+        ("truncated", {"feature": None}, ["id-cal-000", "id-cal-001"]),
+        ("width", {"feature": np.zeros(2, np.float32)}, ["id-cal-000", "id-cal-001"]),
+        ("missing", {}, ["id-cal-000"]),
+    ])
+    def test_cluster_fit_reads_each_feature_once_through_check_entry(self, bench, capsys, tmp_path, monkeypatch,
+                                                                     kind, tensors, expected):
+        manifest = _corrupted(bench, tmp_path, "id-cal-001", tensors)
+        if kind == "missing":
+            raw = json.loads(manifest.read_text())
+            del next(e for e in raw["entries"] if e["image_id"] == "id-cal-001")["feature"]
+            manifest.write_text(json.dumps(raw))
+        validate_code, out, _ = _run(capsys, ["validate", str(manifest)])
+        checked, files = [], []
+
+        def counting_check(dataset, entry, read, seen, slots):
+            if "feature" in slots:
+                checked.append(entry.image_id)
+            return check_entry(dataset, entry, read, seen, slots)
+
+        read_feature = cli.tensor_io.read_feature
+        monkeypatch.setattr("relikit.manifest.check_entry", counting_check)
+        monkeypatch.setattr(cli.tensor_io, "read_feature", lambda path: files.append(path) or read_feature(path))
+        code, _, err = _run(capsys, ["fit", "--method", "cluster_ts", "--k", "2", "--manifest", str(manifest),
+                                     "--out", str(tmp_path / "out.json")])
+        assert checked == expected
+        assert files == [str(manifest.parent / "data" / f"{image_id}.feature.bin") for image_id in expected]
+        if kind == "clean":
+            assert (validate_code, code, err) == (0, 0, "")
+        elif kind == "missing":  # an optional slot left out is no violation, but cluster fitting needs it
+            assert validate_code == 0 and out.startswith("OK 8 entries")
+            assert (code, err) == (2, "error: id-cal-001: entry has no feature vector\n")
+        else:
+            first = {"truncated": "data/id-cal-001.feature.bin [format] ",
+                     "width": "data/id-cal-000.feature.bin [width] "}[kind]
+            line = out.splitlines()[0]
+            assert validate_code == 2 and line.startswith(f"FAIL {first}")
+            assert (code, err) == (2, f"error: {line.partition('] ')[2]}\n")
 
     def test_missing_manifest_is_data_error(self, capsys, tmp_path):
         code, _, err = _run(capsys, ["validate", str(tmp_path / "absent.json")])
@@ -591,7 +631,7 @@ class TestEval:
 
         monkeypatch.setattr(evaluate, "ThreadPoolExecutor", Recording)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(calibration, "BATCH_PIXELS", 1)  # each of the 4 test images is a task of its own
+        monkeypatch.setattr("relikit.manifest.BATCH_PIXELS", 1)  # each of the 4 test images is a task of its own
         outs = []
         for workers in ("1", "1000"):
             path = tmp_path / f"w{workers}.json"

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relikit.calibration import TemperatureMap, apply_temperature, load_entry
+from relikit.calibration import TemperatureMap, apply_temperature
 from relikit.confidence import ConfidenceScore, RecordSet, _confidence_pass, _stable_argsort, confidence_map
 from relikit.errors import InvalidTensorError, MetricError
 from relikit.evaluate import EvalConfig, evaluate_manifest
+from relikit.manifest import load_entry
 from relikit.rng import subsample_indices
 from relikit.tensor_io import read_labels, write_labels
 from relikit.tensors import LabelMap, LogitTensor
@@ -352,3 +353,16 @@ class TestRunningCorrect:
         np.testing.assert_array_equal(cum_correct[1:], np.cumsum(records.correct[records.order]))
         np.testing.assert_array_equal(ordered, np.sort(records.confidence))
         assert prr(fresh) == value
+
+    @pytest.mark.parametrize("names", [("ada_ece", "ks_error", "prr"), ("prr", "ks_error", "ada_ece")])
+    def test_running_drops_the_cached_order(self, names):
+        from relikit import metrics
+
+        rng = np.random.default_rng(22)
+        conf, correct = np.round(rng.random(500), 2), rng.integers(0, 3, 500) == rng.integers(0, 3, 500)
+        records = RecordSet(conf, correct)
+        values = [getattr(metrics, name)(records) for name in names]
+        assert "order" not in records.__dict__ and "running" in records.__dict__
+        # each metric alone on a set of its own gives the same value
+        assert values == [getattr(metrics, name)(RecordSet(conf, correct)) for name in names]
+        np.testing.assert_array_equal(records.order, np.argsort(conf, kind="stable"))

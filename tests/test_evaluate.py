@@ -6,10 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from relikit import calibration, confidence, evaluate
+from relikit import confidence, evaluate
 from relikit import metrics as met
 from relikit.calibration import (
-    BATCH_PIXELS,
     ClusterTemperatureModel,
     GlobalTemperature,
     LtsHyper,
@@ -17,8 +16,6 @@ from relikit.calibration import (
     fit_cluster_ts,
     fit_lts,
     gather_pixel_batches,
-    load_batches,
-    load_entry,
     needs_image,
     save_calibrator,
 )
@@ -26,7 +23,8 @@ from relikit.cli import main
 from relikit.confidence import ConfidenceScore, RecordSet, confidence_map
 from relikit.errors import ManifestError, UsageError
 from relikit.evaluate import ALL_METRICS, EvalConfig, evaluate_manifest
-from relikit.manifest import DatasetManifest, ManifestEntry, load_manifest, save_manifest
+from relikit.manifest import (BATCH_PIXELS, DatasetManifest, ManifestEntry, load_batches, load_entry, load_manifest,
+                              save_manifest)
 from relikit.report import to_csv_bytes, to_json_bytes
 from relikit.tensor_io import write_feature, write_image, write_labels, write_logits, write_mask
 from relikit.tensors import ImageTensor, LabelMap, LogitTensor
@@ -317,7 +315,7 @@ class TestBatchedEvaluation:
 
     @pytest.fixture(params=[150, BATCH_PIXELS], ids=["small-budget", "default-budget"])
     def budget(self, request, monkeypatch):
-        monkeypatch.setattr(calibration, "BATCH_PIXELS", request.param)
+        monkeypatch.setattr("relikit.manifest.BATCH_PIXELS", request.param)
         return request.param
 
     def _calibrators(self, manifest):
@@ -366,7 +364,7 @@ class TestBatchedEvaluation:
     def test_fitted_artifacts_do_not_depend_on_the_budget(self, mixed, tmp_path, monkeypatch):
         saved = {}
         for budget in (BATCH_PIXELS, 150, 1):
-            monkeypatch.setattr(calibration, "BATCH_PIXELS", budget)
+            monkeypatch.setattr("relikit.manifest.BATCH_PIXELS", budget)
             # a budget of 1 puts each entry in a batch of its own
             saved[budget] = [save_calibrator(c, tmp_path / f"{budget}-{i}.json").read_bytes()
                              for i, c in enumerate(self._calibrators(mixed)[1:])]
@@ -401,7 +399,7 @@ class TestBatchedEvaluation:
             "all_ignored": labels(np.full((8, 8), 255, np.uint16)),
         }
         path = _write_mixed(tmp_path, {"tes-01": faults[fault]})
-        monkeypatch.setattr(calibration, "BATCH_PIXELS", 200)
+        monkeypatch.setattr("relikit.manifest.BATCH_PIXELS", 200)
         manifest = load_manifest(path)
         entry = manifest.select(split="test")[1]
         expected = message.format(logits=manifest.path(entry.logits), labels=manifest.path(entry.labels))
