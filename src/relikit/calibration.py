@@ -31,8 +31,8 @@ terms the global fit kept at T = 1 and at the bound it checked. LTS
 reads the same blocks: :func:`predict_temperature_map` builds,
 standardizes and runs each block of input rows through the network in
 one buffer, and :func:`fit_lts` takes the feature mean and spread block
-by block and standardizes each minibatch as training takes it, so the
-gathered pixel rows are the only (n, K + C) matrix.
+by block and widens and standardizes each minibatch as training takes
+it, so the gathered float32 pixel rows are the only (n, K + C) matrix.
 
 Fitting reads a split through the read path of :mod:`relikit.manifest`:
 :func:`~relikit.manifest.load_batches`, and for cluster scaling
@@ -41,10 +41,13 @@ Fitting reads a split through the read path of :mod:`relikit.manifest`:
 Every fit stacks its split's drawn pixels once, in entry order, into one
 :class:`CalibrationPixels` set (:func:`gather_pixel_batches`) that records
 each row's entry and keeps the image channels, when read, next to the
-logits in one float64 matrix. Global scaling fits all rows; cluster
+logits in one matrix of the tensors' own float32; all arithmetic is done
+in float64 on widened copies. Global scaling fits all rows; cluster
 scaling gives each row a cell id, groups the rows by one stable sort on
-it and fits each cell's contiguous slice; LTS takes its per-row domain
-weights from the entry index. :data:`METHODS` is the one schema of the calibrator artifact,
+it and fits each cell's contiguous slice; the NLL fits widen the logits
+into one float64 copy that they shift in place, and drop the float32
+stack before the search. LTS takes its per-row domain weights from the
+entry index. :data:`METHODS` is the one schema of the calibrator artifact,
 walked by :func:`save_calibrator` to write it and :func:`load_calibrator` to check it.
 """
 
@@ -354,23 +357,26 @@ class CalibrationPixels:
 
     Row i was drawn from ``entries[entry[i]]``; each entry's rows are
     contiguous and in pixel order. ``values`` holds each row's K logits
-    and, when the image was gathered, its C channels after them, so the
-    LTS input rows of every feature mode are views of it (:meth:`lts_input`).
+    and, when the image was gathered, its C channels after them, as the
+    tensors' own float32, so the LTS input rows of every feature mode are
+    views of it (:meth:`lts_input`). LTS widens them to float64 a block or
+    a minibatch at a time; the NLL fits widen the logits into one copy and
+    then drop the stack.
     """
 
-    values: np.ndarray                  # (n, K) or (n, K + C) float64
+    values: np.ndarray                  # (n, K) or (n, K + C) float32
     labels: np.ndarray                  # (n,) int64
     entry: np.ndarray                   # (n,) int64 index into the gathered entries
     classes: int
 
     @property
     def logits(self) -> np.ndarray:
-        """(n, K) float64."""
+        """(n, K) float32."""
         return self.values[:, :self.classes]
 
     @property
     def channels(self) -> np.ndarray | None:
-        """(n, C) float64 per-pixel image channels, or None when the image was not gathered."""
+        """(n, C) float32 per-pixel image channels, or None when the image was not gathered."""
         return self.values[:, self.classes:] if self.values.shape[1] > self.classes else None
 
     def lts_input(self, mode: FeatureMode) -> np.ndarray:
@@ -382,7 +388,12 @@ class CalibrationPixels:
 def gather_pixel_batches(manifest: DatasetManifest, entries: list[ManifestEntry], *,
                          pixels_per_image: int | None, seed: int,
                          need_image: bool = False) -> CalibrationPixels:
-    """The drawn pixels of each entry, read batch by batch (:func:`load_batches`), stacked as float64 rows."""
+    """The drawn pixels of each entry, read batch by batch (:func:`load_batches`), stacked as float32 rows.
+
+    Each batch is dropped before the next one is read, so the reader holds
+    at most one earlier entry. The per-batch rows and the stack hold each
+    drawn value twice only while the stack is filled.
+    """
     if not entries:
         raise CalibrationError("no manifest entries to gather pixels from")
     logits, labels, channels, counts = [], [], [], []
@@ -393,9 +404,9 @@ def gather_pixel_batches(manifest: DatasetManifest, entries: list[ManifestEntry]
         if need_image:
             channels.append(batch.drawn(_stack([one.image.data for one in batch.loaded])))
         counts.extend(one.rows.size for one in batch.loaded)
-    del batch  # the last batch's tensors
+        del batch  # its tensors, before the next batch is read
     groups = [logits, channels] if need_image else [logits]
-    values = np.empty((sum(counts), sum(group[0].shape[1] for group in groups)))
+    values = np.empty((sum(counts), sum(group[0].shape[1] for group in groups)), dtype=np.float32)
     column = 0
     for group in groups:
         width = group[0].shape[1]
@@ -423,7 +434,9 @@ def fit_global_ts(manifest: DatasetManifest, *, split: str = "calibration",
     """One temperature for the whole dataset, fitted on the given split."""
     pixels = gather_pixel_batches(manifest, _split_entries(manifest, split),
                                   pixels_per_image=pixels_per_image, seed=seed)
-    return GlobalTemperature(_fit_in_place(pixels.logits, pixels.labels))
+    z, labels = pixels.logits.astype(np.float64), pixels.labels
+    del pixels  # the float32 stack, before the search
+    return GlobalTemperature(_fit_in_place(z, labels))
 
 
 def fit_cluster_ts(manifest: DatasetManifest, *, k: int = DEFAULT_CLUSTERS,
@@ -438,12 +451,12 @@ def fit_cluster_ts(manifest: DatasetManifest, *, k: int = DEFAULT_CLUSTERS,
     cluster, or cluster * K + the argmax of its raw logits), group the
     stacked pixels by one stable sort on that id and fit each non-empty
     cell on its contiguous slice, whose rows stay in entry order. The rows
-    are shifted by their maxima once, in place, for the global fit and
-    every cell; each cell's search starts at T = 1 and the bound downhill
-    of it, where the global fit kept every row's terms, so a cell gathers
-    those instead of making its first passes. Cells with no calibration
-    pixels inherit the global temperature, so the model degrades
-    gracefully; with k = 1 it coincides with global scaling exactly.
+    are widened to float64 and shifted by their maxima once, in place, for
+    the global fit and every cell; each cell's search starts at T = 1 and
+    the bound downhill of it, where the global fit kept every row's terms,
+    so a cell gathers those instead of making its first passes. Cells with
+    no calibration pixels inherit the global temperature, so the model
+    degrades gracefully; with k = 1 it coincides with global scaling exactly.
     """
     variant = ClusterVariant(variant)
     entries = _split_entries(manifest, split)
@@ -455,10 +468,11 @@ def fit_cluster_ts(manifest: DatasetManifest, *, k: int = DEFAULT_CLUSTERS,
     if variant is ClusterVariant.PER_CLASS:
         cell = cell * manifest.classes + pixels.logits.argmax(axis=1)
         shape = (k, manifest.classes)
+    z, labels = pixels.logits.astype(np.float64), pixels.labels
+    del pixels  # the float32 stack, before the searches
     kept: dict = {}
-    fallback = _fit_in_place(pixels.logits, pixels.labels, keep=kept)
-    z = pixels.logits
-    zy = z[np.arange(z.shape[0]), pixels.labels]
+    fallback = _fit_in_place(z, labels, keep=kept)
+    zy = z[np.arange(z.shape[0]), labels]
     temperatures = np.full(shape, fallback)
     order = np.argsort(cell, kind="stable")
     bounds = np.searchsorted(cell, np.arange(temperatures.size + 1), sorter=order)
@@ -490,11 +504,12 @@ def _lts_parts(mode: FeatureMode, logits: np.ndarray, channels: np.ndarray | Non
 
 
 def _feature_stats(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``features.mean(axis=0)`` and ``features.std(axis=0)`` bit for bit, through one block buffer.
+    """``x.mean(axis=0)`` and ``x.std(axis=0)`` bit for bit, x = ``features`` in float64, through one block buffer.
 
     NumPy sums the rows of a C-ordered matrix one after another into the
-    column sums, starting from 0. Each block does the same from the sums
-    so far, added to its first row, so no (n, D) temporary is made.
+    column sums, starting from 0. Each block, widened into the buffer, does
+    the same from the sums so far, added to its first row, so no (n, D)
+    temporary is made.
     """
     n = features.shape[0]
     step = _block_rows(features.shape[1])

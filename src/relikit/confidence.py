@@ -223,9 +223,11 @@ class RecordSet:
     :attr:`order` (the stable ascending order of ``confidence``),
     :attr:`running_correct` and :attr:`running` (sums along it) are
     computed on first use and shared by every metric that reads the set,
-    so one set is ordered at most once, and a set read only by ``prr``
-    never gathers or sums its confidences. No metric reads :attr:`order`
-    once :attr:`running` is built, so building it drops the cached order.
+    and a set read only by ``prr`` never gathers or sums its confidences.
+    No metric reads :attr:`order` once :attr:`running_correct` is summed,
+    so summing it, or building :attr:`running`, drops the cached order.
+    Eval reads ``prr`` last, so it orders each set once; a set read by
+    ``prr`` before ``ada_ece`` or ``ks_error`` is ordered twice.
     """
 
     confidence: np.ndarray
@@ -260,6 +262,7 @@ class RecordSet:
         """The float64 running count of correct records along :attr:`order`, n + 1 long from 0."""
         sums = np.zeros(len(self) + 1)
         np.cumsum(self.correct[self.order], dtype=np.float64, out=sums[1:])
+        self.__dict__.pop("order", None)
         return sums
 
     @cached_property
@@ -270,7 +273,7 @@ class RecordSet:
         sums = np.zeros(ordered.shape[0] + 1)
         np.cumsum(ordered, out=sums[1:])
         view = ordered, sums, self.running_correct
-        self.__dict__.pop("order", None)
+        self.__dict__.pop("order", None)  # read again above when running_correct was summed first
         return view
 
     @staticmethod

@@ -27,7 +27,9 @@ image's drawn records, mean confidence and OOD split are slices of the
 batch's arrays; a drawn record is kept as its confidence (and its
 ranking score under ``neg_entropy``) and one correctness flag.
 
-With ``workers`` > 1 the calling thread reads the batches and a thread
+With one worker each batch is dropped once it is scored, before the next
+one is read, so the reader holds at most one earlier entry. With
+``workers`` > 1 the calling thread reads the batches and a thread
 pool of that many workers, at most ``os.cpu_count()``, scores them, one
 batch per task, so a worker holds at most max(one image, ``BATCH_PIXELS``
 pixels) of tensors at a time and the reader a few batches ahead of it.
@@ -35,9 +37,16 @@ Every per-pixel value is computed by the same operations whatever the
 batch, and images are reduced in sorted image-id order, so the report
 bytes do not depend on the worker count.
 
-An unknown ``id_domain`` fails before any tensor is read. Every
-per-domain quantity is computed once, in one loop over the sorted
-domains, and a metric error there names its domain. The equal-width
+An unknown ``id_domain`` fails before any tensor is read. The split's
+entries, and so each domain's last entry, are known before any read:
+each domain is reduced once, when its last entry is summarized, and its
+records and pixel-OOD confidences are then dropped, so the per-domain
+state held is that of the domains still being read (one domain when
+they do not interleave), plus one mean confidence per image for the
+image-level OOD AUROC, taken once every domain is reduced. Errors keep
+one precedence: a read or summary error ends the pass at once, and a
+metric error waits until every entry is read and is then raised for the
+first failing domain in sorted order, named after it. The equal-width
 reliability bins behind ``ece`` are kept on the report (``bins``, not
 serialized) for ``eval --bins-out``, and so is one warning
 (``warnings``) per masked domain that gets no ``pixel_ood_auroc`` for
@@ -54,6 +63,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
+from contextlib import nullcontext
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -69,7 +79,7 @@ from .calibration import (
     needs_image,
 )
 from .confidence import ConfidenceScore, RecordSet, _confidence_pass
-from .errors import ManifestError, MetricError, UsageError
+from .errors import ManifestError, MetricError, RelikitError, UsageError
 from .manifest import DatasetManifest, EntryBatch, load_batches
 # Unused here; the benchmark tracer's smoke test looks these bindings up.
 from .calibration import apply_calibrator  # noqa: F401
@@ -189,6 +199,46 @@ def _bin_table(partition: met.BinPartition) -> dict:
     }
 
 
+def _reduce_domain(group: list[_ImageSummary], config: EvalConfig) -> tuple[dict, dict, float | None, str | None]:
+    """One domain's stats, bin table, pixel-level OOD AUROC (or None) and warning (or None) from its summaries."""
+    wanted = set(config.metrics)
+    records = RecordSet(np.concatenate([s.confidence_cal for s in group]),
+                        np.concatenate([s.correct for s in group]))
+    stats = {
+        "n_images": len(group),
+        "n_records": len(records),
+        "accuracy": float(records.correct.mean()),
+        "mean_confidence": float(np.mean([s.mean_confidence for s in group])),
+    }
+    if "miou" in wanted:
+        result = met.iou_from_confusion(sum(s.confusion for s in group))
+        stats["miou"] = result.miou
+        stats["per_class_iou"] = _nullable(result.per_class)
+    partition = met.bin_partition(records, config.bins)
+    if "ece" in wanted:
+        stats["ece"] = partition.expected_calibration_error()
+    if "ada_ece" in wanted:
+        stats["ada_ece"] = met.ada_ece(records, config.bins)
+    if "ks_error" in wanted:
+        stats["ks_error"] = met.ks_error(records)
+    if "prr" in wanted:
+        if config.score is not ConfidenceScore.MAX_PROB:  # rebinding drops the calibration set's view
+            records = RecordSet(np.concatenate([s.confidence_rank for s in group]), records.correct)
+        stats["prr"] = met.prr(records)
+    masked = [s for s in group if s.known_conf is not None]
+    # masks are read only for pixel_ood_auroc; a masked domain with no known or no unknown pixel
+    # gets no entry, and a warning
+    known = sum(s.known_conf.size for s in masked)
+    unknown = sum(s.unknown_conf.size for s in masked)
+    pixel_ood = warning = None
+    if known and unknown:
+        pixel_ood = met.auroc(np.concatenate([s.known_conf for s in masked]),
+                              np.concatenate([s.unknown_conf for s in masked]))
+    elif masked:
+        warning = f"{group[0].domain}: no pixel_ood_auroc, its masks hold {known} known and {unknown} unknown pixels"
+    return stats, _bin_table(partition), pixel_ood, warning
+
+
 def evaluate_manifest(manifest: DatasetManifest, calibrator: Calibrator | None = None,
                       config: EvalConfig = EvalConfig()):
     """Evaluate one split, returning a :class:`~relikit.report.ReliabilityReport`."""
@@ -203,72 +253,43 @@ def evaluate_manifest(manifest: DatasetManifest, calibrator: Calibrator | None =
         id_domain = "id"
     if id_domain is not None and id_domain not in present:
         raise UsageError(f"in-domain tag {id_domain!r} has no images in split {config.split!r}")
+    last = {entry.domain: index for index, entry in enumerate(entries)}  # each domain's last entry
     batches = load_batches(manifest, entries, pixels_per_image=config.pixels_per_image, seed=config.seed,
                            image=needs_image(calibrator),
                            feature=isinstance(calibrator, ClusterTemperatureModel),
                            mask="pixel_ood_auroc" in config.metrics)
     summarize = partial(_summarize_batch, manifest=manifest, calibrator=calibrator, config=config)
     workers = min(config.workers, os.cpu_count() or 1)
-    if workers == 1:
-        summaries = [s for batch in batches for s in summarize(batch)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            summaries = [s for part in _ordered_map(pool, summarize, batches, workers) for s in part]
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        # map drops each batch once it is summarized, before it reads the next
+        parts = map(summarize, batches) if pool is None else _ordered_map(pool, summarize, batches, workers)
+        groups: dict[str, list[_ImageSummary]] = {}
+        means: dict[str, list[float]] = {}
+        reduced: dict[str, tuple | RelikitError] = {}
+        for index, summary in enumerate(summary for part in parts for summary in part):
+            tag = summary.domain
+            groups.setdefault(tag, []).append(summary)
+            means.setdefault(tag, []).append(summary.mean_confidence)
+            if index == last[tag]:  # reduce the domain and drop its summaries
+                try:
+                    reduced[tag] = _reduce_domain(groups.pop(tag), config)
+                except RelikitError as exc:  # raised once every entry is read, in sorted domain order
+                    reduced[tag] = exc.with_traceback(None)  # its frames would keep the summaries
 
-    by_domain: dict[str, list[_ImageSummary]] = {}
-    for summary in summaries:  # entries are sorted by image_id, so groups are too
-        by_domain.setdefault(summary.domain, []).append(summary)
-
-    wanted = set(config.metrics)
-    domains = {}
-    bins = {}
-    ood_auroc = {}
-    pixel_ood = {}
-    warnings = []
-    for tag in sorted(by_domain):
-        group = by_domain[tag]
+    domains, bins, ood_auroc, pixel_ood, warnings = {}, {}, {}, {}, []
+    for tag in sorted(reduced):
         try:
-            records = RecordSet(np.concatenate([s.confidence_cal for s in group]),
-                                np.concatenate([s.correct for s in group]))
-            stats = {
-                "n_images": len(group),
-                "n_records": len(records),
-                "accuracy": float(records.correct.mean()),
-                "mean_confidence": float(np.mean([s.mean_confidence for s in group])),
-            }
-            if "miou" in wanted:
-                result = met.iou_from_confusion(sum(s.confusion for s in group))
-                stats["miou"] = result.miou
-                stats["per_class_iou"] = _nullable(result.per_class)
-            partition = met.bin_partition(records, config.bins)
-            bins[tag] = _bin_table(partition)
-            if "ece" in wanted:
-                stats["ece"] = partition.expected_calibration_error()
-            if "ada_ece" in wanted:
-                stats["ada_ece"] = met.ada_ece(records, config.bins)
-            if "ks_error" in wanted:
-                stats["ks_error"] = met.ks_error(records)
-            if "prr" in wanted:
-                if config.score is not ConfidenceScore.MAX_PROB:  # rebinding drops the calibration set's view
-                    records = RecordSet(np.concatenate([s.confidence_rank for s in group]), records.correct)
-                stats["prr"] = met.prr(records)
-            domains[tag] = stats
-            if "ood_auroc" in wanted and id_domain not in (None, tag):
-                ood_auroc[tag] = met.auroc([s.mean_confidence for s in by_domain[id_domain]],
-                                           [s.mean_confidence for s in group])
-            masked = [s for s in group if s.known_conf is not None]
-            # masks are read only for pixel_ood_auroc; a masked domain with no known or no unknown pixel
-            # gets no entry, and a warning
-            known = sum(s.known_conf.size for s in masked)
-            unknown = sum(s.unknown_conf.size for s in masked)
-            if known and unknown:
-                pixel_ood[tag] = met.auroc(np.concatenate([s.known_conf for s in masked]),
-                                           np.concatenate([s.unknown_conf for s in masked]))
-            elif masked:
-                warnings.append(f"{tag}: no pixel_ood_auroc, its masks hold {known} known "
-                                f"and {unknown} unknown pixels")
+            if isinstance(reduced[tag], RelikitError):
+                raise reduced[tag]
+            domains[tag], bins[tag], auroc, warning = reduced[tag]
+            if "ood_auroc" in config.metrics and id_domain not in (None, tag):
+                ood_auroc[tag] = met.auroc(means[id_domain], means[tag])
         except MetricError as exc:  # name the domain whose records the metric refused
             raise MetricError(f"{tag}: {exc}") from exc
+        if auroc is not None:
+            pixel_ood[tag] = auroc
+        if warning is not None:
+            warnings.append(warning)
 
     meta = {
         "split": config.split,
@@ -279,8 +300,7 @@ def evaluate_manifest(manifest: DatasetManifest, calibrator: Calibrator | None =
         "id_domain": id_domain,
         "classes": manifest.classes,
         "ignore_value": manifest.ignore_value,
-        "metrics": sorted(wanted),
+        "metrics": sorted(set(config.metrics)),
     }
     return ReliabilityReport(meta=meta, domains=domains, ood_auroc=ood_auroc, pixel_ood_auroc=pixel_ood,
                              bins=bins, warnings=tuple(warnings))
-

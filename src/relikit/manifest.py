@@ -372,7 +372,8 @@ def load_batches(manifest: DatasetManifest, entries: list[ManifestEntry], *,
     A batch is a run of consecutive entries of one (H, W) grid holding at
     most :data:`BATCH_PIXELS` pixels, or a single larger entry. Entries are
     read as the batches are taken, so the reader holds one batch and the
-    entry that starts the next. All entries share one cross-entry record.
+    entry that starts the next; it keeps no reference to a batch it has
+    yielded. All entries share one cross-entry record.
     """
     run: list[LoadedEntry] = []
     seen: dict = {}
@@ -381,8 +382,15 @@ def load_batches(manifest: DatasetManifest, entries: list[ManifestEntry], *,
                          image=image, feature=feature, mask=mask, seen=seen)
         if run and (one.labels.data.shape != run[0].labels.data.shape
                     or (len(run) + 1) * one.labels.data.size > BATCH_PIXELS):
-            yield EntryBatch(tuple(run))
-            run = []
+            yield EntryBatch(_drain(run))
         run.append(one)
     if run:
-        yield EntryBatch(tuple(run))
+        del one  # the batch's last entry
+        yield EntryBatch(_drain(run))
+
+
+def _drain(run: list) -> tuple:
+    """The items of ``run`` as a tuple, leaving ``run`` empty: the caller then holds them alone."""
+    items = tuple(run)
+    run.clear()
+    return items

@@ -133,8 +133,10 @@ def sgd_train(params: MlpParams, features: np.ndarray, logits: np.ndarray, label
               standardize: tuple[np.ndarray, np.ndarray] | None = None) -> list[float]:
     """Mini-batch gradient descent in place; returns the per-epoch training loss.
 
-    With ``standardize`` = (mean, scale), each minibatch's feature rows are
-    taken as (row - mean) / scale, the values a standardized copy of
+    Each minibatch's rows are gathered and widened to float64 as it is
+    taken, so float32 ``features`` and ``logits`` are never copied whole.
+    With ``standardize`` = (mean, scale), its feature rows are taken as
+    (row - mean) / scale, the values a standardized float64 copy of
     ``features`` would hold.
 
     Each epoch takes ``ceil(n / batch_pixels)`` gradient steps and records the
@@ -157,7 +159,7 @@ def sgd_train(params: MlpParams, features: np.ndarray, logits: np.ndarray, label
             batch_mass = batch.size if weights is None else float(batch_weights.sum())
             if batch_mass == 0:
                 continue
-            rows = _take_rows(features, batch)
+            rows = np.asarray(_take_rows(features, batch), dtype=np.float64)  # float32 features widen here
             if standardize is not None:
                 rows -= standardize[0]
                 rows /= standardize[1]

@@ -360,7 +360,7 @@ class TestGatherPixelBatches:
     def test_subsample_matches_record_extraction(self, ladder_manifest):
         entries = ladder_manifest.select(split="calibration")[:2]
         pixels = gather_pixel_batches(ladder_manifest, entries, pixels_per_image=500, seed=11)
-        assert pixels.logits.shape == (1000, ladder_manifest.classes) and pixels.logits.dtype == np.float64
+        assert pixels.logits.shape == (1000, ladder_manifest.classes) and pixels.logits.dtype == np.float32
         assert pixels.labels.dtype == np.int64 and pixels.channels is None
         np.testing.assert_array_equal(pixels.entry, np.repeat([0, 1], 500))
         for i, entry in enumerate(entries):
@@ -387,7 +387,7 @@ class TestGatherPixelBatches:
         pixels = gather_pixel_batches(
             ladder_manifest, entries, pixels_per_image=100, seed=0, need_image=True
         )
-        assert pixels.channels.shape[0] == 200 and pixels.channels.dtype == np.float64
+        assert pixels.channels.shape[0] == 200 and pixels.channels.dtype == np.float32
         for i, entry in enumerate(entries):
             loaded = load_entry(ladder_manifest, entry, pixels_per_image=100, seed=0, image=True)
             np.testing.assert_array_equal(pixels.channels[pixels.entry == i], loaded.drawn(loaded.image.data))

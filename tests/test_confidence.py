@@ -354,6 +354,17 @@ class TestRunningCorrect:
         np.testing.assert_array_equal(ordered, np.sort(records.confidence))
         assert prr(fresh) == value
 
+    def test_prr_on_a_fresh_set_drops_the_cached_order(self):
+        from relikit.metrics import prr
+
+        rng = np.random.default_rng(23)
+        conf, correct = np.round(rng.random(500), 2), rng.integers(0, 3, 500) == rng.integers(0, 3, 500)
+        records = RecordSet(conf, correct)
+        value = prr(records)
+        assert "order" not in vars(records) and "running" not in vars(records)
+        assert prr(records) == value  # running_correct stays cached
+        np.testing.assert_array_equal(records.order, np.argsort(conf, kind="stable"))  # recomputed if read
+
     @pytest.mark.parametrize("names", [("ada_ece", "ks_error", "prr"), ("prr", "ks_error", "ada_ece")])
     def test_running_drops_the_cached_order(self, names):
         from relikit import metrics

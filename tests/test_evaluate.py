@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -21,12 +22,12 @@ from relikit.calibration import (
 )
 from relikit.cli import main
 from relikit.confidence import ConfidenceScore, RecordSet, confidence_map
-from relikit.errors import ManifestError, UsageError
+from relikit.errors import ManifestError, MetricError, TensorFormatError, UsageError
 from relikit.evaluate import ALL_METRICS, EvalConfig, evaluate_manifest
 from relikit.manifest import (BATCH_PIXELS, DatasetManifest, ManifestEntry, load_batches, load_entry, load_manifest,
                               save_manifest)
-from relikit.report import to_csv_bytes, to_json_bytes
-from relikit.tensor_io import write_feature, write_image, write_labels, write_logits, write_mask
+from relikit.report import ReliabilityReport, to_bins_bytes, to_csv_bytes, to_json_bytes
+from relikit.tensor_io import read_logits, write_feature, write_image, write_labels, write_logits, write_mask
 from relikit.tensors import ImageTensor, LabelMap, LogitTensor
 
 
@@ -266,7 +267,7 @@ def _write_mixed(root, faults=None):
 
 
 def _oracle_report(manifest, calibrator, config):
-    """The report domains and bins of evaluate_manifest, built entry by entry (max_prob score)."""
+    """The report domains and bins of evaluate_manifest, built entry by entry (either score)."""
 
     def nullable(values):
         return [None if np.isnan(x) else float(x) for x in values]
@@ -278,11 +279,13 @@ def _oracle_report(manifest, calibrator, config):
                          mask=True)
         temperature = calibrator_temperature(calibrator, one.logits, one.feature, one.image)
         conf, pred = confidence_map(one.logits, temperature)
-        flat = conf.reshape(-1)
+        rank, _ = confidence_map(one.logits, temperature, config.score)
+        flat = rank.reshape(-1)
         by_domain.setdefault(entry.domain, []).append((
             one.drawn(conf), one.drawn(pred), one.drawn(one.labels.data).astype(np.int64),
             met.confusion_matrix(pred, one.labels, manifest.classes, manifest.ignore_value),
-            float(flat[one.valid].mean()), flat[~one.ood_mask.reshape(-1)], flat[one.ood_mask.reshape(-1)]))
+            float(flat[one.valid].mean()), flat[~one.ood_mask.reshape(-1)], flat[one.ood_mask.reshape(-1)],
+            one.drawn(rank)))
     domains, bins, pixel_ood = {}, {}, {}
     for tag, images in sorted(by_domain.items()):
         records = RecordSet(np.concatenate([image[0] for image in images]),
@@ -294,7 +297,8 @@ def _oracle_report(manifest, calibrator, config):
             "mean_confidence": float(np.mean([image[4] for image in images])),
             "miou": iou.miou, "per_class_iou": nullable(iou.per_class),
             "ece": partition.expected_calibration_error(), "ada_ece": met.ada_ece(records, config.bins),
-            "ks_error": met.ks_error(records), "prr": met.prr(records),
+            "ks_error": met.ks_error(records),
+            "prr": met.prr(RecordSet(np.concatenate([image[7] for image in images]), records.correct)),
         }
         bins[tag] = {key: nullable(getattr(partition, key))
                      for key in ("lower", "upper", "mean_confidence", "accuracy")}
@@ -359,7 +363,7 @@ class TestBatchedEvaluation:
         np.testing.assert_array_equal(pixels.labels, np.concatenate([one.drawn(one.labels.data) for one in loaded]))
         np.testing.assert_array_equal(pixels.channels, np.concatenate([one.drawn(one.image.data) for one in loaded]))
         np.testing.assert_array_equal(pixels.entry, np.repeat(np.arange(len(entries)), [one.rows.size for one in loaded]))
-        assert pixels.logits.dtype == pixels.channels.dtype == np.float64 and pixels.labels.dtype == np.int64
+        assert pixels.logits.dtype == pixels.channels.dtype == np.float32 and pixels.labels.dtype == np.int64
 
     def test_fitted_artifacts_do_not_depend_on_the_budget(self, mixed, tmp_path, monkeypatch):
         saved = {}
@@ -452,8 +456,9 @@ class TestRecordMemory:
     """Eval keeps a drawn record as its confidence (two under neg_entropy) and one correctness flag."""
 
     # evaluate_manifest's tracemalloc peak per drawn record on records_manifest, every pixel drawn. Measured
-    # on x86-64 with NumPy 2.4: about 35 B under max_prob and 43 B under neg_entropy; with an int64
-    # predicted and actual class per record it was about 65 and 73 B.
+    # on x86-64 with NumPy 2.4: about 32 B under max_prob and 37 B under neg_entropy; about 35 and 43 B
+    # while every domain was reduced after the last read, and with an int64 predicted and actual class per
+    # record before that, about 65 and 73 B.
     PEAK_PER_RECORD = {ConfidenceScore.MAX_PROB: 45, ConfidenceScore.NEG_ENTROPY: 55}
 
     @pytest.mark.parametrize("score", list(ConfidenceScore))
@@ -498,3 +503,140 @@ class TestRecordMemory:
         records = sum(stats["n_records"] for stats in report.domains.values())
         assert records == 80 * 48 * 48
         assert peak / records <= self.PEAK_PER_RECORD[score]
+
+
+class TestRecordSetOrder:
+    @pytest.mark.parametrize("score", list(ConfidenceScore))
+    def test_each_record_set_is_ordered_once_and_drops_its_order(self, holdout_manifest, monkeypatch, score):
+        config = EvalConfig(seed=1, score=score)
+        domains, _, ood, pixel_ood = _oracle_report(holdout_manifest, None, config)
+        sorts, record_sets = [], []
+        real = confidence._stable_argsort
+
+        class SpyRecordSet(RecordSet):
+            def __post_init__(self):
+                super().__post_init__()
+                record_sets.append(self)
+
+        monkeypatch.setattr(confidence, "_stable_argsort", lambda values: sorts.append(values.size) or real(values))
+        monkeypatch.setattr(evaluate, "RecordSet", SpyRecordSet)
+        report = evaluate_manifest(holdout_manifest, None, config)
+        # one calibration set per domain, and under neg_entropy one ranking set, which only prr reads
+        sets = 1 if score is ConfidenceScore.MAX_PROB else 2
+        assert sorted(sorts) == sorted([stats["n_records"] for stats in report.domains.values()] * sets)
+        assert len(record_sets) == sets * len(report.domains)
+        assert all("order" not in vars(records) for records in record_sets)
+        assert report.domains == domains and report.ood_auroc == ood and report.pixel_ood_auroc == pixel_ood
+
+
+class TestOneBatchAlivePerRead:
+    """Fit and serial eval drop each batch before the next entry is read."""
+
+    @pytest.fixture
+    def alive_at_each_read(self, monkeypatch):
+        """The number of earlier LoadedEntry objects still alive as each load_entry call begins."""
+        from relikit import manifest
+
+        monkeypatch.setattr("relikit.manifest.BATCH_PIXELS", 1)  # a batch of one entry each
+        real, loaded, alive = manifest.load_entry, [], []
+
+        def tracked(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in loaded))
+            one = real(*args, **kwargs)
+            loaded.append(weakref.ref(one))
+            return one
+
+        monkeypatch.setattr(manifest, "load_entry", tracked)
+        return alive
+
+    def test_gather_pixel_batches(self, ladder_manifest, alive_at_each_read):
+        entries = ladder_manifest.select(split="calibration")
+        gather_pixel_batches(ladder_manifest, entries, pixels_per_image=50, seed=0, need_image=True)
+        # the reader keeps the entry before, to see whether the one it reads joins its batch
+        assert alive_at_each_read == [0] + [1] * (len(entries) - 1)
+
+    @pytest.mark.parametrize("budget", [150 * 48 * 48, 5 * 48 * 48], ids=["one-batch", "batches-of-5"])
+    def test_load_batches_keeps_no_yielded_batch(self, ladder_manifest, monkeypatch, budget):
+        # the test split's 12 images make one batch, the last, or batches of 5, 5 and 2
+        monkeypatch.setattr("relikit.manifest.BATCH_PIXELS", budget)
+        batches = load_batches(ladder_manifest, ladder_manifest.select(split="test"), pixels_per_image=10, seed=0)
+        for batch in batches:
+            entries = [weakref.ref(one) for one in batch.loaded]
+            del batch
+            assert not any(entry() for entry in entries)
+
+    @pytest.mark.parametrize("score", list(ConfidenceScore))
+    def test_serial_evaluation(self, holdout_manifest, alive_at_each_read, score):
+        evaluate_manifest(holdout_manifest, GlobalTemperature(1.5), EvalConfig(score=score, workers=1))
+        assert alive_at_each_read == [0] + [1] * (len(holdout_manifest.select(split="test")) - 1)
+
+
+def _write_interleaved(root, domains, confident=(), truncated=None):
+    """One 6 x 8 test image per tag of ``domains``, ``img-00`` onward, so sorted ids follow that order.
+
+    An image of a domain in ``confident`` has logits that peak on its
+    labels, so each of its pixels is right and the domain's PRR is
+    undefined. The logits file of image number ``truncated`` loses its last
+    4 bytes.
+    """
+    rng = np.random.default_rng(11)
+    entries = []
+    for i, domain in enumerate(domains):
+        image_id = f"img-{i:02d}"
+        paths = {key: f"{image_id}.{key}.bin" for key in ("logits", "labels", "ood_mask")}
+        labels = rng.integers(0, 3, size=(6, 8)).astype(np.uint16)
+        labels[rng.random((6, 8)) < 0.1] = 255
+        onehot = np.eye(3)[np.minimum(labels, 2)]
+        logits = 20.0 * onehot if domain in confident else rng.normal(size=(6, 8, 3)) + 1.5 * onehot
+        write_logits(root / paths["logits"], LogitTensor(logits.astype(np.float32)))
+        write_labels(root / paths["labels"], LabelMap(labels), 3)
+        write_mask(root / paths["ood_mask"], rng.random((6, 8)) < 0.3)
+        entries.append(ManifestEntry(image_id=image_id, split="test", domain=domain, **paths))
+    if truncated is not None:
+        path = root / entries[truncated].logits
+        path.write_bytes(path.read_bytes()[:-4])
+    return save_manifest(DatasetManifest(classes=3, ignore_value=255, entries=tuple(entries), root=root),
+                         root / "manifest.json")
+
+
+class TestDomainsReducedAtTheirLastEntry:
+    """Eval reduces each domain when its last entry is summarized; neither the bytes nor the errors show it."""
+
+    @pytest.mark.parametrize("score", list(ConfidenceScore))
+    def test_interleaved_domains_match_the_oracle_bytes(self, tmp_path, score):
+        # "shift" ends at img-04, before "id", whose image means its ood_auroc still needs
+        manifest = load_manifest(_write_interleaved(tmp_path, ("id", "shift", "shift", "id", "shift", "id")))
+        config = EvalConfig(score=score, pixels_per_image=30, seed=1)
+        for calibrator in (None, GlobalTemperature(1.7)):
+            domains, bins, ood, pixel_ood = _oracle_report(manifest, calibrator, config)
+            assert set(ood) == {"shift"} and set(pixel_ood) == {"id", "shift"}
+            for workers in (1, 2):
+                report = evaluate_manifest(manifest, calibrator, dataclasses.replace(config, workers=workers))
+                oracle = ReliabilityReport(report.meta, domains, ood, pixel_ood, bins)
+                assert to_json_bytes(report) == to_json_bytes(oracle)
+                assert to_csv_bytes(report) == to_csv_bytes(oracle)
+                assert to_bins_bytes(report) == to_bins_bytes(oracle)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_a_read_error_wins_over_an_earlier_domains_metric_error(self, tmp_path, capsys, workers):
+        # "calm" ends at img-02 with an undefined prr; the logits of img-04, read later, are truncated
+        domains = ("calm", "shift", "calm", "shift", "shift", "shift")
+        for truncated in (None, 4):
+            root = tmp_path / str(truncated)
+            root.mkdir()
+            path = _write_interleaved(root, domains, confident={"calm"}, truncated=truncated)
+            expected = "calm: prr is undefined for all-correct or all-incorrect records"
+            if truncated is not None:
+                with pytest.raises(TensorFormatError) as read_error:
+                    read_logits(root / f"img-{truncated:02d}.logits.bin")
+                expected = str(read_error.value)
+            code = main(["eval", "--manifest", str(path), "--workers", workers, "--out", str(root / "r.json")])
+            assert (code, capsys.readouterr().err) == (2, f"error: {expected}\n")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_metric_errors_are_raised_in_sorted_domain_order(self, tmp_path, workers):
+        # both domains' prr is undefined; "zeta" ends first, at img-02, but "alpha" sorts first
+        manifest = load_manifest(_write_interleaved(tmp_path, ("zeta", "alpha", "zeta", "alpha"),
+                                                    confident={"alpha", "zeta"}))
+        with pytest.raises(MetricError, match="^alpha: prr is undefined"):
+            evaluate_manifest(manifest, None, EvalConfig(workers=workers))
