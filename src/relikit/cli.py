@@ -7,8 +7,11 @@ trains a calibrator and writes it as a JSON artifact, ``eval`` renders a
 reliability report, ``synth`` writes a synthetic benchmark, and
 ``theorem`` prints the group-calibration paradox.
 
-Each subcommand reads an optional ``--config`` JSON file whose keys match
-the long flag names (with underscores); explicit flags override the file.
+``fit`` and ``eval`` read an optional ``--config`` JSON file whose keys
+match the long flag names (with underscores); explicit flags override the
+file. One entry per option (``_FIT_OPTIONS``, ``_EVAL_OPTIONS``) casts a
+flag's text and a config value alike, before any file is read; an option
+left unset takes the library's default.
 Exit codes: 0 success, 1 usage or configuration errors, 2 data errors
 (malformed tensors, inconsistent manifests, metric preconditions),
 3 numerical failures.
@@ -19,7 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -28,8 +31,6 @@ from . import report as rep
 from . import synth as syn
 from . import tensor_io  # noqa: F401  (unused here; tests count tensor reads through cli.tensor_io)
 from .calibration import (
-    DEFAULT_CLUSTERS,
-    DEFAULT_PIXELS_PER_IMAGE,
     METHODS,
     T_MAX,
     T_MIN,
@@ -55,8 +56,6 @@ from .errors import (
 from .manifest import SPLITS, check_entry, load_manifest
 
 WORKERS_ENV = "RELIKIT_WORKERS"
-# fit/eval options that hold a path or a tag; argparse gives strings, a config file may not
-_TEXT_OPTIONS = ("manifest", "out", "calibrator", "csv_out", "bins_out", "id_domain", "split", "method")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,27 +63,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _resolve_options(args, defaults: dict) -> dict:
-    """defaults < config file < explicit flags."""
-    options = dict(defaults)
-    if getattr(args, "config", None):
-        config = read_json_object(args.config, UsageError, "config file")
-        unknown = config.keys() - defaults.keys()
-        if unknown:
-            raise UsageError(f"unknown config keys {sorted(unknown)}; valid: {sorted(defaults)}")
-        options.update(config)
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            options[key] = value
-    for key in _TEXT_OPTIONS:
-        value = options.get(key)
-        if value is not None and not isinstance(value, str):
-            raise UsageError(f"{key.replace('_', '-')} must be a string, got {value!r}")
-        if value is not None and "\0" in value:
-            raise UsageError(f"{key.replace('_', '-')} must not contain a NUL character, got {value!r}")
-    if options["split"] not in SPLITS:
-        raise UsageError(f"split must be one of {', '.join(SPLITS)}, got {options['split']!r}")
+def _resolve_options(args, table: dict) -> dict:
+    """The options set in the config file or, winning over it, by flags, each cast by its entry in ``table``."""
+    given = read_json_object(args.config, UsageError, "config file") if args.config else {}
+    unknown = given.keys() - table.keys()
+    if unknown:
+        raise UsageError(f"unknown config keys {sorted(unknown)}; valid: {sorted(table)}")
+    given.update(_given(args, table))
+    options = {key: cast(key, given[key]) for key, (cast, _) in table.items() if key in given}
+    # a JSON null reaches the cast too: options with no default take it as unset, the others reject it
+    options = {key: value for key, value in options.items() if given[key] is not None}
     for key in ("out", "csv_out", "bins_out"):
         # a missing directory is reported before any work; an OS refusal at write time by _write_output
         parent = os.path.dirname(options.get(key) or "") or "."
@@ -106,26 +94,113 @@ def _given(args, keys) -> dict:
     return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
+def _pick(options: dict, keys) -> dict:
+    """The options among ``keys`` that are set; the library supplies the others' defaults."""
+    return {key: options[key] for key in keys if key in options}
+
+
 def _require(options: dict, key: str):
-    if options.get(key) is None:
+    if key not in options:
         raise UsageError(f"missing required option --{key.replace('_', '-')}")
     return options[key]
 
 
-def _resolve_workers(value) -> int:
-    if value is None:
-        value = os.environ.get(WORKERS_ENV)
-    if value is None:
-        return 1
-    return convert_option("workers", value, int)
+_int = partial(convert_option, kind=int)
+_float = partial(convert_option, kind=float)
 
 
-def _pixels(value) -> int | None:
+def _text(key, value) -> str | None:
+    """A path or a tag; a null leaves it unset."""
+    if value is not None and not isinstance(value, str):
+        raise UsageError(f"{key.replace('_', '-')} must be a string, got {value!r}")
+    if value is not None and "\0" in value:
+        raise UsageError(f"{key.replace('_', '-')} must not contain a NUL character, got {value!r}")
+    return value
+
+
+def _split(key, value) -> str:
+    if _text(key, value) not in SPLITS:
+        raise UsageError(f"split must be one of {', '.join(SPLITS)}, got {value!r}")
+    return value
+
+
+def _method(key, value) -> str:
+    if _text(key, value) not in METHODS:
+        raise UsageError(f"unknown method {value!r}; choose one of {', '.join(METHODS)}")
+    return value
+
+
+def _pixels(key, value) -> int | None:
     # 0 means "use every pixel"
-    count = convert_option("pixels_per_image", value, int)
+    count = convert_option(key, value, int)
     if count < 0:
         raise UsageError(f"pixels-per-image must be >= 0, got {count}")
     return None if count == 0 else count
+
+
+def _workers(key, value) -> int | None:
+    # a null leaves workers to $RELIKIT_WORKERS, as an absent key does
+    return None if value is None else convert_option(key, value, int)
+
+
+def _parse_domain_weights(_, value) -> dict[str, float] | None:
+    if value is None or isinstance(value, dict):
+        return value and {str(tag): convert_option(f"domain weight {tag}", w, float) for tag, w in value.items()}
+    if not isinstance(value, list):
+        raise UsageError(f"domain weights must be a list of tag=number or an object, got {value!r}")
+    weights = {}
+    for item in value:
+        tag, sep, w = str(item).partition("=")
+        if not sep or not tag:
+            raise UsageError(f"domain weight must look like tag=number, got {item!r}")
+        weights[tag] = convert_option(f"domain weight {tag}", w, float)
+    return weights
+
+
+def _metrics(_, value) -> tuple[str, ...] | None:
+    if isinstance(value, str):
+        return tuple(m.strip() for m in value.split(",") if m.strip())
+    if value is not None and not (isinstance(value, list) and all(isinstance(m, str) for m in value)):
+        raise UsageError(f"metrics must be a comma-separated string or a list of strings, got {value!r}")
+    return None if value is None else tuple(value)
+
+
+# Each fit and eval option once, in --help order: key -> (cast, argparse keywords of its flag). A cast
+# takes the key and a flag's text or a config value; a "flag" keyword names a flag other than --key.
+_FIT_OPTIONS = {
+    "manifest": (_text, {}),
+    "out": (_text, dict(help="where to write the calibrator artifact")),
+    "method": (_method, dict(choices=list(METHODS))),
+    "split": (_split, dict(choices=SPLITS)),
+    "seed": (_int, {}),
+    "pixels_per_image": (_pixels, dict(help="calibration pixels drawn per image; 0 uses every pixel")),
+    "k": (_int, dict(help="cluster count for cluster methods")),
+    "feature_mode": (partial(convert_option, kind=FeatureMode), dict(choices=["logits", "image", "both"])),
+    "hidden_width": (_int, {}),
+    "t_floor": (_float, {}),
+    "learning_rate": (_float, {}),
+    "epochs": (_int, {}),
+    "batch_pixels": (_int, {}),
+    "domain_weights": (_parse_domain_weights, dict(flag="--domain-weight", action="append", metavar="TAG=W",
+                                                   help="loss weight for one domain (repeatable)")),
+}
+_EVAL_OPTIONS = {
+    "manifest": (_text, {}),
+    "calibrator": (_text, dict(help="calibrator artifact written by fit")),
+    "split": (_split, dict(choices=SPLITS)),
+    "score": (partial(convert_option, kind=ConfidenceScore), dict(choices=["max_prob", "neg_entropy"])),
+    "bins": (_int, {}),
+    "pixels_per_image": (_pixels, dict(help="record pixels drawn per image; 0 uses every pixel")),
+    "seed": (_int, {}),
+    "id_domain": (_text, dict(help="in-domain tag for OOD detection")),
+    "metrics": (_metrics, dict(help="comma-separated subset of "
+                                    "miou,ece,ada_ece,ks_error,prr,ood_auroc,pixel_ood_auroc")),
+    "workers": (_workers, dict(help="threads scoring batches of images, at most the CPU count "
+                                    f"(default ${WORKERS_ENV} or 1)")),
+    "out": (_text, dict(help="write the JSON report here (default: stdout)")),
+    "csv_out": (_text, dict(help="write the CSV report here")),
+    "bins_out": (_text, dict(help="write per-domain reliability bins here")),
+}
 
 
 def cmd_validate(args) -> int:
@@ -142,29 +217,6 @@ def cmd_validate(args) -> int:
     return 0
 
 
-_FIT_DEFAULTS = dict(
-    manifest=None, out=None, method="ts", split="calibration", seed=0,
-    pixels_per_image=DEFAULT_PIXELS_PER_IMAGE, k=DEFAULT_CLUSTERS, feature_mode="both",
-    **asdict(LtsHyper()),
-)
-
-
-def _parse_domain_weights(value) -> dict[str, float] | None:
-    if value is None:
-        return None
-    if isinstance(value, dict):
-        return {str(tag): convert_option(f"domain weight {tag}", w, float) for tag, w in value.items()}
-    if not isinstance(value, list):
-        raise UsageError(f"domain weights must be a list of tag=number or an object, got {value!r}")
-    weights = {}
-    for item in value:
-        tag, sep, w = str(item).partition("=")
-        if not sep or not tag:
-            raise UsageError(f"domain weight must look like tag=number, got {item!r}")
-        weights[tag] = convert_option(f"domain weight {tag}", w, float)
-    return weights
-
-
 def _warn_pinned(what: str, temperatures) -> None:
     """One stderr warning when fitted temperatures sit exactly on a bound of [T_MIN, T_MAX]."""
     pinned = sum(t in (T_MIN, T_MAX) for t in temperatures)
@@ -174,23 +226,17 @@ def _warn_pinned(what: str, temperatures) -> None:
 
 
 def cmd_fit(args) -> int:
-    options = _resolve_options(args, _FIT_DEFAULTS)
+    options = _resolve_options(args, _FIT_OPTIONS)
     out = Path(_require(options, "out"))
-    method = METHODS.get(options["method"])
-    if method is None:
-        raise UsageError(f"unknown method {options['method']!r}; choose one of {', '.join(METHODS)}")
+    method = METHODS[options.get("method", "ts")]
     manifest = load_manifest(_require(options, "manifest"))
-    seed = convert_option("seed", options["seed"], int)
-    split = options["split"]
-    pixels = _pixels(options["pixels_per_image"])
+    common = _pick(options, ("split", "pixels_per_image", "seed"))
     if method.build is GlobalTemperature:
-        calibrator = fit_global_ts(manifest, split=split, pixels_per_image=pixels, seed=seed)
+        calibrator = fit_global_ts(manifest, **common)
         print(f"temperature: {calibrator.temperature:.6f}")
         _warn_pinned("temperature", [calibrator.temperature])
     elif method.build is ClusterTemperatureModel:
-        k = convert_option("k", options["k"], int)
-        calibrator = fit_cluster_ts(manifest, k=k, variant=method.fixed["variant"],
-                                    split=split, pixels_per_image=pixels, seed=seed)
+        calibrator = fit_cluster_ts(manifest, variant=method.fixed["variant"], **common, **_pick(options, ("k",)))
         print(f"clusters: {calibrator.clusters}  fallback temperature: "
               f"{calibrator.fallback_temperature:.6f}")
         for j in range(calibrator.clusters):
@@ -202,14 +248,8 @@ def cmd_fit(args) -> int:
         _warn_pinned("fallback temperature", [calibrator.fallback_temperature])
         _warn_pinned("cell temperature", list(calibrator.temperatures.flat))
     else:
-        hyper = LtsHyper(
-            **{key: convert_option(key, options[key], type(default))
-               for key, default in asdict(LtsHyper()).items() if default is not None},
-            domain_weights=_parse_domain_weights(options["domain_weights"]),
-        )
-        feature_mode = convert_option("feature_mode", options["feature_mode"], FeatureMode)
-        calibrator, curve = fit_lts(manifest, feature_mode=feature_mode,
-                                    hyper=hyper, split=split, pixels_per_image=pixels, seed=seed)
+        hyper = LtsHyper(**_pick(options, [f.name for f in fields(LtsHyper)]))
+        calibrator, curve = fit_lts(manifest, hyper=hyper, **common, **_pick(options, ("feature_mode",)))
         print(f"regressor: mode={calibrator.feature_mode.value} input_dim={calibrator.input_dim} "
               f"hidden={calibrator.hidden_width}")
         if curve:
@@ -219,26 +259,8 @@ def cmd_fit(args) -> int:
     return 0
 
 
-_EVAL_CONFIG = ev.EvalConfig()
-_EVAL_DEFAULTS = dict(
-    manifest=None, calibrator=None, split=_EVAL_CONFIG.split, score=_EVAL_CONFIG.score.value,
-    bins=_EVAL_CONFIG.bins, pixels_per_image=_EVAL_CONFIG.pixels_per_image, seed=_EVAL_CONFIG.seed,
-    id_domain=None, metrics=None, workers=None, out=None, csv_out=None, bins_out=None,
-)
-
-
 def _percent(value: float) -> str:
     return f"{100.0 * value:.2f}%"
-
-
-def _metrics(value) -> tuple[str, ...]:
-    if value is None:
-        return ev.ALL_METRICS
-    if isinstance(value, str):
-        return tuple(m.strip() for m in value.split(",") if m.strip())
-    if isinstance(value, list) and all(isinstance(m, str) for m in value):
-        return tuple(value)
-    raise UsageError(f"metrics must be a comma-separated string or a list of strings, got {value!r}")
 
 
 # the files eval writes, in this order, and the per-domain summary fields it then prints
@@ -248,23 +270,16 @@ _EVAL_SUMMARY = (("miou", "miou", _percent), ("ece", "ece", _percent), ("ada_ece
 
 
 def cmd_eval(args) -> int:
-    options = _resolve_options(args, _EVAL_DEFAULTS)
+    options = _resolve_options(args, _EVAL_OPTIONS)
+    if "workers" not in options and WORKERS_ENV in os.environ:
+        options["workers"] = convert_option("workers", os.environ[WORKERS_ENV], int)
     manifest = load_manifest(_require(options, "manifest"))
-    config = ev.EvalConfig(
-        split=options["split"],
-        score=convert_option("score", options["score"], ConfidenceScore),
-        bins=convert_option("bins", options["bins"], int),
-        pixels_per_image=_pixels(options["pixels_per_image"]),
-        seed=convert_option("seed", options["seed"], int),
-        id_domain=options["id_domain"],
-        metrics=_metrics(options["metrics"]),
-        workers=_resolve_workers(options["workers"]),
-    )
-    calibrator = None if options["calibrator"] is None else load_calibrator(options["calibrator"])
+    config = ev.EvalConfig(**_pick(options, [f.name for f in fields(ev.EvalConfig)]))
+    calibrator = load_calibrator(options["calibrator"]) if "calibrator" in options else None
     result = ev.evaluate_manifest(manifest, calibrator, config)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    outputs = [(options[key], serialize) for key, serialize in _EVAL_OUTPUTS if options[key] is not None]
+    outputs = [(options[key], serialize) for key, serialize in _EVAL_OUTPUTS if key in options]
     if not outputs:
         sys.stdout.write(rep.to_json_bytes(result).decode("utf-8"))
         return 0
@@ -330,45 +345,15 @@ def build_parser() -> _Parser:
     p.add_argument("manifest", help="path to manifest.json")
     p.set_defaults(handler=cmd_validate)
 
-    p = sub.add_parser("fit", help="fit a calibrator and write it as a JSON artifact")
-    p.add_argument("--config", help="JSON file with any of the long options")
-    p.add_argument("--manifest")
-    p.add_argument("--out", help="where to write the calibrator artifact")
-    p.add_argument("--method", choices=list(METHODS))
-    p.add_argument("--split", choices=SPLITS)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--pixels-per-image", dest="pixels_per_image", type=int,
-                   help="calibration pixels drawn per image; 0 uses every pixel")
-    p.add_argument("--k", type=int, help="cluster count for cluster methods")
-    p.add_argument("--feature-mode", dest="feature_mode", choices=["logits", "image", "both"])
-    p.add_argument("--hidden-width", dest="hidden_width", type=int)
-    p.add_argument("--t-floor", dest="t_floor", type=float)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-pixels", dest="batch_pixels", type=int)
-    p.add_argument("--domain-weight", dest="domain_weights", action="append", metavar="TAG=W",
-                   help="loss weight for one domain (repeatable)")
-    p.set_defaults(handler=cmd_fit)
-
-    p = sub.add_parser("eval", help="evaluate a split and render a reliability report")
-    p.add_argument("--config", help="JSON file with any of the long options")
-    p.add_argument("--manifest")
-    p.add_argument("--calibrator", help="calibrator artifact written by fit")
-    p.add_argument("--split", choices=SPLITS)
-    p.add_argument("--score", choices=["max_prob", "neg_entropy"])
-    p.add_argument("--bins", type=int)
-    p.add_argument("--pixels-per-image", dest="pixels_per_image", type=int,
-                   help="record pixels drawn per image; 0 uses every pixel")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--id-domain", dest="id_domain", help="in-domain tag for OOD detection")
-    p.add_argument("--metrics", help="comma-separated subset of "
-                                     "miou,ece,ada_ece,ks_error,prr,ood_auroc,pixel_ood_auroc")
-    p.add_argument("--workers", type=int,
-                   help=f"threads scoring batches of images, at most the CPU count (default ${WORKERS_ENV} or 1)")
-    p.add_argument("--out", help="write the JSON report here (default: stdout)")
-    p.add_argument("--csv-out", dest="csv_out", help="write the CSV report here")
-    p.add_argument("--bins-out", dest="bins_out", help="write per-domain reliability bins here")
-    p.set_defaults(handler=cmd_eval)
+    for name, handler, table, summary in (
+            ("fit", cmd_fit, _FIT_OPTIONS, "fit a calibrator and write it as a JSON artifact"),
+            ("eval", cmd_eval, _EVAL_OPTIONS, "evaluate a split and render a reliability report")):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", help="JSON file with any of the long options")
+        for key, (_, keywords) in table.items():
+            keywords = dict(keywords)
+            p.add_argument(keywords.pop("flag", "--" + key.replace("_", "-")), dest=key, **keywords)
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark")
     p.add_argument("--config", help="benchmark config JSON (see synth module docs)")

@@ -487,8 +487,8 @@ class TestConfigFile:
 
     @settings(max_examples=80, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.sampled_from([("fit", key) for key in sorted(cli._FIT_DEFAULTS)]
-                           + [("eval", key) for key in sorted(cli._EVAL_DEFAULTS)]),
+    @given(st.sampled_from([("fit", key) for key in sorted(cli._FIT_OPTIONS)]
+                           + [("eval", key) for key in sorted(cli._EVAL_OPTIONS)]),
            st.sampled_from(_EDGE_VALUES))
     @example(("fit", "t_floor"), 1.0)
     @example(("fit", "domain_weights"), {"id": 0, "warm": 0})
@@ -538,6 +538,95 @@ class TestConfigFile:
         config.write_text(json.dumps({"manifest": str(bench), "score": "loudest"}))
         code, _, err = _run(capsys, ["eval", "--config", str(config)])
         assert code == 1 and "score must be one of max_prob, neg_entropy" in err
+
+    def test_option_tables_hold_every_config_key(self):
+        assert list(cli._FIT_OPTIONS) == [
+            "manifest", "out", "method", "split", "seed", "pixels_per_image", "k", "feature_mode",
+            "hidden_width", "t_floor", "learning_rate", "epochs", "batch_pixels", "domain_weights"]
+        assert list(cli._EVAL_OPTIONS) == [
+            "manifest", "calibrator", "split", "score", "bins", "pixels_per_image", "seed", "id_domain",
+            "metrics", "workers", "out", "csv_out", "bins_out"]
+
+    @pytest.mark.parametrize("manifest", ["bench", "missing"])
+    @pytest.mark.parametrize("command, key, value, expected", [
+        *[("fit", key, value, "an integer") for key in ("seed", "pixels_per_image", "k", "hidden_width",
+                                                        "epochs", "batch_pixels") for value in ("x", "2.7")],
+        *[("fit", key, "x", "a number") for key in ("t_floor", "learning_rate")],
+        *[("eval", key, value, "an integer") for key in ("bins", "pixels_per_image", "seed", "workers")
+          for value in ("x", "2.7")],
+    ])
+    def test_flag_and_config_value_are_cast_alike_before_any_read(self, bench, capsys, tmp_path, manifest,
+                                                                  command, key, value, expected):
+        # fit's default method, ts, reads none of k and the LTS options, which are cast all the same
+        path = str(bench) if manifest == "bench" else str(tmp_path / "missing.json")
+        base = [command, "--manifest", path] + (["--out", str(tmp_path / "c.json")] if command == "fit" else [])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        flag_run = _run(capsys, base + [f"--{key.replace('_', '-')}", value])
+        assert flag_run == _run(capsys, base + ["--config", str(config)])
+        assert flag_run == (1, "", f"error: {key.replace('_', '-')} must be {expected}, got {value!r}\n")
+
+    @pytest.mark.parametrize("command, key", [
+        ("fit", "method"), ("fit", "split"), ("fit", "feature_mode"), ("eval", "split"), ("eval", "score"),
+    ])
+    def test_bad_choice_is_usage_error_before_any_read(self, capsys, tmp_path, command, key):
+        base = [command, "--manifest", str(tmp_path / "missing.json"), "--out", str(tmp_path / "c.json")]
+        code, out, err = _run(capsys, base + [f"--{key.replace('_', '-')}", "loudest"])
+        assert (code, out) == (1, "") and err.startswith(f"error: argument --{key.replace('_', '-')}: invalid choice")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: "loudest"}))
+        code, out, err = _run(capsys, base + ["--config", str(config)])
+        assert (code, out) == (1, "") and _one_error_line(err) and "'loudest'" in err
+
+    def test_config_value_for_an_option_the_method_does_not_read_is_cast(self, bench, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"manifest": str(bench), "out": str(tmp_path / "c.json"),
+                                      "method": "ts", "k": "three"}))
+        code, out, err = _run(capsys, ["fit", "--config", str(config)])
+        assert (code, out, err) == (1, "", "error: k must be an integer, got 'three'\n")
+        assert not (tmp_path / "c.json").exists()
+
+    @pytest.mark.parametrize("command, key, message", [
+        ("fit", "method", "unknown method None; choose one of ts, cluster_ts, class_cluster_ts, lts"),
+        *[(command, "split", "split must be one of calibration, test, got None") for command in ("fit", "eval")],
+        *[("fit", key, f"{key.replace('_', '-')} must be an integer, got None")
+          for key in ("seed", "pixels_per_image", "k", "hidden_width", "epochs", "batch_pixels")],
+        *[("fit", key, f"{key.replace('_', '-')} must be a number, got None") for key in ("t_floor", "learning_rate")],
+        ("fit", "feature_mode", "feature-mode must be one of logits, image, both, got None"),
+        ("eval", "score", "score must be one of max_prob, neg_entropy, got None"),
+        *[("eval", key, f"{key.replace('_', '-')} must be an integer, got None")
+          for key in ("bins", "pixels_per_image", "seed")],
+        # a null leaves these unset, as an absent key does
+        *[("fit", key, None) for key in ("manifest", "out", "domain_weights")],
+        *[("eval", key, None) for key in ("manifest", "calibrator", "id_domain", "out", "csv_out", "bins_out",
+                                          "metrics", "workers")],
+    ])
+    def test_json_null(self, bench, capsys, tmp_path, monkeypatch, command, key, message):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("RELIKIT_WORKERS", raising=False)
+        if command == "fit":
+            options = {"manifest": str(bench), "out": "c.json", "method": "lts", "epochs": 1, "hidden_width": 2,
+                       "pixels_per_image": 50}
+        else:
+            options = {"manifest": str(bench), "out": "r.json", "pixels_per_image": 50}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**options, key: None}))
+        null_run = _run(capsys, [command, "--config", str(config)])
+        if message is not None:
+            assert null_run == (1, "", f"error: {message}\n")
+            return
+        options.pop(key, None)
+        config.write_text(json.dumps(options))
+        assert null_run == _run(capsys, [command, "--config", str(config)])
+        if key == "manifest" or command == "fit" and key == "out":
+            assert null_run == (1, "", f"error: missing required option --{key}\n")
+        else:
+            assert null_run[0] == 0
+        if key == "workers":  # $RELIKIT_WORKERS still applies
+            monkeypatch.setenv("RELIKIT_WORKERS", "zero")
+            config.write_text(json.dumps({**options, key: None}))
+            assert _run(capsys, [command, "--config", str(config)]) == (
+                1, "", "error: workers must be an integer, got 'zero'\n")
 
 
 class TestEval:
