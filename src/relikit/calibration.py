@@ -391,34 +391,49 @@ def gather_pixel_batches(manifest: DatasetManifest, entries: list[ManifestEntry]
     """The drawn pixels of each entry, read batch by batch (:func:`load_batches`), stacked as float32 rows.
 
     Each batch is dropped before the next one is read, so the reader holds
-    at most one earlier entry. The per-batch rows and the stack hold each
-    drawn value twice only while the stack is filled.
+    at most one earlier entry. Its drawn rows go straight into the stack,
+    allocated with room for every entry at the first batch's grid, grown
+    when a batch does not fit and cut to size at the end: no per-batch copy
+    stays alive among the freed tensors of later entries to fragment the heap.
     """
     if not entries:
         raise CalibrationError("no manifest entries to gather pixels from")
-    logits, labels, channels, counts = [], [], [], []
+    values = labels = None
+    counts: list[int] = []
     for batch in load_batches(manifest, entries, pixels_per_image=pixels_per_image, seed=seed,
                               image=need_image):
-        logits.append(batch.drawn(batch.logits))
-        labels.append(batch.drawn(batch.labels))
-        if need_image:
-            channels.append(batch.drawn(_stack([one.image.data for one in batch.loaded])))
+        parts = [batch.logits, _stack([one.image.data for one in batch.loaded])] if need_image else [batch.logits]
+        start = sum(counts)
+        stop = start + batch.rows.size
+        if values is None or stop > len(values):  # room for the entries left, each drawing all its pixels at most
+            pixels = batch.labels[0].size
+            per_entry = pixels if pixels_per_image is None else min(pixels, pixels_per_image)
+            room = stop + (len(entries) - len(counts) - len(batch.loaded)) * per_entry
+            values = _with_rows(values, start, (room, sum(part.shape[-1] for part in parts)), np.float32)
+            labels = _with_rows(labels, start, (room,), np.int64)
+        column = 0
+        for part in parts:
+            values[start:stop, column:column + part.shape[-1]] = batch.drawn(part)
+            column += part.shape[-1]
+        labels[start:stop] = batch.drawn(batch.labels)
         counts.extend(one.rows.size for one in batch.loaded)
-        del batch  # its tensors, before the next batch is read
-    groups = [logits, channels] if need_image else [logits]
-    values = np.empty((sum(counts), sum(group[0].shape[1] for group in groups)), dtype=np.float32)
-    column = 0
-    for group in groups:
-        width = group[0].shape[1]
-        np.concatenate(group, out=values[:, column:column + width])
-        group.clear()
-        column += width
+        del batch, parts  # its tensors, before the next batch is read
+    if stop < len(values):
+        values, labels = values[:stop].copy(), labels[:stop].copy()
     return CalibrationPixels(
         values=values,
-        labels=np.concatenate(labels, dtype=np.int64),
+        labels=labels,
         entry=np.repeat(np.arange(len(entries)), counts),
         classes=manifest.classes,
     )
+
+
+def _with_rows(array: np.ndarray | None, rows: int, shape: tuple, dtype) -> np.ndarray:
+    """An unfilled ``shape`` array holding the first ``rows`` rows of ``array``, if any."""
+    grown = np.empty(shape, dtype=dtype)
+    if array is not None:
+        grown[:rows] = array[:rows]
+    return grown
 
 
 def _split_entries(manifest: DatasetManifest, split: str) -> list[ManifestEntry]:

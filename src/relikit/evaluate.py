@@ -62,7 +62,6 @@ running correct count.
 from __future__ import annotations
 
 import os
-from collections import deque
 from contextlib import nullcontext
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -80,7 +79,7 @@ from .calibration import (
 )
 from .confidence import ConfidenceScore, RecordSet, _confidence_pass
 from .errors import ManifestError, MetricError, RelikitError, UsageError
-from .manifest import DatasetManifest, EntryBatch, load_batches
+from .manifest import DatasetManifest, EntryBatch, _ordered_map, load_batches
 # Unused here; the benchmark tracer's smoke test looks these bindings up.
 from .calibration import apply_calibrator  # noqa: F401
 from .confidence import confidence_map  # noqa: F401
@@ -88,6 +87,7 @@ from .rng import subsample_indices  # noqa: F401
 from .tensors import validate_labels  # noqa: F401
 
 ALL_METRICS = ("miou", "ece", "ada_ece", "ks_error", "prr", "ood_auroc", "pixel_ood_auroc")
+MAX_BINS = 10_000
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,8 @@ class EvalConfig:
             raise UsageError(f"workers must be >= 1, got {self.workers}")
         if self.bins < 1:
             raise UsageError(f"bins must be >= 1, got {self.bins}")
+        if self.bins > MAX_BINS:  # each bin costs a few table rows; a typo must not exhaust memory
+            raise UsageError(f"bins must be <= {MAX_BINS}, got {self.bins}")
         object.__setattr__(self, "score", ConfidenceScore(self.score))
 
 
@@ -160,28 +162,6 @@ def _summarize_batch(batch: EntryBatch, manifest: DatasetManifest,
             unknown_conf=unknown_conf,
         ))
     return summaries
-
-
-def _ordered_map(pool: ThreadPoolExecutor, fn, items, ahead: int):
-    """``fn`` of each item, in order, run by ``pool`` while the caller takes the next items.
-
-    At most ``ahead + 1`` items are in the pool and not yet returned, so a
-    worker that finishes finds the next item waiting. When taking an item
-    fails, the results before it are read first, so an earlier item's
-    error wins.
-    """
-    pending: deque = deque()
-    try:
-        for item in items:
-            pending.append(pool.submit(fn, item))
-            if len(pending) > ahead:
-                yield pending.popleft().result()
-    except Exception:
-        for future in pending:
-            future.result()
-        raise
-    for future in pending:
-        yield future.result()
 
 
 def _nullable(values: np.ndarray) -> list:

@@ -46,9 +46,11 @@ from __future__ import annotations
 
 import json
 import os
+from collections import deque
 from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -371,8 +373,10 @@ def load_batches(manifest: DatasetManifest, entries: list[ManifestEntry], *,
 
     A batch is a run of consecutive entries of one (H, W) grid holding at
     most :data:`BATCH_PIXELS` pixels, or a single larger entry. Entries are
-    read as the batches are taken, so the reader holds one batch and the
-    entry that starts the next; it keeps no reference to a batch it has
+    read as the batches are taken. A batch that no further entry of its
+    grid would fit in is yielded before the next entry is read; any other
+    is held while the next entry is read, to learn whether that entry
+    joins it. The reader keeps no reference to a batch it has
     yielded. All entries share one cross-entry record.
     """
     run: list[LoadedEntry] = []
@@ -380,10 +384,12 @@ def load_batches(manifest: DatasetManifest, entries: list[ManifestEntry], *,
     for entry in entries:
         one = load_entry(manifest, entry, pixels_per_image=pixels_per_image, seed=seed,
                          image=image, feature=feature, mask=mask, seen=seen)
-        if run and (one.labels.data.shape != run[0].labels.data.shape
-                    or (len(run) + 1) * one.labels.data.size > BATCH_PIXELS):
+        if run and one.labels.data.shape != run[0].labels.data.shape:
             yield EntryBatch(_drain(run))
         run.append(one)
+        if (len(run) + 1) * one.labels.data.size > BATCH_PIXELS:  # full
+            del one
+            yield EntryBatch(_drain(run))
     if run:
         del one  # the batch's last entry
         yield EntryBatch(_drain(run))
@@ -394,3 +400,26 @@ def _drain(run: list) -> tuple:
     items = tuple(run)
     run.clear()
     return items
+
+
+def _ordered_map(pool: ThreadPoolExecutor, fn, items, ahead: int):
+    """``fn`` of each item, in order, run by ``pool`` while the caller takes the next items.
+
+    At most ``ahead + 1`` items are in the pool and not yet returned, so a
+    worker that finishes finds the next item waiting. The earliest item's
+    error wins: when taking an item fails, the results before it are read
+    first, and a failed item's future stays first in line.
+    """
+    pending: deque = deque()
+    try:
+        for future in map(partial(pool.submit, fn), items):  # no local keeps a queued item
+            pending.append(future)
+            if len(pending) > ahead:
+                yield pending[0].result()
+                pending.popleft()
+    except Exception:
+        for future in pending:
+            future.result()
+        raise
+    for future in pending:
+        yield future.result()

@@ -21,7 +21,9 @@ image is reproducible in isolation. An image is built in place and in
 blocks of image rows of about :data:`~relikit.confidence.BLOCK_VALUES`
 values, each draw taken block by block in stream order: generating it
 holds its outputs and a few blocks, and gives the bits of whole-image
-arrays.
+arrays. :func:`generate_benchmark` runs one scene per task on at most two
+threads, so it holds at most two scenes; its bytes do not depend on the
+thread count.
 
 A benchmark config (``relikit synth --config``) is a JSON object whose keys
 are the fields of :class:`SynthConfig`; ``domains`` is a list of objects
@@ -33,6 +35,8 @@ writes every field and leaves out a domain's unset image counts;
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -41,7 +45,7 @@ import numpy as np
 from . import tensor_io
 from .confidence import _block_rows
 from .errors import UsageError, convert_option, parse_json_object
-from .manifest import DatasetManifest, ManifestEntry, save_manifest
+from .manifest import DatasetManifest, ManifestEntry, _ordered_map, save_manifest
 from .rng import derive_stream
 from .tensors import ImageTensor, LabelMap, LogitTensor
 
@@ -195,7 +199,14 @@ def _domain(config: SynthConfig, tag: str) -> tuple[int, DomainSpec]:
     raise UsageError(f"unknown domain tag {tag!r}")
 
 
-def generate_scene(config: SynthConfig, domain_tag: str, image_id: str) -> Scene:
+def _scene_arrays(config: SynthConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One scene's unfilled float64 probabilities, float32 logits and float32 image channels."""
+    h, w, k = config.height, config.width, config.classes
+    return (np.empty((h, w, k)), np.empty((h, w, k), dtype=np.float32),
+            np.empty((h, w, len(config.domains) + 1 + k), dtype=np.float32))
+
+
+def generate_scene(config: SynthConfig, domain_tag: str, image_id: str, *, _arrays=None) -> Scene:
     """Generate one image; deterministic in (config.seed, image_id).
 
     The (h, w, k) random field is smoothed and normalized in place into
@@ -205,14 +216,17 @@ def generate_scene(config: SynthConfig, domain_tag: str, image_id: str) -> Scene
     image holds its outputs and a few blocks, and the bits are those of
     whole-image passes.
     """
-    validate_config(config)
+    if _arrays is None:  # generate_benchmark passes a validated config and the arrays to fill
+        validate_config(config)
+        _arrays = _scene_arrays(config)
+    probs, logits, image = _arrays
     domain_index, domain = _domain(config, domain_tag)
     h, w, k = config.height, config.width, config.classes
     rng = derive_stream(config.seed, f"scene:{image_id}")
     step = max(1, _block_rows(k) // w)
     blocks = [slice(start, start + step) for start in range(0, h, step)]
 
-    probs = rng.gamma(config.concentration, 1.0, size=(h, w, k))
+    rng.standard_gamma(config.concentration, out=probs)  # the bits of rng.gamma(concentration, 1.0)
     if config.smoothing_radius > 0:
         _smooth_in_place(probs, config.smoothing_radius, step)
     draw = rng.random((h, w))
@@ -228,7 +242,6 @@ def generate_scene(config: SynthConfig, domain_tag: str, image_id: str) -> Scene
     np.minimum(labels, k - 1, out=labels)
     mask = np.isin(labels, np.asarray(config.holdout_classes)) if config.holdout_classes else None
 
-    logits = np.empty((h, w, k), dtype=np.float32)
     for rows in blocks:
         block = np.log(probs[rows])
         block *= domain.true_temperature
@@ -238,7 +251,6 @@ def generate_scene(config: SynthConfig, domain_tag: str, image_id: str) -> Scene
         logits[rows] = block
 
     domains = len(config.domains)
-    image = np.empty((h, w, domains + 1 + k), dtype=np.float32)
     for rows in blocks:
         one_hot = rng.normal(0.0, 1.0, size=(*draw[rows].shape, domains)) * config.channel_noise
         one_hot[:, :, domain_index] += 1.0
@@ -277,37 +289,42 @@ def image_counts(config: SynthConfig, domain: DomainSpec) -> tuple[int, int]:
     return cal, test
 
 
+def _write_scene(config: SynthConfig, out: Path, job) -> ManifestEntry:
+    """Fill one scene's arrays, write its files under ``out`` and return its entry."""
+    split, domain, image_id, arrays = job
+    scene = generate_scene(config, domain.tag, image_id, _arrays=arrays)
+    path = f"data/{image_id}.{{}}.bin".format
+    tensor_io.write_logits(out / path("logits"), scene.logits)
+    tensor_io.write_labels(out / path("labels"), scene.labels, config.classes)
+    tensor_io.write_image(out / path("image"), scene.image)
+    tensor_io.write_feature(out / path("feature"), scene.feature)
+    if scene.ood_mask is not None:
+        tensor_io.write_mask(out / path("mask"), scene.ood_mask)
+    return ManifestEntry(image_id=image_id, split=split, domain=domain.tag, logits=path("logits"),
+                         labels=path("labels"), feature=path("feature"), image=path("image"),
+                         ood_mask=None if scene.ood_mask is None else path("mask"))
+
+
 def generate_benchmark(config: SynthConfig, out_dir) -> Path:
-    """Write a full benchmark (tensors plus manifest); returns the manifest path."""
+    """Write a full benchmark (tensors plus manifest); returns the manifest path.
+
+    Each scene is one task on min(2, ``os.cpu_count()``) threads and fills one of as many sets of arrays as
+    tasks may be in flight. This thread allocates the sets once and frees them once the pool has stopped, so
+    no worker frees them, at a moment that would leave the heap of later work in a layout that differs from
+    run to run.
+    """
     validate_config(config)
     out = Path(out_dir)
-    data = out / "data"
-    data.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for domain in config.domains:
-        cal, test = image_counts(config, domain)
-        for split, short, count in (("calibration", "cal", cal), ("test", "test", test)):
-            for i in range(count):
-                image_id = f"{domain.tag}-{short}-{i:03d}"
-                scene = generate_scene(config, domain.tag, image_id)
-                tensor_io.write_logits(data / f"{image_id}.logits.bin", scene.logits)
-                tensor_io.write_labels(data / f"{image_id}.labels.bin", scene.labels, config.classes)
-                tensor_io.write_image(data / f"{image_id}.image.bin", scene.image)
-                tensor_io.write_feature(data / f"{image_id}.feature.bin", scene.feature)
-                mask_path = None
-                if scene.ood_mask is not None:
-                    mask_path = f"data/{image_id}.mask.bin"
-                    tensor_io.write_mask(data / f"{image_id}.mask.bin", scene.ood_mask)
-                entries.append(ManifestEntry(
-                    image_id=image_id,
-                    split=split,
-                    domain=domain.tag,
-                    logits=f"data/{image_id}.logits.bin",
-                    labels=f"data/{image_id}.labels.bin",
-                    feature=f"data/{image_id}.feature.bin",
-                    image=f"data/{image_id}.image.bin",
-                    ood_mask=mask_path,
-                ))
+    (out / "data").mkdir(parents=True, exist_ok=True)
+    threads = min(2, os.cpu_count() or 1)
+    arrays = [_scene_arrays(config) for _ in range(threads)]
+    scenes = [(split, domain, f"{domain.tag}-{short}-{i:03d}") for domain in config.domains
+              for (split, short), count in zip((("calibration", "cal"), ("test", "test")), image_counts(config, domain))
+              for i in range(count)]
+    # _ordered_map takes scene n once it has returned scene n - threads, the last to fill the same set
+    jobs = ((*scene, arrays[n % threads]) for n, scene in enumerate(scenes))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        entries = list(_ordered_map(pool, lambda job: _write_scene(config, out, job), jobs, threads - 1))
     manifest = DatasetManifest(
         classes=config.classes,
         ignore_value=config.ignore_value,

@@ -32,7 +32,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -149,9 +148,9 @@ def _write_raw(path, arr: np.ndarray, dtype: str, layout: str, classes: int) -> 
         "classes": int(classes),
     }
     body = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = np.ascontiguousarray(arr, dtype=_DTYPES[dtype]).tobytes()
-    blob = MAGIC + len(body).to_bytes(4, "little") + body + payload
-    Path(path).write_bytes(blob)
+    with open(path, "wb") as file:
+        file.write(MAGIC + len(body).to_bytes(4, "little") + body)
+        file.write(np.ascontiguousarray(arr, dtype=_DTYPES[dtype]).data)  # the array's buffer, not a bytes copy
 
 
 def _checked(path, tensor_type, arr: np.ndarray):

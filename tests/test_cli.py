@@ -3,6 +3,10 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -651,6 +655,25 @@ class TestEval:
         assert set(json.loads(bins_out.read_text())) == {"id", "warm"}
         assert "id:  miou" in text and "ood_auroc[warm vs id]:" in text
 
+    def test_bins_above_the_bound_stop_before_any_tensor_is_read(self, bench, capsys, tmp_path, monkeypatch):
+        """``--bins 4000000`` or its config value is one usage error line within a second; a
+        bin table of that size would take seconds and gigabytes."""
+        import time
+
+        from relikit import tensor_io
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("a tensor was read")
+
+        monkeypatch.setattr(tensor_io, "_read_raw", no_read)
+        config = tmp_path / "bins.json"
+        config.write_text('{"bins": 4000000}')
+        for argv in (["--bins", "4000000"], ["--config", str(config)]):
+            start = time.perf_counter()
+            code, out, err = _run(capsys, ["eval", "--manifest", str(bench), *argv])
+            assert time.perf_counter() - start < 1.0
+            assert (code, out, err) == (1, "", f"error: bins must be <= {evaluate.MAX_BINS}, got 4000000\n")
+
     @pytest.mark.parametrize("score", ["max_prob", "neg_entropy"])
     def test_stdout_characterized_byte_for_byte(self, holdout_manifest, capsys, tmp_path, score):
         """The ``wrote`` lines in --out, --csv-out, --bins-out order whatever the flag order, one
@@ -1187,3 +1210,45 @@ class TestTheorem:
         monkeypatch.setattr("relikit.cli.evaluate_counterexample", broken)
         code, _, err = _run(capsys, ["theorem"])
         assert code == 3 and "sign flipped" in err
+
+
+def _glibc() -> bool:
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux") and _glibc()), reason="glibc's malloc on Linux")
+class TestHeapThresholds:
+    SCRIPT = textwrap.dedent("""
+        import contextlib, io, sys
+        import numpy as np
+        from relikit import cli
+
+        def rss():
+            with open("/proc/self/status") as status:
+                return next(int(line.split()[1]) for line in status if line.startswith("VmRSS:")) / 1024
+
+        big = np.ones(30 << 17)  # 30 MiB, mapped; freeing it raises glibc's thresholds to 30 and 60 MiB
+        del big
+        if sys.argv[1] == "main":
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(["theorem"])
+        before = rss()
+        arrays = [np.ones(1 << 17) for _ in range(24)]  # 24 MiB in arrays of 1 MiB, on the heap
+        del arrays
+        print(rss() - before)
+    """)
+
+    def _kept_mib(self, how: str) -> float:
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                                           os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT, how], capture_output=True, text=True, env=env,
+                              check=True)
+        return float(done.stdout.split()[-1])
+
+    def test_a_command_makes_freed_heap_above_4_mib_go_back(self):
+        # without main the freed 24 MiB stay resident; after it, at most the 4 MiB threshold does
+        assert self._kept_mib("import") > 20
+        assert self._kept_mib("main") < 6

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from relikit import confidence, evaluate
+from relikit import calibration, confidence, evaluate
 from relikit import metrics as met
 from relikit.calibration import (
     ClusterTemperatureModel,
@@ -54,6 +54,16 @@ class TestEvalConfig:
 
     def test_score_coerced_from_string(self):
         assert EvalConfig(score="neg_entropy").score is ConfidenceScore.NEG_ENTROPY
+
+    def test_bins_have_an_upper_bound(self):
+        from relikit.evaluate import MAX_BINS
+
+        assert EvalConfig(bins=MAX_BINS).bins == MAX_BINS
+        for bins in (MAX_BINS + 1, 4_000_000):
+            with pytest.raises(UsageError, match=rf"^bins must be <= {MAX_BINS}, got {bins}$"):
+                EvalConfig(bins=bins)
+        with pytest.raises(UsageError, match=r"^bins must be >= 1, got 0$"):
+            EvalConfig(bins=0)
 
 
 class TestEvaluateManifest:
@@ -365,6 +375,32 @@ class TestBatchedEvaluation:
         np.testing.assert_array_equal(pixels.entry, np.repeat(np.arange(len(entries)), [one.rows.size for one in loaded]))
         assert pixels.logits.dtype == pixels.channels.dtype == np.float32 and pixels.labels.dtype == np.int64
 
+    @pytest.mark.parametrize("first, pixels_per_image, allocations, cut", [
+        (0, 25, 1, False),   # all nine entries draw 25 rows: the first room is exact
+        (0, None, 1, True),  # (8, 8) grids first, then smaller ones and ignored pixels: room is left over
+        (6, None, 2, False),  # two (8, 8) entries after a 48-pixel one draw more than 48 rows each
+    ], ids=["exact", "cut", "grown"])
+    def test_fit_stack_grows_and_is_cut_to_the_drawn_rows(self, mixed, budget, monkeypatch, first,
+                                                           pixels_per_image, allocations, cut):
+        entries = mixed.select(split="calibration")[first:]
+        rooms = []
+        real = calibration._with_rows
+
+        def counted(array, rows, shape, dtype):
+            if dtype == np.float32:
+                rooms.append(shape[0])
+            return real(array, rows, shape, dtype)
+
+        monkeypatch.setattr(calibration, "_with_rows", counted)
+        pixels = gather_pixel_batches(mixed, entries, pixels_per_image=pixels_per_image, seed=4, need_image=True)
+        loaded = [load_entry(mixed, e, pixels_per_image=pixels_per_image, seed=4, image=True) for e in entries]
+        expected = np.concatenate([np.concatenate([one.drawn(one.logits.data), one.drawn(one.image.data)], axis=1)
+                                   for one in loaded])
+        np.testing.assert_array_equal(pixels.values, expected)
+        np.testing.assert_array_equal(pixels.labels, np.concatenate([one.drawn(one.labels.data) for one in loaded]))
+        assert pixels.values.flags.owndata and pixels.labels.flags.owndata  # no room is kept past the rows
+        assert len(rooms) == allocations and (rooms[-1] > len(pixels.values)) == cut
+
     def test_fitted_artifacts_do_not_depend_on_the_budget(self, mixed, tmp_path, monkeypatch):
         saved = {}
         for budget in (BATCH_PIXELS, 150, 1):
@@ -413,6 +449,16 @@ class TestBatchedEvaluation:
         # fit reads the same batches; an all-ignored image only gives it no pixels
         code = main(["fit", "--manifest", str(path), "--split", "test", "--out", str(tmp_path / "a.json")])
         assert (code, capsys.readouterr().err) == ((0, "") if fault == "all_ignored" else (2, f"error: {expected}\n"))
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_the_first_failing_batch_names_the_error(self, tmp_path, monkeypatch, workers):
+        # one entry per batch; tes-01 and tes-02 both fail, and on a pool both may be in flight at once
+        ignored = lambda root, entry: write_labels(root / entry.labels, LabelMap(np.full((8, 8), 255, np.uint16)), 3)
+        manifest = load_manifest(_write_mixed(tmp_path, {"tes-01": ignored, "tes-02": ignored}))
+        monkeypatch.setattr("relikit.manifest.BATCH_PIXELS", 1)
+        monkeypatch.setattr("relikit.evaluate.os.cpu_count", lambda: 4)
+        with pytest.raises(MetricError, match="^tes-01: image has no non-ignored pixels$"):
+            evaluate_manifest(manifest, None, EvalConfig(workers=workers))
 
 
 class TestPixelOodWarning:
@@ -552,8 +598,8 @@ class TestOneBatchAlivePerRead:
     def test_gather_pixel_batches(self, ladder_manifest, alive_at_each_read):
         entries = ladder_manifest.select(split="calibration")
         gather_pixel_batches(ladder_manifest, entries, pixels_per_image=50, seed=0, need_image=True)
-        # the reader keeps the entry before, to see whether the one it reads joins its batch
-        assert alive_at_each_read == [0] + [1] * (len(entries) - 1)
+        # a full batch is yielded before the next entry is read, so no earlier entry is alive at a read
+        assert alive_at_each_read == [0] * len(entries)
 
     @pytest.mark.parametrize("budget", [150 * 48 * 48, 5 * 48 * 48], ids=["one-batch", "batches-of-5"])
     def test_load_batches_keeps_no_yielded_batch(self, ladder_manifest, monkeypatch, budget):
@@ -568,7 +614,7 @@ class TestOneBatchAlivePerRead:
     @pytest.mark.parametrize("score", list(ConfidenceScore))
     def test_serial_evaluation(self, holdout_manifest, alive_at_each_read, score):
         evaluate_manifest(holdout_manifest, GlobalTemperature(1.5), EvalConfig(score=score, workers=1))
-        assert alive_at_each_read == [0] + [1] * (len(holdout_manifest.select(split="test")) - 1)
+        assert alive_at_each_read == [0] * len(holdout_manifest.select(split="test"))
 
 
 def _write_interleaved(root, domains, confident=(), truncated=None):

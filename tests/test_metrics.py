@@ -410,6 +410,11 @@ class TestRejectionCurve:
         assert np.all(np.diff(curve) <= 1e-15)  # never increases
 
 
+    @pytest.mark.parametrize("correct, curve", [(True, [0.0, 0.0]), (False, [1.0, 0.0])])
+    def test_one_record(self, correct, curve):
+        assert rejection_curve(_rs([0.4], [correct])).tolist() == curve
+
+
 class TestPrr:
     def test_hand_value(self):
         rs = _rs([0.9, 0.8, 0.7, 0.6, 0.5], [True, True, False, True, False])

@@ -1,6 +1,9 @@
 """Synthetic benchmark generator: determinism, calibration properties, config."""
 
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -332,3 +335,119 @@ class TestValidateConfig:
         base.update(overrides)
         with pytest.raises(UsageError):
             generate_scene(SynthConfig(**base), base["domains"][0].tag if base["domains"] else "a", "x")
+
+
+def _tree(root) -> dict:
+    """Every file under ``root``, by relative path, with its bytes."""
+    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+class TestSceneThreads:
+    """generate_benchmark's scenes run on a pool of threads, in arrays the calling thread allocates."""
+
+    @pytest.fixture
+    def threads(self, monkeypatch):
+        """Set the pool's thread count, min(2, os.cpu_count()), through the CPU count."""
+        from relikit import synth
+
+        return lambda count: monkeypatch.setattr(synth.os, "cpu_count", lambda: count)
+
+    def test_bytes_do_not_depend_on_thread_count(self, tmp_path, threads):
+        config = _tiny_config(
+            domains=tuple(DomainSpec(tag, 1.0 + i, 0.1 * i, (2.0 * i, 0.0)) for i, tag in enumerate("abc")),
+            height=24, width=40, calibration_images=3, test_images=3, holdout_classes=(4,),
+        )
+        trees = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads trade the interpreter lock as often as they can
+        try:
+            for count in (1, 2, 1, 2):
+                threads(count)
+                trees.append(_tree(generate_benchmark(config, tmp_path / f"run{len(trees)}").parent))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(trees[0]) == 1 + 18 * 5  # the manifest and five files per scene
+        for tree in trees[1:]:
+            assert tree.keys() == trees[0].keys()
+            for name, data in tree.items():
+                assert data == trees[0][name], name
+
+    def test_scene_arrays_are_generate_scene_bytes(self):
+        from relikit.synth import _scene_arrays
+
+        config = _tiny_config(holdout_classes=(1,))
+        for tag, image_id in (("a", "a-cal-000"), ("b", "b-test-001")):
+            alone = generate_scene(config, tag, image_id)
+            arrays = _scene_arrays(config)
+            for arr in arrays:
+                arr.fill(np.nan)  # every value is written, none read first
+            filled = generate_scene(config, tag, image_id, _arrays=arrays)
+            assert filled.true_probs is arrays[0] and filled.logits.data is arrays[1]
+            assert filled.image.data is arrays[2]
+            for field_name in ("true_probs", "feature", "ood_mask"):
+                np.testing.assert_array_equal(getattr(filled, field_name), getattr(alone, field_name))
+            for field_name in ("logits", "labels", "image"):
+                assert getattr(filled, field_name).data.tobytes() == getattr(alone, field_name).data.tobytes()
+
+    def test_at_most_two_scenes_are_held(self, tmp_path, threads):
+        """Peak traced memory lies between two and two and a half scenes' arrays; a third set of arrays
+        would add a whole scene."""
+        import tracemalloc
+
+        from relikit.synth import _scene_arrays
+
+        threads(2)
+        config = SynthConfig(
+            domains=(DomainSpec("id", 1.0, 0.0, (0.0,)), DomainSpec("warm", 2.0, 0.1, (4.0,))),
+            classes=19, height=256, width=256, calibration_images=2, test_images=1, holdout_classes=(18,),
+        )
+        scene = sum(arr.nbytes for arr in _scene_arrays(config))
+        tracemalloc.start()
+        try:
+            generate_benchmark(config, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 2 * scene <= peak < 2.5 * scene, (peak / scene)
+
+    def test_no_two_scenes_in_flight_share_arrays(self, tmp_path, monkeypatch, threads):
+        """The first scene ends last, so the second thread is free before the first set of arrays is: the
+        third scene must wait for that set."""
+        from relikit import synth
+
+        threads(2)
+        write_scene = synth._write_scene
+        lock = threading.Lock()
+        in_flight, clashes = set(), []
+
+        def traced(config, out, job):
+            key = id(job[3][0])  # the set's probabilities array
+            with lock:
+                if key in in_flight:
+                    clashes.append(job[2])
+                in_flight.add(key)
+            try:
+                if job[2] == "a-cal-000":
+                    time.sleep(0.2)
+                return write_scene(config, out, job)
+            finally:
+                with lock:
+                    in_flight.discard(key)
+
+        monkeypatch.setattr(synth, "_write_scene", traced)
+        generate_benchmark(_tiny_config(calibration_images=3), tmp_path)
+        assert clashes == []
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_unwritable_out_names_the_first_scene(self, tmp_path, capsys, threads, count):
+        """A file that cannot be written ends the run with the first scene's error, on any thread count."""
+        from relikit.cli import main
+
+        threads(count)
+        out = tmp_path / "bench"
+        for name in ("id-cal-000", "id-cal-001", "id-cal-002"):
+            (out / "data" / f"{name}.logits.bin").mkdir(parents=True)  # a directory where a file goes
+        code = main(["synth", "--out", str(out)])
+        err = capsys.readouterr().err
+        first = out / "data" / "id-cal-000.logits.bin"
+        assert (code, err) == (1, f"error: cannot write {out} ([Errno 21] Is a directory: '{first}')\n")

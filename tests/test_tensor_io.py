@@ -237,3 +237,63 @@ class TestRoleReaders:
     def test_write_mask_rejects_vector(self, tmp_path):
         with pytest.raises(InvalidTensorError):
             write_mask(tmp_path / "m.bin", np.zeros(4, dtype=np.uint16))
+
+
+def _source_arrays():
+    """(name, array) pairs in every memory layout and byte order a writer may be handed."""
+    rng = np.random.default_rng(26)
+    hwc = rng.normal(size=(3, 4, 5)).astype(np.float32)
+    hw = rng.integers(0, 300, size=(3, 4)).astype(np.uint16)
+    return [
+        ("hwc C order", hwc),
+        ("hwc Fortran order", np.asfortranarray(hwc)),
+        ("hwc transposed view", np.ascontiguousarray(hwc.transpose(2, 1, 0)).transpose(2, 1, 0)),
+        ("hwc strided slice", np.concatenate([hwc, hwc], axis=1)[:, ::2]),
+        ("hwc big-endian", hwc.astype(">f4")),
+        ("hwc float64", hwc.astype(np.float64)),
+        ("hw C order", hw),
+        ("hw Fortran order", np.asfortranarray(hw)),
+        ("hw big-endian", hw.astype(">u2")),
+        ("hw int64", hw.astype(np.int64)),
+        ("hw bool", hw > 150),
+        ("hw strided slice", np.concatenate([hw, hw], axis=1)[:, ::2]),
+    ]
+
+
+class TestWritePayload:
+    """A writer writes the header and then the array's own buffer: the bytes of ``tobytes()``, for every
+    dtype, layout, memory order and source dtype."""
+
+    @pytest.mark.parametrize("dtype", ["f32", "u16"])
+    @pytest.mark.parametrize("name, arr", _source_arrays(), ids=[name for name, _ in _source_arrays()])
+    def test_bytes_are_header_then_tobytes(self, tmp_path, dtype, name, arr):
+        from relikit.tensor_io import _write_raw
+
+        layout = "HWC" if arr.ndim == 3 else "HW"
+        path = tmp_path / "t.bin"
+        _write_raw(path, arr, dtype, layout, 7)
+        header = {"classes": 7, "dtype": dtype, "height": arr.shape[0], "layout": layout, "width": arr.shape[1]}
+        payload = arr.astype("<f4" if dtype == "f32" else "<u2").tobytes()
+        assert path.read_bytes() == _blob(header, payload)
+
+    def test_role_writers_write_tobytes(self, tmp_path):
+        rng = np.random.default_rng(27)
+        logits = np.asfortranarray(rng.normal(size=(4, 3, 2)).astype(np.float32))
+        labels = rng.integers(0, 2, size=(4, 3)).astype(np.uint16)
+        image = rng.normal(size=(4, 3, 5)).astype(">f4")
+        feature = rng.normal(size=6)
+        mask = labels == 1
+        cases = [
+            (write_logits, (LogitTensor(logits),), "f32", "HWC", 2, logits),
+            (write_labels, (LabelMap(labels), 2), "u16", "HW", 2, labels),
+            (write_image, (ImageTensor(image),), "f32", "HWC", 5, image),
+            (write_feature, (feature,), "f32", "HW", 1, feature.reshape(1, -1)),
+            (write_mask, (mask,), "u16", "HW", 2, mask),
+        ]
+        for write, args, dtype, layout, classes, arr in cases:
+            path = tmp_path / f"{write.__name__}.bin"
+            write(path, *args)
+            header = {"classes": classes, "dtype": dtype, "height": arr.shape[0], "layout": layout,
+                      "width": arr.shape[1]}
+            payload = arr.astype("<f4" if dtype == "f32" else "<u2").tobytes()
+            assert path.read_bytes() == _blob(header, payload), write.__name__
