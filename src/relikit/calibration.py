@@ -34,20 +34,18 @@ one buffer, and :func:`fit_lts` takes the feature mean and spread block
 by block and widens and standardizes each minibatch as training takes
 it, so the gathered float32 pixel rows are the only (n, K + C) matrix.
 
-Fitting reads a split through the read path of :mod:`relikit.manifest`:
-:func:`~relikit.manifest.load_batches`, and for cluster scaling
-:func:`~relikit.manifest.load_features`.
+Fitting reads a split one entry at a time
+(:func:`~relikit.manifest.load_entries`, and for cluster scaling
+:func:`~relikit.manifest.load_features`); batches are eval's alone. Every
+fit copies its split's drawn pixels once, in entry order, into one
+:class:`CalibrationPixels` set of the dtype its solver reads
+(:func:`gather_pixel_batches`): float64 logits, which the NLL fits shift
+in place, or the tensors' own float32 logits and image channels for LTS.
 :func:`needs_image` decides whether a calibrator reads the image tensor.
-Every fit stacks its split's drawn pixels once, in entry order, into one
-:class:`CalibrationPixels` set (:func:`gather_pixel_batches`) that records
-each row's entry and keeps the image channels, when read, next to the
-logits in one matrix of the tensors' own float32; all arithmetic is done
-in float64 on widened copies. Global scaling fits all rows; cluster
-scaling gives each row a cell id, groups the rows by one stable sort on
-it and fits each cell's contiguous slice; the NLL fits widen the logits
-into one float64 copy that they shift in place, and drop the float32
-stack before the search. LTS takes its per-row domain weights from the
-entry index. :data:`METHODS` is the one schema of the calibrator artifact,
+Global scaling fits all rows; cluster scaling gives each row a cell id,
+groups the rows by one stable sort on it and fits each cell's contiguous
+slice; LTS takes its per-row domain weights from the entry index.
+:data:`METHODS` is the one schema of the calibrator artifact,
 walked by :func:`save_calibrator` to write it and :func:`load_calibrator` to check it.
 """
 
@@ -65,7 +63,7 @@ from . import mlp
 from .confidence import _block_rows, _blocks, _checked_temperature, scaled_logits
 from .errors import CalibrationError, NumericalError, UsageError, convert_option, read_json_object
 from .kmeans import assign_points, kmeans
-from .manifest import DatasetManifest, EntryBatch, ManifestEntry, _stack, load_batches, load_features
+from .manifest import DatasetManifest, ManifestEntry, load_entries, load_features
 from .rng import derive_stream
 from .tensors import ImageTensor, LogitTensor, TemperatureMap, check_same_shape
 # Unused here; the benchmark tracer's smoke test looks these bindings up.
@@ -357,26 +355,26 @@ class CalibrationPixels:
 
     Row i was drawn from ``entries[entry[i]]``; each entry's rows are
     contiguous and in pixel order. ``values`` holds each row's K logits
-    and, when the image was gathered, its C channels after them, as the
-    tensors' own float32, so the LTS input rows of every feature mode are
-    views of it (:meth:`lts_input`). LTS widens them to float64 a block or
-    a minibatch at a time; the NLL fits widen the logits into one copy and
-    then drop the stack.
+    and, when the image was gathered, its C channels after them, so the LTS
+    input rows of every feature mode are views of it (:meth:`lts_input`).
+    It is float64 for the NLL fits, which shift it in place, and the
+    tensors' own float32 for LTS, which widens it a block or a minibatch
+    at a time.
     """
 
-    values: np.ndarray                  # (n, K) or (n, K + C) float32
+    values: np.ndarray                  # (n, K) or (n, K + C) float32 or float64
     labels: np.ndarray                  # (n,) int64
     entry: np.ndarray                   # (n,) int64 index into the gathered entries
     classes: int
 
     @property
     def logits(self) -> np.ndarray:
-        """(n, K) float32."""
+        """(n, K), of the dtype of ``values``."""
         return self.values[:, :self.classes]
 
     @property
     def channels(self) -> np.ndarray | None:
-        """(n, C) float32 per-pixel image channels, or None when the image was not gathered."""
+        """(n, C) per-pixel image channels, or None when the image was not gathered."""
         return self.values[:, self.classes:] if self.values.shape[1] > self.classes else None
 
     def lts_input(self, mode: FeatureMode) -> np.ndarray:
@@ -387,45 +385,38 @@ class CalibrationPixels:
 
 def gather_pixel_batches(manifest: DatasetManifest, entries: list[ManifestEntry], *,
                          pixels_per_image: int | None, seed: int,
-                         need_image: bool = False) -> CalibrationPixels:
-    """The drawn pixels of each entry, read batch by batch (:func:`load_batches`), stacked as float32 rows.
+                         need_image: bool = False, _dtype=np.float32) -> CalibrationPixels:
+    """The drawn pixels of each entry, read one at a time (:func:`load_entries`), stacked as ``_dtype`` rows.
 
-    Each batch is dropped before the next one is read, so the reader holds
-    at most one earlier entry. Its drawn rows go straight into the stack,
-    allocated with room for every entry at the first batch's grid, grown
-    when a batch does not fit and cut to size at the end: no per-batch copy
-    stays alive among the freed tensors of later entries to fragment the heap.
+    Each entry is dropped before the next one is read. Its drawn rows go
+    straight into the stack, allocated with room for every entry at the
+    first entry's grid, grown when an entry does not fit and cut to size in
+    place at the end, so no other copy of a row is made.
     """
     if not entries:
         raise CalibrationError("no manifest entries to gather pixels from")
     values = labels = None
     counts: list[int] = []
-    for batch in load_batches(manifest, entries, pixels_per_image=pixels_per_image, seed=seed,
-                              image=need_image):
-        parts = [batch.logits, _stack([one.image.data for one in batch.loaded])] if need_image else [batch.logits]
-        start = sum(counts)
-        stop = start + batch.rows.size
+    stop = 0
+    # no enumerate: its result tuple would keep the previous entry alive while the next one is read
+    for one in load_entries(manifest, entries, pixels_per_image=pixels_per_image, seed=seed, image=need_image):
+        parts = [one.logits.data, one.image.data] if need_image else [one.logits.data]
+        start, stop = stop, stop + one.rows.size
         if values is None or stop > len(values):  # room for the entries left, each drawing all its pixels at most
-            pixels = batch.labels[0].size
+            pixels = one.labels.data.size
             per_entry = pixels if pixels_per_image is None else min(pixels, pixels_per_image)
-            room = stop + (len(entries) - len(counts) - len(batch.loaded)) * per_entry
-            values = _with_rows(values, start, (room, sum(part.shape[-1] for part in parts)), np.float32)
+            room = stop + (len(entries) - len(counts) - 1) * per_entry
+            values = _with_rows(values, start, (room, sum(part.shape[-1] for part in parts)), _dtype)
             labels = _with_rows(labels, start, (room,), np.int64)
-        column = 0
-        for part in parts:
-            values[start:stop, column:column + part.shape[-1]] = batch.drawn(part)
-            column += part.shape[-1]
-        labels[start:stop] = batch.drawn(batch.labels)
-        counts.extend(one.rows.size for one in batch.loaded)
-        del batch, parts  # its tensors, before the next batch is read
-    if stop < len(values):
-        values, labels = values[:stop].copy(), labels[:stop].copy()
-    return CalibrationPixels(
-        values=values,
-        labels=labels,
-        entry=np.repeat(np.arange(len(entries)), counts),
-        classes=manifest.classes,
-    )
+        np.concatenate([one.drawn(part) for part in parts], axis=1, out=values[start:stop])
+        labels[start:stop] = one.drawn(one.labels.data)
+        counts.append(one.rows.size)
+        del one, parts  # its tensors, before the next entry is read
+    if stop < len(values):  # cut in place: no view of the stack outlives its row writes
+        values.resize((stop, values.shape[1]), refcheck=False)  # refcheck would raise under sys.settrace
+        labels.resize(stop, refcheck=False)
+    return CalibrationPixels(values=values, labels=labels, entry=np.repeat(np.arange(len(entries)), counts),
+                             classes=manifest.classes)
 
 
 def _with_rows(array: np.ndarray | None, rows: int, shape: tuple, dtype) -> np.ndarray:
@@ -448,10 +439,8 @@ def fit_global_ts(manifest: DatasetManifest, *, split: str = "calibration",
                   seed: int = 0) -> GlobalTemperature:
     """One temperature for the whole dataset, fitted on the given split."""
     pixels = gather_pixel_batches(manifest, _split_entries(manifest, split),
-                                  pixels_per_image=pixels_per_image, seed=seed)
-    z, labels = pixels.logits.astype(np.float64), pixels.labels
-    del pixels  # the float32 stack, before the search
-    return GlobalTemperature(_fit_in_place(z, labels))
+                                  pixels_per_image=pixels_per_image, seed=seed, _dtype=np.float64)
+    return GlobalTemperature(_fit_in_place(pixels.logits, pixels.labels))
 
 
 def fit_cluster_ts(manifest: DatasetManifest, *, k: int = DEFAULT_CLUSTERS,
@@ -466,7 +455,7 @@ def fit_cluster_ts(manifest: DatasetManifest, *, k: int = DEFAULT_CLUSTERS,
     cluster, or cluster * K + the argmax of its raw logits), group the
     stacked pixels by one stable sort on that id and fit each non-empty
     cell on its contiguous slice, whose rows stay in entry order. The rows
-    are widened to float64 and shifted by their maxima once, in place, for
+    are gathered as float64 and shifted by their maxima once, in place, for
     the global fit and every cell; each cell's search starts at T = 1 and
     the bound downhill of it, where the global fit kept every row's terms,
     so a cell gathers those instead of making its first passes. Cells with
@@ -477,14 +466,15 @@ def fit_cluster_ts(manifest: DatasetManifest, *, k: int = DEFAULT_CLUSTERS,
     entries = _split_entries(manifest, split)
     _, features = load_features(manifest, entries)
     result = kmeans(features, k, seed)
-    pixels = gather_pixel_batches(manifest, entries, pixels_per_image=pixels_per_image, seed=seed)
+    pixels = gather_pixel_batches(manifest, entries, pixels_per_image=pixels_per_image, seed=seed,
+                                  _dtype=np.float64)
     cell = result.assignment[pixels.entry]
     shape = (k,)
     if variant is ClusterVariant.PER_CLASS:
         cell = cell * manifest.classes + pixels.logits.argmax(axis=1)
         shape = (k, manifest.classes)
-    z, labels = pixels.logits.astype(np.float64), pixels.labels
-    del pixels  # the float32 stack, before the searches
+    z, labels = pixels.logits, pixels.labels
+    del pixels  # its entry index, before the searches
     kept: dict = {}
     fallback = _fit_in_place(z, labels, keep=kept)
     zy = z[np.arange(z.shape[0]), labels]
@@ -568,10 +558,8 @@ def fit_lts(manifest: DatasetManifest, *, feature_mode: FeatureMode = FeatureMod
     if unknown:
         raise UsageError(f"domain weights name no domain of split {split!r}: "
                          f"{', '.join(map(repr, unknown))} (its domains: {', '.join(domains)})")
-    pixels = gather_pixel_batches(
-        manifest, entries, pixels_per_image=pixels_per_image, seed=seed,
-        need_image=needs_image(feature_mode),
-    )
+    pixels = gather_pixel_batches(manifest, entries, pixels_per_image=pixels_per_image, seed=seed,
+                                  need_image=needs_image(feature_mode))
     features = pixels.lts_input(feature_mode)
     weights = None
     if hyper.domain_weights is not None:
@@ -674,14 +662,6 @@ def calibrator_temperature(calibrator: Calibrator | None, logits: LogitTensor,
     if isinstance(calibrator, TemperatureRegressor):
         return predict_temperature_map(calibrator, logits, image)
     raise UsageError(f"unknown calibrator type {type(calibrator).__name__}")
-
-
-def batch_temperature(calibrator: Calibrator | None, batch: EntryBatch) -> np.ndarray | TemperatureMap:
-    """:func:`calibrator_temperature` of each entry of a batch, stacked: B scalars or a (B, H, W) map."""
-    temperatures = [calibrator_temperature(calibrator, one.logits, one.feature, one.image) for one in batch.loaded]
-    if isinstance(temperatures[0], TemperatureMap):
-        return TemperatureMap(_stack([t.values for t in temperatures]))
-    return np.array(temperatures, dtype=np.float64)
 
 
 def apply_calibrator(calibrator: Calibrator | None, logits: LogitTensor,

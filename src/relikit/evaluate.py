@@ -9,30 +9,29 @@ and pixel-level AUROC against the in-domain reference).
 
 The split is scored in batches: runs of consecutive entries of one
 (H, W) grid holding at most :data:`~relikit.manifest.BATCH_PIXELS`
-pixels, or one larger image, read by
-:func:`~relikit.manifest.load_batches` as in fitting, so a seed
-identifies one pixel set per image everywhere. Besides the logits and
-labels it reads only what is used: the image for an LTS calibrator that
-takes image channels, the feature vector for a cluster calibrator, and
-the OOD mask when ``pixel_ood_auroc`` is requested. The calibrator gives
-each image one temperature, a scalar or a per-pixel map
-(:func:`~relikit.calibration.calibrator_temperature`), stacked for the
-batch, and one confidence pass, which checks that temperature once,
-reduces the batch's scaled logits straight to confidences without a
-probability tensor; the predicted class is the raw-logit argmax. Under
-``neg_entropy`` the same exp pass gives both the max-probability
-confidence (for the calibration metrics) and the entropy score (for
-ranking). One ``bincount`` gives every image's confusion matrix; each
-image's drawn records, mean confidence and OOD split are slices of the
-batch's arrays; a drawn record is kept as its confidence (and its
-ranking score under ``neg_entropy``) and one correctness flag.
+pixels, or one larger image, read by :func:`~relikit.manifest.load_batches`,
+which draws each image's pixels as fitting does, so a seed identifies one
+pixel set per image. Besides the logits and labels it reads only what is
+used: the image for an LTS calibrator that takes image channels, the
+feature vector for a cluster calibrator, and the OOD mask when
+``pixel_ood_auroc`` is requested. The calibrator gives each image one
+temperature, a scalar or a per-pixel map, stacked for the batch
+(:func:`batch_temperature`), and one confidence pass, which checks that
+temperature once, reduces the batch's scaled logits straight to
+confidences without a probability tensor; the predicted class is the
+raw-logit argmax. Under ``neg_entropy`` the same exp pass gives both the
+max-probability confidence (for the calibration metrics) and the entropy
+score (for ranking). One ``bincount`` gives every image's confusion
+matrix; each image's drawn records, mean confidence and OOD split are
+slices of the batch's arrays; a drawn record is kept as its confidence
+(and its ranking score under ``neg_entropy``) and one correctness flag.
 
 With one worker each batch is dropped once it is scored, before the next
-one is read, so the reader holds at most one earlier entry. With
-``workers`` > 1 the calling thread reads the batches and a thread
-pool of that many workers, at most ``os.cpu_count()``, scores them, one
-batch per task, so a worker holds at most max(one image, ``BATCH_PIXELS``
-pixels) of tensors at a time and the reader a few batches ahead of it.
+one is read, so the reader holds at most the batch it is filling. With
+``workers`` > 1 the calling thread reads the batches and a thread pool of
+that many workers, at most ``os.cpu_count()``, scores them, one batch per
+task, so a worker holds at most max(one image, ``BATCH_PIXELS`` pixels)
+of tensors at a time and the reader a few batches ahead of it.
 Every per-pixel value is computed by the same operations whatever the
 batch, and images are reduced in sorted image-id order, so the report
 bytes do not depend on the worker count.
@@ -74,12 +73,13 @@ from .calibration import (
     DEFAULT_PIXELS_PER_IMAGE,
     Calibrator,
     ClusterTemperatureModel,
-    batch_temperature,
+    calibrator_temperature,
     needs_image,
 )
 from .confidence import ConfidenceScore, RecordSet, _confidence_pass
 from .errors import ManifestError, MetricError, RelikitError, UsageError
-from .manifest import DatasetManifest, EntryBatch, _ordered_map, load_batches
+from .manifest import DatasetManifest, EntryBatch, _ordered_map, _stack, load_batches
+from .tensors import TemperatureMap
 # Unused here; the benchmark tracer's smoke test looks these bindings up.
 from .calibration import apply_calibrator  # noqa: F401
 from .confidence import confidence_map  # noqa: F401
@@ -124,6 +124,14 @@ class _ImageSummary:
     mean_confidence: float       # configured score, all non-ignored pixels
     known_conf: np.ndarray | None
     unknown_conf: np.ndarray | None
+
+
+def batch_temperature(calibrator: Calibrator | None, batch: EntryBatch) -> np.ndarray | TemperatureMap:
+    """:func:`calibrator_temperature` of each entry of a batch, stacked: B scalars or a (B, H, W) map."""
+    temperatures = [calibrator_temperature(calibrator, one.logits, one.feature, one.image) for one in batch.loaded]
+    if isinstance(temperatures[0], TemperatureMap):
+        return TemperatureMap(_stack([t.values for t in temperatures]))
+    return np.array(temperatures, dtype=np.float64)
 
 
 def _summarize_batch(batch: EntryBatch, manifest: DatasetManifest,

@@ -37,9 +37,10 @@ The read path that ``validate``, ``fit`` and ``eval`` share lives here
 too. :func:`check_entry` reads an entry's tensors through
 :data:`_READERS` and yields each violation of the checks, each written
 once: ``validate`` lists them all, :func:`load_entry` and
-:func:`load_features` raise the first. :func:`load_batches` stacks runs
-of loaded same-grid entries into batches of at most :data:`BATCH_PIXELS`
-pixels. Every read runs on the calling thread.
+:func:`load_features` raise the first. :func:`load_entries` loads a
+split's entries one at a time, as fit reads them, and :func:`load_batches`
+stacks runs of them of one grid into eval's batches of at most
+:data:`BATCH_PIXELS` pixels. Every read runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -296,7 +297,7 @@ def load_entry(manifest: DatasetManifest, entry: ManifestEntry, *,
                pixels_per_image: int | None, seed: int,
                image: bool = False, feature: bool = False, mask: bool = False,
                seen: dict | None = None) -> LoadedEntry:
-    """Read and check one entry's logits and labels and draw its pixels: one step of :func:`load_batches`.
+    """Read and check one entry's logits and labels and draw its pixels: one step of :func:`load_entries`.
 
     The first violation :func:`check_entry` yields is raised; ``seen`` is
     its cross-entry record, kept by the caller from entry to entry. The
@@ -313,6 +314,16 @@ def load_entry(manifest: DatasetManifest, entry: ManifestEntry, *,
     rows = valid[subsample_indices(valid.size, pixels_per_image, seed, f"pixels:{entry.image_id}")]
     return LoadedEntry(entry, read["logits"], labels, valid, rows,
                        read.get("image"), read.get("feature"), read.get("ood_mask"))
+
+
+def load_entries(manifest: DatasetManifest, entries: list[ManifestEntry], *,
+                 pixels_per_image: int | None, seed: int,
+                 image: bool = False, feature: bool = False, mask: bool = False) -> Iterator[LoadedEntry]:
+    """Each of ``entries`` in order, loaded by :func:`load_entry` as it is taken, all with one cross-entry record."""
+    seen: dict = {}
+    for entry in entries:
+        yield load_entry(manifest, entry, pixels_per_image=pixels_per_image, seed=seed,
+                         image=image, feature=feature, mask=mask, seen=seen)
 
 
 def load_features(manifest: DatasetManifest, entries: list[ManifestEntry]) -> tuple[list[str], np.ndarray]:
@@ -366,24 +377,18 @@ class EntryBatch:
         return per_pixel.reshape(-1, *per_pixel.shape[3:])[self.rows]
 
 
-def load_batches(manifest: DatasetManifest, entries: list[ManifestEntry], *,
-                 pixels_per_image: int | None, seed: int,
-                 image: bool = False, feature: bool = False, mask: bool = False) -> Iterator[EntryBatch]:
-    """The entries, each loaded by :func:`load_entry` in order, as batches for fit and eval.
+def load_batches(manifest: DatasetManifest, entries: list[ManifestEntry], **options) -> Iterator[EntryBatch]:
+    """The entries :func:`load_entries` loads with its keyword ``options``, as eval's batches.
 
     A batch is a run of consecutive entries of one (H, W) grid holding at
     most :data:`BATCH_PIXELS` pixels, or a single larger entry. Entries are
     read as the batches are taken. A batch that no further entry of its
     grid would fit in is yielded before the next entry is read; any other
     is held while the next entry is read, to learn whether that entry
-    joins it. The reader keeps no reference to a batch it has
-    yielded. All entries share one cross-entry record.
+    joins it. The reader keeps no reference to a batch it has yielded.
     """
     run: list[LoadedEntry] = []
-    seen: dict = {}
-    for entry in entries:
-        one = load_entry(manifest, entry, pixels_per_image=pixels_per_image, seed=seed,
-                         image=image, feature=feature, mask=mask, seen=seen)
+    for one in load_entries(manifest, entries, **options):
         if run and one.labels.data.shape != run[0].labels.data.shape:
             yield EntryBatch(_drain(run))
         run.append(one)

@@ -138,6 +138,11 @@ def validate_config(config: SynthConfig) -> None:
         raise UsageError("cannot hold out every class")
     if not 0 < config.holdout_logit_damp <= 1:
         raise UsageError("holdout_logit_damp must be in (0, 1]")
+    for where, spec in [("", config)] + [(f"domain {d.tag!r}: ", d) for d in config.domains]:
+        for f in fields(spec):
+            value = getattr(spec, f.name)
+            if (type(f.default) is float or f.name == "feature_offset") and not np.all(np.isfinite(value)):
+                raise UsageError(f"{where}{f.name} must be finite, got {value}")
 
 
 def _smooth_in_place(field: np.ndarray, radius: int, step: int) -> np.ndarray:
@@ -314,13 +319,15 @@ def generate_benchmark(config: SynthConfig, out_dir) -> Path:
     run to run.
     """
     validate_config(config)
+    scenes = [(split, domain, f"{domain.tag}-{short}-{i:03d}") for domain in config.domains
+              for (split, short), count in zip((("calibration", "cal"), ("test", "test")), image_counts(config, domain))
+              for i in range(count)]
+    if not scenes:  # before out_dir is made
+        raise UsageError("calibration_images and test_images give no image; a benchmark needs at least one")
     out = Path(out_dir)
     (out / "data").mkdir(parents=True, exist_ok=True)
     threads = min(2, os.cpu_count() or 1)
     arrays = [_scene_arrays(config) for _ in range(threads)]
-    scenes = [(split, domain, f"{domain.tag}-{short}-{i:03d}") for domain in config.domains
-              for (split, short), count in zip((("calibration", "cal"), ("test", "test")), image_counts(config, domain))
-              for i in range(count)]
     # _ordered_map takes scene n once it has returned scene n - threads, the last to fill the same set
     jobs = ((*scene, arrays[n % threads]) for n, scene in enumerate(scenes))
     with ThreadPoolExecutor(max_workers=threads) as pool:

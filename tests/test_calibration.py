@@ -425,6 +425,63 @@ class TestGatherPixelBatches:
             gather_pixel_batches(ladder_manifest, [], pixels_per_image=10, seed=0)
 
 
+def _traced_peak(fn):
+    """``fn()`` and the peak of the memory tracemalloc traced while it ran."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGatherOneEntryAtATime:
+    """Fit reads one entry at a time into the stack its solver reads; no batch or widening copy is made."""
+
+    @pytest.fixture(scope="class")
+    def wide_holdout(self, tmp_path_factory):
+        """Twelve 64 x 128 calibration images of 19 classes, one held out: large enough that a fit's stack, not its
+        block buffers, sets its peak."""
+        config = SynthConfig(
+            classes=19, height=64, width=128, calibration_images=4, test_images=0, seed=3, holdout_classes=(18,),
+            domains=(DomainSpec("id", 1.0, 0.0, (0.0, 0.0)), DomainSpec("mild", 2.0, 0.1, (5.0, 0.0)),
+                     DomainSpec("strong", 4.0, 0.2, (0.0, 5.0))),
+        )
+        return load_manifest(generate_benchmark(config, tmp_path_factory.mktemp("wide-holdout")))
+
+    @pytest.mark.parametrize("need_image", [False, True], ids=["logits", "logits-and-channels"])
+    def test_peak_is_the_stack_and_about_one_entry(self, wide_holdout, need_image):
+        # every pixel drawn: ignored pixels leave room past the drawn rows, which is cut in place
+        entries = wide_holdout.select(split="calibration")
+        pixels, peak = _traced_peak(lambda: gather_pixel_batches(wide_holdout, entries, pixels_per_image=None,
+                                                                 seed=0, need_image=need_image))
+        stack = pixels.values.nbytes + pixels.labels.nbytes + pixels.entry.nbytes
+        assert len(entries) == 12 and peak <= 1.5 * stack, peak / stack
+
+    def test_global_fit_peak_is_about_its_float64_logits(self, wide_holdout):
+        entries = wide_holdout.select(split="calibration")
+        rows = gather_pixel_batches(wide_holdout, entries, pixels_per_image=None, seed=0).logits.size
+        _, peak = _traced_peak(lambda: fit_global_ts(wide_holdout, pixels_per_image=None))
+        assert peak <= 1.45 * 8 * rows, peak / (8 * rows)
+
+    def test_nll_fits_gather_float64_rows_that_own_their_data(self, wide_holdout, monkeypatch):
+        gathered = []
+
+        def spy(*args, **kwargs):
+            gathered.append(gather_pixel_batches(*args, **kwargs))
+            return gathered[-1]
+
+        monkeypatch.setattr(calibration, "gather_pixel_batches", spy)
+        fit_global_ts(wide_holdout, pixels_per_image=None)
+        fit_cluster_ts(wide_holdout, k=2, pixels_per_image=None)
+        fit_cluster_ts(wide_holdout, k=2, variant="per_class", pixels_per_image=300)
+        assert len(gathered) == 3
+        for pixels in gathered:
+            assert pixels.values.dtype == np.float64 and pixels.values.flags.owndata
+            assert (pixels.logits.max(axis=1) == 0).all()  # the search shifted the gathered rows themselves
+
+
 class TestLoadEntry:
     def test_optional_tensors_read_only_when_asked(self, holdout_manifest):
         entry = holdout_manifest.select(split="test")[0]

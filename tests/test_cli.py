@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, option layering, exit codes."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -1167,6 +1168,38 @@ class TestSynth:
         assert code == 1 and _one_error_line(err)
         assert "need at least one domain" in err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("where, key", [
+        *((None, f.name) for f in dataclasses.fields(SynthConfig) if type(f.default) is float),
+        *(("a", f.name) for f in dataclasses.fields(DomainSpec) if type(f.default) is float),
+        ("a", "feature_offset"),
+    ])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "1e400"])
+    def test_non_finite_config_value_is_usage_error(self, capsys, tmp_path, where, key, value):
+        # such a value would write NaN features or logits, which validate and eval refuse
+        value = f"[0, {value}]" if key == "feature_offset" else value
+        text = f'"{key}": {value}' if where is None else f'"domains": [{{"tag": "{where}", "{key}": {value}}}]'
+        config = tmp_path / "synth.json"
+        config.write_text(f'{{"height": 8, "width": 8, {text}}}')
+        code, _, err = _run(capsys, ["synth", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert code == 1 and _one_error_line(err)
+        assert key in err or key.replace("_", " ") in err  # true_temperature keeps its earlier message
+        assert where is None or f"domain '{where}'" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_config_without_images_is_usage_error(self, capsys, tmp_path):
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps({"calibration_images": 0, "test_images": 0, "domains": [
+            {"tag": "a", "feature_offset": [0]}, {"tag": "b", "feature_offset": [1], "calibration_images": 0}]}))
+        code, _, err = _run(capsys, ["synth", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert code == 1 and _one_error_line(err)
+        assert "calibration_images and test_images give no image" in err
+        assert not (tmp_path / "x").exists()
+        # one image of one split is a benchmark
+        config.write_text(json.dumps({"calibration_images": 0, "test_images": 0, "height": 8, "width": 8,
+                                      "domains": [{"tag": "a", "feature_offset": [0], "test_images": 1}]}))
+        code, _, _ = _run(capsys, ["synth", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert code == 0 and len(load_manifest(tmp_path / "x" / "manifest.json").entries) == 1
 
     def test_seed_overrides_config(self, capsys, tmp_path):
         config = tmp_path / "synth.json"

@@ -601,6 +601,13 @@ class TestOneBatchAlivePerRead:
         # a full batch is yielded before the next entry is read, so no earlier entry is alive at a read
         assert alive_at_each_read == [0] * len(entries)
 
+    def test_gather_pixel_batches_at_the_default_budget(self, ladder_manifest, alive_at_each_read, monkeypatch):
+        # fit reads one entry at a time: no eval batch of earlier entries is held while the next one is read
+        monkeypatch.setattr("relikit.manifest.BATCH_PIXELS", BATCH_PIXELS)  # the fixture's budget of 1 undone
+        entries = ladder_manifest.select(split="calibration")
+        gather_pixel_batches(ladder_manifest, entries, pixels_per_image=50, seed=0, need_image=True)
+        assert alive_at_each_read == [0] * len(entries)
+
     @pytest.mark.parametrize("budget", [150 * 48 * 48, 5 * 48 * 48], ids=["one-batch", "batches-of-5"])
     def test_load_batches_keeps_no_yielded_batch(self, ladder_manifest, monkeypatch, budget):
         # the test split's 12 images make one batch, the last, or batches of 5, 5 and 2
