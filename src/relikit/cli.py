@@ -372,27 +372,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _fix_heap_thresholds() -> None:
-    """Fix glibc's mmap and trim thresholds at 4 MiB for this process; a no-op on any other C library.
-
-    glibc raises both as large arrays are freed (to 7.7 and 15.4 MiB after ``fit --method lts`` on 128 x 256
-    images) and keeps that much freed heap resident, so what a later command in the process adds to the peak RSS
-    depends on where its arrays land in that heap, which thread timing decides.
-    """
-    try:
-        glibc = os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
-    except (AttributeError, ValueError, OSError):  # no confstr (Windows) or no such name (macOS, musl)
-        glibc = False
-    if glibc:
-        import ctypes  # here, so that importing the CLI does not load it
-
-        mallopt = ctypes.CDLL(None).mallopt
-        for parameter in (-3, -1):  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD of <malloc.h>
-            mallopt(parameter, 4 << 20)
-
-
 def main(argv=None) -> int:
-    _fix_heap_thresholds()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -30,6 +30,8 @@ from .confidence import RecordSet
 from .errors import UsageError
 from .metrics import BinStrategy, ece
 
+MAX_RECORDS = 1_000_000
+
 
 @dataclass(frozen=True)
 class CounterexampleSpec:
@@ -68,6 +70,8 @@ def build_counterexample(spec: CounterexampleSpec = CounterexampleSpec()) -> Cou
         raise UsageError(f"bin count must be >= 1, got {m}")
     if c < 1:
         raise UsageError(f"per-bin population must be >= 1, got {c}")
+    if m * c > MAX_RECORDS:  # each record of a population costs about 100 bytes; a typo must not exhaust memory
+        raise UsageError(f"bins * per_bin must be <= {MAX_RECORDS}, got {m} * {c}")
     if r == 0.0:
         raise UsageError("residual must be non-zero: the paradox needs miscalibration to cancel")
     if not np.isfinite(r) or abs(r) >= 0.5:

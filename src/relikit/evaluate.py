@@ -8,13 +8,14 @@ always from max-probability confidence), misclassification detection
 and pixel-level AUROC against the in-domain reference).
 
 The split is scored in batches: runs of consecutive entries of one
-(H, W) grid holding at most :data:`~relikit.manifest.BATCH_PIXELS`
-pixels, or one larger image, read by :func:`~relikit.manifest.load_batches`,
-which draws each image's pixels as fitting does, so a seed identifies one
-pixel set per image. Besides the logits and labels it reads only what is
-used: the image for an LTS calibrator that takes image channels, the
-feature vector for a cluster calibrator, and the OOD mask when
-``pixel_ood_auroc`` is requested. The calibrator gives each image one
+(H, W) grid holding at most :data:`BATCH_PIXELS` pixels, or one larger
+image, cut by :func:`load_batches` from the entries
+:func:`~relikit.manifest.load_entries` reads, which draws each image's
+pixels as fitting does, so a seed identifies one pixel set per image.
+Besides the logits and labels it reads only what is used: the image for
+an LTS calibrator that takes image channels, the feature vector for a
+cluster calibrator, and the OOD mask when ``pixel_ood_auroc`` is
+requested. The calibrator gives each image one
 temperature, a scalar or a per-pixel map, stacked for the batch
 (:func:`batch_temperature`), and one confidence pass, which checks that
 temperature once, reduces the batch's scaled logits straight to
@@ -61,10 +62,11 @@ running correct count.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from contextlib import nullcontext
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -78,7 +80,7 @@ from .calibration import (
 )
 from .confidence import ConfidenceScore, RecordSet, _confidence_pass
 from .errors import ManifestError, MetricError, RelikitError, UsageError
-from .manifest import DatasetManifest, EntryBatch, _ordered_map, _stack, load_batches
+from .manifest import DatasetManifest, LoadedEntry, ManifestEntry, _ordered_map, load_entries
 from .tensors import TemperatureMap
 # Unused here; the benchmark tracer's smoke test looks these bindings up.
 from .calibration import apply_calibrator  # noqa: F401
@@ -88,6 +90,8 @@ from .tensors import validate_labels  # noqa: F401
 
 ALL_METRICS = ("miou", "ece", "ada_ece", "ks_error", "prr", "ood_auroc", "pixel_ood_auroc")
 MAX_BINS = 10_000
+# Pixels per batch of same-grid entries: a 128 x 256 image fills one on its own.
+BATCH_PIXELS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -112,6 +116,75 @@ class EvalConfig:
         if self.bins > MAX_BINS:  # each bin costs a few table rows; a typo must not exhaust memory
             raise UsageError(f"bins must be <= {MAX_BINS}, got {self.bins}")
         object.__setattr__(self, "score", ConfidenceScore(self.score))
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """``np.stack(arrays)``; a single array becomes a view with a leading axis of 1, not a copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+@dataclass(frozen=True)
+class EntryBatch:
+    """Consecutive loaded entries of one (H, W) grid, their tensors stacked on first use.
+
+    ``logits`` is (B, H, W, K) float32 and ``labels`` (B, H, W) uint16.
+    ``rows`` holds every entry's drawn pixels, entry by entry and each in
+    pixel order, as flat indices into the batch's B * H * W pixels; entry
+    i's are ``rows[bounds[i]:bounds[i + 1]]``.
+    """
+
+    loaded: tuple[LoadedEntry, ...]
+
+    @cached_property
+    def logits(self) -> np.ndarray:
+        return _stack([one.logits.data for one in self.loaded])
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        return _stack([one.labels.data for one in self.loaded])
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        pixels = self.loaded[0].labels.data.size
+        return np.concatenate([one.rows + i * pixels for i, one in enumerate(self.loaded)])
+
+    @cached_property
+    def bounds(self) -> np.ndarray:
+        return np.cumsum([0] + [one.rows.size for one in self.loaded])
+
+    def drawn(self, per_pixel: np.ndarray) -> np.ndarray:
+        """The drawn pixels of a (B, H, W) or (B, H, W, C) array, entry by entry."""
+        return per_pixel.reshape(-1, *per_pixel.shape[3:])[self.rows]
+
+
+def load_batches(manifest: DatasetManifest, entries: list[ManifestEntry], **options) -> Iterator[EntryBatch]:
+    """The entries :func:`load_entries` loads with its keyword ``options``, as eval's batches.
+
+    A batch is a run of consecutive entries of one (H, W) grid holding at
+    most :data:`BATCH_PIXELS` pixels, or a single larger entry. Entries are
+    read as the batches are taken. A batch that no further entry of its
+    grid would fit in is yielded before the next entry is read; any other
+    is held while the next entry is read, to learn whether that entry
+    joins it. The reader keeps no reference to a batch it has yielded.
+    """
+    run: list[LoadedEntry] = []
+    for one in load_entries(manifest, entries, **options):
+        if run and one.labels.data.shape != run[0].labels.data.shape:
+            yield EntryBatch(_drain(run))
+        run.append(one)
+        if (len(run) + 1) * one.labels.data.size > BATCH_PIXELS:  # full
+            del one
+            yield EntryBatch(_drain(run))
+    if run:
+        del one  # the batch's last entry
+        yield EntryBatch(_drain(run))
+
+
+def _drain(run: list) -> tuple:
+    """The items of ``run`` as a tuple, leaving ``run`` empty: the caller then holds them alone."""
+    items = tuple(run)
+    run.clear()
+    return items
 
 
 @dataclass

@@ -38,9 +38,8 @@ too. :func:`check_entry` reads an entry's tensors through
 :data:`_READERS` and yields each violation of the checks, each written
 once: ``validate`` lists them all, :func:`load_entry` and
 :func:`load_features` raise the first. :func:`load_entries` loads a
-split's entries one at a time, as fit reads them, and :func:`load_batches`
-stacks runs of them of one grid into eval's batches of at most
-:data:`BATCH_PIXELS` pixels. Every read runs on the calling thread.
+split's entries one at a time, as fit and eval read them. Every read runs
+on the calling thread.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property, partial
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -65,8 +64,6 @@ from .tensors import ImageTensor, LabelMap, LogitTensor, check_same_shape, valid
 SPLITS = ("calibration", "test")
 _REQUIRED_FIELDS = ("image_id", "split", "domain", "logits", "labels")
 DEFAULT_IGNORE = 255
-# Pixels per batch of same-grid entries: a 128 x 256 image fills one on its own.
-BATCH_PIXELS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -336,75 +333,6 @@ def load_features(manifest: DatasetManifest, entries: list[ManifestEntry]) -> tu
     seen: dict = {}
     vectors = [_checked_read(manifest, entry, {"feature"}, seen)["feature"] for entry in entries]
     return [entry.image_id for entry in entries], np.stack(vectors).astype(np.float64)
-
-
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """``np.stack(arrays)``; a single array becomes a view with a leading axis of 1, not a copy."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
-@dataclass(frozen=True)
-class EntryBatch:
-    """Consecutive loaded entries of one (H, W) grid, their tensors stacked on first use.
-
-    ``logits`` is (B, H, W, K) float32 and ``labels`` (B, H, W) uint16.
-    ``rows`` holds every entry's drawn pixels, entry by entry and each in
-    pixel order, as flat indices into the batch's B * H * W pixels; entry
-    i's are ``rows[bounds[i]:bounds[i + 1]]``.
-    """
-
-    loaded: tuple[LoadedEntry, ...]
-
-    @cached_property
-    def logits(self) -> np.ndarray:
-        return _stack([one.logits.data for one in self.loaded])
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        return _stack([one.labels.data for one in self.loaded])
-
-    @cached_property
-    def rows(self) -> np.ndarray:
-        pixels = self.loaded[0].labels.data.size
-        return np.concatenate([one.rows + i * pixels for i, one in enumerate(self.loaded)])
-
-    @cached_property
-    def bounds(self) -> np.ndarray:
-        return np.cumsum([0] + [one.rows.size for one in self.loaded])
-
-    def drawn(self, per_pixel: np.ndarray) -> np.ndarray:
-        """The drawn pixels of a (B, H, W) or (B, H, W, C) array, entry by entry."""
-        return per_pixel.reshape(-1, *per_pixel.shape[3:])[self.rows]
-
-
-def load_batches(manifest: DatasetManifest, entries: list[ManifestEntry], **options) -> Iterator[EntryBatch]:
-    """The entries :func:`load_entries` loads with its keyword ``options``, as eval's batches.
-
-    A batch is a run of consecutive entries of one (H, W) grid holding at
-    most :data:`BATCH_PIXELS` pixels, or a single larger entry. Entries are
-    read as the batches are taken. A batch that no further entry of its
-    grid would fit in is yielded before the next entry is read; any other
-    is held while the next entry is read, to learn whether that entry
-    joins it. The reader keeps no reference to a batch it has yielded.
-    """
-    run: list[LoadedEntry] = []
-    for one in load_entries(manifest, entries, **options):
-        if run and one.labels.data.shape != run[0].labels.data.shape:
-            yield EntryBatch(_drain(run))
-        run.append(one)
-        if (len(run) + 1) * one.labels.data.size > BATCH_PIXELS:  # full
-            del one
-            yield EntryBatch(_drain(run))
-    if run:
-        del one  # the batch's last entry
-        yield EntryBatch(_drain(run))
-
-
-def _drain(run: list) -> tuple:
-    """The items of ``run`` as a tuple, leaving ``run`` empty: the caller then holds them alone."""
-    items = tuple(run)
-    run.clear()
-    return items
 
 
 def _ordered_map(pool: ThreadPoolExecutor, fn, items, ahead: int):

@@ -397,7 +397,7 @@ class TestGatherPixelBatches:
         stack is filled would hold every drawn row twice."""
         import tracemalloc
 
-        monkeypatch.setattr("relikit.manifest.BATCH_PIXELS", 1)  # a batch of one entry each
+        monkeypatch.setattr("relikit.evaluate.BATCH_PIXELS", 1)  # a batch of one entry each
         entries = ladder_manifest.select(split="calibration")
         tracemalloc.start()
         try:

@@ -23,9 +23,8 @@ from relikit.calibration import (
 from relikit.cli import main
 from relikit.confidence import ConfidenceScore, RecordSet, confidence_map
 from relikit.errors import ManifestError, MetricError, TensorFormatError, UsageError
-from relikit.evaluate import ALL_METRICS, EvalConfig, evaluate_manifest
-from relikit.manifest import (BATCH_PIXELS, DatasetManifest, ManifestEntry, load_batches, load_entry, load_manifest,
-                              save_manifest)
+from relikit.evaluate import ALL_METRICS, BATCH_PIXELS, EvalConfig, evaluate_manifest, load_batches
+from relikit.manifest import DatasetManifest, ManifestEntry, load_entry, load_manifest, save_manifest
 from relikit.report import ReliabilityReport, to_bins_bytes, to_csv_bytes, to_json_bytes
 from relikit.tensor_io import read_logits, write_feature, write_image, write_labels, write_logits, write_mask
 from relikit.tensors import ImageTensor, LabelMap, LogitTensor
@@ -329,7 +328,7 @@ class TestBatchedEvaluation:
 
     @pytest.fixture(params=[150, BATCH_PIXELS], ids=["small-budget", "default-budget"])
     def budget(self, request, monkeypatch):
-        monkeypatch.setattr("relikit.manifest.BATCH_PIXELS", request.param)
+        monkeypatch.setattr("relikit.evaluate.BATCH_PIXELS", request.param)
         return request.param
 
     def _calibrators(self, manifest):
@@ -351,8 +350,11 @@ class TestBatchedEvaluation:
         else:
             assert [len(batch.loaded) for batch in batches] == [5, 2, 1, 2, 4]
 
-    def test_reports_match_entry_by_entry_oracle_at_every_worker_count(self, mixed, budget):
-        config = EvalConfig(seed=2, pixels_per_image=45, id_domain="id")  # a draw from 8 x 8, all of 48 pixels
+    @pytest.mark.parametrize("score", list(ConfidenceScore))
+    def test_reports_match_entry_by_entry_oracle_at_every_worker_count(self, mixed, budget, monkeypatch, score):
+        monkeypatch.setattr("relikit.evaluate.os.cpu_count", lambda: 4)  # a pool of 2 and 3 on a 1-CPU runner too
+        # a draw from 8 x 8, all of 48 pixels
+        config = EvalConfig(seed=2, pixels_per_image=45, id_domain="id", score=score)
         for calibrator in self._calibrators(mixed):
             reports = [evaluate_manifest(mixed, calibrator, dataclasses.replace(config, workers=workers))
                        for workers in (1, 2, 3)]
@@ -404,7 +406,7 @@ class TestBatchedEvaluation:
     def test_fitted_artifacts_do_not_depend_on_the_budget(self, mixed, tmp_path, monkeypatch):
         saved = {}
         for budget in (BATCH_PIXELS, 150, 1):
-            monkeypatch.setattr("relikit.manifest.BATCH_PIXELS", budget)
+            monkeypatch.setattr("relikit.evaluate.BATCH_PIXELS", budget)
             # a budget of 1 puts each entry in a batch of its own
             saved[budget] = [save_calibrator(c, tmp_path / f"{budget}-{i}.json").read_bytes()
                              for i, c in enumerate(self._calibrators(mixed)[1:])]
@@ -439,7 +441,7 @@ class TestBatchedEvaluation:
             "all_ignored": labels(np.full((8, 8), 255, np.uint16)),
         }
         path = _write_mixed(tmp_path, {"tes-01": faults[fault]})
-        monkeypatch.setattr("relikit.manifest.BATCH_PIXELS", 200)
+        monkeypatch.setattr("relikit.evaluate.BATCH_PIXELS", 200)
         manifest = load_manifest(path)
         entry = manifest.select(split="test")[1]
         expected = message.format(logits=manifest.path(entry.logits), labels=manifest.path(entry.labels))
@@ -455,7 +457,7 @@ class TestBatchedEvaluation:
         # one entry per batch; tes-01 and tes-02 both fail, and on a pool both may be in flight at once
         ignored = lambda root, entry: write_labels(root / entry.labels, LabelMap(np.full((8, 8), 255, np.uint16)), 3)
         manifest = load_manifest(_write_mixed(tmp_path, {"tes-01": ignored, "tes-02": ignored}))
-        monkeypatch.setattr("relikit.manifest.BATCH_PIXELS", 1)
+        monkeypatch.setattr("relikit.evaluate.BATCH_PIXELS", 1)
         monkeypatch.setattr("relikit.evaluate.os.cpu_count", lambda: 4)
         with pytest.raises(MetricError, match="^tes-01: image has no non-ignored pixels$"):
             evaluate_manifest(manifest, None, EvalConfig(workers=workers))
@@ -583,7 +585,7 @@ class TestOneBatchAlivePerRead:
         """The number of earlier LoadedEntry objects still alive as each load_entry call begins."""
         from relikit import manifest
 
-        monkeypatch.setattr("relikit.manifest.BATCH_PIXELS", 1)  # a batch of one entry each
+        monkeypatch.setattr("relikit.evaluate.BATCH_PIXELS", 1)  # a batch of one entry each
         real, loaded, alive = manifest.load_entry, [], []
 
         def tracked(*args, **kwargs):
@@ -603,7 +605,7 @@ class TestOneBatchAlivePerRead:
 
     def test_gather_pixel_batches_at_the_default_budget(self, ladder_manifest, alive_at_each_read, monkeypatch):
         # fit reads one entry at a time: no eval batch of earlier entries is held while the next one is read
-        monkeypatch.setattr("relikit.manifest.BATCH_PIXELS", BATCH_PIXELS)  # the fixture's budget of 1 undone
+        monkeypatch.setattr("relikit.evaluate.BATCH_PIXELS", BATCH_PIXELS)  # the fixture's budget of 1 undone
         entries = ladder_manifest.select(split="calibration")
         gather_pixel_batches(ladder_manifest, entries, pixels_per_image=50, seed=0, need_image=True)
         assert alive_at_each_read == [0] * len(entries)
@@ -611,7 +613,7 @@ class TestOneBatchAlivePerRead:
     @pytest.mark.parametrize("budget", [150 * 48 * 48, 5 * 48 * 48], ids=["one-batch", "batches-of-5"])
     def test_load_batches_keeps_no_yielded_batch(self, ladder_manifest, monkeypatch, budget):
         # the test split's 12 images make one batch, the last, or batches of 5, 5 and 2
-        monkeypatch.setattr("relikit.manifest.BATCH_PIXELS", budget)
+        monkeypatch.setattr("relikit.evaluate.BATCH_PIXELS", budget)
         batches = load_batches(ladder_manifest, ladder_manifest.select(split="test"), pixels_per_image=10, seed=0)
         for batch in batches:
             entries = [weakref.ref(one) for one in batch.loaded]
