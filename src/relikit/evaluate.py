@@ -12,20 +12,23 @@ The split is scored in batches: runs of consecutive entries of one
 image, cut by :func:`load_batches` from the entries
 :func:`~relikit.manifest.load_entries` reads, which draws each image's
 pixels as fitting does, so a seed identifies one pixel set per image.
-Besides the logits and labels it reads only what is used: the image for
-an LTS calibrator that takes image channels, the feature vector for a
-cluster calibrator, and the OOD mask when ``pixel_ood_auroc`` is
-requested. The calibrator gives each image one
-temperature, a scalar or a per-pixel map, stacked for the batch
-(:func:`batch_temperature`), and one confidence pass, which checks that
-temperature once, reduces the batch's scaled logits straight to
-confidences without a probability tensor; the predicted class is the
-raw-logit argmax. Under ``neg_entropy`` the same exp pass gives both the
-max-probability confidence (for the calibration metrics) and the entropy
-score (for ranking). One ``bincount`` gives every image's confusion
-matrix; each image's drawn records, mean confidence and OOD split are
-slices of the batch's arrays; a drawn record is kept as its confidence
-(and its ranking score under ``neg_entropy``) and one correctness flag.
+A batch is the tuple of its entries. Besides the logits and labels it
+reads only what is used: the image for an LTS calibrator that takes
+image channels, the feature vector for a cluster calibrator, and the OOD
+mask when ``pixel_ood_auroc`` is requested. The calibrator gives each
+image one temperature, a scalar or a per-pixel map, stacked for the
+batch, and one confidence pass over the stacked logits, which checks
+that temperature once, reduces them straight to confidences without a
+probability tensor; the predicted class is the raw-logit argmax. Under
+``neg_entropy`` the same exp pass gives both the max-probability
+confidence (for the calibration metrics) and the entropy score (for
+ranking). One ``bincount`` gives every image's confusion matrix, added
+to its domain's running sum as the image's summary arrives, so no image
+keeps its K x K counts. Each image's drawn records
+(:meth:`~relikit.manifest.LoadedEntry.drawn`), mean confidence and OOD
+split come from its slice of the batch's arrays; a drawn record is kept
+as its confidence (and its ranking score under ``neg_entropy``) and one
+correctness flag.
 
 With one worker each batch is dropped once it is scored, before the next
 one is read, so the reader holds at most the batch it is filling. With
@@ -40,11 +43,11 @@ bytes do not depend on the worker count.
 An unknown ``id_domain`` fails before any tensor is read. The split's
 entries, and so each domain's last entry, are known before any read:
 each domain is reduced once, when its last entry is summarized, and its
-records and pixel-OOD confidences are then dropped, so the per-domain
-state held is that of the domains still being read (one domain when
-they do not interleave), plus one mean confidence per image for the
-image-level OOD AUROC, taken once every domain is reduced. Errors keep
-one precedence: a read or summary error ends the pass at once, and a
+records, pixel-OOD confidences and confusion sum are then dropped, so
+the per-domain state held is that of the domains still being read (one
+domain when they do not interleave), plus one mean confidence per image
+for the image-level OOD AUROC, taken once every domain is reduced. Errors
+keep one precedence: a read or summary error ends the pass at once, and a
 metric error waits until every entry is read and is then raised for the
 first failing domain in sorted order, named after it. The equal-width
 reliability bins behind ``ece`` are kept on the report (``bins``, not
@@ -66,7 +69,7 @@ from collections.abc import Iterator
 from contextlib import nullcontext
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -123,61 +126,28 @@ def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-@dataclass(frozen=True)
-class EntryBatch:
-    """Consecutive loaded entries of one (H, W) grid, their tensors stacked on first use.
-
-    ``logits`` is (B, H, W, K) float32 and ``labels`` (B, H, W) uint16.
-    ``rows`` holds every entry's drawn pixels, entry by entry and each in
-    pixel order, as flat indices into the batch's B * H * W pixels; entry
-    i's are ``rows[bounds[i]:bounds[i + 1]]``.
-    """
-
-    loaded: tuple[LoadedEntry, ...]
-
-    @cached_property
-    def logits(self) -> np.ndarray:
-        return _stack([one.logits.data for one in self.loaded])
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        return _stack([one.labels.data for one in self.loaded])
-
-    @cached_property
-    def rows(self) -> np.ndarray:
-        pixels = self.loaded[0].labels.data.size
-        return np.concatenate([one.rows + i * pixels for i, one in enumerate(self.loaded)])
-
-    @cached_property
-    def bounds(self) -> np.ndarray:
-        return np.cumsum([0] + [one.rows.size for one in self.loaded])
-
-    def drawn(self, per_pixel: np.ndarray) -> np.ndarray:
-        """The drawn pixels of a (B, H, W) or (B, H, W, C) array, entry by entry."""
-        return per_pixel.reshape(-1, *per_pixel.shape[3:])[self.rows]
-
-
-def load_batches(manifest: DatasetManifest, entries: list[ManifestEntry], **options) -> Iterator[EntryBatch]:
+def load_batches(manifest: DatasetManifest, entries: list[ManifestEntry],
+                 **options) -> Iterator[tuple[LoadedEntry, ...]]:
     """The entries :func:`load_entries` loads with its keyword ``options``, as eval's batches.
 
-    A batch is a run of consecutive entries of one (H, W) grid holding at
-    most :data:`BATCH_PIXELS` pixels, or a single larger entry. Entries are
-    read as the batches are taken. A batch that no further entry of its
-    grid would fit in is yielded before the next entry is read; any other
-    is held while the next entry is read, to learn whether that entry
-    joins it. The reader keeps no reference to a batch it has yielded.
+    A batch is the tuple of a run of consecutive entries of one (H, W)
+    grid holding at most :data:`BATCH_PIXELS` pixels, or of a single larger
+    entry. Entries are read as the batches are taken. A batch that no
+    further entry of its grid would fit in is yielded before the next entry
+    is read; any other is held while the next entry is read, to learn
+    whether that entry joins it. The reader keeps no reference to a batch it has yielded.
     """
     run: list[LoadedEntry] = []
     for one in load_entries(manifest, entries, **options):
         if run and one.labels.data.shape != run[0].labels.data.shape:
-            yield EntryBatch(_drain(run))
+            yield _drain(run)
         run.append(one)
         if (len(run) + 1) * one.labels.data.size > BATCH_PIXELS:  # full
             del one
-            yield EntryBatch(_drain(run))
+            yield _drain(run)
     if run:
         del one  # the batch's last entry
-        yield EntryBatch(_drain(run))
+        yield _drain(run)
 
 
 def _drain(run: list) -> tuple:
@@ -193,55 +163,45 @@ class _ImageSummary:
     confidence_cal: np.ndarray   # subsampled max-probability confidences
     confidence_rank: np.ndarray  # subsampled configured-score confidences
     correct: np.ndarray          # subsampled predicted == actual, bool
-    confusion: np.ndarray
     mean_confidence: float       # configured score, all non-ignored pixels
     known_conf: np.ndarray | None
     unknown_conf: np.ndarray | None
 
 
-def batch_temperature(calibrator: Calibrator | None, batch: EntryBatch) -> np.ndarray | TemperatureMap:
-    """:func:`calibrator_temperature` of each entry of a batch, stacked: B scalars or a (B, H, W) map."""
-    temperatures = [calibrator_temperature(calibrator, one.logits, one.feature, one.image) for one in batch.loaded]
-    if isinstance(temperatures[0], TemperatureMap):
-        return TemperatureMap(_stack([t.values for t in temperatures]))
-    return np.array(temperatures, dtype=np.float64)
-
-
-def _summarize_batch(batch: EntryBatch, manifest: DatasetManifest,
-                     calibrator: Calibrator | None, config: EvalConfig) -> list[_ImageSummary]:
-    """The summaries of one batch's entries, from one confidence pass and one confusion count."""
-    for one in batch.loaded:
+def _summarize_batch(batch: tuple[LoadedEntry, ...], manifest: DatasetManifest, calibrator: Calibrator | None,
+                     config: EvalConfig) -> list[tuple[_ImageSummary, np.ndarray]]:
+    """Each entry's summary and confusion matrix, from one confidence pass and one confusion count."""
+    for one in batch:
         if one.valid.size == 0:
             raise MetricError(f"{one.entry.image_id}: image has no non-ignored pixels")
-    conf_cal, neg_entropy, predicted = _confidence_pass(batch.logits, batch_temperature(calibrator, batch),
+    temperatures = [calibrator_temperature(calibrator, one.logits, one.feature, one.image) for one in batch]
+    if isinstance(temperatures[0], TemperatureMap):
+        temperature = TemperatureMap(_stack([t.values for t in temperatures]))
+    else:
+        temperature = np.array(temperatures, dtype=np.float64)
+    conf_cal, neg_entropy, predicted = _confidence_pass(_stack([one.logits.data for one in batch]), temperature,
                                                         entropy=config.score is ConfidenceScore.NEG_ENTROPY)
     conf_rank = conf_cal if neg_entropy is None else neg_entropy
-    confusion = met.confusion_matrix(predicted, batch.labels, manifest.classes, manifest.ignore_value)
-
-    def per_entry(drawn):  # each entry's part, as views of one gather over the batch
-        return np.split(drawn, batch.bounds[1:-1])
-
-    drawn_cal = per_entry(batch.drawn(conf_cal))
-    drawn_rank = drawn_cal if conf_rank is conf_cal else per_entry(batch.drawn(conf_rank))
-    drawn_correct = per_entry(batch.drawn(predicted) == batch.drawn(batch.labels))
-    ranks = conf_rank.reshape(len(batch.loaded), -1)
+    labels = _stack([one.labels.data for one in batch])
+    confusion = met.confusion_matrix(predicted, labels, manifest.classes, manifest.ignore_value)
     summaries = []
-    for i, one in enumerate(batch.loaded):
+    for one, cal, rank, pred, actual, counts in zip(batch, conf_cal, conf_rank, predicted, labels, confusion):
+        flat = rank.reshape(-1)
         known_conf = unknown_conf = None
         if one.ood_mask is not None:
             flat_mask = one.ood_mask.reshape(-1)
-            known_conf = ranks[i][~flat_mask]
-            unknown_conf = ranks[i][flat_mask]
-        summaries.append(_ImageSummary(
+            known_conf = flat[~flat_mask]
+            unknown_conf = flat[flat_mask]
+        drawn_cal = one.drawn(cal)
+        summaries.append((_ImageSummary(
             domain=one.entry.domain,
-            confidence_cal=drawn_cal[i],
-            confidence_rank=drawn_rank[i],
-            correct=drawn_correct[i],
-            confusion=confusion[i],
-            mean_confidence=float(ranks[i][one.valid].mean()),
+            confidence_cal=drawn_cal,
+            confidence_rank=drawn_cal if neg_entropy is None else one.drawn(rank),
+            correct=one.drawn(pred) == one.drawn(actual),
+            mean_confidence=float(flat[one.valid].mean()),
             known_conf=known_conf,
             unknown_conf=unknown_conf,
-        ))
+        ), counts))
     return summaries
 
 
@@ -260,8 +220,12 @@ def _bin_table(partition: met.BinPartition) -> dict:
     }
 
 
-def _reduce_domain(group: list[_ImageSummary], config: EvalConfig) -> tuple[dict, dict, float | None, str | None]:
-    """One domain's stats, bin table, pixel-level OOD AUROC (or None) and warning (or None) from its summaries."""
+def _reduce_domain(group: list[_ImageSummary], confusion: np.ndarray,
+                   config: EvalConfig) -> tuple[dict, dict, float | None, str | None]:
+    """One domain's stats, bin table, pixel-level OOD AUROC (or None) and warning (or None).
+
+    ``group`` holds its summaries and ``confusion`` the sum of its images' confusion matrices.
+    """
     wanted = set(config.metrics)
     records = RecordSet(np.concatenate([s.confidence_cal for s in group]),
                         np.concatenate([s.correct for s in group]))
@@ -272,7 +236,7 @@ def _reduce_domain(group: list[_ImageSummary], config: EvalConfig) -> tuple[dict
         "mean_confidence": float(np.mean([s.mean_confidence for s in group])),
     }
     if "miou" in wanted:
-        result = met.iou_from_confusion(sum(s.confusion for s in group))
+        result = met.iou_from_confusion(confusion)
         stats["miou"] = result.miou
         stats["per_class_iou"] = _nullable(result.per_class)
     partition = met.bin_partition(records, config.bins)
@@ -325,15 +289,17 @@ def evaluate_manifest(manifest: DatasetManifest, calibrator: Calibrator | None =
         # map drops each batch once it is summarized, before it reads the next
         parts = map(summarize, batches) if pool is None else _ordered_map(pool, summarize, batches, workers)
         groups: dict[str, list[_ImageSummary]] = {}
+        confusion: dict[str, np.ndarray] = {}  # each domain's running sum
         means: dict[str, list[float]] = {}
         reduced: dict[str, tuple | RelikitError] = {}
-        for index, summary in enumerate(summary for part in parts for summary in part):
+        for index, (summary, counts) in enumerate(pair for part in parts for pair in part):
             tag = summary.domain
             groups.setdefault(tag, []).append(summary)
+            confusion[tag] = confusion.get(tag, 0) + counts
             means.setdefault(tag, []).append(summary.mean_confidence)
             if index == last[tag]:  # reduce the domain and drop its summaries
                 try:
-                    reduced[tag] = _reduce_domain(groups.pop(tag), config)
+                    reduced[tag] = _reduce_domain(groups.pop(tag), confusion.pop(tag), config)
                 except RelikitError as exc:  # raised once every entry is read, in sorted domain order
                     reduced[tag] = exc.with_traceback(None)  # its frames would keep the summaries
 

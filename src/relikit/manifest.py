@@ -63,7 +63,6 @@ from .tensors import ImageTensor, LabelMap, LogitTensor, check_same_shape, valid
 
 SPLITS = ("calibration", "test")
 _REQUIRED_FIELDS = ("image_id", "split", "domain", "logits", "labels")
-DEFAULT_IGNORE = 255
 
 
 @dataclass(frozen=True)

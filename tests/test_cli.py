@@ -22,11 +22,12 @@ from relikit.calibration import (
     GlobalTemperature,
     TemperatureRegressor,
     load_calibrator,
+    save_calibrator,
 )
 from relikit.cli import main
 from relikit.errors import NumericalError
 from relikit.manifest import check_entry, load_manifest
-from relikit.synth import DomainSpec, SynthConfig, config_to_json, generate_benchmark
+from relikit.synth import DomainSpec, SynthConfig, config_to_json, default_ladder, generate_benchmark
 from relikit.tensor_io import (
     MAGIC, read_labels, read_logits, write_feature, write_image, write_labels, write_logits, write_mask,
 )
@@ -1215,6 +1216,64 @@ class TestSynth:
         base = (tmp_path / "same" / "data" / "a-cal-000.logits.bin").read_bytes()
         other = (tmp_path / "other" / "data" / "a-cal-000.logits.bin").read_bytes()
         assert base != other
+
+
+
+def _tree(root: Path) -> dict:
+    return {path.relative_to(root): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+class TestDefaultBenchmark:
+    """Byte-level checks on the benchmark ``relikit synth --out DIR`` writes, each command run through main."""
+
+    @pytest.fixture(scope="class")
+    def default(self, tmp_path_factory):
+        """A directory holding the default benchmark (``bench``) and two artifacts fitted on it by flags.
+
+        They are a class_cluster_ts fit with k 3 and an LTS fit of 3 epochs.
+        """
+        root = tmp_path_factory.mktemp("default")
+        manifest = str(root / "bench" / "manifest.json")
+        for argv in (["synth", "--out", str(root / "bench")],
+                     ["fit", "--manifest", manifest, "--method", "class_cluster_ts", "--k", "3",
+                      "--out", str(root / "class_cluster_ts.json")],
+                     ["fit", "--manifest", manifest, "--method", "lts", "--epochs", "3",
+                      "--out", str(root / "lts.json")]):
+            assert main(argv) == 0
+        return root
+
+    def test_default_ladder_as_a_config_file_gives_the_default_benchmark(self, default, capsys, tmp_path):
+        config = tmp_path / "ladder.json"
+        config.write_text(config_to_json(default_ladder()))
+        assert _run(capsys, ["synth", "--config", str(config), "--out", str(tmp_path / "from-config")])[0] == 0
+        assert _tree(tmp_path / "from-config") == _tree(default / "bench")
+
+    def test_fit_from_a_config_file_equals_the_flag_run(self, default, capsys, tmp_path):
+        config = tmp_path / "fit-config.json"
+        config.write_text(json.dumps({"method": "class_cluster_ts", "k": 3}))
+        argv = ["fit", "--config", str(config), "--manifest", str(default / "bench" / "manifest.json"),
+                "--out", str(tmp_path / "from-config.json")]
+        assert _run(capsys, argv)[0] == 0
+        assert (tmp_path / "from-config.json").read_bytes() == (default / "class_cluster_ts.json").read_bytes()
+
+    def test_eval_from_a_config_file_equals_the_flag_run(self, default, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr("relikit.evaluate.os.cpu_count", lambda: 2)  # two workers on a 1-CPU runner too
+        options = {"manifest": str(default / "bench" / "manifest.json"), "calibrator": str(default / "lts.json"),
+                   "score": "neg_entropy", "workers": 2}
+        config = tmp_path / "eval-config.json"
+        config.write_text(json.dumps({**options, "out": str(tmp_path / "config.json"),
+                                      "bins_out": str(tmp_path / "config-bins.json")}))
+        assert _run(capsys, ["eval", "--config", str(config)])[0] == 0
+        flags = [f"--{key}={value}" for key, value in options.items()]
+        assert _run(capsys, ["eval", *flags, "--out", str(tmp_path / "flags.json"),
+                             "--bins-out", str(tmp_path / "flags-bins.json")])[0] == 0
+        assert (tmp_path / "config.json").read_bytes() == (tmp_path / "flags.json").read_bytes()
+        assert (tmp_path / "config-bins.json").read_bytes() == (tmp_path / "flags-bins.json").read_bytes()
+
+    @pytest.mark.parametrize("method", ["class_cluster_ts", "lts"])
+    def test_fitted_artifact_saves_again_byte_for_byte(self, default, tmp_path, method):
+        path = default / f"{method}.json"
+        assert save_calibrator(load_calibrator(path), tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 class TestTheorem:

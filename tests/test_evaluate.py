@@ -340,15 +340,14 @@ class TestBatchedEvaluation:
     def test_batches_cut_where_the_grid_or_budget_changes(self, mixed, budget):
         entries = mixed.select(split="test")
         batches = list(load_batches(mixed, entries, pixels_per_image=None, seed=0))
-        assert [one.entry for batch in batches for one in batch.loaded] == entries
+        assert [one.entry for batch in batches for one in batch] == entries
         for batch in batches:
-            grids = {one.labels.data.shape for one in batch.loaded}
-            assert len(grids) == 1 and (len(batch.loaded) == 1 or batch.labels.size <= budget)
-            assert batch.logits.shape == (len(batch.loaded), *grids.pop(), 3)
+            grids = {one.labels.data.shape for one in batch}
+            assert len(grids) == 1 and (len(batch) == 1 or sum(one.labels.data.size for one in batch) <= budget)
         if budget == 150:  # two 8 x 8 images per batch; (6, 8) and (8, 6) part though they have one pixel count
-            assert [len(batch.loaded) for batch in batches] == [2, 2, 1, 2, 1, 2, 2, 2]
+            assert [len(batch) for batch in batches] == [2, 2, 1, 2, 1, 2, 2, 2]
         else:
-            assert [len(batch.loaded) for batch in batches] == [5, 2, 1, 2, 4]
+            assert [len(batch) for batch in batches] == [5, 2, 1, 2, 4]
 
     @pytest.mark.parametrize("score", list(ConfidenceScore))
     def test_reports_match_entry_by_entry_oracle_at_every_worker_count(self, mixed, budget, monkeypatch, score):
@@ -367,7 +366,7 @@ class TestBatchedEvaluation:
             assert reports[0].ood_auroc == ood and reports[0].pixel_ood_auroc == pixel_ood
             assert reports[0].bins == bins
 
-    def test_fit_pixels_match_entry_by_entry_stack(self, mixed, budget):
+    def test_fit_pixels_match_entry_by_entry_stack(self, mixed):
         entries = mixed.select(split="calibration")
         pixels = gather_pixel_batches(mixed, entries, pixels_per_image=25, seed=4, need_image=True)
         loaded = [load_entry(mixed, e, pixels_per_image=25, seed=4, image=True) for e in entries]
@@ -382,8 +381,8 @@ class TestBatchedEvaluation:
         (0, None, 1, True),  # (8, 8) grids first, then smaller ones and ignored pixels: room is left over
         (6, None, 2, False),  # two (8, 8) entries after a 48-pixel one draw more than 48 rows each
     ], ids=["exact", "cut", "grown"])
-    def test_fit_stack_grows_and_is_cut_to_the_drawn_rows(self, mixed, budget, monkeypatch, first,
-                                                           pixels_per_image, allocations, cut):
+    def test_fit_stack_grows_and_is_cut_to_the_drawn_rows(self, mixed, monkeypatch, first, pixels_per_image,
+                                                           allocations, cut):
         entries = mixed.select(split="calibration")[first:]
         rooms = []
         real = calibration._with_rows
@@ -448,7 +447,7 @@ class TestBatchedEvaluation:
         for workers in ("1", "2"):
             code = main(["eval", "--manifest", str(path), "--workers", workers, "--out", str(tmp_path / "r.json")])
             assert (code, capsys.readouterr().err) == (2, f"error: {expected}\n")
-        # fit reads the same batches; an all-ignored image only gives it no pixels
+        # fit reads the same entries, one at a time; an all-ignored image only gives it no pixels
         code = main(["fit", "--manifest", str(path), "--split", "test", "--out", str(tmp_path / "a.json")])
         assert (code, capsys.readouterr().err) == ((0, "") if fault == "all_ignored" else (2, f"error: {expected}\n"))
 
@@ -516,7 +515,7 @@ class TestRecordMemory:
 
         def spy_summarize(*args, **kwargs):
             out = summarize(*args, **kwargs)
-            summaries.extend(out)
+            summaries.extend(summary for summary, _ in out)
             return out
 
         class SpyRecordSet(RecordSet):
@@ -530,8 +529,8 @@ class TestRecordMemory:
         assert len(summaries) == 80
         assert len(record_sets) == (2 if score is ConfidenceScore.MAX_PROB else 4)
         for summary in summaries:
-            per_record = {name: value.dtype for name, value in vars(summary).items()
-                          if isinstance(value, np.ndarray) and value.ndim == 1}
+            # a summary holds no array but its records: no K x K confusion matrix either
+            per_record = {name: value.dtype for name, value in vars(summary).items() if isinstance(value, np.ndarray)}
             assert per_record == {"confidence_cal": np.float64, "confidence_rank": np.float64, "correct": np.bool_}
         for records in record_sets:
             assert {f.name: getattr(records, f.name).dtype for f in dataclasses.fields(records)} == {
@@ -551,6 +550,27 @@ class TestRecordMemory:
         records = sum(stats["n_records"] for stats in report.domains.values())
         assert records == 80 * 48 * 48
         assert peak / records <= self.PEAK_PER_RECORD[score]
+
+    def test_peak_does_not_grow_with_the_image_count(self, tmp_path, monkeypatch):
+        # with 128 classes, a 128 x 128 int64 confusion matrix kept per image until its domain is reduced
+        # would add 30 x 128 KiB = 3.75 MiB from 10 to 40 images; their drawn records add about 0.13 MB
+        from relikit.synth import DomainSpec, SynthConfig, generate_benchmark
+
+        monkeypatch.setattr("relikit.evaluate.BATCH_PIXELS", 1)  # a batch of one image each
+        peaks = []
+        for images in (10, 40):
+            config = SynthConfig(classes=128, height=16, width=16, domains=(DomainSpec("id"),),
+                                 calibration_images=0, test_images=images, seed=3)
+            manifest = load_manifest(generate_benchmark(config, tmp_path / str(images)))
+            evaluate_manifest(manifest)  # first-call allocations are not the images'
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                evaluate_manifest(manifest)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 1 << 20
 
 
 class TestRecordSetOrder:
@@ -578,7 +598,7 @@ class TestRecordSetOrder:
 
 
 class TestOneBatchAlivePerRead:
-    """Fit and serial eval drop each batch before the next entry is read."""
+    """Fit drops each entry, and serial eval each batch, before the next entry is read."""
 
     @pytest.fixture
     def alive_at_each_read(self, monkeypatch):
@@ -600,14 +620,7 @@ class TestOneBatchAlivePerRead:
     def test_gather_pixel_batches(self, ladder_manifest, alive_at_each_read):
         entries = ladder_manifest.select(split="calibration")
         gather_pixel_batches(ladder_manifest, entries, pixels_per_image=50, seed=0, need_image=True)
-        # a full batch is yielded before the next entry is read, so no earlier entry is alive at a read
-        assert alive_at_each_read == [0] * len(entries)
-
-    def test_gather_pixel_batches_at_the_default_budget(self, ladder_manifest, alive_at_each_read, monkeypatch):
-        # fit reads one entry at a time: no eval batch of earlier entries is held while the next one is read
-        monkeypatch.setattr("relikit.evaluate.BATCH_PIXELS", BATCH_PIXELS)  # the fixture's budget of 1 undone
-        entries = ladder_manifest.select(split="calibration")
-        gather_pixel_batches(ladder_manifest, entries, pixels_per_image=50, seed=0, need_image=True)
+        # fit copies each entry's drawn rows into its stack before the next read, so no earlier entry is alive
         assert alive_at_each_read == [0] * len(entries)
 
     @pytest.mark.parametrize("budget", [150 * 48 * 48, 5 * 48 * 48], ids=["one-batch", "batches-of-5"])
@@ -616,7 +629,7 @@ class TestOneBatchAlivePerRead:
         monkeypatch.setattr("relikit.evaluate.BATCH_PIXELS", budget)
         batches = load_batches(ladder_manifest, ladder_manifest.select(split="test"), pixels_per_image=10, seed=0)
         for batch in batches:
-            entries = [weakref.ref(one) for one in batch.loaded]
+            entries = [weakref.ref(one) for one in batch]
             del batch
             assert not any(entry() for entry in entries)
 
